@@ -40,7 +40,6 @@ from .natural import (
     DirectSum,
     Line,
     Outcome,
-    _ceil_div,
     direct_sum_natural_wrt_m,
     line_natural_wrt_m,
     line_natural_wrt_r,
@@ -48,7 +47,7 @@ from .natural import (
     scan_verdict,
     unconditional_scan,
 )
-from .picard import DivisorClass, DomainError, Surface
+from .picard import DivisorClass, DomainError, Surface, ceil_div
 from .sheaves import IdealSheafModel, Locus, PointConfig
 
 AGREES = "agrees"
@@ -185,7 +184,7 @@ def _claim_line_ample_r_criterion(surface: Surface) -> list[Finding]:
                     _finding(name, surface, DISCREPANCY, f"(u,v)=({u},{v})",
                              f"closed form says {not truth}, scan says {truth}")
                 )
-            y = _ceil_div(-v, e + 1)
+            y = ceil_div(-v, e + 1)
             variant = v >= (e + 1) * u or v + e * y >= e * u - 1
             if variant != truth and variant_witness is None:
                 variant_witness = (u, v)

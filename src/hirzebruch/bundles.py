@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cohomology import CohomologyTriple, chi, h0, h1, h2
-from .natural import Outcome, Verdict, _ceil_div
-from .picard import DivisorClass, DomainError, Surface, twist
+from .natural import Outcome, Verdict
+from .picard import DivisorClass, DomainError, Surface, ceil_div, twist
 from .sheaves import (
     IdealSheafModel,
     Locus,
@@ -347,16 +347,16 @@ def _audit_scan_stop(datum: ExtensionDatum) -> int:
     cuts = [datum.m]
     for cls in (datum.sub, qcls):
         cuts.append(1 - cls.a)
-        cuts.append(_ceil_div(-cls.b, e))
+        cuts.append(ceil_div(-cls.b, e))
     if datum.s > 0:
         locus = datum.quotient.config.locus
         if locus is Locus.GENERAL:
             # capacity is full h0 >= b-coordinate + 1
-            cuts.append(_ceil_div(datum.s - 1 - qcls.b, e))
+            cuts.append(ceil_div(datum.s - 1 - qcls.b, e))
         elif locus is Locus.ON_FIBER:
             # capacity is min(a, b//e) + 1
             cuts.append(datum.s - 1 - qcls.a)
-            cuts.append(_ceil_div(e * (datum.s - 1) - qcls.b, e))
+            cuts.append(ceil_div(e * (datum.s - 1) - qcls.b, e))
         # ON_SECTION: capacity is constant under M; no cut exists or is needed
     return max(cuts) + 1
 
@@ -475,7 +475,7 @@ def _r_candidates(datum: ExtensionDatum) -> list[DestabilizerCandidate]:
     u, v = datum.u, datum.v
     gamma_max = max(datum.sub.a, datum.quotient.cls.a)
     delta_max = max(datum.sub.b, datum.quotient.cls.b)
-    threshold = _ceil_div(u + v, 2)
+    threshold = ceil_div(u + v, 2)
     out = []
     for delta in range(threshold - gamma_max, delta_max + 1):
         for gamma in range(threshold - delta, gamma_max + 1):
@@ -497,7 +497,7 @@ def _m_candidates(datum: ExtensionDatum) -> list[DestabilizerCandidate]:
     gamma_max = max(datum.sub.a, qcls.a)
     delta_max = max(datum.sub.b, qcls.b)
     out = []
-    for delta in range(_ceil_div(datum.v, 2), delta_max + 1):
+    for delta in range(ceil_div(datum.v, 2), delta_max + 1):
         w = qcls.b - delta
         freeze = qcls.a - (max(0, w) // e)
         gamma_lo = min(0, freeze, datum.sub.a)

@@ -279,7 +279,7 @@ def _cmd_check(args: argparse.Namespace) -> Report:
             evidence = scan_verdict(surface, model, by)
         report = Report("check", inputs)
         report.results = _verdict_dict(evidence.verdict)
-        report.results["scanned_t"] = [evidence.rows[0][0], evidence.rows[-1][0]]
+        report.results["scanned_t"] = [evidence.scan_start, evidence.scan_stop]
         closed = _closed_form(surface, model, by, args.wrt, bool(args.pp))
         if closed is not None:
             report.results["closed_form"] = closed

@@ -6,10 +6,25 @@ twisted ideal sheaf of generic points.  Fix a spanned nonzero class T.
     natural (w.r.t. T):        h^1(E + t*T) = 0 for every t with h^0 > 0
     unconditional (w.r.t. T):  h^1(E + t*T) = 0 for every integer t
 
-Every checker is a scan over an explicit finite twist window together with
-a tail argument proving the verdict constant outside the window; the
-window edges come from `_upper_stabilization_bound` and
-`_lower_stabilization_bound`, whose docstrings carry the case analysis.
+Every checker decides an explicit finite twist window together with a tail
+argument proving the verdict constant outside the window; the window edges
+come from `_upper_stabilization_bound` and `_lower_stabilization_bound`,
+whose docstrings carry the case analysis.
+
+Inside the window cohomology is evaluated only at a few twists.  By the
+trichotomy of :mod:`hirzebruch.cohomology`, a component class has h^1 > 0
+exactly when its h-coordinate a is >= 0 and its slack b - e*a is <= -2,
+or a <= -2 and slack >= e.  Along a spanned twist both a and the slack
+are nondecreasing in t, so each of these regions is an interval of
+twists that begins where a reaches 0 or where the slack reaches e.  For
+ideal models h1_ideal = h1 + max(0, z - rho), and the capacity rho is
+nondecreasing along a spanned twist, so rho < z holds on a prefix of the
+window.  Hence the first twist of the window with h^1 > 0 is the window
+start or one of those interval beginnings, the *piece starts*
+(`_piece_starts`), and a verdict costs O(#components) evaluations
+whatever the window's length.  The scan evidence rebuilds the (t, h0, h1)
+rows of the whole window on demand, as a referee.
+
 Closed-form criteria exist when T is M = h + e*f or R = h + (e+1)*f and
 are checked against the scans by the test suite; the scans are the
 referees, the closed forms are the fast paths.
@@ -24,9 +39,9 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .cohomology import h0, h1
-from .picard import DivisorClass, DomainError, Surface, twist
-from .sheaves import IdealSheafModel, Locus, h0_ideal, h1_ideal, max_conditions
+from .cohomology import ConsistencyError, h0, h1
+from .picard import DivisorClass, DomainError, Surface, ceil_div, twist
+from .sheaves import IdealSheafModel, Locus, h0_ideal, h1_ideal
 
 
 @dataclass(frozen=True)
@@ -67,16 +82,26 @@ class Verdict:
 
 @dataclass(frozen=True)
 class ScanEvidence:
-    """The (t, h0, h1) rows inspected by a scan and the verdict they force."""
+    """The verdict of a scan over the twists scan_start..scan_stop of model + t*by."""
 
-    rows: tuple[tuple[int, int, int], ...]
     verdict: Verdict
     stabilization_bound: int
+    scan_start: int
+    scan_stop: int
+    surface: Surface
+    model: SheafModel
+    by: DivisorClass
 
+    @property
+    def rows(self) -> tuple[tuple[int, int, int], ...]:
+        """The (t, h0, h1) row of every twist in the window, computed on each access.
 
-def _ceil_div(p: int, q: int) -> int:
-    # q > 0
-    return -((-p) // q)
+        The verdict does not read them; they let a caller or a test check it.
+        """
+        return tuple(
+            (t, *_values_at(self.surface, self.model, t, self.by))
+            for t in range(self.scan_start, self.scan_stop + 1)
+        )
 
 
 def _require_twisting_class(surface: Surface, by: DivisorClass) -> None:
@@ -126,10 +151,10 @@ def _line_min_twist(surface: Surface, cls: DivisorClass, by: DivisorClass) -> Op
     u, v = cls.a, cls.b
     c, d = by.a, by.b
     if c >= 1:
-        return max(_ceil_div(-u, c), _ceil_div(-v, d))
+        return max(ceil_div(-u, c), ceil_div(-v, d))
     if u < 0:
         return None
-    return _ceil_div(-v, d)
+    return ceil_div(-v, d)
 
 
 def min_twist_with_sections(surface: Surface, model: SheafModel, by: DivisorClass) -> int:
@@ -156,22 +181,38 @@ def min_twist_with_sections(surface: Surface, model: SheafModel, by: DivisorClas
         return min(finite)
 
     # Ideal sheaf: h0_ideal <= h0 of the underlying line bundle, so start at
-    # the line bundle's minimal twist and walk up.  h0_ideal is monotone
-    # (both h0(c) and h0(c - C) are), and it is positive as soon as
+    # the line bundle's minimal twist and search upward.  h0_ideal is
+    # monotone (both h0(c) and h0(c - C) are), and it is positive as soon as
     # h0(line) >= z + 1, which the i = 0 pushforward term alone guarantees
-    # once v + t*d >= z (and the h-coordinate is nonnegative).
+    # once v + t*d >= z (and the h-coordinate is nonnegative).  The answer
+    # is often `start` itself, so gallop (start, start+1, start+3, ...)
+    # before bisecting.
     z = model.config.z
     start = _line_min_twist(surface, model.cls, by)
     if start is None:
         raise DomainError(f"no twist of the ideal model class {model.cls} by {by} has sections")
     c, d = by.a, by.b
-    stop = max(start, _ceil_div(z - model.cls.b, d))
+    stop = max(start, ceil_div(z - model.cls.b, d))
     if c >= 1:
-        stop = max(stop, _ceil_div(-model.cls.a, c))
-    for t in range(start, stop + 1):
-        if h0_ideal(surface, model.twisted(t, by)) > 0:
-            return t
-    raise AssertionError("section bound violated; h0_ideal must be positive by `stop`")
+        stop = max(stop, ceil_div(-model.cls.a, c))
+
+    def has_sections(t: int) -> bool:
+        return h0_ideal(surface, model.twisted(t, by)) > 0
+
+    below, probe = start - 1, start  # no twist <= below has sections
+    while not has_sections(probe):
+        if probe == stop:
+            raise ConsistencyError(
+                f"section bound violated: h0_ideal of {model} twisted by {stop}*{by} is 0"
+            )
+        below, probe = probe, min(stop, 2 * probe - start + 1)
+    while probe - below > 1:
+        mid = (below + probe) // 2
+        if has_sections(mid):
+            probe = mid
+        else:
+            below = mid
+    return probe
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +253,14 @@ def _upper_stabilization_bound(
     c, d = by.a, by.b
     comps = _components(model)
     if c >= 1:
-        bound = max([floor] + [_ceil_div(1 - k.a, c) for k in comps]) + 1
+        bound = max([floor] + [ceil_div(1 - k.a, c) for k in comps]) + 1
     else:
         cuts = [floor]
         for k in comps:
             if k.a >= 0:
-                cuts.append(_ceil_div(e * k.a - 1 - k.b, d))
+                cuts.append(ceil_div(e * k.a - 1 - k.b, d))
             elif k.a <= -2:
-                cuts.append(_ceil_div(e * k.a + e - k.b, d))
+                cuts.append(ceil_div(e * k.a + e - k.b, d))
         bound = max(cuts) + 1
 
     if isinstance(model, IdealSheafModel) and model.config.z > 0:
@@ -227,19 +268,19 @@ def _upper_stabilization_bound(
         u, v = model.cls.a, model.cls.b
         locus = model.config.locus
         if locus is Locus.GENERAL:
-            bound = max(bound, _ceil_div(z - 1 - v, d))
+            bound = max(bound, ceil_div(z - 1 - v, d))
         elif locus is Locus.ON_SECTION:
             step = d - e * c
             if step >= 1:
-                bound = max(bound, _ceil_div(z - 1 - (v - e * u), step))
+                bound = max(bound, ceil_div(z - 1 - (v - e * u), step))
             # step == 0: rho constant, nothing extra needed
         else:  # ON_FIBER
             if c >= 1:
-                bound = max(bound, _ceil_div(z - 1 - u, c), _ceil_div(e * (z - 1) - v, d))
+                bound = max(bound, ceil_div(z - 1 - u, c), ceil_div(e * (z - 1) - v, d))
             elif z <= u + 1:
-                bound = max(bound, _ceil_div(e * (z - 1) - v, d))
+                bound = max(bound, ceil_div(e * (z - 1) - v, d))
             else:
-                bound = max(bound, _ceil_div(e * u - v, d))
+                bound = max(bound, ceil_div(e * u - v, d))
     return bound
 
 
@@ -283,52 +324,72 @@ def _lower_stabilization_bound(surface: Surface, model: SheafModel, by: DivisorC
 # scans
 
 
+def _piece_starts(
+    surface: Surface, model: SheafModel, by: DivisorClass, lo: int, hi: int
+) -> list[int]:
+    """lo and, sorted, every twist in (lo, hi] where a run of h^1 > 0 can begin.
+
+    These are, for each component class, the first twists at which the
+    h-coordinate reaches 0 and the slack reaches e (see the module
+    docstring); a form with step 0 never moves.
+    """
+    e = surface.e
+    c, step = by.a, by.b - e * by.a
+    starts = {lo}
+    for k in _components(model):
+        if c:
+            starts.add(ceil_div(-k.a, c))
+        if step:
+            starts.add(ceil_div(e - (k.b - e * k.a), step))
+    return sorted(t for t in starts if lo <= t <= hi)
+
+
+def _first_failure(
+    surface: Surface, model: SheafModel, by: DivisorClass, lo: int, hi: int
+) -> Verdict:
+    """The verdict of the window [lo, hi]: FAILS at its first twist with h^1 > 0.
+
+    Only the piece starts are evaluated; the first bad twist is one of them.
+    """
+    for t in _piece_starts(surface, model, by, lo, hi):
+        v0, v1 = _values_at(surface, model, t, by)
+        if v1 > 0:
+            return Verdict(Outcome.FAILS, witness_t=t, witness_h0=v0, witness_h1=v1)
+    return Verdict(Outcome.HOLDS)
+
+
 def scan_verdict(
     surface: Surface, model: SheafModel, by: DivisorClass, extra_window: int = 0
 ) -> ScanEvidence:
-    """Decide the natural-cohomology property by a finite scan.
+    """Decide the natural-cohomology property over a finite twist window.
 
-    Rows run from the first twist with sections up to the stabilization
-    bound (plus any extra window).  Since h^0 > 0 on the whole scanned ray,
-    the property fails exactly at rows with h^1 > 0, and the bound's tail
-    argument shows no failure can first appear beyond the last row.
+    The window runs from the first twist with sections up to the
+    stabilization bound (plus any extra window).  Since h^0 is monotone
+    along a spanned twist, h^0 > 0 on the whole window, so the property
+    fails exactly at twists with h^1 > 0, and the bound's tail argument
+    shows no failure can first appear beyond it.
     """
     _require_twisting_class(surface, by)
     if extra_window < 0:
         raise DomainError(f"extra_window must be >= 0, got {extra_window}")
     m0 = min_twist_with_sections(surface, model, by)
     bound = _upper_stabilization_bound(surface, model, by, m0)
-    rows = []
-    verdict = None
-    for t in range(m0, bound + extra_window + 1):
-        v0, v1 = _values_at(surface, model, t, by)
-        rows.append((t, v0, v1))
-        if verdict is None and v0 > 0 and v1 > 0:
-            verdict = Verdict(Outcome.FAILS, witness_t=t, witness_h0=v0, witness_h1=v1)
-    if verdict is None:
-        verdict = Verdict(Outcome.HOLDS)
-    return ScanEvidence(rows=tuple(rows), verdict=verdict, stabilization_bound=bound)
+    stop = bound + extra_window
+    verdict = _first_failure(surface, model, by, m0, stop)
+    return ScanEvidence(verdict, bound, m0, stop, surface, model, by)
 
 
 def unconditional_scan(
     surface: Surface, model: SheafModel, by: DivisorClass, extra_window: int = 0
 ) -> ScanEvidence:
-    """Decide h^1 = 0 at *every* twist by a two-sided finite scan."""
+    """Decide h^1 = 0 at *every* twist over a two-sided finite window."""
     _require_twisting_class(surface, by)
     if extra_window < 0:
         raise DomainError(f"extra_window must be >= 0, got {extra_window}")
     lo = _lower_stabilization_bound(surface, model, by) - extra_window
     hi = _upper_stabilization_bound(surface, model, by, 0) + extra_window
-    rows = []
-    verdict = None
-    for t in range(lo, hi + 1):
-        v0, v1 = _values_at(surface, model, t, by)
-        rows.append((t, v0, v1))
-        if verdict is None and v1 > 0:
-            verdict = Verdict(Outcome.FAILS, witness_t=t, witness_h0=v0, witness_h1=v1)
-    if verdict is None:
-        verdict = Verdict(Outcome.HOLDS)
-    return ScanEvidence(rows=tuple(rows), verdict=verdict, stabilization_bound=hi)
+    verdict = _first_failure(surface, model, by, lo, hi)
+    return ScanEvidence(verdict, hi, lo, hi, surface, model, by)
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +427,8 @@ def line_natural_wrt_r(surface: Surface, cls: DivisorClass) -> bool:
     e, u, v = surface.e, cls.a, cls.b
     if v >= (e + 1) * u:
         return True
-    y = _ceil_div(-v, e + 1)
+    y = ceil_div(-v, e + 1)
     return v + y >= e * u - 1
-
-
-def line_natural_wrt(surface: Surface, cls: DivisorClass, by: DivisorClass) -> bool:
-    """Natural w.r.t. an arbitrary spanned nonzero class, by scan."""
-    return scan_verdict(surface, Line(cls), by).verdict.holds()
-
-
-def line_unconditional_wrt(surface: Surface, cls: DivisorClass, by: DivisorClass) -> bool:
-    """Unconditional w.r.t. an arbitrary spanned nonzero class, by scan."""
-    return unconditional_scan(surface, Line(cls), by).verdict.holds()
 
 
 def direct_sum_natural_wrt_m(surface: Surface, classes: list[DivisorClass]) -> bool:
@@ -397,11 +448,8 @@ def direct_sum_natural_wrt_m(surface: Surface, classes: list[DivisorClass]) -> b
     if any(c.b < e * c.a - 1 for c in ordered):
         return False
     top = ordered[0]
-    m = -top.a if top.b >= e * top.a else -top.a + 1
     # the sorted head realizes the minimal twist with sections
-    assert m == min_twist_with_sections(
-        surface, DirectSum(tuple(ordered)), surface.m_class()
-    )
+    m = -top.a if top.b >= e * top.a else -top.a + 1
     for c in ordered[1:]:
         if c.a + m >= -1:
             continue
@@ -425,10 +473,8 @@ __all__ = [
     "Verdict",
     "direct_sum_natural_wrt_m",
     "ideal_natural_wrt_m",
-    "line_natural_wrt",
     "line_natural_wrt_m",
     "line_natural_wrt_r",
-    "line_unconditional_wrt",
     "line_unconditional_wrt_m",
     "min_twist_with_sections",
     "scan_verdict",

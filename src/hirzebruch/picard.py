@@ -117,3 +117,8 @@ class Surface:
 def twist(c: DivisorClass, t: int, by: DivisorClass) -> DivisorClass:
     """The class c + t*by.  t may be any integer."""
     return DivisorClass(c.a + t * by.a, c.b + t * by.b)
+
+
+def ceil_div(p: int, q: int) -> int:
+    """ceil(p / q) for integers with q > 0, exactly."""
+    return -((-p) // q)

@@ -21,8 +21,9 @@ chi(I_Z(c)) = chi(c) - z.  In every case
 
     h1_ideal(c) = h1(c) + max(0, z - rho(c))
 
-with rho the capacity returned by ``max_conditions``; the scan bounds in
-:mod:`hirzebruch.natural` lean on that shape.
+with rho the capacity returned by ``max_conditions``; the scan bounds and
+piece starts in :mod:`hirzebruch.natural` lean on that shape, and the test
+suite checks it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .cohomology import ConsistencyError, chi, h0, h1, h2
+from .cohomology import ConsistencyError, chi, h0, h2
 from .picard import DivisorClass, DomainError, Surface, twist
 
 
@@ -116,6 +117,4 @@ def h1_ideal(surface: Surface, model: IdealSheafModel) -> int:
             f"negative ideal h1 = {value} at e={surface.e}, z={z}, "
             f"locus={model.config.locus.value}, c={model.cls}"
         )
-    # equivalent shape used by the twist-scan bounds
-    assert value == h1(surface, model.cls) + max(0, z - max_conditions(surface, model))
     return value

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hirzebruch import (
+    ConsistencyError,
     DirectSum,
     DivisorClass,
     DomainError,
@@ -21,6 +22,7 @@ from hirzebruch import (
     Outcome,
     PointConfig,
     Surface,
+    Verdict,
     direct_sum_natural_wrt_m,
     ideal_natural_wrt_m,
     line_natural_wrt_m,
@@ -291,3 +293,98 @@ def test_evidence_shape(surface, model):
         assert evidence.verdict.witness_t == first_bad[0]
     else:
         assert all(row[2] == 0 for row in evidence.rows)
+
+
+# --- piecewise verdicts against the rows they stand for
+
+
+def _twisting_class(surface, pick):
+    e = surface.e
+    return [
+        surface.m_class(),
+        surface.r_class(),
+        DivisorClass(0, 1),
+        DivisorClass(0, 2),
+        DivisorClass(2, 2 * e + 1),
+    ][pick]
+
+
+@settings(max_examples=400)
+@given(
+    surfaces,
+    models,
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([0, 7]),
+    st.booleans(),
+)
+def test_piecewise_witness_is_first_bad_row(surface, model, pick, extra, two_sided):
+    by = _twisting_class(surface, pick)
+    try:
+        if two_sided:
+            evidence = unconditional_scan(surface, model, by, extra_window=extra)
+        else:
+            evidence = scan_verdict(surface, model, by, extra_window=extra)
+    except DomainError:
+        # only a fiber-type class against models with no effective twist
+        assert by.a == 0
+        return
+    rows = evidence.rows
+    assert (evidence.scan_start, evidence.scan_stop) == (rows[0][0], rows[-1][0])
+    bad = [row for row in rows if row[2] > 0 and (two_sided or row[1] > 0)]
+    verdict = evidence.verdict
+    if bad:
+        assert verdict.outcome is Outcome.FAILS
+        assert (verdict.witness_t, verdict.witness_h0, verdict.witness_h1) == bad[0]
+    else:
+        assert verdict == Verdict(Outcome.HOLDS)
+
+
+@settings(max_examples=300)
+@given(
+    surfaces,
+    st.builds(
+        IdealSheafModel,
+        st.builds(
+            PointConfig, st.integers(min_value=0, max_value=300), st.sampled_from(list(Locus))
+        ),
+        st.builds(
+            DivisorClass,
+            st.integers(min_value=-40, max_value=40),
+            st.integers(min_value=-40, max_value=40),
+        ),
+    ),
+    st.integers(min_value=0, max_value=4),
+)
+def test_ideal_min_twist_is_sharp_for_many_points(surface, model, pick):
+    from hirzebruch.sheaves import h0_ideal
+
+    by = _twisting_class(surface, pick)
+    try:
+        t = min_twist_with_sections(surface, model, by)
+    except DomainError:
+        assert by.a == 0 and model.cls.a < 0
+        return
+    assert h0_ideal(surface, model.twisted(t, by)) > 0
+    assert h0_ideal(surface, model.twisted(t - 1, by)) == 0
+
+
+def test_broken_section_bound_is_a_consistency_error(monkeypatch):
+    import hirzebruch.natural as natural
+
+    monkeypatch.setattr(natural, "h0_ideal", lambda surface, model: 0)
+    surface = Surface(1)
+    model = IdealSheafModel(PointConfig(3, Locus.GENERAL), DivisorClass(1, 1))
+    with pytest.raises(ConsistencyError):
+        min_twist_with_sections(surface, model, surface.m_class())
+
+
+@settings(max_examples=300)
+@given(surfaces, st.lists(classes, min_size=1, max_size=5))
+def test_sum_head_realizes_min_twist(surface, cs):
+    # the sum criterion reads the minimal twist off the sorted head; it is
+    # only used once every summand has v_i >= e*u_i - 1
+    e = surface.e
+    cs = [DivisorClass(c.a, max(c.b, e * c.a - 1)) for c in cs]
+    top = sorted(cs, key=lambda c: (-c.a, -c.b))[0]
+    m = -top.a if top.b >= e * top.a else -top.a + 1
+    assert m == min_twist_with_sections(surface, DirectSum(tuple(cs)), surface.m_class())

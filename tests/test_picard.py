@@ -1,10 +1,14 @@
 """Intersection theory and positivity on the base surface."""
 
+from fractions import Fraction
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hirzebruch import DivisorClass, DomainError, Surface, twist
+from hirzebruch.picard import ceil_div
 
 ints = st.integers(min_value=-50, max_value=50)
 classes = st.builds(DivisorClass, ints, ints)
@@ -126,3 +130,8 @@ def test_class_arithmetic():
     assert 3 * x == DivisorClass(6, -9)
     assert str(x) == "(2,-3)"
     assert not x.is_zero() and DivisorClass(0, 0).is_zero()
+
+
+@given(ints, st.integers(min_value=1, max_value=50))
+def test_ceil_div_is_exact_ceiling(p, q):
+    assert ceil_div(p, q) == math.ceil(Fraction(p, q))

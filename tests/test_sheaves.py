@@ -121,3 +121,11 @@ def test_curve_points_never_beat_general_ones(surface, cls, locus, z):
     sheaf = IdealSheafModel(PointConfig(z=z, locus=locus), cls)
     general = IdealSheafModel(PointConfig(z=z, locus=Locus.GENERAL), cls)
     assert h0_ideal(surface, sheaf) >= h0_ideal(surface, general)
+
+
+@given(surfaces, classes, loci, st.integers(min_value=0, max_value=40))
+def test_h1_ideal_is_line_h1_plus_capacity_shortfall(surface, cls, locus, z):
+    # the shape the twist-scan bounds and piece starts in `natural` rely on
+    sheaf = IdealSheafModel(PointConfig(z=z, locus=locus), cls)
+    shortfall = max(0, z - max_conditions(surface, sheaf))
+    assert h1_ideal(surface, sheaf) == h1(surface, cls) + shortfall
