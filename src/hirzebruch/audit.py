@@ -35,7 +35,6 @@ from .bundles import (
     section_count_bounds,
     stability_certificate,
 )
-from .cohomology import h0, h1
 from .natural import (
     DirectSum,
     Line,
@@ -64,8 +63,17 @@ class Finding:
     detail: str
 
 
-def _finding(claim: str, surface: Surface, status: str, subject: str, detail: str) -> Finding:
-    return Finding(claim=claim, e=surface.e, status=status, subject=subject, detail=detail)
+def _settle(
+    claim: str, surface: Surface, problems: Sequence[tuple[str, str]], agrees: tuple[str, str]
+) -> list[Finding]:
+    """One DISCREPANCY finding per (subject, detail) problem or, when there
+    are none, the single AGREES finding with (subject, detail) `agrees`."""
+    if problems:
+        return [
+            Finding(claim, surface.e, DISCREPANCY, subject, detail)
+            for subject, detail in problems
+        ]
+    return [Finding(claim, surface.e, AGREES, *agrees)]
 
 
 # ---------------------------------------------------------------------------
@@ -77,87 +85,62 @@ def _claim_ample_self_twists(surface: Surface) -> list[Finding]:
     class, and lose it w.r.t. the class fattened by two fibers."""
     e = surface.e
     name = "ample-self-twists"
-    out = []
     samples = [DivisorClass(1, e + 1), DivisorClass(1, e + 2), DivisorClass(2, 2 * e + 1)]
-    checked = 0
+    powers = range(1, 4)
+    problems = []
     for ample in samples:
-        assert surface.positivity(ample).ample
         fat = ample + DivisorClass(0, 2)
-        for t in range(1, 4):
+        for t in powers:
             power = t * ample
             good = unconditional_scan(surface, Line(power), ample).verdict
             bad = unconditional_scan(surface, Line(power), fat).verdict
             if not good.holds() or bad.holds():
-                out.append(
-                    _finding(
-                        name,
-                        surface,
-                        DISCREPANCY,
-                        f"H={ample}, t={t}",
-                        f"expected vanishing w.r.t. {ample} and failure w.r.t. {fat}; "
-                        f"got {good.outcome.value} and {bad.outcome.value}",
-                    )
-                )
-            checked += 1
-    if not out:
-        out.append(
-            _finding(
-                name,
-                surface,
-                AGREES,
-                f"{checked} powers of {len(samples)} ample classes",
-                "every power keeps unconditional vanishing w.r.t. its own class "
-                "and loses it w.r.t. the class plus two fibers",
-            )
-        )
+                problems.append((
+                    f"H={ample}, t={t}",
+                    f"expected vanishing w.r.t. {ample} and failure w.r.t. {fat}; "
+                    f"got {good.outcome.value} and {bad.outcome.value}",
+                ))
+    out = _settle(name, surface, problems, (
+        f"{len(samples) * len(powers)} powers of {len(samples)} ample classes",
+        "every power keeps unconditional vanishing w.r.t. its own class "
+        "and loses it w.r.t. the class plus two fibers",
+    ))
     if e >= 2:
         # unconditional vanishing is not exclusive to ample twisting classes
         first = DivisorClass(1, e + 1)
-        wrt_m = unconditional_scan(surface, Line(first), surface.m_class()).verdict
-        if wrt_m.holds():
-            out.append(
-                _finding(
-                    name,
-                    surface,
-                    DISCREPANCY,
-                    f"H={first}, t=1 w.r.t. {surface.m_class()}",
-                    "the power also has unconditional vanishing w.r.t. the spanned "
-                    "non-ample class, so ample twisting classes are not the only ones",
-                )
-            )
+        mm = surface.m_class()
+        if unconditional_scan(surface, Line(first), mm).verdict.holds():
+            out.append(Finding(
+                name, e, DISCREPANCY, f"H={first}, t=1 w.r.t. {mm}",
+                "the power also has unconditional vanishing w.r.t. the spanned "
+                "non-ample class, so ample twisting classes are not the only ones",
+            ))
     return out
 
 
 def _claim_line_twist_criterion(surface: Surface) -> list[Finding]:
     """v >= eu-1 decides the natural property of a line bundle w.r.t. M,
     and eu-1 <= v <= eu+e-1 the unconditional one."""
-    name = "line-twist-criterion"
     mm = surface.m_class()
-    out = []
-    mismatches = 0
+    problems = []
     for u in range(-5, 6):
         for v in range(-5, 6):
             cls = DivisorClass(u, v)
             by_scan = scan_verdict(surface, Line(cls), mm).verdict.holds()
             if line_natural_wrt_m(surface, cls) != by_scan:
-                mismatches += 1
-                out.append(
-                    _finding(name, surface, DISCREPANCY, f"(u,v)=({u},{v})",
-                             f"closed form says {not by_scan}, scan says {by_scan}")
+                problems.append(
+                    (f"(u,v)=({u},{v})", f"closed form says {not by_scan}, scan says {by_scan}")
                 )
             two_sided = unconditional_scan(surface, Line(cls), mm).verdict.holds()
             if line_unconditional_wrt_m(surface, cls) != two_sided:
-                mismatches += 1
-                out.append(
-                    _finding(name, surface, DISCREPANCY, f"(u,v)=({u},{v}) two-sided",
-                             f"band form says {not two_sided}, scan says {two_sided}")
-                )
-    if mismatches == 0:
-        out.append(
-            _finding(name, surface, AGREES, "121 classes, both directions",
-                     "slack criterion and slack band agree with the scans everywhere")
-        )
-    return out
+                problems.append((
+                    f"(u,v)=({u},{v}) two-sided",
+                    f"band form says {not two_sided}, scan says {two_sided}",
+                ))
+    return _settle("line-twist-criterion", surface, problems, (
+        "121 classes, both directions",
+        "slack criterion and slack band agree with the scans everywhere",
+    ))
 
 
 def _claim_line_ample_r_criterion(surface: Surface) -> list[Finding]:
@@ -170,107 +153,81 @@ def _claim_line_ample_r_criterion(surface: Surface) -> list[Finding]:
     name = "line-ample-r-criterion"
     e = surface.e
     rr = surface.r_class()
-    out = []
-    corrected_bad = 0
-    variant_bad = 0
-    variant_witness: Optional[tuple[int, int]] = None
+    problems = []
+    variant_bad = []
     for u in range(-6, 7):
         for v in range(-6, 7):
             cls = DivisorClass(u, v)
             truth = scan_verdict(surface, Line(cls), rr).verdict.holds()
             if line_natural_wrt_r(surface, cls) != truth:
-                corrected_bad += 1
-                out.append(
-                    _finding(name, surface, DISCREPANCY, f"(u,v)=({u},{v})",
-                             f"closed form says {not truth}, scan says {truth}")
+                problems.append(
+                    (f"(u,v)=({u},{v})", f"closed form says {not truth}, scan says {truth}")
                 )
             y = ceil_div(-v, e + 1)
-            variant = v >= (e + 1) * u or v + e * y >= e * u - 1
-            if variant != truth and variant_witness is None:
-                variant_witness = (u, v)
-            if variant != truth:
-                variant_bad += 1
-    if corrected_bad == 0:
-        out.append(
-            _finding(name, surface, AGREES, "169 classes",
-                     "the first-section slack criterion matches the scan everywhere")
-        )
-    if variant_bad > 0:
-        u, v = variant_witness
-        out.append(
-            _finding(
-                name,
-                surface,
-                DISCREPANCY,
-                f"variant with e-scaled budget, first witness (u,v)=({u},{v})",
-                f"scaling the twist budget by e mislabels {variant_bad} of 169 classes; "
-                "each ample twist buys one unit of slack, not e",
-            )
-        )
+            if (v >= (e + 1) * u or v + e * y >= e * u - 1) != truth:
+                variant_bad.append((u, v))
+    out = _settle(name, surface, problems, (
+        "169 classes", "the first-section slack criterion matches the scan everywhere"
+    ))
+    if variant_bad:
+        u, v = variant_bad[0]
+        out.append(Finding(
+            name, e, DISCREPANCY,
+            f"variant with e-scaled budget, first witness (u,v)=({u},{v})",
+            f"scaling the twist budget by e mislabels {len(variant_bad)} of 169 classes; "
+            "each ample twist buys one unit of slack, not e",
+        ))
     return out
 
 
 def _claim_direct_sum_splitting(surface: Surface) -> list[Finding]:
     """Two individually natural line bundles whose direct sum is not."""
-    name = "direct-sum-splitting"
     e = surface.e
     parts = [DivisorClass(0, 0), DivisorClass(-2, 4 - e)]
-    assert all(line_natural_wrt_m(surface, p) for p in parts)
-    ev = scan_verdict(surface, DirectSum(tuple(parts)), surface.m_class())
-    v = ev.verdict
-    if v.outcome is Outcome.FAILS and v.witness_t == 0:
-        return [
-            _finding(
-                name,
-                surface,
-                AGREES,
-                f"{parts[0]} + {parts[1]}",
-                f"both summands are natural but the sum fails at t=0 with "
-                f"(h0,h1)=({v.witness_h0},{v.witness_h1}); the property is not "
-                "closed under direct sums",
-            )
-        ]
-    return [
-        _finding(name, surface, DISCREPANCY, f"{parts[0]} + {parts[1]}",
-                 f"expected failure at t=0, scan verdict is {v.outcome.value}")
-    ]
+    v = scan_verdict(surface, DirectSum(tuple(parts)), surface.m_class()).verdict
+    subject = f"{parts[0]} + {parts[1]}"
+    problems = []
+    if v.outcome is not Outcome.FAILS or v.witness_t != 0:
+        problems.append((subject, f"expected failure at t=0, scan verdict is {v.outcome.value}"))
+    return _settle("direct-sum-splitting", surface, problems, (
+        subject,
+        f"both summands are natural but the sum fails at t=0 with "
+        f"(h0,h1)=({v.witness_h0},{v.witness_h1}); the property is not "
+        "closed under direct sums",
+    ))
 
 
 def _claim_rank1_points(surface: Surface) -> list[Finding]:
     """Point schemes in general position never break the natural property
     of an effective-range line bundle, while points confined to a section
     or fiber curve do at small counts."""
-    name = "rank1-points"
     e = surface.e
-    out = []
 
-    def check(locus: Locus, cases: list[tuple[int, int, int]], expect_holds: bool, tag: str) -> None:
+    def family(
+        locus: Locus, cases: list[tuple[int, int, int]], expect_holds: bool, tag: str
+    ) -> list[Finding]:
         bad = []
         for u, v, z in cases:
             model = IdealSheafModel(PointConfig(z=z, locus=locus), DivisorClass(u, v))
-            holds = scan_verdict(surface, model, surface.m_class()).verdict.holds()
-            if holds != expect_holds:
+            if scan_verdict(surface, model, surface.m_class()).verdict.holds() != expect_holds:
                 bad.append((u, v, z))
+        problems = []
         if bad:
-            out.append(
-                _finding(name, surface, DISCREPANCY, f"{tag}: {bad}",
-                         f"expected holds={expect_holds} for the whole family")
-            )
-        else:
-            out.append(
-                _finding(name, surface, AGREES, f"{tag}: {len(cases)} instances",
-                         f"family behaves as claimed (holds={expect_holds})")
-            )
+            problems.append((f"{tag}: {bad}", f"expected holds={expect_holds} for the whole family"))
+        return _settle("rank1-points", surface, problems, (
+            f"{tag}: {len(cases)} instances", f"family behaves as claimed (holds={expect_holds})"
+        ))
 
     general = [(u, e * u - 1 + k, z) for u in range(0, 4) for k in (0, 1) for z in (1, 3)]
-    check(Locus.GENERAL, general, True, "general position, v >= eu-1")
     on_section = [(u, e * u - 1, z) for u in range(1, 4) for z in (1, 2)]
-    check(Locus.ON_SECTION, on_section, False, "points on a section curve, v = eu-1")
     on_fiber_hi = [(u, e * u + 1, z) for u in range(1, 4) for z in (2, 3)]
-    check(Locus.ON_FIBER, on_fiber_hi, False, "points on a fiber, v = eu+1, z >= 2")
     on_fiber_eq = [(u, e * u, 3) for u in range(1, 4)]
-    check(Locus.ON_FIBER, on_fiber_eq, False, "points on a fiber, v = eu, z = 3")
-    return out
+    return (
+        family(Locus.GENERAL, general, True, "general position, v >= eu-1")
+        + family(Locus.ON_SECTION, on_section, False, "points on a section curve, v = eu-1")
+        + family(Locus.ON_FIBER, on_fiber_hi, False, "points on a fiber, v = eu+1, z >= 2")
+        + family(Locus.ON_FIBER, on_fiber_eq, False, "points on a fiber, v = eu, z = 3")
+    )
 
 
 def _random_sum(rng: random.Random) -> list[DivisorClass]:
@@ -306,80 +263,64 @@ def _claim_sum_criterion(surface: Surface) -> list[Finding]:
     samples = [_random_sum(rng) for _ in range(120)]
     # known witness for the sign variant: second summand needs the band
     samples.append([DivisorClass(3, 3 * e + 1), DivisorClass(1, 2 * e)])
-    out = []
-    closed_bad = 0
-    variant_bad = 0
-    variant_witness: Optional[list[DivisorClass]] = None
+    problems = []
+    variant_bad = []
     for classes in samples:
         truth = scan_verdict(surface, DirectSum(tuple(classes)), surface.m_class()).verdict.holds()
         if direct_sum_natural_wrt_m(surface, classes) != truth:
-            closed_bad += 1
-            out.append(
-                _finding(name, surface, DISCREPANCY, f"{[str(c) for c in classes]}",
-                         f"closed form says {not truth}, scan says {truth}")
+            problems.append(
+                (f"{[str(c) for c in classes]}", f"closed form says {not truth}, scan says {truth}")
             )
         if _variant_sum_criterion(surface, classes) != truth:
-            variant_bad += 1
-            if variant_witness is None:
-                variant_witness = classes
-    if closed_bad == 0:
-        out.append(
-            _finding(name, surface, AGREES, f"{len(samples)} random sums",
-                     "sorted-summand criterion matches the scan on every sample")
-        )
-    if variant_bad > 0:
-        out.append(
-            _finding(
-                name,
-                surface,
-                DISCREPANCY,
-                f"sign variant, first witness {[str(c) for c in variant_witness]}",
-                f"reading the twist bound as u_i - m mislabels {variant_bad} of "
-                f"{len(samples)} samples; the scanned ray starts at t = m, so the "
-                "bound must read u_i + m >= -1",
-            )
-        )
+            variant_bad.append(classes)
+    out = _settle(name, surface, problems, (
+        f"{len(samples)} random sums", "sorted-summand criterion matches the scan on every sample"
+    ))
+    if variant_bad:
+        out.append(Finding(
+            name, e, DISCREPANCY,
+            f"sign variant, first witness {[str(c) for c in variant_bad[0]]}",
+            f"reading the twist bound as u_i - m mislabels {len(variant_bad)} of "
+            f"{len(samples)} samples; the scanned ray starts at t = m, so the "
+            "bound must read u_i + m >= -1",
+        ))
     return out
 
 
 def _claim_nonexistence_region(surface: Surface) -> list[Finding]:
     """The nonexistence threshold v = e(u-r+1)-2 is tight against both the
     rank-1 criterion and the rank-2 construction."""
-    name = "nonexistence-region"
     e = surface.e
-    problems = []
+    failures = []
     for u in range(-2, 5):
         for rank in (1, 2):
             thr = e * (u - rank + 1) - 2
             if not c1_obstructed(surface, rank, u, thr) or c1_obstructed(surface, rank, u, thr + 1):
-                problems.append(f"rank {rank}, u={u}: threshold not sharp")
+                failures.append(f"rank {rank}, u={u}: threshold not sharp")
         # rank 1: the complementary side is exactly the natural range
         thr1 = e * u - 2
         if line_natural_wrt_m(surface, DivisorClass(u, thr1)):
-            problems.append(f"rank 1, u={u}: obstructed class is natural")
+            failures.append(f"rank 1, u={u}: obstructed class is natural")
         if not line_natural_wrt_m(surface, DivisorClass(u, thr1 + 1)):
-            problems.append(f"rank 1, u={u}: unobstructed class is not natural")
+            failures.append(f"rank 1, u={u}: unobstructed class is not natural")
         # rank 2: the construction accepts exactly the complementary side
         thr2 = e * (u - 1) - 2
         try:
             a_lo, _ = section_count_bounds(surface, u, thr2 + 1, 0)
             construct_extension(surface, u, thr2 + 1, 0, a_lo)
         except ConstructionError as err:
-            problems.append(f"rank 2, u={u}: construction rejected ({err.reason})")
+            failures.append(f"rank 2, u={u}: construction rejected ({err.reason})")
         try:
             construct_extension(surface, u, thr2, 0, 0)
-            problems.append(f"rank 2, u={u}: construction accepted an obstructed class")
+            failures.append(f"rank 2, u={u}: construction accepted an obstructed class")
         except ConstructionError as err:
             if err.reason != "hypothesis_v":
-                problems.append(f"rank 2, u={u}: wrong rejection {err.reason}")
-    if problems:
-        return [
-            _finding(name, surface, DISCREPANCY, "; ".join(problems), "threshold checks failed")
-        ]
-    return [
-        _finding(name, surface, AGREES, "u in [-2,4], ranks 1 and 2",
-                 "obstruction and existence meet at adjacent v on the whole sample")
-    ]
+                failures.append(f"rank 2, u={u}: wrong rejection {err.reason}")
+    problems = [("; ".join(failures), "threshold checks failed")] if failures else []
+    return _settle("nonexistence-region", surface, problems, (
+        "u in [-2,4], ranks 1 and 2",
+        "obstruction and existence meet at adjacent v on the whole sample",
+    ))
 
 
 def _stated_section_sums(e: int, u: int, v: int, m: int) -> tuple[int, int]:
@@ -395,10 +336,8 @@ def _claim_construction_bounds(surface: Surface) -> list[Finding]:
     rank-2 construction."""
     name = "construction-bounds"
     e = surface.e
-    out = []
-    problems = []
-    sum_mismatch = 0
-    sum_witness: Optional[tuple[int, int, int]] = None
+    failures = []
+    sum_mismatches = []
     checked = 0
     for u in range(0, 4):
         for dv in range(0, 4):
@@ -406,89 +345,81 @@ def _claim_construction_bounds(surface: Surface) -> list[Finding]:
             for m in range(0, 3):
                 a_lo, b_hi = section_count_bounds(surface, u, v, m)
                 if a_lo > b_hi:
-                    problems.append(f"(u,v,m)=({u},{v},{m}): bounds inverted")
+                    failures.append(f"(u,v,m)=({u},{v},{m}): bounds inverted")
                 for s in {a_lo, b_hi}:
                     datum = construct_extension(surface, u, v, m, s)
                     if not datum.section_min:
-                        problems.append(f"(u,v,m,s)=({u},{v},{m},{s}): certificate false")
+                        failures.append(f"(u,v,m,s)=({u},{v},{m},{s}): certificate false")
                     c2 = construction_c2(surface, u, v, m, s)
                     if datum.chern().c2 != c2:
-                        problems.append(f"(u,v,m,s)=({u},{v},{m},{s}): c2 disagrees")
+                        failures.append(f"(u,v,m,s)=({u},{v},{m},{s}): c2 disagrees")
                     # the same bundle via its minimal-section presentation
                     general = chern_of_extension(
                         surface, DivisorClass(1, 0), m, DivisorClass(u, v), s
                     )
                     if general.c2 != c2:
-                        problems.append(
+                        failures.append(
                             f"(u,v,m,s)=({u},{v},{m},{s}): presentation c2 disagrees"
                         )
                     checked += 1
-                stated_a, stated_b = _stated_section_sums(e, u, v, m)
-                if (stated_a, stated_b) != (a_lo, b_hi):
-                    sum_mismatch += 1
-                    if sum_witness is None:
-                        sum_witness = (u, v, m)
-    for instance in problems:
-        out.append(_finding(name, surface, DISCREPANCY, instance, "construction invariant failed"))
-    if not problems:
-        out.append(
-            _finding(name, surface, AGREES, f"{checked} constructions",
-                     "bounds ordered, first-section certificate equivalent to s >= a_lo, "
-                     "and both Chern routes agree")
-        )
-    if sum_mismatch:
-        u, v, m = sum_witness
-        a_lo, b_hi = section_count_bounds(surface, u, v, m)
-        stated = _stated_section_sums(e, u, v, m)
-        out.append(
-            _finding(
-                name,
-                surface,
-                DISCREPANCY,
-                f"bare-sum variant, first witness (u,v,m)=({u},{v},{m})",
-                f"bare arithmetic sums give {stated} but the section counts are "
-                f"({a_lo},{b_hi}); {sum_mismatch} grid points disagree because the "
-                "sums drop the +1 per term and the e-offset",
-            )
-        )
+                stated = _stated_section_sums(e, u, v, m)
+                if stated != (a_lo, b_hi):
+                    sum_mismatches.append((u, v, m, stated, a_lo, b_hi))
+    out = _settle(
+        name,
+        surface,
+        [(instance, "construction invariant failed") for instance in failures],
+        (
+            f"{checked} constructions",
+            "bounds ordered, first-section certificate equivalent to s >= a_lo, "
+            "and both Chern routes agree",
+        ),
+    )
+    if sum_mismatches:
+        u, v, m, stated, a_lo, b_hi = sum_mismatches[0]
+        out.append(Finding(
+            name, e, DISCREPANCY,
+            f"bare-sum variant, first witness (u,v,m)=({u},{v},{m})",
+            f"bare arithmetic sums give {stated} but the section counts are "
+            f"({a_lo},{b_hi}); {len(sum_mismatches)} grid points disagree because the "
+            "sums drop the +1 per term and the e-offset",
+        ))
     return out
 
 
 def _claim_stability_exclusion(surface: Surface) -> list[Finding]:
     """Both polarizations certify the sample family, and the hypothesis
     warnings fire outside the certified range."""
-    name = "stability-exclusion"
     e = surface.e
     u, v = 3, 2 * e
     a_lo, b_hi = section_count_bounds(surface, u, v, 0)
-    problems = []
+    failures = []
     for s in {a_lo, b_hi}:
         datum = construct_extension(surface, u, v, 0, s)
         for pol in ("R", "M"):
             report = stability_certificate(datum, pol)
             if not report.certified:
                 survivors = [str(c.cls) for c in report.candidates if c.reason is None]
-                problems.append(f"s={s}, {pol}: survivors {survivors}")
+                failures.append(f"s={s}, {pol}: survivors {survivors}")
             if report.warnings:
-                problems.append(f"s={s}, {pol}: unexpected warnings {report.warnings}")
+                failures.append(f"s={s}, {pol}: unexpected warnings {report.warnings}")
             # certified reports leave no slope candidate with both
             # coordinates positive unexcluded
             if any(
                 c.reason is None and c.cls.a >= 1 and c.cls.b >= 1
                 for c in report.candidates
             ):
-                problems.append(f"s={s}, {pol}: positive-coordinate survivor")
+                failures.append(f"s={s}, {pol}: positive-coordinate survivor")
     warn_datum = construct_extension(
         surface, u, 2 * e * u, 0, section_count_bounds(surface, u, 2 * e * u, 0)[0]
     )
     if not stability_certificate(warn_datum, "R").warnings:
-        problems.append(f"v=2eu={2 * e * u}: hypothesis warning did not fire")
-    if problems:
-        return [_finding(name, surface, DISCREPANCY, "; ".join(problems), "stability sample failed")]
-    return [
-        _finding(name, surface, AGREES, f"(u,v)=({u},{v}), s in [{a_lo},{b_hi}] endpoints",
-                 "both polarizations certified by exclusion; warnings fire at v = 2eu")
-    ]
+        failures.append(f"v=2eu={2 * e * u}: hypothesis warning did not fire")
+    problems = [("; ".join(failures), "stability sample failed")] if failures else []
+    return _settle("stability-exclusion", surface, problems, (
+        f"(u,v)=({u},{v}), s in [{a_lo},{b_hi}] endpoints",
+        "both polarizations certified by exclusion; warnings fire at v = 2eu",
+    ))
 
 
 def _claim_extension_natural(surface: Surface) -> list[Finding]:
@@ -501,7 +432,6 @@ def _claim_extension_natural(surface: Surface) -> list[Finding]:
     """
     name = "extension-natural"
     e = surface.e
-    out = []
     if e == 1:
         bad = []
         count = 0
@@ -515,56 +445,40 @@ def _claim_extension_natural(surface: Surface) -> list[Finding]:
                         count += 1
                         if verdict.outcome is not Outcome.HOLDS:
                             bad.append((u, v, m, s, verdict.outcome.value))
-        if bad:
-            out.append(_finding(name, surface, DISCREPANCY, f"{bad}", "expected Holds throughout"))
-        else:
-            out.append(
-                _finding(name, surface, AGREES, f"{count} constructions",
-                         "every audit returns Holds; at e=1 the boxes are exact, so "
-                         "this is a genuine verification")
-            )
-        return out
+        problems = [(f"{bad}", "expected Holds throughout")] if bad else []
+        return _settle(name, surface, problems, (
+            f"{count} constructions",
+            "every audit returns Holds; at e=1 the boxes are exact, so "
+            "this is a genuine verification",
+        ))
 
     # e >= 2: the sub side obstructs a determinate verdict
-    sub_h1 = h1(surface, DivisorClass(1, 0))
-    assert sub_h1 == e - 1
+    out = []
     if e == 2:
-        datum = construct_extension(surface, 2, 1, 0, 0)
-        assert datum.ext_forced_split
-        verdict = audit_extension_natural(datum).verdict
+        verdict = audit_extension_natural(construct_extension(surface, 2, 1, 0, 0)).verdict
         if (
             verdict.outcome is Outcome.FAILS
             and verdict.witness_t == 0
             and (verdict.witness_h0, verdict.witness_h1) == (3, 1)
         ):
-            out.append(
-                _finding(
-                    name,
-                    surface,
-                    DISCREPANCY,
-                    "(u,v,m,s)=(2,1,0,0)",
-                    "the boundary instance forces the split bundle, which has "
-                    "(h0,h1)=(3,1) at t=0; the blanket claim fails at e=2",
-                )
+            detail = (
+                "the boundary instance forces the split bundle, which has "
+                "(h0,h1)=(3,1) at t=0; the blanket claim fails at e=2"
             )
         else:
-            out.append(
-                _finding(name, surface, DISCREPANCY, "(u,v,m,s)=(2,1,0,0)",
-                         f"expected a forced-split failure at t=0, got {verdict}")
-            )
+            detail = f"expected a forced-split failure at t=0, got {verdict}"
+        out.append(Finding(name, e, DISCREPANCY, "(u,v,m,s)=(2,1,0,0)", detail))
     probe = construct_extension(surface, 3, 3 * e - 3, 0, section_count_bounds(surface, 3, 3 * e - 3, 0)[0])
     probe_verdict = audit_extension_natural(probe).verdict
-    out.append(
-        _finding(
-            name,
-            surface,
-            INDETERMINATE if probe_verdict.outcome is Outcome.INDETERMINATE else DISCREPANCY,
-            f"(u,v,m,s)=(3,{3 * e - 3},0,{probe.s})",
-            f"the sub side keeps h1 = e-1 = {e - 1} > 0 at every twist past the "
-            f"first section, so the audit returns {probe_verdict.outcome.value}; "
-            "the claim is not desk-checkable at this e",
-        )
-    )
+    out.append(Finding(
+        name,
+        e,
+        INDETERMINATE if probe_verdict.outcome is Outcome.INDETERMINATE else DISCREPANCY,
+        f"(u,v,m,s)=(3,{3 * e - 3},0,{probe.s})",
+        f"the sub side keeps h1 = e-1 = {e - 1} > 0 at every twist past the "
+        f"first section, so the audit returns {probe_verdict.outcome.value}; "
+        "the claim is not desk-checkable at this e",
+    ))
     return out
 
 

@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cohomology import CohomologyTriple, chi, h0, h1, h2
+from .cohomology import CohomologyTriple, ConsistencyError, chi, h0, h1, h2
 from .natural import Outcome, Verdict
 from .picard import DivisorClass, DomainError, Surface, ceil_div, twist
 from .sheaves import (
@@ -118,7 +118,6 @@ def allowed_min_section_divisors(surface: Surface) -> list[DivisorClass]:
     out = [DivisorClass(0, 0), DivisorClass(1, 0)]
     out.extend(DivisorClass(0, y) for y in range(1, e + 1))
     out.extend(DivisorClass(1, y) for y in range(1, e))
-    assert len(out) == 2 * e + 1
     return out
 
 
@@ -163,7 +162,6 @@ def section_count_bounds(surface: Surface, u: int, v: int, m: int) -> tuple[int,
     e = surface.e
     a_lo = h0(surface, DivisorClass(u + 2 * m - 2, v + 2 * m * e - e))
     b_hi = h0(surface, DivisorClass(u + 2 * m - 1, v + 2 * m * e))
-    assert a_lo <= b_hi
     return a_lo, b_hi
 
 
@@ -212,8 +210,7 @@ def construct_extension(surface: Surface, u: int, v: int, m: int, s: int) -> Ext
     quotient = IdealSheafModel(PointConfig(z=s, locus=Locus.GENERAL), qcls)
 
     # no section before the m-th twist <=> s >= a_lo, true by the range check
-    section_min = h0(surface, DivisorClass(u + 2 * m - 2, v + 2 * m * e - e)) <= s
-    assert section_min == (s >= a_lo)
+    section_min = a_lo <= s
 
     if s == 0:
         cayley_bacharach = True  # vacuous: no points to condition
@@ -297,8 +294,10 @@ def cohomology_interval(datum: ExtensionDatum, t: int) -> CohomologyInterval:
         lo2, hi2 = max(0, a2 - q1) + q2, a2 + q2
     expected = CohomologyTriple(lo0, lo1, lo2)
 
-    assert expected.chi() == total_chi
-    assert lo0 <= hi0 and lo1 <= hi1 and lo2 <= hi2
+    if expected.chi() != total_chi:
+        raise ConsistencyError(f"LES box chi {expected.chi()} != {total_chi} at t={t}")
+    if lo0 > hi0 or lo1 > hi1 or lo2 > hi2:
+        raise ConsistencyError(f"LES box has an inverted interval at t={t}")
     return CohomologyInterval(
         h0_min=lo0,
         h0_max=hi0,
@@ -560,7 +559,6 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
 class RegionLabel(str, enum.Enum):
     NONEXISTENT = "Nonexistent"
     EXISTENT = "Existent"
-    UNKNOWN = "Unknown"
 
 
 @dataclass(frozen=True)
@@ -618,7 +616,6 @@ def classify_region(
     v_lo, v_hi = v_range
     if u_lo > u_hi or v_lo > v_hi:
         raise DomainError("empty (u, v) range")
-    e = surface.e
     cells = []
     for u in range(u_lo, u_hi + 1):
         for v in range(v_lo, v_hi + 1):
@@ -626,12 +623,10 @@ def classify_region(
                 cells.append(RegionCell(u, v, RegionLabel.NONEXISTENT))
             elif rank == 1:
                 # v >= eu - 1: the line bundle (u, v) itself is natural
-                assert v >= e * u - 1
                 cells.append(
                     RegionCell(u, v, RegionLabel.EXISTENT, witness=((0, 0),))
                 )
             else:
-                assert v >= e * (u - 1) - 1
                 witness = _c2_witness(surface, u, v, m_max)
                 cells.append(RegionCell(u, v, RegionLabel.EXISTENT, witness=witness))
     return tuple(cells)

@@ -22,6 +22,8 @@ import json
 import os
 import re
 import sys
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from .audit import CLAIMS, run_audit
@@ -33,7 +35,17 @@ from .bundles import (
     section_count_bounds,
     stability_certificate,
 )
-from .cohomology import chi, h0, h1, h2, h1_vanishes, oracle_h0, triple
+from .cohomology import (
+    CohomologyTriple,
+    chi,
+    cohomology_profile,
+    h0,
+    h1,
+    h2,
+    h1_vanishes,
+    oracle_h0,
+    triple,
+)
 from .natural import (
     DirectSum,
     Line,
@@ -141,18 +153,24 @@ def _parse_wrt(token: str, surface: Surface) -> DivisorClass:
 # output plumbing
 
 
+@dataclass
 class Report:
-    """One invocation's worth of output, renderable in all three formats."""
+    """One invocation's output record, renderable in all three formats.
 
-    def __init__(self, command: str, inputs: dict[str, Any]) -> None:
-        self.command = command
-        self.inputs = inputs
-        self.results: dict[str, Any] = {}
-        self.findings: list[dict[str, Any]] = []
-        self.csv_header: list[str] = []
-        self.csv_rows: list[list[Any]] = []
-        self.table_lines: list[str] = []
-        self.exit_code = 0
+    JSON carries `results` and `findings`.  CSV writes `rows` under the
+    header `columns`: a key a row lacks is an empty cell, and a list cell
+    is a run of inclusive intervals, written `lo..hi;lo..hi`.  The table
+    format prints `table_lines`.
+    """
+
+    command: str
+    inputs: dict[str, Any]
+    results: dict[str, Any]
+    columns: list[str]
+    rows: list[dict[str, Any]]
+    table_lines: list[str]
+    findings: list[dict[str, Any]] = field(default_factory=list)
+    exit_code: int = 0
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -166,29 +184,23 @@ class Report:
         if fmt == "csv":
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(self.csv_header)
-            writer.writerows(self.csv_rows)
+            writer.writerow(self.columns)
+            for row in self.rows:
+                writer.writerow([_csv_cell(row.get(name, "")) for name in self.columns])
             return buf.getvalue().rstrip("\n")
         return "\n".join(self.table_lines)
 
 
-def _verdict_dict(verdict) -> dict[str, Any]:
-    out: dict[str, Any] = {"outcome": verdict.outcome.value, "holds": verdict.holds()}
-    if verdict.witness_t is not None:
-        out["witness_t"] = verdict.witness_t
-        out["witness_h0"] = verdict.witness_h0
-        out["witness_h1"] = verdict.witness_h1
-    return out
+def _csv_cell(value: Any) -> Any:
+    return _intervals_str(value) if isinstance(value, list) else value
 
 
-def _witness_str(verdict) -> str:
-    if verdict.witness_t is None:
-        return ""
-    return f"t={verdict.witness_t} h0={verdict.witness_h0} h1={verdict.witness_h1}"
+def _intervals_str(intervals: Sequence[Sequence[int]]) -> str:
+    return ";".join(f"{lo}..{hi}" for lo, hi in intervals)
 
 
-def _intervals_str(witness: tuple[tuple[int, int], ...]) -> str:
-    return ";".join(f"{lo}..{hi}" for lo, hi in witness)
+def _triple_dict(values: CohomologyTriple) -> dict[str, int]:
+    return {"h0": values.h0, "h1": values.h1, "h2": values.h2, "chi": values.chi()}
 
 
 # ---------------------------------------------------------------------------
@@ -201,39 +213,22 @@ def _cmd_coh(args: argparse.Namespace) -> Report:
     if (args.twist_by is None) != (args.t is None):
         raise UsageError("--twist-by and --t must be given together")
     if args.twist_by is None:
-        report = Report("coh", {"e": args.e, "class": args.cls})
-        values = triple(surface, cls)
-        report.results = {
-            "h0": values.h0,
-            "h1": values.h1,
-            "h2": values.h2,
-            "chi": values.chi(),
-        }
-        report.csv_header = ["h0", "h1", "h2", "chi"]
-        report.csv_rows = [[values.h0, values.h1, values.h2, values.chi()]]
-        report.table_lines = [f"h0={values.h0} h1={values.h1} h2={values.h2}"]
-        return report
+        results = _triple_dict(triple(surface, cls))
+        line = f"h0={results['h0']} h1={results['h1']} h2={results['h2']}"
+        inputs = {"e": args.e, "class": args.cls}
+        return Report("coh", inputs, results, ["h0", "h1", "h2", "chi"], [results], [line])
 
     by = _parse_pair(args.twist_by)
     t_lo, t_hi = _parse_range(args.t)
-    report = Report(
-        "coh",
-        {"e": args.e, "class": args.cls, "twist_by": args.twist_by, "t": args.t},
-    )
-    rows = []
-    for t in range(t_lo, t_hi + 1):
-        shifted = DivisorClass(cls.a + t * by.a, cls.b + t * by.b)
-        values = triple(surface, shifted)
-        rows.append(
-            {"t": t, "h0": values.h0, "h1": values.h1, "h2": values.h2, "chi": values.chi()}
-        )
-    report.results = {"rows": rows}
-    report.csv_header = ["t", "h0", "h1", "h2", "chi"]
-    report.csv_rows = [[r["t"], r["h0"], r["h1"], r["h2"], r["chi"]] for r in rows]
-    report.table_lines = [
+    rows = [
+        {"t": t, **_triple_dict(values)}
+        for t, values in cohomology_profile(surface, cls, by, t_lo, t_hi)
+    ]
+    lines = [
         f"t={r['t']:>3}  h0={r['h0']} h1={r['h1']} h2={r['h2']} chi={r['chi']}" for r in rows
     ]
-    return report
+    inputs = {"e": args.e, "class": args.cls, "twist_by": args.twist_by, "t": args.t}
+    return Report("coh", inputs, {"rows": rows}, ["t", "h0", "h1", "h2", "chi"], rows, lines)
 
 
 def _check_model(args: argparse.Namespace) -> tuple[SheafModel, dict[str, Any]]:
@@ -254,6 +249,7 @@ def _check_model(args: argparse.Namespace) -> tuple[SheafModel, dict[str, Any]]:
 
 def _cmd_check(args: argparse.Namespace) -> Report:
     surface = Surface(args.e)
+    closed = None
     if args.extension:
         if args.wrt != "M":
             raise UsageError("--extension checks are defined w.r.t. M only")
@@ -261,55 +257,28 @@ def _cmd_check(args: argparse.Namespace) -> Report:
         if args.pp:
             raise UsageError("--pp applies to line, sum, and ideal models only")
         inputs = {"e": args.e, "extension": args.extension, "wrt": "M"}
-        datum = construct_extension(surface, u, v, m, s)
-        audit = audit_extension_natural(datum)
-        report = Report("check", inputs)
-        report.results = _verdict_dict(audit.verdict)
-        report.results["scanned_t"] = [audit.scan_start, audit.scan_stop]
+        evidence = audit_extension_natural(construct_extension(surface, u, v, m, s))
     else:
         model, model_inputs = _check_model(args)
         by = _parse_wrt(args.wrt, surface)
-        inputs: dict[str, Any] = {"e": args.e}
-        inputs.update(model_inputs)
-        inputs["wrt"] = args.wrt
-        inputs["pp"] = bool(args.pp)
-        if args.pp:
-            evidence = unconditional_scan(surface, model, by)
-        else:
-            evidence = scan_verdict(surface, model, by)
-        report = Report("check", inputs)
-        report.results = _verdict_dict(evidence.verdict)
-        report.results["scanned_t"] = [evidence.scan_start, evidence.scan_stop]
+        inputs = {"e": args.e, **model_inputs, "wrt": args.wrt, "pp": bool(args.pp)}
+        scan = unconditional_scan if args.pp else scan_verdict
+        evidence = scan(surface, model, by)
         closed = _closed_form(surface, model, by, args.wrt, bool(args.pp))
-        if closed is not None:
-            report.results["closed_form"] = closed
 
-    outcome = report.results["outcome"]
-    report.csv_header = ["outcome", "holds", "witness_t", "witness_h0", "witness_h1"]
-    report.csv_rows = [
-        [
-            outcome,
-            report.results["holds"],
-            report.results.get("witness_t", ""),
-            report.results.get("witness_h0", ""),
-            report.results.get("witness_h1", ""),
-        ]
-    ]
-    witness = _witness_str_from(report.results)
-    line = f"{str(report.results['holds']).lower()} ({outcome})"
-    if witness:
-        line += f" witness {witness}"
-    report.table_lines = [line]
-    return report
-
-
-def _witness_str_from(results: dict[str, Any]) -> str:
-    if "witness_t" not in results:
-        return ""
-    return (
-        f"t={results['witness_t']} "
-        f"(h0,h1)=({results['witness_h0']},{results['witness_h1']})"
-    )
+    verdict = evidence.verdict
+    results: dict[str, Any] = {"outcome": verdict.outcome.value, "holds": verdict.holds()}
+    line = f"{str(verdict.holds()).lower()} ({verdict.outcome.value})"
+    if verdict.witness_t is not None:
+        results["witness_t"] = verdict.witness_t
+        results["witness_h0"] = verdict.witness_h0
+        results["witness_h1"] = verdict.witness_h1
+        line += f" witness t={verdict.witness_t} (h0,h1)=({verdict.witness_h0},{verdict.witness_h1})"
+    results["scanned_t"] = [evidence.scan_start, evidence.scan_stop]
+    if closed is not None:
+        results["closed_form"] = closed
+    columns = ["outcome", "holds", "witness_t", "witness_h0", "witness_h1"]
+    return Report("check", inputs, results, columns, [results], [line])
 
 
 def _closed_form(
@@ -346,14 +315,20 @@ def _stability_summary(datum: ExtensionDatum) -> dict[str, Any]:
     return out
 
 
+_CONSTRUCT_COLUMNS = [
+    "e", "u", "v", "m", "s", "sub", "quotient_class", "c2",
+    "section_min", "cayley_bacharach", "ext_forced_split",
+    "s_lo", "s_hi", "stable_R", "stable_M",
+]
+
+
 def _cmd_construct(args: argparse.Namespace) -> Report:
     surface = Surface(args.e)
     inputs = {"e": args.e, "u": args.u, "v": args.v, "m": args.m, "s": args.s}
     datum = construct_extension(surface, args.u, args.v, args.m, args.s)
     a_lo, b_hi = section_count_bounds(surface, args.u, args.v, args.m)
     chern = datum.chern()
-    report = Report("construct", inputs)
-    report.results = {
+    results = {
         "sub": str(datum.sub),
         "quotient_class": str(datum.quotient.cls),
         "points": datum.s,
@@ -364,28 +339,7 @@ def _cmd_construct(args: argparse.Namespace) -> Report:
         "cayley_bacharach": datum.cayley_bacharach,
         "ext_forced_split": datum.ext_forced_split,
     }
-    if args.m == 0:
-        report.results["stability"] = _stability_summary(datum)
-    else:
-        report.results["stability"] = "only computed for m = 0"
-    report.csv_header = [
-        "e", "u", "v", "m", "s", "sub", "quotient_class", "c2",
-        "section_min", "cayley_bacharach", "ext_forced_split",
-        "s_lo", "s_hi", "stable_R", "stable_M",
-    ]
-    if args.m == 0:
-        stable_r = report.results["stability"]["R"]["certified"]
-        stable_m = report.results["stability"]["M"]["certified"]
-    else:
-        stable_r = stable_m = ""
-    report.csv_rows = [
-        [
-            args.e, args.u, args.v, args.m, args.s,
-            str(datum.sub), str(datum.quotient.cls), chern.c2,
-            datum.section_min, datum.cayley_bacharach, datum.ext_forced_split,
-            a_lo, b_hi, stable_r, stable_m,
-        ]
-    ]
+    row = {**inputs, **results, "s_lo": a_lo, "s_hi": b_hi}
     lines = [
         f"extension 0 -> O{datum.sub} -> E -> I_Z{datum.quotient.cls} -> 0, |Z| = {datum.s}",
         f"c1 = {chern.c1}, c2 = {chern.c2}, admissible s in [{a_lo}, {b_hi}]",
@@ -393,8 +347,10 @@ def _cmd_construct(args: argparse.Namespace) -> Report:
         f"ext_forced_split={datum.ext_forced_split}",
     ]
     if args.m == 0:
+        results["stability"] = _stability_summary(datum)
         for pol in ("R", "M"):
-            info = report.results["stability"][pol]
+            info = results["stability"][pol]
+            row[f"stable_{pol}"] = info["certified"]
             status = "certified" if info["certified"] else "NOT certified"
             lines.append(
                 f"stability w.r.t. {pol}: {status} "
@@ -402,12 +358,12 @@ def _cmd_construct(args: argparse.Namespace) -> Report:
                 + (f" warnings: {'; '.join(info['warnings'])}" if info["warnings"] else "")
             )
     else:
+        results["stability"] = "only computed for m = 0"
         lines.append("stability: only computed for m = 0")
-    report.table_lines = lines
-    return report
+    return Report("construct", inputs, results, _CONSTRUCT_COLUMNS, [row], lines)
 
 
-def _cmd_classify(args: argparse.Namespace, command: str) -> Report:
+def _cmd_classify(args: argparse.Namespace) -> Report:
     surface = Surface(args.e)
     u_range = _parse_range(args.u)
     v_range = _parse_range(args.v)
@@ -418,28 +374,24 @@ def _cmd_classify(args: argparse.Namespace, command: str) -> Report:
         "v": args.v,
         "m_max": args.m_max,
     }
-    cells = classify_region(surface, args.r, u_range, v_range, args.m_max)
-    report = Report(command, inputs)
-    report.results = {
-        "cells": [
-            {
-                "u": cell.u,
-                "v": cell.v,
-                "label": cell.label.value,
-                "witness": [list(pair) for pair in cell.witness],
-            }
-            for cell in cells
-        ]
-    }
-    report.csv_header = ["u", "v", "label", "witness"]
-    report.csv_rows = [
-        [cell.u, cell.v, cell.label.value, _intervals_str(cell.witness)] for cell in cells
+    cells = [
+        {
+            "u": cell.u,
+            "v": cell.v,
+            "label": cell.label.value,
+            "witness": [list(pair) for pair in cell.witness],
+        }
+        for cell in classify_region(surface, args.r, u_range, v_range, args.m_max)
     ]
-    report.table_lines = [
-        f"u={cell.u:>3} v={cell.v:>3}  {cell.label.value:<12} {_intervals_str(cell.witness)}"
-        for cell in cells
+    lines = [
+        f"u={c['u']:>3} v={c['v']:>3}  {c['label']:<12} {_intervals_str(c['witness'])}"
+        for c in cells
     ]
-    return report
+    columns = ["u", "v", "label", "witness"]
+    return Report(args.command, inputs, {"cells": cells}, columns, cells, lines)
+
+
+_FINDING_COLUMNS = ["claim", "e", "status", "subject", "detail"]
 
 
 def _cmd_audit(args: argparse.Namespace) -> Report:
@@ -453,29 +405,18 @@ def _cmd_audit(args: argparse.Namespace) -> Report:
             raise UsageError(
                 f"unknown claim '{unknown[0]}'; valid: {', '.join(CLAIMS)}"
             )
-    findings = run_audit(range(e_lo, e_hi + 1), claims)
+    findings = [
+        {name: getattr(f, name) for name in _FINDING_COLUMNS}
+        for f in run_audit(range(e_lo, e_hi + 1), claims)
+    ]
     inputs = {"claims": args.claims or "all", "e": args.e}
-    report = Report("audit", inputs)
-    by_status: dict[str, int] = {}
-    for finding in findings:
-        by_status[finding.status] = by_status.get(finding.status, 0) + 1
-    report.results = {"checked": len(findings), "by_status": dict(sorted(by_status.items()))}
-    report.findings = [
-        {
-            "claim": f.claim,
-            "e": f.e,
-            "status": f.status,
-            "subject": f.subject,
-            "detail": f.detail,
-        }
+    by_status = Counter(f["status"] for f in findings)
+    results = {"checked": len(findings), "by_status": dict(sorted(by_status.items()))}
+    lines = [
+        f"[{f['status']:^13}] {f['claim']} (e={f['e']}): {f['subject']} -- {f['detail']}"
         for f in findings
     ]
-    report.csv_header = ["claim", "e", "status", "subject", "detail"]
-    report.csv_rows = [[f.claim, f.e, f.status, f.subject, f.detail] for f in findings]
-    report.table_lines = [
-        f"[{f.status:^13}] {f.claim} (e={f.e}): {f.subject} -- {f.detail}" for f in findings
-    ]
-    return report
+    return Report("audit", inputs, results, _FINDING_COLUMNS, findings, lines, findings)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> Report:
@@ -483,7 +424,6 @@ def _cmd_oracle(args: argparse.Namespace) -> Report:
     a_lo, a_hi = _parse_range(args.a)
     b_lo, b_hi = _parse_range(args.b)
     inputs = {"e": args.e, "a": args.a, "b": args.b}
-    report = Report("oracle", inputs)
     checked = 0
     mismatches = []
     for e in range(e_lo, e_hi + 1):
@@ -511,18 +451,13 @@ def _cmd_oracle(args: argparse.Namespace) -> Report:
                     mismatches.append(
                         {"e": e, "a": a, "b": b, "problems": "; ".join(problems)}
                     )
-    report.results = {"classes_checked": checked, "mismatches": len(mismatches)}
-    report.findings = mismatches
-    report.csv_header = ["classes_checked", "mismatches"]
-    report.csv_rows = [[checked, len(mismatches)]]
-    report.table_lines = [f"checked {checked} classes, {len(mismatches)} mismatches"]
-    for item in mismatches[:20]:
-        report.table_lines.append(
-            f"  e={item['e']} ({item['a']},{item['b']}): {item['problems']}"
-        )
-    if mismatches:
-        report.exit_code = 1
-    return report
+    results = {"classes_checked": checked, "mismatches": len(mismatches)}
+    lines = [f"checked {checked} classes, {len(mismatches)} mismatches"]
+    lines += [f"  e={m['e']} ({m['a']},{m['b']}): {m['problems']}" for m in mismatches[:20]]
+    return Report(
+        "oracle", inputs, results, ["classes_checked", "mismatches"], [results], lines,
+        mismatches, exit_code=1 if mismatches else 0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -591,33 +526,29 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_COMMANDS = {
+    "coh": _cmd_coh,
+    "check": _cmd_check,
+    "construct": _cmd_construct,
+    "classify": _cmd_classify,
+    "enumerate": _cmd_classify,
+    "audit": _cmd_audit,
+    "oracle": _cmd_oracle,
+}
+
+
 def _default_format(command: str) -> str:
     env = os.environ.get("HIRZEBRUCH_FORMAT", "")
     if env in FORMATS:
-        base = env
-    else:
-        base = "table"
-    if command == "enumerate" and env not in FORMATS:
-        return "csv"
-    return base
+        return env
+    return "csv" if command == "enumerate" else "table"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "coh":
-            report = _cmd_coh(args)
-        elif args.command == "check":
-            report = _cmd_check(args)
-        elif args.command == "construct":
-            report = _cmd_construct(args)
-        elif args.command in ("classify", "enumerate"):
-            report = _cmd_classify(args, args.command)
-        elif args.command == "audit":
-            report = _cmd_audit(args)
-        else:
-            report = _cmd_oracle(args)
+        report = _COMMANDS[args.command](args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -82,7 +82,11 @@ class Verdict:
 
 @dataclass(frozen=True)
 class ScanEvidence:
-    """The verdict of a scan over the twists scan_start..scan_stop of model + t*by."""
+    """The verdict of a scan over the twists scan_start..scan_stop of model + t*by.
+
+    stabilization_bound is the upper window edge the tail argument needs;
+    scan_stop exceeds it by the caller's extra window.
+    """
 
     verdict: Verdict
     stabilization_bound: int
@@ -368,6 +372,12 @@ def scan_verdict(
     along a spanned twist, h^0 > 0 on the whole window, so the property
     fails exactly at twists with h^1 > 0, and the bound's tail argument
     shows no failure can first appear beyond it.
+
+    A model with no twist that has sections (possible only for a fiber-type
+    `by` against negative h-coordinates) raises DomainError from
+    `min_twist_with_sections`, although the property holds vacuously
+    there; the CLI reports it as exit 3.  `unconditional_scan` decides
+    such a model like any other.
     """
     _require_twisting_class(surface, by)
     if extra_window < 0:
@@ -387,9 +397,10 @@ def unconditional_scan(
     if extra_window < 0:
         raise DomainError(f"extra_window must be >= 0, got {extra_window}")
     lo = _lower_stabilization_bound(surface, model, by) - extra_window
-    hi = _upper_stabilization_bound(surface, model, by, 0) + extra_window
+    bound = _upper_stabilization_bound(surface, model, by, 0)
+    hi = bound + extra_window
     verdict = _first_failure(surface, model, by, lo, hi)
-    return ScanEvidence(verdict, hi, lo, hi, surface, model, by)
+    return ScanEvidence(verdict, bound, lo, hi, surface, model, by)
 
 
 # ---------------------------------------------------------------------------

@@ -96,8 +96,6 @@ class Surface:
         effective = c.a >= 0 and c.b >= 0
         spanned = c.a >= 0 and c.b >= c.a * self.e
         ample = c.a > 0 and c.b > c.a * self.e
-        # ample => spanned => effective, by the shape of the inequalities
-        assert not (ample and not spanned) and not (spanned and not effective)
         return PositivityReport(effective=effective, spanned=spanned, ample=ample)
 
     def m_class(self) -> DivisorClass:

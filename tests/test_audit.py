@@ -2,7 +2,16 @@
 
 import pytest
 
-from hirzebruch import CLAIMS, DomainError, run_audit
+from hirzebruch import (
+    CLAIMS,
+    DivisorClass,
+    DomainError,
+    Surface,
+    construct_extension,
+    h1,
+    line_natural_wrt_m,
+    run_audit,
+)
 
 ALL_CLAIMS = [
     "ample-self-twists",
@@ -118,3 +127,16 @@ def test_forced_split_witness_values_are_reported():
     assert len(boundary) == 1
     assert "(h0,h1)=(3,1)" in boundary[0].detail
     assert "t=0" in boundary[0].detail or "at t=0" in boundary[0].detail
+
+
+@pytest.mark.parametrize("e", range(1, 7))
+def test_claim_samples_meet_their_preconditions(e):
+    # the fixed samples the claims are built on, restated
+    surface = Surface(e)
+    for ample in (DivisorClass(1, e + 1), DivisorClass(1, e + 2), DivisorClass(2, 2 * e + 1)):
+        assert surface.positivity(ample).ample  # ample-self-twists
+    for part in (DivisorClass(0, 0), DivisorClass(-2, 4 - e)):
+        assert line_natural_wrt_m(surface, part)  # direct-sum-splitting
+    assert h1(surface, DivisorClass(1, 0)) == e - 1  # extension-natural, sub side
+    if e == 2:
+        assert construct_extension(surface, 2, 1, 0, 0).ext_forced_split

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hirzebruch import (
     ChernData,
+    ConsistencyError,
     ConstructionError,
     DivisorClass,
     DomainError,
@@ -257,6 +258,15 @@ def test_box_consistency(surface, u, dv, m, t):
     )
 
 
+def test_broken_box_chi_is_a_consistency_error(monkeypatch):
+    import hirzebruch.bundles as bundles
+
+    real = bundles.chi
+    monkeypatch.setattr(bundles, "chi", lambda surface, c: real(surface, c) + 1)
+    with pytest.raises(ConsistencyError):
+        cohomology_interval(build(1, 2, 1, 0, 2), 0)
+
+
 # --- the natural-cohomology audit
 
 
@@ -469,7 +479,7 @@ def test_interval_merging_handles_gaps():
 def test_partition_is_exact(surface, rank, u, v):
     cells = classify_region(surface, rank, (u, u), (v, v))
     cell = cells[0]
-    assert cell.label is not RegionLabel.UNKNOWN
+    assert cell.label in {RegionLabel.NONEXISTENT, RegionLabel.EXISTENT}
     threshold = surface.e * (u - rank + 1) - 1
     if v <= threshold - 1:
         assert cell.label is RegionLabel.NONEXISTENT

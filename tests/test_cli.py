@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from hirzebruch import cli
+from hirzebruch import cli, run_audit
 
 
 def run(argv, capsys):
@@ -301,6 +301,39 @@ def test_audit_json_findings(capsys):
     statuses = {f["status"] for f in record["findings"]}
     assert statuses == {"discrepancy", "indeterminate"}
     assert record["results"]["checked"] == len(record["findings"])
+
+
+def test_audit_with_no_claims_prints_the_csv_header(capsys):
+    code, out, _ = run(["audit", "--claims", ",", "--format", "csv"], capsys)
+    assert code == 0
+    assert out == "claim,e,status,subject,detail\n"
+
+
+def test_audit_json_and_csv_list_the_run_audit_findings(capsys):
+    expected = [
+        {"claim": f.claim, "e": str(f.e), "status": f.status, "subject": f.subject,
+         "detail": f.detail}
+        for f in run_audit(range(1, 3))
+    ]
+    code, out, _ = run(["audit", "--e", "1..2", "--format", "json"], capsys)
+    assert code == 0
+    findings = json.loads(out)["findings"]
+    assert [{**f, "e": str(f["e"])} for f in findings] == expected
+    code, out, _ = run(["audit", "--e", "1..2", "--format", "csv"], capsys)
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(out))) == expected
+
+
+def test_model_without_sections(capsys):
+    # no twist of (-1,3) by the fiber class has sections: the natural check
+    # stops with a domain error, the two-sided check decides it
+    code, out, err = run(["check", "--e", "2", "--line", "-1,3", "--wrt", "0,1"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error: no twist") and err.count("\n") == 1
+    code, out, _ = run(
+        ["check", "--e", "2", "--line", "-1,3", "--wrt", "0,1", "--pp"], capsys
+    )
+    assert (code, out) == (0, "true (HOLDS)\n")
 
 
 def test_negative_range_endpoints_parse(capsys):

@@ -277,6 +277,16 @@ def test_ideal_scans_are_stable_and_named(surface, model):
     assert ideal_natural_wrt_m(surface, model) == base.verdict.holds()
 
 
+@settings(max_examples=200)
+@given(surfaces, models, st.booleans())
+def test_stabilization_bound_ignores_extra_window(surface, model, two_sided):
+    scan = unconditional_scan if two_sided else scan_verdict
+    base = scan(surface, model, surface.m_class())
+    wide = scan(surface, model, surface.m_class(), extra_window=7)
+    assert wide.stabilization_bound == base.stabilization_bound
+    assert wide.scan_stop == base.scan_stop + 7 == wide.stabilization_bound + 7
+
+
 # --- scan evidence invariants
 
 
