@@ -29,6 +29,7 @@ from .bundles import (
     audit_extension_natural,
     c1_obstructed,
     chern_of_extension,
+    cohomology_interval,
     construct_extension,
     construction_c2,
     ConstructionError,
@@ -348,7 +349,9 @@ def _claim_construction_bounds(surface: Surface) -> list[Finding]:
                     failures.append(f"(u,v,m)=({u},{v},{m}): bounds inverted")
                 for s in {a_lo, b_hi}:
                     datum = construct_extension(surface, u, v, m, s)
-                    if not datum.section_min:
+                    # at t = m-1 the sub is (0,-e) and q0 = max(0, a_lo - s), so the
+                    # box has no sections exactly when s >= a_lo
+                    if datum.section_min != (cohomology_interval(datum, m - 1).h0_max == 0):
                         failures.append(f"(u,v,m,s)=({u},{v},{m},{s}): certificate false")
                     c2 = construction_c2(surface, u, v, m, s)
                     if datum.chern().c2 != c2:

@@ -19,6 +19,14 @@ box collapses to exact values when the extension is forced to split
 (s = 0 and no ext group).  Everything downstream of the intervals speaks
 the Holds / Fails / Indeterminate trichotomy rather than pretending to
 exact answers it does not have.
+
+The natural-cohomology audit of an extension (w.r.t. M) keeps a window of
+twists that grows as m^2, but evaluates boxes only on its *settle prefix*,
+the twists before both end classes reach a >= 1 and b >= 0, and at the
+first twist of the *monotone tail* that follows.  On the tail the sub
+class is effective and the box's h1 bounds are nonincreasing, so that
+first twist decides every later one (see `audit_extension_natural`).  The
+audit rebuilds the rows of the whole window on demand, as a referee.
 """
 
 from __future__ import annotations
@@ -321,12 +329,56 @@ class ExtensionAuditRow:
     outcome: Outcome
 
 
+def _audit_rows(datum: ExtensionDatum, lo: int, hi: int) -> tuple[ExtensionAuditRow, ...]:
+    """The LES box of each twist in [lo, hi] and what it says about that twist.
+
+    Fails when the box forces h0 > 0 and h1 > 0; Holds when it forces
+    h1 = 0 or h0 = 0; Indeterminate otherwise.
+    """
+    rows = []
+    for t in range(lo, hi + 1):
+        box = cohomology_interval(datum, t)
+        if box.h0_min > 0 and box.h1_min > 0:
+            outcome = Outcome.FAILS
+        elif box.h1_max == 0 or box.h0_max == 0:
+            outcome = Outcome.HOLDS
+        else:
+            outcome = Outcome.INDETERMINATE
+        rows.append(ExtensionAuditRow(t=t, interval=box, outcome=outcome))
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class ExtensionAudit:
-    rows: tuple[ExtensionAuditRow, ...]
+    """The verdict of an audit over the twists scan_start..scan_stop of `datum`."""
+
     verdict: Verdict
     scan_start: int
     scan_stop: int
+    datum: ExtensionDatum
+
+    @property
+    def rows(self) -> tuple[ExtensionAuditRow, ...]:
+        """The row of every twist in the window, computed on each access.
+
+        The verdict does not read them; they let a caller or a test check it.
+        """
+        return _audit_rows(self.datum, self.scan_start, self.scan_stop)
+
+
+def _settle_twist(datum: ExtensionDatum) -> int:
+    """Least twist at which both end classes have a >= 1 and b >= 0.
+
+    Every later twist keeps both; there h1 and h2 of the end classes are
+    constant under M, and the capacity of the quotient's points is
+    nondecreasing.
+    """
+    e = datum.surface.e
+    cuts = []
+    for cls in (datum.sub, datum.quotient.cls):
+        cuts.append(1 - cls.a)
+        cuts.append(ceil_div(-cls.b, e))
+    return max(cuts)
 
 
 def _audit_scan_stop(datum: ExtensionDatum) -> int:
@@ -343,10 +395,7 @@ def _audit_scan_stop(datum: ExtensionDatum) -> int:
     surface = datum.surface
     e = surface.e
     qcls = datum.quotient.cls
-    cuts = [datum.m]
-    for cls in (datum.sub, qcls):
-        cuts.append(1 - cls.a)
-        cuts.append(ceil_div(-cls.b, e))
+    cuts = [datum.m, _settle_twist(datum)]
     if datum.s > 0:
         locus = datum.quotient.config.locus
         if locus is Locus.GENERAL:
@@ -361,38 +410,37 @@ def _audit_scan_stop(datum: ExtensionDatum) -> int:
 
 
 def audit_extension_natural(datum: ExtensionDatum, extra_window: int = 0) -> ExtensionAudit:
-    """Scan twists of the extension for the natural-cohomology property.
+    """Decide the natural-cohomology property of the extension's twists by M.
 
-    Per twist: Fails when the box forces h0 > 0 and h1 > 0; Holds when it
-    forces h1 = 0 or h0 = 0; Indeterminate otherwise.  Aggregate verdict:
-    Fails on any failing row; Holds when every row holds and both tails
-    are pinned (left: h0_max = 0 at the first row, and h0_max is monotone
-    under twisting by the spanned class M, so every earlier twist has no
-    sections; right: h1_max = 0 at the last row, which lies past the
-    monotone threshold of `_audit_scan_stop`); otherwise Indeterminate.
+    The window runs from m - 1 to `_audit_scan_stop` plus the extra window,
+    and `_audit_rows` says whether each twist Fails, Holds or is
+    Indeterminate.  Aggregate verdict: Fails at the first failing twist;
+    Holds when every twist holds and both tails are pinned (left: h0_max = 0
+    at the window start, and h0_max is monotone under twisting by the
+    spanned class M, so every earlier twist has no sections; right: h1_max
+    = 0 at the window end, which lies past the monotone threshold of
+    `_audit_scan_stop`); otherwise Indeterminate.
+
+    Only the twists from the window start through `_settle_twist` are
+    evaluated (the start alone, if it lies past that twist): the *settle
+    prefix* and the first twist of the *monotone tail*.  From the settle
+    twist on, both end classes have a >= 1 and b >= 0.  There a1, h1 of the quotient class and a2 = q2 = 0
+    are constant, a0 and q0 are nondecreasing and the point correction
+    max(0, s - capacity) is nonincreasing, so in the box (forced split or
+    not) h1_min and h1_max are nonincreasing; and the sub class is
+    effective, so h0_min >= a0 >= 1.  A tail twist thus fails exactly when
+    h1_min > 0 and holds exactly when h1_max = 0, and the tail's first twist
+    is its worst: if it does not fail no tail twist does, and if it holds
+    every tail twist holds, the window end included (which pins the right
+    tail).  The verdict costs settle - m + 2 boxes, however long the window;
+    the audit rebuilds every row of the window on demand, as a referee.
     """
     if extra_window < 0:
         raise DomainError(f"extra_window must be >= 0, got {extra_window}")
     start = datum.m - 1
     stop = _audit_scan_stop(datum) + extra_window
-    rows = []
-    failing: Optional[ExtensionAuditRow] = None
-    all_hold = True
-    for t in range(start, stop + 1):
-        box = cohomology_interval(datum, t)
-        if box.h0_min > 0 and box.h1_min > 0:
-            outcome = Outcome.FAILS
-        elif box.h1_max == 0 or box.h0_max == 0:
-            outcome = Outcome.HOLDS
-        else:
-            outcome = Outcome.INDETERMINATE
-        row = ExtensionAuditRow(t=t, interval=box, outcome=outcome)
-        rows.append(row)
-        if outcome is Outcome.FAILS and failing is None:
-            failing = row
-        if outcome is not Outcome.HOLDS:
-            all_hold = False
-
+    rows = _audit_rows(datum, start, max(start, _settle_twist(datum)))
+    failing = next((row for row in rows if row.outcome is Outcome.FAILS), None)
     if failing is not None:
         verdict = Verdict(
             Outcome.FAILS,
@@ -400,16 +448,11 @@ def audit_extension_natural(datum: ExtensionDatum, extra_window: int = 0) -> Ext
             witness_h0=failing.interval.h0_min,
             witness_h1=failing.interval.h1_min,
         )
+    elif all(row.outcome is Outcome.HOLDS for row in rows) and rows[0].interval.h0_max == 0:
+        verdict = Verdict(Outcome.HOLDS)
     else:
-        left_pinned = rows[0].interval.h0_max == 0
-        right_pinned = rows[-1].interval.h1_max == 0
-        if all_hold and left_pinned and right_pinned:
-            verdict = Verdict(Outcome.HOLDS)
-        else:
-            verdict = Verdict(Outcome.INDETERMINATE)
-    return ExtensionAudit(
-        rows=tuple(rows), verdict=verdict, scan_start=start, scan_stop=stop
-    )
+        verdict = Verdict(Outcome.INDETERMINATE)
+    return ExtensionAudit(verdict=verdict, scan_start=start, scan_stop=stop, datum=datum)
 
 
 # ---------------------------------------------------------------------------

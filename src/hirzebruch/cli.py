@@ -231,11 +231,7 @@ def _cmd_coh(args: argparse.Namespace) -> Report:
     return Report("coh", inputs, {"rows": rows}, ["t", "h0", "h1", "h2", "chi"], rows, lines)
 
 
-def _check_model(args: argparse.Namespace) -> tuple[SheafModel, dict[str, Any]]:
-    given = [name for name in ("line", "sum", "ideal", "extension") if getattr(args, name)]
-    if len(given) != 1:
-        raise UsageError("exactly one of --line, --sum, --ideal, --extension is required")
-    kind = given[0]
+def _check_model(args: argparse.Namespace, kind: str) -> tuple[SheafModel, dict[str, Any]]:
     if kind == "line":
         return Line(_parse_pair(args.line)), {"line": args.line}
     if kind == "sum":
@@ -249,8 +245,11 @@ def _check_model(args: argparse.Namespace) -> tuple[SheafModel, dict[str, Any]]:
 
 def _cmd_check(args: argparse.Namespace) -> Report:
     surface = Surface(args.e)
+    given = [name for name in ("line", "sum", "ideal", "extension") if getattr(args, name)]
+    if len(given) != 1:
+        raise UsageError("exactly one of --line, --sum, --ideal, --extension is required")
     closed = None
-    if args.extension:
+    if given == ["extension"]:
         if args.wrt != "M":
             raise UsageError("--extension checks are defined w.r.t. M only")
         u, v, m, s = _parse_extension(args.extension)
@@ -259,7 +258,7 @@ def _cmd_check(args: argparse.Namespace) -> Report:
         inputs = {"e": args.e, "extension": args.extension, "wrt": "M"}
         evidence = audit_extension_natural(construct_extension(surface, u, v, m, s))
     else:
-        model, model_inputs = _check_model(args)
+        model, model_inputs = _check_model(args, given[0])
         by = _parse_wrt(args.wrt, surface)
         inputs = {"e": args.e, **model_inputs, "wrt": args.wrt, "pp": bool(args.pp)}
         scan = unconditional_scan if args.pp else scan_verdict

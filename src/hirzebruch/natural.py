@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .cohomology import ConsistencyError, h0, h1
 from .picard import DivisorClass, DomainError, Surface, ceil_div, twist
@@ -189,8 +189,7 @@ def min_twist_with_sections(surface: Surface, model: SheafModel, by: DivisorClas
     # monotone (both h0(c) and h0(c - C) are), and it is positive as soon as
     # h0(line) >= z + 1, which the i = 0 pushforward term alone guarantees
     # once v + t*d >= z (and the h-coordinate is nonnegative).  The answer
-    # is often `start` itself, so gallop (start, start+1, start+3, ...)
-    # before bisecting.
+    # is often `start` itself, which `first_true` probes first.
     z = model.config.z
     start = _line_min_twist(surface, model.cls, by)
     if start is None:
@@ -200,19 +199,29 @@ def min_twist_with_sections(surface: Surface, model: SheafModel, by: DivisorClas
     if c >= 1:
         stop = max(stop, ceil_div(-model.cls.a, c))
 
-    def has_sections(t: int) -> bool:
-        return h0_ideal(surface, model.twisted(t, by)) > 0
+    t = first_true(lambda t: h0_ideal(surface, model.twisted(t, by)) > 0, start, stop)
+    if t is None:
+        raise ConsistencyError(
+            f"section bound violated: h0_ideal of {model} twisted by {stop}*{by} is 0"
+        )
+    return t
 
-    below, probe = start - 1, start  # no twist <= below has sections
-    while not has_sections(probe):
-        if probe == stop:
-            raise ConsistencyError(
-                f"section bound violated: h0_ideal of {model} twisted by {stop}*{by} is 0"
-            )
-        below, probe = probe, min(stop, 2 * probe - start + 1)
+
+def first_true(pred: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
+    """Least t in [lo, hi] (lo <= hi) with pred(t), for a pred that turns true once
+    and stays true; None when pred(hi) is false.
+
+    Gallops (lo, lo+1, lo+3, lo+7, ...) before bisecting, so an answer d
+    steps past lo costs O(log d) calls of pred.
+    """
+    below, probe = lo - 1, lo  # pred is false at every t <= below
+    while not pred(probe):
+        if probe == hi:
+            return None
+        below, probe = probe, min(hi, 2 * probe - lo + 1)
     while probe - below > 1:
         mid = (below + probe) // 2
-        if has_sections(mid):
+        if pred(mid):
             probe = mid
         else:
             below = mid

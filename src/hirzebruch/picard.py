@@ -78,7 +78,7 @@ class Surface:
     e: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.e, int) or self.e < 1:
+        if not isinstance(self.e, int) or isinstance(self.e, bool) or self.e < 1:
             raise DomainError(f"surface parameter e must be an integer >= 1, got {self.e!r}")
 
     def intersect(self, c1: DivisorClass, c2: DivisorClass) -> int:

@@ -140,3 +140,22 @@ def test_claim_samples_meet_their_preconditions(e):
     assert h1(surface, DivisorClass(1, 0)) == e - 1  # extension-natural, sub side
     if e == 2:
         assert construct_extension(surface, 2, 1, 0, 0).ext_forced_split
+
+
+def test_construction_bounds_sees_a_false_certificate(monkeypatch):
+    import dataclasses
+
+    import hirzebruch.audit as audit
+
+    real = audit.construct_extension
+    monkeypatch.setattr(
+        audit,
+        "construct_extension",
+        lambda *args: dataclasses.replace(real(*args), section_min=False),
+    )
+    findings = run_audit([1], ["construction-bounds"])
+    false_certificates = [
+        f for f in findings
+        if f.status == "discrepancy" and f.subject.endswith("certificate false")
+    ]
+    assert false_certificates

@@ -1,5 +1,7 @@
 """Rank-2 construction, cohomology boxes, stability, and the region map."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +12,12 @@ from hirzebruch import (
     ConstructionError,
     DivisorClass,
     DomainError,
+    ExtensionDatum,
     Locus,
     Outcome,
     RegionLabel,
     Surface,
+    Verdict,
     allowed_min_section_divisors,
     audit_extension_natural,
     c1_obstructed,
@@ -315,6 +319,87 @@ def test_audit_rows_cover_the_window():
     ts = [row.t for row in audit.rows]
     assert ts[0] == datum.m - 1
     assert ts == list(range(audit.scan_start, audit.scan_stop + 1))
+
+
+def _verdict_of_rows(audit):
+    # the aggregate rule read off the materialized rows of the whole window
+    rows = audit.rows
+    assert [row.t for row in rows] == list(range(audit.scan_start, audit.scan_stop + 1))
+    failing = next((row for row in rows if row.outcome is Outcome.FAILS), None)
+    if failing is not None:
+        box = failing.interval
+        return Verdict(
+            Outcome.FAILS, witness_t=failing.t, witness_h0=box.h0_min, witness_h1=box.h1_min
+        )
+    if (
+        all(row.outcome is Outcome.HOLDS for row in rows)
+        and rows[0].interval.h0_max == 0
+        and rows[-1].interval.h1_max == 0
+    ):
+        return Verdict(Outcome.HOLDS)
+    return Verdict(Outcome.INDETERMINATE)
+
+
+def test_audit_verdict_is_the_verdict_of_its_rows():
+    rng = random.Random(4)
+    seen = set()
+    for _ in range(150):
+        surface = Surface(rng.randint(1, 4))
+        e = surface.e
+        u, m = rng.randint(-6, 6), rng.randint(0, 8)
+        v = e * (u - 1) - 1 + rng.randint(0, 6)
+        lo, hi = section_count_bounds(surface, u, v, m)
+        datum = construct_extension(surface, u, v, m, rng.choice([lo, hi, rng.randint(lo, hi)]))
+        for extra in (0, 5):
+            audit = audit_extension_natural(datum, extra_window=extra)
+            assert audit.verdict == _verdict_of_rows(audit)
+            seen.add((datum.ext_forced_split, audit.verdict.outcome))
+    assert {split for split, _ in seen} == {False, True}
+    assert {outcome for _, outcome in seen} == set(Outcome)
+
+
+@pytest.mark.parametrize("locus", list(Locus))
+def test_hand_built_audit_verdict_is_the_verdict_of_its_rows(locus):
+    rng = random.Random(locus.value)
+    seen = set()
+    for _ in range(300):
+        surface = Surface(rng.randint(1, 5))
+        sub = DivisorClass(rng.randint(-8, 5), rng.randint(-25, 15))
+        quot = DivisorClass(rng.randint(-8, 8), rng.randint(-25, 30))
+        s = rng.choice([0, rng.randint(0, 4), rng.randint(0, 40)])
+        forced_split = rng.random() < 0.5
+        datum = ExtensionDatum(
+            surface, sub.a + quot.a, sub.b + quot.b, rng.randint(0, 8), s, sub,
+            IdealSheafModel(PointConfig(s, locus), quot),
+            section_min=rng.random() < 0.5,
+            cayley_bacharach=rng.random() < 0.5,
+            ext_forced_split=forced_split,
+        )
+        for extra in (0, 5):
+            audit = audit_extension_natural(datum, extra_window=extra)
+            assert audit.verdict == _verdict_of_rows(audit)
+            seen.add((forced_split, audit.verdict.outcome))
+    assert seen == {(split, outcome) for split in (False, True) for outcome in Outcome}
+
+
+def test_audit_cost_does_not_grow_with_the_window(monkeypatch):
+    import hirzebruch.bundles as bundles
+
+    real = bundles.cohomology_interval
+    twists = []
+    monkeypatch.setattr(
+        bundles, "cohomology_interval", lambda datum, t: twists.append(t) or real(datum, t)
+    )
+    outcomes = set()
+    for e, u, v in [(1, 3, 2), (2, 3, 3)]:
+        surface = Surface(e)
+        for s in section_count_bounds(surface, u, v, 30):
+            twists.clear()
+            audit = audit_extension_natural(construct_extension(surface, u, v, 30, s))
+            assert audit.scan_stop - audit.scan_start + 1 > 1000
+            assert len(twists) < 100
+            outcomes.add(audit.verdict.outcome)
+    assert outcomes == set(Outcome)
 
 
 # --- stability certificates

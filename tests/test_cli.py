@@ -105,6 +105,15 @@ def test_check_needs_exactly_one_model(capsys):
     assert code == 2
 
 
+def test_extension_check_rejects_a_second_model(capsys):
+    code, out, err = run(
+        ["check", "--e", "1", "--extension", "3,2,0,3", "--line", "1,1", "--wrt", "M"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: exactly one of --line, --sum, --ideal, --extension is required"
+
+
 def test_extension_check_is_m_only(capsys):
     code, _, err = run(
         ["check", "--e", "1", "--extension", "3,2,0,3", "--wrt", "R"], capsys

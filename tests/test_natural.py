@@ -398,3 +398,20 @@ def test_sum_head_realizes_min_twist(surface, cs):
     top = sorted(cs, key=lambda c: (-c.a, -c.b))[0]
     m = -top.a if top.b >= e * top.a else -top.a + 1
     assert m == min_twist_with_sections(surface, DirectSum(tuple(cs)), surface.m_class())
+
+
+def test_first_true_is_the_least_true_twist():
+    from hirzebruch.natural import first_true
+
+    for lo, hi in [(0, 0), (-5, 40), (3, 200)]:
+        for answer in range(lo - 2, hi + 3):
+            probes = []
+
+            def pred(t):
+                assert lo <= t <= hi
+                probes.append(t)
+                return t >= answer
+
+            found = first_true(pred, lo, hi)
+            assert found == (max(lo, answer) if answer <= hi else None)
+            assert len(probes) <= 2 * (hi - lo + 1).bit_length() + 2

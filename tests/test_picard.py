@@ -135,3 +135,9 @@ def test_class_arithmetic():
 @given(ints, st.integers(min_value=1, max_value=50))
 def test_ceil_div_is_exact_ceiling(p, q):
     assert ceil_div(p, q) == math.ceil(Fraction(p, q))
+
+
+def test_rejects_bool_e():
+    # bool is an int subclass; Surface(True) must not pass as e = 1
+    with pytest.raises(DomainError):
+        Surface(True)
