@@ -13,6 +13,7 @@ from hirzebruch import (
     DivisorClass,
     Line,
     Surface,
+    cohomology_profile,
     direct_sum_natural_wrt_m,
     line_natural_wrt_m,
     scan_verdict,
@@ -30,8 +31,8 @@ v = evidence.verdict
 print(f"O{probe} twisted by M = {m} on e = 2:")
 print(f"  holds: {v.holds()}, witness t = {v.witness_t}, "
       f"(h0,h1) = ({v.witness_h0},{v.witness_h1})")
-for t, r0, r1 in evidence.rows[:4]:
-    print(f"  t = {t}: h0 = {r0}, h1 = {r1}")
+for t, triple in cohomology_profile(surface, probe, m, v.witness_t, v.witness_t + 1):
+    print(f"  t = {t}: h0 = {triple.h0}, h1 = {triple.h1}")
 print()
 
 # Closed form: a line bundle (u, v) works iff v >= eu - 1.  The band of

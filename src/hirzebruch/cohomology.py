@@ -28,8 +28,8 @@ h^1 vanishes exactly on three regimes ("the trichotomy"):
     a == -1
     a <= -2 and b <= e*a + e - 1
 
-which is closed under Serre duality and is the engine behind every
-stabilization bound in :mod:`hirzebruch.natural`.
+which is closed under Serre duality; :mod:`hirzebruch.natural` reads the
+runs of h^1 > 0 along a twist line off it.
 """
 
 from __future__ import annotations

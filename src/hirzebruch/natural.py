@@ -6,23 +6,21 @@ twisted ideal sheaf of generic points.  Fix a spanned nonzero class T.
     natural (w.r.t. T):        h^1(E + t*T) = 0 for every t with h^0 > 0
     unconditional (w.r.t. T):  h^1(E + t*T) = 0 for every integer t
 
-Every checker decides an explicit finite twist window together with a tail
-argument proving the verdict constant outside the window; the window edges
-come from `_upper_stabilization_bound` and `_lower_stabilization_bound`,
-whose docstrings carry the case analysis.
-
-Inside the window cohomology is evaluated only at a few twists.  By the
-trichotomy of :mod:`hirzebruch.cohomology`, a component class has h^1 > 0
-exactly when its h-coordinate a is >= 0 and its slack b - e*a is <= -2,
-or a <= -2 and slack >= e.  Along a spanned twist both a and the slack
-are nondecreasing in t, so each of these regions is an interval of
-twists that begins where a reaches 0 or where the slack reaches e.  For
-ideal models h1_ideal = h1 + max(0, z - rho), and the capacity rho is
-nondecreasing along a spanned twist, so rho < z holds on a prefix of the
-window.  Hence the first twist of the window with h^1 > 0 is the window
-start or one of those interval beginnings, the *piece starts*
-(`_piece_starts`), and a verdict costs O(#components) evaluations
-whatever the window's length.  The scan evidence rebuilds the (t, h0, h1)
+Every checker decides from the *runs* of the model (`_runs`): the maximal
+twist intervals on which a component has h^1 > 0.  By the trichotomy of
+:mod:`hirzebruch.cohomology`, a component class has h^1 > 0 exactly when
+its h-coordinate a is >= 0 and its slack b - e*a is <= -2, or a <= -2 and
+slack >= e.  Along a spanned twist both a and the slack are
+nondecreasing in t, so each of these sets is one interval: it starts
+where one form reaches its threshold (a reaches 0, or the slack reaches
+e) and stops where the other passes its own.  For ideal models
+h1_ideal = h1 + max(0, z - rho), and the capacity rho is nondecreasing
+along a spanned twist, so the shortfall is positive only on a prefix of
+the twist line.  Hence the first failing twist of a window is its first
+twist or a run start, and a verdict evaluates cohomology there only:
+O(#components) evaluations whatever the coefficients.  The window runs
+from its first twist to the last run start; past that no run begins, so
+no first failure can appear.  The scan evidence rebuilds the (t, h0, h1)
 rows of the whole window on demand, as a referee.
 
 Closed-form criteria exist when T is M = h + e*f or R = h + (e+1)*f and
@@ -41,7 +39,7 @@ from typing import Callable, Optional, Union
 
 from .cohomology import ConsistencyError, h0, h1
 from .picard import DivisorClass, DomainError, Surface, ceil_div, twist
-from .sheaves import IdealSheafModel, Locus, h0_ideal, h1_ideal
+from .sheaves import IdealSheafModel, h0_ideal, h1_ideal
 
 
 @dataclass(frozen=True)
@@ -84,8 +82,10 @@ class Verdict:
 class ScanEvidence:
     """The verdict of a scan over the twists scan_start..scan_stop of model + t*by.
 
-    stabilization_bound is the upper window edge the tail argument needs;
-    scan_stop exceeds it by the caller's extra window.
+    stabilization_bound is the last run start in the window; when none
+    starts inside it, the window's first twist before any extra window.
+    No run starts after it.  scan_stop exceeds it by the caller's extra
+    window, which also lowers the start of a two-sided window.
     """
 
     verdict: Verdict
@@ -108,9 +108,15 @@ class ScanEvidence:
         )
 
 
-def _require_twisting_class(surface: Surface, by: DivisorClass) -> None:
-    pos = surface.positivity(by)
-    if by.is_zero() or not pos.spanned:
+def _require_inputs(surface: Surface, model: SheafModel, by: DivisorClass) -> None:
+    """Reject a twisting class that is not spanned and nonzero, and any class
+    (or point count) whose coordinates are not plain integers."""
+    for c in (by, *_components(model)):
+        if type(c.a) is not int or type(c.b) is not int:
+            raise DomainError(f"classes must have integer coordinates, got ({c.a!r}, {c.b!r})")
+    if isinstance(model, IdealSheafModel) and type(model.config.z) is not int:
+        raise DomainError(f"point count must be an integer, got {model.config.z!r}")
+    if by.is_zero() or not surface.positivity(by).spanned:
         raise DomainError(f"twisting class must be spanned and nonzero, got {by}")
 
 
@@ -170,7 +176,7 @@ def min_twist_with_sections(surface: Surface, model: SheafModel, by: DivisorClas
     the ray is empty, which happens only for fiber-type twisting classes
     (0, d) against models whose h-coordinates are all negative.
     """
-    _require_twisting_class(surface, by)
+    _require_inputs(surface, model, by)
     if isinstance(model, Line):
         t = _line_min_twist(surface, model.cls, by)
         if t is None:
@@ -229,146 +235,77 @@ def first_true(pred: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# scan windows
+# runs of h^1 > 0 and the scans
 
 
-def _upper_stabilization_bound(
-    surface: Surface, model: SheafModel, by: DivisorClass, floor: int
-) -> int:
-    """A twist T such that for t > T the per-twist h^1 verdict is frozen.
+def _runs(
+    surface: Surface, model: SheafModel, by: DivisorClass
+) -> list[tuple[Optional[int], Optional[int]]]:
+    """Each component's runs: maximal twist intervals [start, stop) with h^1 > 0.
 
-    Write by = (c, d) and slack(c) = b - e*a for a component class; one
-    twist step changes a component's slack by d - e*c >= 0 and its
-    h-coordinate by c.
-
-    c >= 1: past t >= ceil((1 - u_i)/c) every h-coordinate stays >= 1, so
-    only the first trichotomy branch applies and h^1 = 0 iff slack >= -1.
-    Slack is constant (d = e*c, the M-like case) or strictly increasing
-    (ample case); either way, once a row beyond this bound has h^1 = 0 it
-    stays 0, and a row with h^1 > 0 is itself a witness.
-
-    c = 0 (fiber-type): h-coordinates are frozen.  For u_i >= 0 the
-    condition slack >= -1 becomes true at a computable threshold and stays
-    true; for u_i <= -2 the condition slack <= e - 1 becomes false at a
-    computable threshold and stays false; u_i = -1 never contributes.
-
-    For ideal models there is one more moving part, the capacity rho of
-    ``max_conditions``: h1_ideal = h1(line) + max(0, z - rho).  GENERAL:
-    rho = h0 >= v + t*d + 1 once the h-coordinate is nonnegative, so rho
-    >= z from a computable twist on.  ON_SECTION: rho = max(0, slack + 1),
-    constant in the M-like case (the shift z - rho is then constant too)
-    and otherwise >= z once slack >= z - 1.  ON_FIBER: rho =
-    min(a, floor(b/e)) + 1 on the effective quadrant, which either reaches
-    z at a computable twist or, when c = 0 caps it at u + 1 < z, pins the
-    shift at the constant z - u - 1 from the cap twist on.
-    """
-    e = surface.e
-    c, d = by.a, by.b
-    comps = _components(model)
-    if c >= 1:
-        bound = max([floor] + [ceil_div(1 - k.a, c) for k in comps]) + 1
-    else:
-        cuts = [floor]
-        for k in comps:
-            if k.a >= 0:
-                cuts.append(ceil_div(e * k.a - 1 - k.b, d))
-            elif k.a <= -2:
-                cuts.append(ceil_div(e * k.a + e - k.b, d))
-        bound = max(cuts) + 1
-
-    if isinstance(model, IdealSheafModel) and model.config.z > 0:
-        z = model.config.z
-        u, v = model.cls.a, model.cls.b
-        locus = model.config.locus
-        if locus is Locus.GENERAL:
-            bound = max(bound, ceil_div(z - 1 - v, d))
-        elif locus is Locus.ON_SECTION:
-            step = d - e * c
-            if step >= 1:
-                bound = max(bound, ceil_div(z - 1 - (v - e * u), step))
-            # step == 0: rho constant, nothing extra needed
-        else:  # ON_FIBER
-            if c >= 1:
-                bound = max(bound, ceil_div(z - 1 - u, c), ceil_div(e * (z - 1) - v, d))
-            elif z <= u + 1:
-                bound = max(bound, ceil_div(e * (z - 1) - v, d))
-            else:
-                bound = max(bound, ceil_div(e * u - v, d))
-    return bound
-
-
-def _lower_stabilization_bound(surface: Surface, model: SheafModel, by: DivisorClass) -> int:
-    """A twist T such that for t < T the per-twist h^1 verdict is frozen.
-
-    Mirror image of the upper bound.  For c >= 1 push every h-coordinate
-    to <= -2; slack is constant (M-like) or falls without bound (ample),
-    and in the third trichotomy branch h^1 = 0 iff slack <= e - 1.  For
-    c = 0 the slack of every component falls, so each component's verdict
-    freezes below a computable threshold (for u_i >= 0 it freezes at
-    "fails", which the edge row then witnesses).  For ideal models descend
-    further until the underlying line bundle has no sections at all; below
-    that point h1_ideal = h1(line) + z, which for z >= 1 freezes the row
-    verdict at "fails" and the edge row witnesses it.
-    """
-    e = surface.e
-    c, d = by.a, by.b
-    cuts = [0]
-    for k in _components(model):
-        slack0 = k.b - e * k.a
-        if c >= 1:
-            cuts.append((-2 - k.a) // c)
-            step = d - e * c
-            if step >= 1:
-                cuts.append((e - 1 - slack0) // step)
-        else:
-            if k.a >= 0:
-                cuts.append((-2 - slack0) // d)
-            elif k.a <= -2:
-                cuts.append((e - 1 - slack0) // d)
-    if isinstance(model, IdealSheafModel) and model.config.z > 0:
-        if c >= 1:
-            cuts.append((-1 - model.cls.a) // c)
-        else:
-            cuts.append((-1 - model.cls.b) // d)
-    return min(cuts) - 1
-
-
-# ---------------------------------------------------------------------------
-# scans
-
-
-def _piece_starts(
-    surface: Surface, model: SheafModel, by: DivisorClass, lo: int, hi: int
-) -> list[int]:
-    """lo and, sorted, every twist in (lo, hi] where a run of h^1 > 0 can begin.
-
-    These are, for each component class, the first twists at which the
-    h-coordinate reaches 0 and the slack reaches e (see the module
-    docstring); a form with step 0 never moves.
+    None marks an unbounded end.  Per twist the h-coordinate a of a
+    component moves by by.a and its slack b - e*a by by.b - e*by.a, both
+    >= 0.  h^1 > 0 while a >= 0 and slack < -1, and while slack >= e and
+    a < -1 (the trichotomy), so each run starts where one form reaches its
+    threshold and stops where the other reaches -1.  A form that does not
+    move either always or never meets its threshold.
     """
     e = surface.e
     c, step = by.a, by.b - e * by.a
-    starts = {lo}
+    runs = []
     for k in _components(model):
-        if c:
-            starts.add(ceil_div(-k.a, c))
-        if step:
-            starts.add(ceil_div(e - (k.b - e * k.a), step))
-    return sorted(t for t in starts if lo <= t <= hi)
+        a, slack = k.a, k.b - e * k.a
+        # on while x >= on and y < -1: x moves by dx, y by dy per twist
+        for x, dx, on, y, dy in ((a, c, 0, slack, step), (slack, step, e, a, c)):
+            if dx:
+                start = ceil_div(on - x, dx)
+            elif x >= on:
+                start = None
+            else:
+                continue
+            if dy:
+                stop = ceil_div(-1 - y, dy)
+            elif y < -1:
+                stop = None
+            else:
+                continue
+            if start is None or stop is None or start < stop:
+                runs.append((start, stop))
+    return runs
 
 
 def _first_failure(
-    surface: Surface, model: SheafModel, by: DivisorClass, lo: int, hi: int
+    surface: Surface, model: SheafModel, by: DivisorClass, twists: list[int]
 ) -> Verdict:
-    """The verdict of the window [lo, hi]: FAILS at its first twist with h^1 > 0.
-
-    Only the piece starts are evaluated; the first bad twist is one of them.
-    """
-    for t in _piece_starts(surface, model, by, lo, hi):
+    """FAILS at the first of the sorted `twists` with h^1 > 0, else HOLDS."""
+    for t in twists:
         v0, v1 = _values_at(surface, model, t, by)
         if v1 > 0:
             return Verdict(Outcome.FAILS, witness_t=t, witness_h0=v0, witness_h1=v1)
     return Verdict(Outcome.HOLDS)
+
+
+def _decide(
+    surface: Surface,
+    model: SheafModel,
+    by: DivisorClass,
+    runs: list[tuple[Optional[int], Optional[int]]],
+    lo: int,
+    below: int,
+    above: int,
+) -> ScanEvidence:
+    """The scan of the window lo - below .. bound + above.
+
+    The bound is the last run start above lo, or lo when there is none.
+    Only the window start and those run starts are evaluated; `below` > 0
+    is allowed only when every twist up to lo has the verdict of lo.
+    """
+    if above < 0:
+        raise DomainError(f"extra_window must be >= 0, got {above}")
+    starts = sorted({start for start, _ in runs if start is not None and start > lo})
+    verdict = _first_failure(surface, model, by, [lo - below, *starts])
+    bound = starts[-1] if starts else lo
+    return ScanEvidence(verdict, bound, lo - below, bound + above, surface, model, by)
 
 
 def scan_verdict(
@@ -376,11 +313,14 @@ def scan_verdict(
 ) -> ScanEvidence:
     """Decide the natural-cohomology property over a finite twist window.
 
-    The window runs from the first twist with sections up to the
-    stabilization bound (plus any extra window).  Since h^0 is monotone
-    along a spanned twist, h^0 > 0 on the whole window, so the property
-    fails exactly at twists with h^1 > 0, and the bound's tail argument
-    shows no failure can first appear beyond it.
+    The window runs from the first twist with sections, m0, to the last run
+    start above it (plus any extra window).  Since h^0 is monotone along a
+    spanned twist, h^0 > 0 from m0 on, so the property fails exactly at the
+    twists from m0 on with h^1 > 0.  Every run that meets [m0, infinity)
+    either contains m0 or starts above it, and for ideal models the
+    capacity shortfall max(0, z - rho) is positive only on a prefix of the
+    twist line, which contains m0 if it reaches it; so m0 and the run
+    starts above it are the only twists evaluated.
 
     A model with no twist that has sections (possible only for a fiber-type
     `by` against negative h-coordinates) raises DomainError from
@@ -388,28 +328,35 @@ def scan_verdict(
     there; the CLI reports it as exit 3.  `unconditional_scan` decides
     such a model like any other.
     """
-    _require_twisting_class(surface, by)
-    if extra_window < 0:
-        raise DomainError(f"extra_window must be >= 0, got {extra_window}")
-    m0 = min_twist_with_sections(surface, model, by)
-    bound = _upper_stabilization_bound(surface, model, by, m0)
-    stop = bound + extra_window
-    verdict = _first_failure(surface, model, by, m0, stop)
-    return ScanEvidence(verdict, bound, m0, stop, surface, model, by)
+    m0 = min_twist_with_sections(surface, model, by)  # checks the inputs
+    return _decide(surface, model, by, _runs(surface, model, by), m0, 0, extra_window)
 
 
 def unconditional_scan(
     surface: Surface, model: SheafModel, by: DivisorClass, extra_window: int = 0
 ) -> ScanEvidence:
-    """Decide h^1 = 0 at *every* twist over a two-sided finite window."""
-    _require_twisting_class(surface, by)
-    if extra_window < 0:
-        raise DomainError(f"extra_window must be >= 0, got {extra_window}")
-    lo = _lower_stabilization_bound(surface, model, by) - extra_window
-    bound = _upper_stabilization_bound(surface, model, by, 0)
-    hi = bound + extra_window
-    verdict = _first_failure(surface, model, by, lo, hi)
-    return ScanEvidence(verdict, bound, lo, hi, surface, model, by)
+    """Decide h^1 = 0 at *every* twist over a two-sided finite window.
+
+    The window starts one twist below every finite run edge (at 0 when
+    there is none), so each run either contains the window start or starts
+    above it, and it ends at the last run start; any extra window widens
+    both ends.
+    For ideal models with z > 0 the window also starts below the line
+    bundle's first twist with sections, where rho = 0 < z, so a capacity
+    shortfall shows at the window start.  When a failing run is unbounded
+    below, the witness is the window start.
+    """
+    _require_inputs(surface, model, by)
+    runs = _runs(surface, model, by)
+    edges = [t for run in runs for t in run if t is not None]
+    if isinstance(model, IdealSheafModel) and model.config.z > 0:
+        first = _line_min_twist(surface, model.cls, by)
+        if first is not None:
+            edges.append(first)
+    lo = min(edges) - 1 if edges else 0
+    # below lo no run edge is crossed and an ideal's shortfall is z (or 0),
+    # so every twist there has the verdict of lo
+    return _decide(surface, model, by, runs, lo, extra_window, extra_window)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,8 @@ chi(I_Z(c)) = chi(c) - z.  In every case
 
     h1_ideal(c) = h1(c) + max(0, z - rho(c))
 
-with rho the capacity returned by ``max_conditions``; the scan bounds and
-piece starts in :mod:`hirzebruch.natural` lean on that shape, and the test
-suite checks it.
+with rho the capacity returned by ``max_conditions``; the scan windows in
+:mod:`hirzebruch.natural` lean on that shape, and the test suite checks it.
 """
 
 from __future__ import annotations

@@ -362,3 +362,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "h0=3 h1=0 h2=0"
+
+
+def test_two_sided_window_does_not_grow_with_coefficients(capsys):
+    from hirzebruch import DivisorClass, Surface, h0, h1
+
+    code, out, _ = run(
+        ["check", "--e", "1", "--line", "5,-200000", "--wrt", "0,1", "--pp", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    lo, hi = results["scanned_t"]
+    assert 0 <= hi - lo <= 3
+    t = results["witness_t"]
+    assert lo <= t <= hi
+    surface, cls = Surface(1), DivisorClass(5, -200000 + t)
+    assert (h0(surface, cls), h1(surface, cls)) == (results["witness_h0"], results["witness_h1"])
+    assert results["witness_h1"] > 0

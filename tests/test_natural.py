@@ -415,3 +415,98 @@ def test_first_true_is_the_least_true_twist():
             found = first_true(pred, lo, hi)
             assert found == (max(lo, answer) if answer <= hi else None)
             assert len(probes) <= 2 * (hi - lo + 1).bit_length() + 2
+
+
+# --- inputs typed at the boundary
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True])
+def test_scans_reject_non_integer_inputs(bad):
+    surface = Surface(1)
+    m = surface.m_class()
+    general = PointConfig(2, Locus.GENERAL)
+    cases = [
+        (Line(DivisorClass(bad, 2)), m),
+        (Line(DivisorClass(1, bad)), m),
+        (DirectSum((DivisorClass(0, 0), DivisorClass(bad, 1))), m),
+        (IdealSheafModel(general, DivisorClass(2, bad)), m),
+        (IdealSheafModel(PointConfig(bad, Locus.ON_FIBER), DivisorClass(2, 2)), m),
+        (Line(DivisorClass(1, 1)), DivisorClass(bad, 3)),
+        (Line(DivisorClass(1, 1)), DivisorClass(0, bad)),
+    ]
+    for model, by in cases:
+        for call in (scan_verdict, unconditional_scan, min_twist_with_sections):
+            with pytest.raises(DomainError):
+                call(surface, model, by)
+
+
+# --- windows from the runs of h1 > 0
+
+
+def test_windows_do_not_grow_with_coefficients():
+    surface = Surface(1)
+    fiber = DivisorClass(0, 1)
+    many = IdealSheafModel(PointConfig(10**5, Locus.GENERAL), DivisorClass(0, 0))
+    for evidence in [
+        unconditional_scan(surface, Line(DivisorClass(5, -200000)), fiber),
+        scan_verdict(surface, Line(DivisorClass(10**5, 0)), fiber),
+        scan_verdict(surface, many, surface.m_class()),
+    ]:
+        assert evidence.scan_stop - evidence.scan_start + 1 <= 3
+        v = evidence.verdict
+        if v.witness_t is not None:
+            from hirzebruch.natural import _values_at
+
+            values = _values_at(surface, evidence.model, v.witness_t, evidence.by)
+            assert values == (v.witness_h0, v.witness_h1)
+
+
+def _wide_window_verdict(surface, model, by, width, two_sided):
+    """Outcome and first failing row of the twists -width..width, walked one by one."""
+    from hirzebruch.natural import _values_at
+
+    for t in range(-width, width + 1):
+        v0, v1 = _values_at(surface, model, t, by)
+        if v1 > 0 and (two_sided or v0 > 0):
+            return Outcome.FAILS, (t, v0, v1)
+    return Outcome.HOLDS, None
+
+
+def test_scans_against_independent_wide_window():
+    # With |a|, |b| <= K and by = (c, d) spanned, every form a + t*c and
+    # b - e*a + t*(d - e*c) that moves crosses 0, -1 and e within
+    # |t| <= (e + 1)*K + e + 1, and a model of z points has sections from
+    # t = z + K on.  Past |t| = z + (e + 2)*(K + 2) every component sits in
+    # one trichotomy branch for good, so the rows out there repeat the
+    # verdict of the rows inside.
+    rng = random.Random(977)
+    K, Z = 6, 8
+    for _ in range(120):
+        e = rng.randint(1, 4)
+        surface = Surface(e)
+        cls = lambda: DivisorClass(rng.randint(-K, K), rng.randint(-K, K))
+        kind = rng.randrange(3)
+        if kind == 0:
+            model = Line(cls())
+        elif kind == 1:
+            model = DirectSum(tuple(cls() for _ in range(rng.randint(1, 5))))
+        else:
+            config = PointConfig(rng.randint(0, Z), rng.choice(list(Locus)))
+            model = IdealSheafModel(config, cls())
+        width = Z + (e + 2) * (K + 2)
+        for pick in range(5):
+            by = _twisting_class(surface, pick)
+            outcome, first = _wide_window_verdict(surface, model, by, width, True)
+            two = unconditional_scan(surface, model, by).verdict
+            assert two.outcome is outcome
+            outcome, first = _wide_window_verdict(surface, model, by, width, False)
+            try:
+                one = scan_verdict(surface, model, by).verdict
+            except DomainError:
+                from hirzebruch.natural import _values_at
+
+                assert by.a == 0
+                assert _values_at(surface, model, width, by)[0] == 0
+                continue
+            assert one.outcome is outcome
+            assert (one.witness_t, one.witness_h0, one.witness_h1) == (first or (None,) * 3)
