@@ -7,10 +7,11 @@ A rank-2 bundle E on F_e is presented here by an extension
 with Z a length-s general subscheme.  The standard construction takes
 integers (u, v, m, s) with v >= e(u-1)-1, m >= 0 and builds the datum with
 sub = (1-m, -e*m) and quot = (u+m-1, v+e*m), so c1(E) = (u, v); the
-admissible range of s is [a_lo, b_hi] = `section_count_bounds`.  Two
-numerical certificates ride along: the chosen twist is the first with a
-section (section_min), and the points impose the independence needed for
-local freeness (cayley_bacharach).
+admissible range of s is [a_lo, b_hi] = `section_count_bounds`.  Every
+datum derives three certificates from its own fields: the chosen twist is
+the first with a section (section_min), the points impose the
+independence needed for local freeness (cayley_bacharach), and the
+extension is forced to split (ext_forced_split).
 
 E is never materialized.  Its cohomology at a twist is reported as a box
 of intervals squeezed out of the long exact sequence, together with the
@@ -35,17 +36,10 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cohomology import CohomologyTriple, ConsistencyError, chi, h0, h1, h2
+from .cohomology import CohomologyTriple, ConsistencyError, h0, h1, triple
 from .natural import Outcome, Verdict
 from .picard import DivisorClass, DomainError, Surface, ceil_div, twist
-from .sheaves import (
-    IdealSheafModel,
-    Locus,
-    PointConfig,
-    h0_ideal,
-    h1_ideal,
-    h2_ideal,
-)
+from .sheaves import IdealSheafModel, Locus, PointConfig, h0_ideal, triple_ideal
 
 
 class ConstructionError(DomainError):
@@ -74,11 +68,12 @@ class ChernData:
 class ExtensionDatum:
     """One extension presentation of a rank-2 sheaf, plus its certificates.
 
-    c1 is (u, v); sub and quotient carry the two ends.  section_min records
-    that no earlier twist of the would-be bundle has a section (numerically
-    equivalent to s >= a_lo); cayley_bacharach records the point-count
-    inequality that makes a locally free extension possible, vacuous at
-    s = 0; ext_forced_split records that the extension group vanishes and
+    c1 is (u, v); sub and quotient carry the two ends.  The certificates
+    are derived from those fields, never passed in.  section_min: no
+    earlier twist of the would-be bundle has a section (numerically
+    s >= a_lo of `section_count_bounds`).  cayley_bacharach: the
+    point-count inequality that makes a locally free extension possible,
+    vacuous at s = 0.  ext_forced_split: the extension group vanishes and
     s = 0, so the only extension is the direct sum.
     """
 
@@ -89,9 +84,9 @@ class ExtensionDatum:
     s: int
     sub: DivisorClass
     quotient: IdealSheafModel
-    section_min: bool
-    cayley_bacharach: bool
-    ext_forced_split: bool
+    section_min: bool = field(init=False)
+    cayley_bacharach: bool = field(init=False)
+    ext_forced_split: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if self.s < 0:
@@ -103,6 +98,15 @@ class ExtensionDatum:
             raise DomainError(
                 f"ends {self.sub} + {self.quotient.cls} do not add up to c1 ({self.u},{self.v})"
             )
+        surface, e, u, v, m, s = self.surface, self.surface.e, self.u, self.v, self.m, self.s
+        a_lo, _ = section_count_bounds(surface, u, v, m)
+        # vacuous at s = 0: there are no points to condition
+        cb = s == 0 or h0(surface, DivisorClass(u + 2 * m - 5, v + 2 * m * e - 2 * e - 2)) < s
+        split = s == 0 and h1(surface, self.sub - self.quotient.cls) == 0
+        # the dataclass is frozen, so the derived fields are set past __setattr__
+        object.__setattr__(self, "section_min", a_lo <= s)
+        object.__setattr__(self, "cayley_bacharach", cb)
+        object.__setattr__(self, "ext_forced_split", split)
 
     def c1(self) -> DivisorClass:
         return DivisorClass(self.u, self.v)
@@ -216,30 +220,7 @@ def construct_extension(surface: Surface, u: int, v: int, m: int, s: int) -> Ext
     sub = DivisorClass(1 - m, -e * m)
     qcls = DivisorClass(u + m - 1, v + e * m)
     quotient = IdealSheafModel(PointConfig(z=s, locus=Locus.GENERAL), qcls)
-
-    # no section before the m-th twist <=> s >= a_lo, true by the range check
-    section_min = a_lo <= s
-
-    if s == 0:
-        cayley_bacharach = True  # vacuous: no points to condition
-    else:
-        cb_class = DivisorClass(u + 2 * m - 5, v + 2 * m * e - 2 * e - 2)
-        cayley_bacharach = h0(surface, cb_class) <= s - 1
-
-    ext_forced_split = s == 0 and h1(surface, sub - qcls) == 0
-
-    return ExtensionDatum(
-        surface=surface,
-        u=u,
-        v=v,
-        m=m,
-        s=s,
-        sub=sub,
-        quotient=quotient,
-        section_min=section_min,
-        cayley_bacharach=cayley_bacharach,
-        ext_forced_split=ext_forced_split,
-    )
+    return ExtensionDatum(surface, u, v, m, s, sub, quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +264,11 @@ def cohomology_interval(datum: ExtensionDatum, t: int) -> CohomologyInterval:
     """
     surface = datum.surface
     mm = surface.m_class()
-    a_cls = twist(datum.sub, t, mm)
-    a0, a1, a2 = h0(surface, a_cls), h1(surface, a_cls), h2(surface, a_cls)
-    q_model = datum.quotient.twisted(t, mm)
-    q0 = h0_ideal(surface, q_model)
-    q1 = h1_ideal(surface, q_model)
-    q2 = h2_ideal(surface, q_model)
-
-    total_chi = chi(surface, a_cls) + chi(surface, q_model.cls) - datum.s
+    a = triple(surface, twist(datum.sub, t, mm))
+    q = triple_ideal(surface, datum.quotient.twisted(t, mm))
+    a0, a1, a2 = a.h0, a.h1, a.h2
+    q0, q1, q2 = q.h0, q.h1, q.h2
+    total_chi = a.chi() + q.chi()
 
     if datum.ext_forced_split:
         lo0 = hi0 = a0 + q0
@@ -409,36 +387,35 @@ def _audit_scan_stop(datum: ExtensionDatum) -> int:
     return max(cuts) + 1
 
 
-def audit_extension_natural(datum: ExtensionDatum, extra_window: int = 0) -> ExtensionAudit:
+def audit_extension_natural(datum: ExtensionDatum) -> ExtensionAudit:
     """Decide the natural-cohomology property of the extension's twists by M.
 
-    The window runs from m - 1 to `_audit_scan_stop` plus the extra window,
-    and `_audit_rows` says whether each twist Fails, Holds or is
-    Indeterminate.  Aggregate verdict: Fails at the first failing twist;
-    Holds when every twist holds and both tails are pinned (left: h0_max = 0
-    at the window start, and h0_max is monotone under twisting by the
-    spanned class M, so every earlier twist has no sections; right: h1_max
-    = 0 at the window end, which lies past the monotone threshold of
-    `_audit_scan_stop`); otherwise Indeterminate.
+    The window runs from m - 1 to `_audit_scan_stop`, and `_audit_rows`
+    says whether each twist Fails, Holds or is Indeterminate.  Aggregate
+    verdict: Fails at the first failing twist; Holds when every twist holds
+    and both tails are pinned (left: h0_max = 0 at the window start, and
+    h0_max is monotone under twisting by the spanned class M, so every
+    earlier twist has no sections; right: h1_max = 0 at the window end,
+    which lies past the monotone threshold of `_audit_scan_stop`);
+    otherwise Indeterminate.
 
     Only the twists from the window start through `_settle_twist` are
     evaluated (the start alone, if it lies past that twist): the *settle
     prefix* and the first twist of the *monotone tail*.  From the settle
-    twist on, both end classes have a >= 1 and b >= 0.  There a1, h1 of the quotient class and a2 = q2 = 0
-    are constant, a0 and q0 are nondecreasing and the point correction
-    max(0, s - capacity) is nonincreasing, so in the box (forced split or
-    not) h1_min and h1_max are nonincreasing; and the sub class is
-    effective, so h0_min >= a0 >= 1.  A tail twist thus fails exactly when
-    h1_min > 0 and holds exactly when h1_max = 0, and the tail's first twist
-    is its worst: if it does not fail no tail twist does, and if it holds
-    every tail twist holds, the window end included (which pins the right
-    tail).  The verdict costs settle - m + 2 boxes, however long the window;
-    the audit rebuilds every row of the window on demand, as a referee.
+    twist on, both end classes have a >= 1 and b >= 0.  There a1, h1 of
+    the quotient class and a2 = q2 = 0 are constant, a0 and q0 are
+    nondecreasing and the point correction max(0, s - capacity) is
+    nonincreasing, so in the box (forced split or not) h1_min and h1_max
+    are nonincreasing; and the sub class is effective, so
+    h0_min >= a0 >= 1.  A tail twist thus fails exactly when h1_min > 0
+    and holds exactly when h1_max = 0, and the tail's first twist is its
+    worst: if it does not fail no tail twist does, and if it holds every
+    tail twist holds, the window end included (which pins the right tail).
+    The verdict costs settle - m + 2 boxes, however long the window; the
+    audit rebuilds every row of the window on demand, as a referee.
     """
-    if extra_window < 0:
-        raise DomainError(f"extra_window must be >= 0, got {extra_window}")
     start = datum.m - 1
-    stop = _audit_scan_stop(datum) + extra_window
+    stop = _audit_scan_stop(datum)
     rows = _audit_rows(datum, start, max(start, _settle_twist(datum)))
     failing = next((row for row in rows if row.outcome is Outcome.FAILS), None)
     if failing is not None:

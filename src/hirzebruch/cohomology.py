@@ -98,10 +98,7 @@ def h2(surface: Surface, c: DivisorClass) -> int:
 
 def h1(surface: Surface, c: DivisorClass) -> int:
     """h^1 forced by chi = h0 - h1 + h2."""
-    value = h0(surface, c) + h2(surface, c) - chi(surface, c)
-    if value < 0:
-        raise ConsistencyError(f"negative h1 = {value} at e={surface.e}, c={c}")
-    return value
+    return triple(surface, c).h1
 
 
 def h1_vanishes(surface: Surface, c: DivisorClass) -> bool:
@@ -115,7 +112,12 @@ def h1_vanishes(surface: Surface, c: DivisorClass) -> bool:
 
 
 def triple(surface: Surface, c: DivisorClass) -> CohomologyTriple:
-    return CohomologyTriple(h0(surface, c), h1(surface, c), h2(surface, c))
+    """(h0, h1, h2) from one evaluation each of h0, h2 and chi."""
+    v0, v2 = h0(surface, c), h2(surface, c)
+    v1 = v0 + v2 - chi(surface, c)
+    if v1 < 0:
+        raise ConsistencyError(f"negative h1 = {v1} at e={surface.e}, c={c}")
+    return CohomologyTriple(v0, v1, v2)
 
 
 def cohomology_profile(

@@ -19,9 +19,10 @@ along a spanned twist, so the shortfall is positive only on a prefix of
 the twist line.  Hence the first failing twist of a window is its first
 twist or a run start, and a verdict evaluates cohomology there only:
 O(#components) evaluations whatever the coefficients.  The window runs
-from its first twist to the last run start; past that no run begins, so
-no first failure can appear.  The scan evidence rebuilds the (t, h0, h1)
-rows of the whole window on demand, as a referee.
+from its first twist to the failure witness, or to the last run start
+when nothing fails; past that no run begins, so no first failure can
+appear.  The scan evidence rebuilds the (t, h0, h1) rows of the whole
+window on demand, as a referee.
 
 Closed-form criteria exist when T is M = h + e*f or R = h + (e+1)*f and
 are checked against the scans by the test suite; the scans are the
@@ -37,9 +38,9 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .cohomology import ConsistencyError, h0, h1
+from .cohomology import ConsistencyError, triple
 from .picard import DivisorClass, DomainError, Surface, ceil_div, twist
-from .sheaves import IdealSheafModel, h0_ideal, h1_ideal
+from .sheaves import IdealSheafModel, h0_ideal, triple_ideal
 
 
 @dataclass(frozen=True)
@@ -82,14 +83,12 @@ class Verdict:
 class ScanEvidence:
     """The verdict of a scan over the twists scan_start..scan_stop of model + t*by.
 
-    stabilization_bound is the last run start in the window; when none
-    starts inside it, the window's first twist before any extra window.
-    No run starts after it.  scan_stop exceeds it by the caller's extra
-    window, which also lowers the start of a two-sided window.
+    A FAILS window ends at its witness.  Otherwise it ends at the last run
+    start above its first twist, or at its first twist when no run starts
+    above it; no run starts after scan_stop then.
     """
 
     verdict: Verdict
-    stabilization_bound: int
     scan_start: int
     scan_stop: int
     surface: Surface
@@ -132,18 +131,15 @@ def _components(model: SheafModel) -> tuple[DivisorClass, ...]:
 
 def _values_at(surface: Surface, model: SheafModel, t: int, by: DivisorClass) -> tuple[int, int]:
     """(h0, h1) of the model twisted by t*by.  Exact for all three shapes."""
-    if isinstance(model, Line):
-        c = twist(model.cls, t, by)
-        return h0(surface, c), h1(surface, c)
-    if isinstance(model, DirectSum):
-        total0 = total1 = 0
-        for cls in model.classes:
-            c = twist(cls, t, by)
-            total0 += h0(surface, c)
-            total1 += h1(surface, c)
-        return total0, total1
-    shifted = model.twisted(t, by)
-    return h0_ideal(surface, shifted), h1_ideal(surface, shifted)
+    if isinstance(model, IdealSheafModel):
+        c = triple_ideal(surface, model.twisted(t, by))
+        return c.h0, c.h1
+    total0 = total1 = 0
+    for cls in _components(model):
+        c = triple(surface, twist(cls, t, by))
+        total0 += c.h0
+        total1 += c.h1
+    return total0, total1
 
 
 # ---------------------------------------------------------------------------
@@ -291,36 +287,31 @@ def _decide(
     by: DivisorClass,
     runs: list[tuple[Optional[int], Optional[int]]],
     lo: int,
-    below: int,
-    above: int,
 ) -> ScanEvidence:
-    """The scan of the window lo - below .. bound + above.
+    """The scan of the window from lo to the witness, or else to the last
+    run start above lo (lo itself when there is none).
 
-    The bound is the last run start above lo, or lo when there is none.
-    Only the window start and those run starts are evaluated; `below` > 0
-    is allowed only when every twist up to lo has the verdict of lo.
+    Only lo and those run starts are evaluated.
     """
-    if above < 0:
-        raise DomainError(f"extra_window must be >= 0, got {above}")
     starts = sorted({start for start, _ in runs if start is not None and start > lo})
-    verdict = _first_failure(surface, model, by, [lo - below, *starts])
-    bound = starts[-1] if starts else lo
-    return ScanEvidence(verdict, bound, lo - below, bound + above, surface, model, by)
+    verdict = _first_failure(surface, model, by, [lo, *starts])
+    stop = verdict.witness_t
+    if stop is None:
+        stop = starts[-1] if starts else lo
+    return ScanEvidence(verdict, lo, stop, surface, model, by)
 
 
-def scan_verdict(
-    surface: Surface, model: SheafModel, by: DivisorClass, extra_window: int = 0
-) -> ScanEvidence:
+def scan_verdict(surface: Surface, model: SheafModel, by: DivisorClass) -> ScanEvidence:
     """Decide the natural-cohomology property over a finite twist window.
 
-    The window runs from the first twist with sections, m0, to the last run
-    start above it (plus any extra window).  Since h^0 is monotone along a
-    spanned twist, h^0 > 0 from m0 on, so the property fails exactly at the
-    twists from m0 on with h^1 > 0.  Every run that meets [m0, infinity)
-    either contains m0 or starts above it, and for ideal models the
-    capacity shortfall max(0, z - rho) is positive only on a prefix of the
-    twist line, which contains m0 if it reaches it; so m0 and the run
-    starts above it are the only twists evaluated.
+    The window runs from the first twist with sections, m0, to the witness
+    of a failure, or else to the last run start above m0.  Since h^0 is
+    monotone along a spanned twist, h^0 > 0 from m0 on, so the property
+    fails exactly at the twists from m0 on with h^1 > 0.  Every run that
+    meets [m0, infinity) either contains m0 or starts above it, and for
+    ideal models the capacity shortfall max(0, z - rho) is positive only on
+    a prefix of the twist line, which contains m0 if it reaches it; so m0
+    and the run starts above it are the only twists evaluated.
 
     A model with no twist that has sections (possible only for a fiber-type
     `by` against negative h-coordinates) raises DomainError from
@@ -329,18 +320,16 @@ def scan_verdict(
     such a model like any other.
     """
     m0 = min_twist_with_sections(surface, model, by)  # checks the inputs
-    return _decide(surface, model, by, _runs(surface, model, by), m0, 0, extra_window)
+    return _decide(surface, model, by, _runs(surface, model, by), m0)
 
 
-def unconditional_scan(
-    surface: Surface, model: SheafModel, by: DivisorClass, extra_window: int = 0
-) -> ScanEvidence:
+def unconditional_scan(surface: Surface, model: SheafModel, by: DivisorClass) -> ScanEvidence:
     """Decide h^1 = 0 at *every* twist over a two-sided finite window.
 
     The window starts one twist below every finite run edge (at 0 when
     there is none), so each run either contains the window start or starts
-    above it, and it ends at the last run start; any extra window widens
-    both ends.
+    above it.  It ends at the witness of a failure, or else at the last
+    run start.
     For ideal models with z > 0 the window also starts below the line
     bundle's first twist with sections, where rho = 0 < z, so a capacity
     shortfall shows at the window start.  When a failing run is unbounded
@@ -356,7 +345,7 @@ def unconditional_scan(
     lo = min(edges) - 1 if edges else 0
     # below lo no run edge is crossed and an ideal's shortfall is z (or 0),
     # so every twist there has the verdict of lo
-    return _decide(surface, model, by, runs, lo, extra_window, extra_window)
+    return _decide(surface, model, by, runs, lo)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ restriction to C actually sees),
 h^2 is untouched by a 0-dimensional subscheme, and h^1 then follows from
 chi(I_Z(c)) = chi(c) - z.  In every case
 
-    h1_ideal(c) = h1(c) + max(0, z - rho(c))
+    h0_ideal(c) = h0(c) - min(z, rho(c)),  h1_ideal(c) = h1(c) + max(0, z - rho(c))
 
 with rho the capacity returned by ``max_conditions``; the scan windows in
 :mod:`hirzebruch.natural` lean on that shape, and the test suite checks it.
@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .cohomology import ConsistencyError, chi, h0, h2
+from .cohomology import CohomologyTriple, ConsistencyError, chi, h0, h2
 from .picard import DivisorClass, DomainError, Surface, twist
 
 
@@ -86,20 +86,22 @@ def max_conditions(surface: Surface, model: IdealSheafModel) -> int:
     GENERAL position: all of h0(c).  On a curve C: the part of h0(c) that
     the restriction to C sees, r = h0(c) - h0(c - C).
     """
+    return h0(surface, model.cls) - _unseen(surface, model)
+
+
+def _unseen(surface: Surface, model: IdealSheafModel) -> int:
+    """The sections of O(c) that vanish on the whole supporting curve,
+    h0(c - C); none in general position."""
     if model.config.locus is Locus.GENERAL:
-        return h0(surface, model.cls)
-    curve = _CURVE_CLASS[model.config.locus]
-    return h0(surface, model.cls) - h0(surface, model.cls - curve)
+        return 0
+    return h0(surface, model.cls - _CURVE_CLASS[model.config.locus])
 
 
 def h0_ideal(surface: Surface, model: IdealSheafModel) -> int:
-    z = model.config.z
-    if model.config.locus is Locus.GENERAL:
-        return max(0, h0(surface, model.cls) - z)
-    curve = _CURVE_CLASS[model.config.locus]
-    below = h0(surface, model.cls - curve)
-    r = h0(surface, model.cls) - below
-    return below + max(0, r - z)
+    """h0(c) - min(z, max_conditions): each point imposes one condition
+    until the capacity runs out.  h0(c) is evaluated once."""
+    full = h0(surface, model.cls)
+    return full - min(model.config.z, full - _unseen(surface, model))
 
 
 def h2_ideal(surface: Surface, model: IdealSheafModel) -> int:
@@ -109,11 +111,18 @@ def h2_ideal(surface: Surface, model: IdealSheafModel) -> int:
 
 def h1_ideal(surface: Surface, model: IdealSheafModel) -> int:
     """Forced by chi(I_Z(c)) = chi(c) - z."""
+    return triple_ideal(surface, model).h1
+
+
+def triple_ideal(surface: Surface, model: IdealSheafModel) -> CohomologyTriple:
+    """(h0, h1, h2) of the ideal model from one evaluation each of
+    h0_ideal, h2_ideal and chi."""
     z = model.config.z
-    value = h0_ideal(surface, model) - (chi(surface, model.cls) - z) + h2_ideal(surface, model)
-    if value < 0:
+    v0, v2 = h0_ideal(surface, model), h2_ideal(surface, model)
+    v1 = v0 + v2 - (chi(surface, model.cls) - z)
+    if v1 < 0:
         raise ConsistencyError(
-            f"negative ideal h1 = {value} at e={surface.e}, z={z}, "
+            f"negative ideal h1 = {v1} at e={surface.e}, z={z}, "
             f"locus={model.config.locus.value}, c={model.cls}"
         )
-    return value
+    return CohomologyTriple(v0, v1, v2)

@@ -143,16 +143,17 @@ def test_claim_samples_meet_their_preconditions(e):
 
 
 def test_construction_bounds_sees_a_false_certificate(monkeypatch):
-    import dataclasses
-
     import hirzebruch.audit as audit
 
     real = audit.construct_extension
-    monkeypatch.setattr(
-        audit,
-        "construct_extension",
-        lambda *args: dataclasses.replace(real(*args), section_min=False),
-    )
+
+    def planted(*args):
+        # the certificate is derived, so a false one is planted past the frozen dataclass
+        datum = real(*args)
+        object.__setattr__(datum, "section_min", False)
+        return datum
+
+    monkeypatch.setattr(audit, "construct_extension", planted)
     findings = run_audit([1], ["construction-bounds"])
     false_certificates = [
         f for f in findings

@@ -380,3 +380,15 @@ def test_two_sided_window_does_not_grow_with_coefficients(capsys):
     surface, cls = Surface(1), DivisorClass(5, -200000 + t)
     assert (h0(surface, cls), h1(surface, cls)) == (results["witness_h0"], results["witness_h1"])
     assert results["witness_h1"] > 0
+
+
+def test_failing_window_ends_at_the_witness(capsys):
+    # the second summand's run starts at t = 100000, but t = 2 already fails
+    code, out, _ = run(
+        ["check", "--e", "1", "--sum", "0,-2;-100000,-100002", "--wrt", "M", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert (results["outcome"], results["witness_t"]) == ("FAILS", 2)
+    assert results["scanned_t"] == [2, 2]

@@ -2,7 +2,7 @@
 
 The scans are the referee: they evaluate actual cohomology row by row
 inside a window whose sufficiency the window-stability tests probe by
-re-running with a much larger window.
+walking a wider window twist by twist.
 """
 
 import random
@@ -55,8 +55,6 @@ def test_rejects_bad_twisting_classes():
     for bad in [(0, 0), (-1, 2), (1, 0), (1, 1), (2, 3)]:
         with pytest.raises(DomainError):
             scan_verdict(surface, line, DivisorClass(*bad))
-    with pytest.raises(DomainError):
-        scan_verdict(surface, line, surface.m_class(), extra_window=-1)
 
 
 def test_direct_sum_must_be_nonempty():
@@ -241,20 +239,58 @@ def test_sum_criterion_against_wide_window():
 # --- window sufficiency
 
 
+def _components(model):
+    if isinstance(model, DirectSum):
+        return model.classes
+    return (model.cls,)
+
+
+def _run_start_bound(surface, model):
+    """A twist past every start of a run of h1 > 0, for any spanned twisting class.
+
+    A run starts where the h-coordinate a + t*c reaches 0 or the slack
+    b - e*a + t*(d - e*c) reaches e; a form that moves gains at least 1
+    per twist, so either happens by t = e + |b| + e*|a|.
+    """
+    e = surface.e
+    return max(e + abs(c.b) + e * abs(c.a) for c in _components(model))
+
+
+def _walked_verdict(surface, model, by, lo, hi, two_sided):
+    """The verdict of the twists lo..hi, walked one by one: FAILS at the first
+    with h1 > 0 (and h0 > 0 unless two-sided), else HOLDS."""
+    from hirzebruch.natural import _values_at
+
+    for t in range(lo, hi + 1):
+        v0, v1 = _values_at(surface, model, t, by)
+        if v1 > 0 and (two_sided or v0 > 0):
+            return Verdict(Outcome.FAILS, witness_t=t, witness_h0=v0, witness_h1=v1)
+    return Verdict(Outcome.HOLDS)
+
+
+def _walk_past(surface, model, by, evidence, extra, two_sided):
+    """Walk from `extra` twists below the window start (two-sided only) to
+    `extra` twists past both the window end and every run start."""
+    lo = evidence.scan_start - (extra if two_sided else 0)
+    hi = max(evidence.scan_stop, _run_start_bound(surface, model)) + extra
+    return _walked_verdict(surface, model, by, lo, hi, two_sided)
+
+
 @settings(max_examples=300)
 @given(surfaces, models)
 def test_scan_window_is_stable(surface, model):
-    base = scan_verdict(surface, model, surface.m_class())
-    wide = scan_verdict(surface, model, surface.m_class(), extra_window=15)
-    assert base.verdict == wide.verdict
+    by = surface.m_class()
+    base = scan_verdict(surface, model, by)
+    assert base.verdict == _walk_past(surface, model, by, base, 15, False)
 
 
 @settings(max_examples=200)
 @given(surfaces, st.one_of(lines, sums))
 def test_unconditional_window_is_stable(surface, model):
-    base = unconditional_scan(surface, model, surface.m_class())
-    wide = unconditional_scan(surface, model, surface.m_class(), extra_window=15)
-    assert base.verdict.outcome == wide.verdict.outcome
+    by = surface.m_class()
+    base = unconditional_scan(surface, model, by)
+    wide = _walk_past(surface, model, by, base, 15, True)
+    assert base.verdict.outcome == wide.outcome
 
 
 @settings(max_examples=150)
@@ -264,27 +300,16 @@ def test_scan_windows_stable_for_other_spanned_classes(surface, model, pick):
     if by.a == 0 and model.cls.a < 0:
         return  # no twist ever has sections
     base = scan_verdict(surface, model, by)
-    wide = scan_verdict(surface, model, by, extra_window=15)
-    assert base.verdict == wide.verdict
+    assert base.verdict == _walk_past(surface, model, by, base, 15, False)
 
 
 @settings(max_examples=200)
 @given(surfaces, ideals)
 def test_ideal_scans_are_stable_and_named(surface, model):
-    base = scan_verdict(surface, model, surface.m_class())
-    wide = scan_verdict(surface, model, surface.m_class(), extra_window=15)
-    assert base.verdict == wide.verdict
+    by = surface.m_class()
+    base = scan_verdict(surface, model, by)
+    assert base.verdict == _walk_past(surface, model, by, base, 15, False)
     assert ideal_natural_wrt_m(surface, model) == base.verdict.holds()
-
-
-@settings(max_examples=200)
-@given(surfaces, models, st.booleans())
-def test_stabilization_bound_ignores_extra_window(surface, model, two_sided):
-    scan = unconditional_scan if two_sided else scan_verdict
-    base = scan(surface, model, surface.m_class())
-    wide = scan(surface, model, surface.m_class(), extra_window=7)
-    assert wide.stabilization_bound == base.stabilization_bound
-    assert wide.scan_stop == base.scan_stop + 7 == wide.stabilization_bound + 7
 
 
 # --- scan evidence invariants
@@ -331,9 +356,9 @@ def test_piecewise_witness_is_first_bad_row(surface, model, pick, extra, two_sid
     by = _twisting_class(surface, pick)
     try:
         if two_sided:
-            evidence = unconditional_scan(surface, model, by, extra_window=extra)
+            evidence = unconditional_scan(surface, model, by)
         else:
-            evidence = scan_verdict(surface, model, by, extra_window=extra)
+            evidence = scan_verdict(surface, model, by)
     except DomainError:
         # only a fiber-type class against models with no effective twist
         assert by.a == 0
@@ -343,10 +368,17 @@ def test_piecewise_witness_is_first_bad_row(surface, model, pick, extra, two_sid
     bad = [row for row in rows if row[2] > 0 and (two_sided or row[1] > 0)]
     verdict = evidence.verdict
     if bad:
+        # a failing window ends at its witness
         assert verdict.outcome is Outcome.FAILS
-        assert (verdict.witness_t, verdict.witness_h0, verdict.witness_h1) == bad[0]
+        assert (verdict.witness_t, verdict.witness_h0, verdict.witness_h1) == bad[0] == rows[-1]
     else:
         assert verdict == Verdict(Outcome.HOLDS)
+    walked = _walk_past(surface, model, by, evidence, extra, two_sided)
+    if walked.outcome is Outcome.FAILS and walked.witness_t < evidence.scan_start:
+        # every twist below a two-sided window has the verdict of its start
+        assert two_sided and verdict.witness_t == evidence.scan_start
+    else:
+        assert walked == verdict
 
 
 @settings(max_examples=300)
@@ -461,17 +493,6 @@ def test_windows_do_not_grow_with_coefficients():
             assert values == (v.witness_h0, v.witness_h1)
 
 
-def _wide_window_verdict(surface, model, by, width, two_sided):
-    """Outcome and first failing row of the twists -width..width, walked one by one."""
-    from hirzebruch.natural import _values_at
-
-    for t in range(-width, width + 1):
-        v0, v1 = _values_at(surface, model, t, by)
-        if v1 > 0 and (two_sided or v0 > 0):
-            return Outcome.FAILS, (t, v0, v1)
-    return Outcome.HOLDS, None
-
-
 def test_scans_against_independent_wide_window():
     # With |a|, |b| <= K and by = (c, d) spanned, every form a + t*c and
     # b - e*a + t*(d - e*c) that moves crosses 0, -1 and e within
@@ -496,10 +517,9 @@ def test_scans_against_independent_wide_window():
         width = Z + (e + 2) * (K + 2)
         for pick in range(5):
             by = _twisting_class(surface, pick)
-            outcome, first = _wide_window_verdict(surface, model, by, width, True)
             two = unconditional_scan(surface, model, by).verdict
-            assert two.outcome is outcome
-            outcome, first = _wide_window_verdict(surface, model, by, width, False)
+            assert two.outcome is _walked_verdict(surface, model, by, -width, width, True).outcome
+            walked = _walked_verdict(surface, model, by, -width, width, False)
             try:
                 one = scan_verdict(surface, model, by).verdict
             except DomainError:
@@ -508,5 +528,4 @@ def test_scans_against_independent_wide_window():
                 assert by.a == 0
                 assert _values_at(surface, model, width, by)[0] == 0
                 continue
-            assert one.outcome is outcome
-            assert (one.witness_t, one.witness_h0, one.witness_h1) == (first or (None,) * 3)
+            assert one == walked

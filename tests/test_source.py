@@ -18,3 +18,22 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_private_names_imported_across_modules():
+    # an underscore name is a module's own business; another module that
+    # needs it should get a public name instead
+    package = pathlib.Path(hirzebruch.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("hirzebruch"):
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert found == []
