@@ -68,13 +68,13 @@ class ChernData:
 class ExtensionDatum:
     """One extension presentation of a rank-2 sheaf, plus its certificates.
 
-    c1 is (u, v); sub and quotient carry the two ends.  The certificates
-    are derived from those fields, never passed in.  section_min: no
-    earlier twist of the would-be bundle has a section (numerically
-    s >= a_lo of `section_count_bounds`).  cayley_bacharach: the
-    point-count inequality that makes a locally free extension possible,
-    vacuous at s = 0.  ext_forced_split: the extension group vanishes and
-    s = 0, so the only extension is the direct sum.
+    c1 is (u, v); sub and quotient carry the two ends.  s_range and the
+    certificates are derived from those fields, never passed in.  s_range:
+    (a_lo, b_hi) of `section_count_bounds`.  section_min: no earlier twist
+    of the would-be bundle has a section (numerically s >= a_lo).
+    cayley_bacharach: the point-count inequality that makes a locally free
+    extension possible, vacuous at s = 0.  ext_forced_split: the extension
+    group vanishes and s = 0, so the only extension is the direct sum.
     """
 
     surface: Surface
@@ -84,6 +84,7 @@ class ExtensionDatum:
     s: int
     sub: DivisorClass
     quotient: IdealSheafModel
+    s_range: tuple[int, int] = field(init=False)
     section_min: bool = field(init=False)
     cayley_bacharach: bool = field(init=False)
     ext_forced_split: bool = field(init=False)
@@ -99,12 +100,13 @@ class ExtensionDatum:
                 f"ends {self.sub} + {self.quotient.cls} do not add up to c1 ({self.u},{self.v})"
             )
         surface, e, u, v, m, s = self.surface, self.surface.e, self.u, self.v, self.m, self.s
-        a_lo, _ = section_count_bounds(surface, u, v, m)
+        s_range = section_count_bounds(surface, u, v, m)
         # vacuous at s = 0: there are no points to condition
         cb = s == 0 or h0(surface, DivisorClass(u + 2 * m - 5, v + 2 * m * e - 2 * e - 2)) < s
         split = s == 0 and h1(surface, self.sub - self.quotient.cls) == 0
         # the dataclass is frozen, so the derived fields are set past __setattr__
-        object.__setattr__(self, "section_min", a_lo <= s)
+        object.__setattr__(self, "s_range", s_range)
+        object.__setattr__(self, "section_min", s_range[0] <= s)
         object.__setattr__(self, "cayley_bacharach", cb)
         object.__setattr__(self, "ext_forced_split", split)
 

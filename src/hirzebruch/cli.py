@@ -10,13 +10,16 @@ Output formats: table (default), csv, json; the HIRZEBRUCH_FORMAT
 environment variable changes the default.  JSON output is one object with
 fields command, inputs, results, findings, in that order, deterministic
 for fixed inputs.  Exit codes: 0 success, 1 oracle mismatch, 2 usage
-error, 3 domain error.
+error, 3 domain error.  A command whose ranges would produce more than
+ROW_BUDGET rows, cells, classes or claim checks is a domain error, refused
+before anything is computed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -32,7 +35,6 @@ from .bundles import (
     audit_extension_natural,
     classify_region,
     construct_extension,
-    section_count_bounds,
     stability_certificate,
 )
 from .cohomology import (
@@ -61,6 +63,10 @@ from .picard import DivisorClass, DomainError, Surface
 from .sheaves import IdealSheafModel, Locus, PointConfig
 
 FORMATS = ("table", "csv", "json")
+
+# every row is held in memory until the report renders, so the ranges of
+# one command are capped; desk-sized queries stay far below this
+ROW_BUDGET = 10_000
 
 
 class UsageError(Exception):
@@ -139,6 +145,11 @@ def _parse_extension(token: str) -> tuple[int, int, int, int]:
         raise UsageError(f"extension must be 'U,V,M,S': '{token}'")
     u, v, m, s = (_parse_int(p, "extension") for p in parts)
     return u, v, m, s
+
+
+def _check_budget(count: int, ranges: str, unit: str) -> None:
+    if count > ROW_BUDGET:
+        raise DomainError(f"{ranges} would produce {count} {unit}; the limit is {ROW_BUDGET}")
 
 
 def _parse_wrt(token: str, surface: Surface) -> DivisorClass:
@@ -220,6 +231,7 @@ def _cmd_coh(args: argparse.Namespace) -> Report:
 
     by = _parse_pair(args.twist_by)
     t_lo, t_hi = _parse_range(args.t)
+    _check_budget(t_hi - t_lo + 1, f"--t {args.t}", "rows")
     rows = [
         {"t": t, **_triple_dict(values)}
         for t, values in cohomology_profile(surface, cls, by, t_lo, t_hi)
@@ -325,7 +337,7 @@ def _cmd_construct(args: argparse.Namespace) -> Report:
     surface = Surface(args.e)
     inputs = {"e": args.e, "u": args.u, "v": args.v, "m": args.m, "s": args.s}
     datum = construct_extension(surface, args.u, args.v, args.m, args.s)
-    a_lo, b_hi = section_count_bounds(surface, args.u, args.v, args.m)
+    a_lo, b_hi = datum.s_range
     chern = datum.chern()
     results = {
         "sub": str(datum.sub),
@@ -364,8 +376,9 @@ def _cmd_construct(args: argparse.Namespace) -> Report:
 
 def _cmd_classify(args: argparse.Namespace) -> Report:
     surface = Surface(args.e)
-    u_range = _parse_range(args.u)
-    v_range = _parse_range(args.v)
+    u_lo, u_hi = u_range = _parse_range(args.u)
+    v_lo, v_hi = v_range = _parse_range(args.v)
+    _check_budget((u_hi - u_lo + 1) * (v_hi - v_lo + 1), f"--u {args.u} --v {args.v}", "cells")
     inputs = {
         "e": args.e,
         "r": args.r,
@@ -404,6 +417,10 @@ def _cmd_audit(args: argparse.Namespace) -> Report:
             raise UsageError(
                 f"unknown claim '{unknown[0]}'; valid: {', '.join(CLAIMS)}"
             )
+    _check_budget(
+        (e_hi - e_lo + 1) * len(CLAIMS if claims is None else claims),
+        f"--e {args.e}", "claim checks",
+    )
     findings = [
         {name: getattr(f, name) for name in _FINDING_COLUMNS}
         for f in run_audit(range(e_lo, e_hi + 1), claims)
@@ -422,6 +439,10 @@ def _cmd_oracle(args: argparse.Namespace) -> Report:
     e_lo, e_hi = _parse_range(args.e)
     a_lo, a_hi = _parse_range(args.a)
     b_lo, b_hi = _parse_range(args.b)
+    _check_budget(
+        (e_hi - e_lo + 1) * (a_hi - a_lo + 1) * (b_hi - b_lo + 1),
+        f"--e {args.e} --a {args.a} --b {args.b}", "classes",
+    )
     inputs = {"e": args.e, "a": args.a, "b": args.b}
     checked = 0
     mismatches = []
@@ -463,7 +484,11 @@ def _cmd_oracle(args: argparse.Namespace) -> Report:
 # parser assembly and entry point
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built on the first call, not at import, and shared by every later
+    # call: parsing keeps no state in the parser, each call gets its own
+    # Namespace
     parser = _Parser(prog="hirzebruch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -195,6 +195,7 @@ def test_constructible_data_invariants(surface, u, dv, m, data):
     lo, hi = section_count_bounds(surface, u, v, m)
     s = data.draw(st.integers(min_value=lo, max_value=hi))
     datum = construct_extension(surface, u, v, m, s)
+    assert datum.s_range == (lo, hi)
     # ends add up to c1, the twist only moves the splitting
     assert datum.sub + datum.quotient.cls == DivisorClass(u, v)
     assert datum.chern().c2 == construction_c2(surface, u, v, m, s)

@@ -1,14 +1,20 @@
 """The command-line contract: formats, exit codes, diagnostics."""
 
+import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from hirzebruch import cli, run_audit
+from hirzebruch import CLAIMS, cli, run_audit
 
 
 def run(argv, capsys):
@@ -289,6 +295,27 @@ def test_construct_json_payload(capsys):
     ]
 
 
+def test_construct_reads_the_section_bounds_off_the_datum(capsys, monkeypatch):
+    from hirzebruch import bundles
+
+    calls = []
+    real = bundles.section_count_bounds
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bundles, "section_count_bounds", counting)
+    monkeypatch.setattr(cli, "section_count_bounds", counting, raising=False)
+    code, out, _ = run(
+        ["construct", "--e", "1", "--u", "3", "--v", "2", "--m", "0", "--s", "3"], capsys
+    )
+    assert code == 0
+    assert "admissible s in [3, 6]" in out
+    # once for the range check, once for the datum's own s_range
+    assert len(calls) == 2
+
+
 def test_construct_skips_stability_when_twisted(capsys):
     code, out, _ = run(
         ["construct", "--e", "1", "--u", "2", "--v", "1", "--m", "1", "--s", "6",
@@ -392,3 +419,247 @@ def test_failing_window_ends_at_the_witness(capsys):
     results = json.loads(out)["results"]
     assert (results["outcome"], results["witness_t"]) == ("FAILS", 2)
     assert results["scanned_t"] == [2, 2]
+
+
+# --- one parser per process
+
+
+# (HIRZEBRUCH_FORMAT or None, sabotage the h0 closed form, argv); the order
+# matters: the format variable changes between calls, and usage and domain
+# errors sit directly before valid calls
+REUSE_CASES = [
+    (None, False, "coh --e 1 --class 1,1"),
+    ("json", False, "coh --e 1 --class 1,1"),
+    ("csv", False, "coh --e 2 --class 1,0 --twist-by 1,2 --t 0..3"),
+    (None, False, "coh --e 2 --class 1,0 --twist-by 1,2 --t -1..2 --format json"),
+    ("yaml", False, "coh --e 1 --class 1,1"),
+    (None, False, "coh --e 1 --class 1,1,2"),
+    (None, False, "coh --e 1 --class 1,1"),
+    (None, False, "coh --e 0 --class 1,1"),
+    ("json", False, "check --e 2 --line 1,0 --wrt M"),
+    (None, False, "check --e 2 --line 1,0 --wrt M"),
+    (None, False, "check --e 2 --sum 0,0;-2,2 --wrt M --format csv"),
+    (None, False, "check --e 1 --ideal corner:2:1,1 --wrt M"),
+    (None, False, "check --e 1 --ideal general:2:2,2 --wrt M"),
+    (None, False, "check --e 2 --line 1,1 --wrt M --pp --format json"),
+    (None, False, "check --e 1 --extension 3,2,0,3 --line 1,1 --wrt M"),
+    (None, False, "check --e 2 --extension 2,1,0,0 --wrt M"),
+    (None, False, "check --e 2 --line -1,3 --wrt 0,1"),
+    (None, False, "check --e 2 --line -1,3 --wrt 0,1 --pp"),
+    (None, False, "check --e 2 --line 1,1 --wrt 1,1"),
+    ("csv", False, "check --e 1 --line 2,2 --wrt R"),
+    (None, False, "construct --e 1 --u 3 --v 2 --m 0 --s 3"),
+    ("json", False, "construct --e 1 --u 3 --v 2 --m 0 --s 3"),
+    (None, False, "construct --e 1 --u 2 --v 1 --m 1 --s 6 --format csv"),
+    (None, False, "construct --e 2 --u 3 --v 1 --m 0 --s 0"),
+    (None, False, "construct --e 2 --u 2 --v 3 --m 0 --s -1"),
+    (None, False, "construct --e 2 --u 2 --v 3 --m 0"),
+    (None, False, "classify --e 1 --r 2 --u 0..2 --v -3..1"),
+    ("json", False, "classify --e 1 --r 2 --u 0..2 --v -3..1"),
+    (None, False, "enumerate --e 1 --r 1 --u 0..1 --v 0..0"),
+    ("table", False, "enumerate --e 1 --r 1 --u 0..1 --v 0..0"),
+    (None, False, "enumerate --e 1 --r 1 --u 0..1 --v 0..0 --format json"),
+    (None, False, "classify --e 1 --r 2 --u 2..0 --v 0..1"),
+    (None, False, "audit --claims direct-sum-splitting --e 1..2"),
+    ("json", False, "audit --claims sum-criterion --e 1..1"),
+    (None, False, "audit --claims bogus"),
+    (None, False, "audit --claims , --format csv"),
+    (None, False, "oracle --e 1..x --a 0..1 --b 0..1"),
+    (None, False, "oracle --e 1..2 --a -3..3 --b -4..4"),
+    (None, True, "oracle --e 1..1 --a 0..2 --b 0..2"),
+    ("json", False, "oracle --e 1..1 --a 0..2 --b 0..2"),
+    (None, False, ""),
+    (None, False, "bogus --e 1"),
+    (None, False, "coh --e 1 --class 1,1 --format yaml"),
+    (None, False, "coh --e 1 --class 1,1 --twist-by 1,1 --t 0..100000"),
+    (None, False, "coh --e 1 --class 1,1"),
+]
+
+# the oracle's exit 1 needs a wrong closed form: h0 of (1,1) off by one
+_SABOTAGE = (
+    "import sys\n"
+    "from hirzebruch import cli\n"
+    "real = cli.h0\n"
+    "cli.h0 = lambda surface, c: real(surface, c) + (c.a == 1 and c.b == 1)\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def _fresh_process(case):
+    fmt, sabotage, line = case
+    env = {k: v for k, v in os.environ.items() if k != "HIRZEBRUCH_FORMAT"}
+    if fmt is not None:
+        env["HIRZEBRUCH_FORMAT"] = fmt
+    entry = ["-c", _SABOTAGE] if sabotage else ["-m", "hirzebruch"]
+    proc = subprocess.run(
+        [sys.executable, *entry, *line.split()],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        expected = list(pool.map(_fresh_process, REUSE_CASES))
+    assert {code for code, _, _ in expected} == {0, 1, 2, 3}
+    real_h0 = cli.h0
+    for case, want in zip(REUSE_CASES, expected):
+        fmt, sabotage, line = case
+        if fmt is None:
+            monkeypatch.delenv("HIRZEBRUCH_FORMAT", raising=False)
+        else:
+            monkeypatch.setenv("HIRZEBRUCH_FORMAT", fmt)
+        if sabotage:
+            monkeypatch.setattr(
+                cli, "h0", lambda surface, c: real_h0(surface, c) + (c.a == 1 and c.b == 1)
+            )
+        got = run(line.split(), capsys)
+        monkeypatch.setattr(cli, "h0", real_h0)
+        assert got == want, case
+
+
+def test_warm_calls_add_no_argparse_actions(capsys, monkeypatch):
+    run(["coh", "--e", "1", "--class", "1,1"], capsys)
+    added = []
+    real = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    for _ in range(3):
+        for _, _, line in REUSE_CASES[:12]:
+            run(line.split(), capsys)
+    assert added == []
+
+
+_COMMAND_OPTIONS = {
+    "coh": ["--e", "--class", "--twist-by", "--t"],
+    "check": ["--e", "--wrt", "--pp"],
+    "construct": ["--e", "--u", "--v", "--m", "--s"],
+    "classify": ["--e", "--r", "--u", "--v", "--m-max"],
+    "enumerate": ["--e", "--r", "--u", "--v", "--m-max"],
+    "audit": ["--claims", "--e"],
+    "oracle": ["--e", "--a", "--b"],
+}
+_MODELS = ["--line", "--sum", "--ideal", "--extension"]
+_WORDS = [
+    "x", "M", "R", "1.5", "-0.5", "..", ",", ";", ":", "--", "general", "section",
+    "fiber", "corner", "table", "csv", "json", "yaml", "sum-criterion", "bogus",
+    *_COMMAND_OPTIONS, *_MODELS, "--format",
+]
+# small integers keep every drawn query cheap
+_INTS = st.integers(min_value=-3, max_value=6).map(str)
+
+
+def _joined(sep, parts):
+    return st.lists(parts, min_size=2, max_size=2).map(sep.join)
+
+
+_PAIRS = _joined(",", _INTS)
+_RANGES = _joined("..", _INTS)
+_JUNK = st.one_of(_INTS, _PAIRS, _RANGES, st.sampled_from(_WORDS))
+_SHAPED = {
+    "--class": _PAIRS,
+    "--twist-by": _PAIRS,
+    "--line": _PAIRS,
+    "--wrt": st.one_of(_PAIRS, st.sampled_from(["M", "R"])),
+    "--t": _RANGES,
+    "--a": _RANGES,
+    "--b": _RANGES,
+    "--sum": st.lists(_PAIRS, min_size=1, max_size=3).map(";".join),
+    "--ideal": st.tuples(st.sampled_from(["general", "section", "fiber"]), _INTS, _PAIRS).map(
+        ":".join
+    ),
+    "--extension": st.lists(_INTS, min_size=4, max_size=4).map(",".join),
+    "--claims": st.lists(st.sampled_from(list(CLAIMS)), max_size=2).map(",".join),
+    "--format": st.sampled_from(cli.FORMATS),
+}
+_RANGE_OPTIONS = {("audit", "--e"), ("oracle", "--e"), ("classify", "--u"),
+                  ("classify", "--v"), ("enumerate", "--u"), ("enumerate", "--v")}
+
+
+def _value(command, option):
+    if (command, option) in _RANGE_OPTIONS:
+        return _RANGES
+    return _SHAPED.get(option, _INTS)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from([None, *_COMMAND_OPTIONS]))
+    if command is None:
+        return draw(st.lists(_JUNK, max_size=4))
+    options = [*_COMMAND_OPTIONS[command], "--format"]
+    if command == "check":
+        options.append(draw(st.sampled_from(_MODELS)))
+    options = draw(st.permutations(options))
+    # three calls in eight have one mishap: a dropped option, a stray word or a junk value
+    mishap = draw(st.sampled_from(["drop", "stray", "junk", None, None, None, None, None]))
+    if mishap == "drop":
+        options = options[1:]
+    elif mishap == "stray":
+        options.append(draw(st.sampled_from(_WORDS)))
+    junk_at = -1
+    if mishap == "junk":
+        junk_at = draw(st.integers(min_value=0, max_value=len(options) - 1))
+    argv = [command]
+    for i, option in enumerate(options):
+        argv.append(option)
+        if option != "--pp":
+            argv.append(draw(_JUNK if i == junk_at else _value(command, option)))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argvs())
+def test_fuzzed_argv_gets_an_exit_code_and_one_diagnostic(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert out.getvalue() == ""
+        prefix = "error: " if code == 2 else "domain error: "
+        assert err.getvalue().startswith(prefix)
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+
+
+# --- the range budget
+
+
+@pytest.mark.parametrize(
+    "argv,token",
+    [
+        ("coh --e 1 --class 1,1 --twist-by 1,1 --t 0..100000000", "0..100000000"),
+        ("classify --e 1 --r 1 --u 0..100 --v 0..99", "0..100"),
+        ("enumerate --e 1 --r 1 --u -50..50 --v 0..99", "-50..50"),
+        ("oracle --e 1..5 --a -20..20 --b -20..30", "-20..30"),
+        ("audit --e 1..1001", "1..1001"),
+        ("audit --e 1..10001 --claims sum-criterion", "1..10001"),
+    ],
+)
+def test_ranges_over_the_budget_are_refused_before_any_work(argv, token, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed past the budget check")
+
+    for name in ("cohomology_profile", "classify_region", "run_audit", "h0", "oracle_h0"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(argv.split(), capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error: ") and err.count("\n") == 1
+    assert token in err and f"the limit is {cli.ROW_BUDGET}" in err
+
+
+def test_a_range_at_the_budget_runs(capsys):
+    code, out, _ = run(
+        ["coh", "--e", "1", "--class", "1,1", "--twist-by", "0,1", "--t",
+         f"1..{cli.ROW_BUDGET}", "--format", "csv"],
+        capsys,
+    )
+    assert code == 0
+    assert out.count("\n") == cli.ROW_BUDGET + 1
