@@ -406,13 +406,6 @@ def _claim_stability_exclusion(surface: Surface) -> list[Finding]:
                 failures.append(f"s={s}, {pol}: survivors {survivors}")
             if report.warnings:
                 failures.append(f"s={s}, {pol}: unexpected warnings {report.warnings}")
-            # certified reports leave no slope candidate with both
-            # coordinates positive unexcluded
-            if any(
-                c.reason is None and c.cls.a >= 1 and c.cls.b >= 1
-                for c in report.candidates
-            ):
-                failures.append(f"s={s}, {pol}: positive-coordinate survivor")
     warn_datum = construct_extension(
         surface, u, 2 * e * u, 0, section_count_bounds(surface, u, 2 * e * u, 0)[0]
     )

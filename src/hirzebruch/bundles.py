@@ -28,6 +28,10 @@ first twist of the *monotone tail* that follows.  On the tail the sub
 class is effective and the box's h1 bounds are nonincreasing, so that
 first twist decides every later one (see `audit_extension_natural`).  The
 audit rebuilds the rows of the whole window on demand, as a referee.
+
+Slope stability is decided likewise on the lower boundary of the region
+of destabilizing candidates (see `stability_certificate`); the report
+lists the whole region on demand.
 """
 
 from __future__ import annotations
@@ -453,6 +457,8 @@ class DestabilizerCandidate:
     absorb every section of the residual class.  A tail entry stands for
     every class (g, delta) with g <= its own first coordinate: below it all
     three exclusion ingredients are frozen (see `_m_candidates`).
+    Candidates are listed by `StabilityReport.candidates`, on access; the
+    verdict does not read them.
     """
 
     cls: DivisorClass
@@ -462,10 +468,30 @@ class DestabilizerCandidate:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """The stability verdict of `datum` for one polarization.
+
+    `certified` is decided on the boundary of the slope region (see
+    `stability_certificate`); `candidates` lists the whole region.
+    """
+
     polarization: Polarization
     certified: bool
-    candidates: tuple[DestabilizerCandidate, ...]
     warnings: tuple[str, ...]
+    datum: ExtensionDatum
+
+    @property
+    def candidates(self) -> tuple[DestabilizerCandidate, ...]:
+        """Every slope-qualifying class and its exclusion, sorted by (a, b),
+        computed on each access.
+
+        The verdict does not read them; they let a caller or a test check it.
+        """
+        if self.polarization is Polarization.R:
+            candidates = _r_candidates(self.datum)
+        else:
+            candidates = _m_candidates(self.datum)
+        candidates.sort(key=lambda cand: (cand.cls.a, cand.cls.b))
+        return tuple(candidates)
 
 
 def _exclusion(datum: ExtensionDatum, n_cls: DivisorClass) -> Optional[str]:
@@ -488,15 +514,31 @@ def _exclusion(datum: ExtensionDatum, n_cls: DivisorClass) -> Optional[str]:
     return "no_map"
 
 
+def _candidate_box(datum: ExtensionDatum) -> tuple[int, int]:
+    # a map needs gamma <= sub.a or gamma <= quot.a, and delta <= sub.b
+    # or delta <= quot.b: classes past (gamma_max, delta_max) map into
+    # neither end and are excluded wholesale
+    qcls = datum.quotient.cls
+    return max(datum.sub.a, qcls.a), max(datum.sub.b, qcls.b)
+
+
+def _m_gamma_lo(datum: ExtensionDatum, delta: int) -> int:
+    # For gamma below both 0 and the freeze point
+    # quot.a - floor(max(0, quot.b - delta)/e), the residual class
+    # (quot - N) keeps a constant h0 (its h-coordinate is past the section
+    # count's saturation) and constant effectivity, and sub - N keeps a
+    # constant effectivity status; one tail entry at gamma_lo - 1 stands
+    # for all of them.
+    qcls = datum.quotient.cls
+    freeze = qcls.a - (max(0, qcls.b - delta) // datum.surface.e)
+    return min(0, freeze, datum.sub.a)
+
+
 def _r_candidates(datum: ExtensionDatum) -> list[DestabilizerCandidate]:
     # N.R = gamma + delta for every e, so the slope condition is
-    # 2(gamma + delta) >= u + v.  Classes outside the box below map into
-    # neither end and are excluded wholesale: a map needs gamma <= sub.a
-    # or gamma <= quot.a, and delta <= sub.b or delta <= quot.b.
-    u, v = datum.u, datum.v
-    gamma_max = max(datum.sub.a, datum.quotient.cls.a)
-    delta_max = max(datum.sub.b, datum.quotient.cls.b)
-    threshold = ceil_div(u + v, 2)
+    # 2(gamma + delta) >= u + v, inside the box of `_candidate_box`.
+    gamma_max, delta_max = _candidate_box(datum)
+    threshold = ceil_div(datum.u + datum.v, 2)
     out = []
     for delta in range(threshold - gamma_max, delta_max + 1):
         for gamma in range(threshold - delta, gamma_max + 1):
@@ -507,21 +549,11 @@ def _r_candidates(datum: ExtensionDatum) -> list[DestabilizerCandidate]:
 
 def _m_candidates(datum: ExtensionDatum) -> list[DestabilizerCandidate]:
     # N.M = delta, so the slope condition is 2*delta >= v and gamma is
-    # unbounded below.  For gamma below both 0 and the freeze point
-    # quot.a - floor(max(0, v - delta)/e), the residual class (quot - N)
-    # keeps a constant h0 (its h-coordinate is past the section count's
-    # saturation) and constant effectivity, and sub - N keeps a constant
-    # effectivity status; one tail entry per delta stands for all of them.
-    surface = datum.surface
-    e = surface.e
-    qcls = datum.quotient.cls
-    gamma_max = max(datum.sub.a, qcls.a)
-    delta_max = max(datum.sub.b, qcls.b)
+    # unbounded below; each delta ends in the tail entry of `_m_gamma_lo`.
+    gamma_max, delta_max = _candidate_box(datum)
     out = []
     for delta in range(ceil_div(datum.v, 2), delta_max + 1):
-        w = qcls.b - delta
-        freeze = qcls.a - (max(0, w) // e)
-        gamma_lo = min(0, freeze, datum.sub.a)
+        gamma_lo = _m_gamma_lo(datum, delta)
         for gamma in range(gamma_lo, gamma_max + 1):
             n_cls = DivisorClass(gamma, delta)
             out.append(DestabilizerCandidate(n_cls, _exclusion(datum, n_cls)))
@@ -532,14 +564,40 @@ def _m_candidates(datum: ExtensionDatum) -> list[DestabilizerCandidate]:
     return out
 
 
+def _boundary(datum: ExtensionDatum, pol: Polarization) -> list[DivisorClass]:
+    # M: the tail class at the least qualifying delta.  R: the antidiagonal
+    # gamma + delta = ceil((u+v)/2) inside the box; its delta runs up to
+    # delta_max, so gamma starts at threshold - delta_max.
+    if pol is Polarization.M:
+        delta = ceil_div(datum.v, 2)
+        return [DivisorClass(_m_gamma_lo(datum, delta) - 1, delta)]
+    gamma_max, delta_max = _candidate_box(datum)
+    threshold = ceil_div(datum.u + datum.v, 2)
+    return [
+        DivisorClass(gamma, threshold - gamma)
+        for gamma in range(threshold - delta_max, gamma_max + 1)
+    ]
+
+
 def stability_certificate(datum: ExtensionDatum, polarization: Polarization | str) -> StabilityReport:
     """Try to certify slope stability of the extension for one polarization.
 
-    Enumerates every class N whose slope meets or exceeds half of c1's and
-    which could inject into the extension; certified means every one is
-    excluded.  Any rank-1 subsheaf saturates to such an O(N), so an empty
-    or fully excluded candidate list is a genuine stability proof given
+    The candidates are the classes N whose slope meets or exceeds half of
+    c1's and which could inject into the extension; certified means every
+    one is excluded.  Any rank-1 subsheaf saturates to such an O(N), so a
+    fully excluded candidate region is a genuine stability proof given
     general points; a surviving candidate is reported, not judged.
+
+    The verdict is read off the region's boundary.  The classes that
+    `_exclusion` does not exclude form a down-set in (gamma, delta):
+    lowering either coordinate of N raises both coordinates of sub - N
+    and of quot - N, and effectivity, h0 and h0_ideal are nondecreasing
+    in each coordinate.  So a survivor exists iff one lies on the lower
+    boundary of the region: under M (2*delta >= v, gamma unbounded below)
+    that is the tail class at delta = ceil(v/2), one `_exclusion` call,
+    and under R (gamma + delta >= ceil((u+v)/2) inside the candidate box)
+    the antidiagonal of the box, O(u + v) calls.  The report lists the
+    whole region on access (`StabilityReport.candidates`), as a referee.
 
     Only twist parameter m = 0 is supported; the slope bookkeeping above
     assumes the untwisted presentation.
@@ -560,17 +618,9 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
             f"v = {v} violates the fiber-polarization bound v <= 2eu-3 = {2 * e * u - 3}"
         )
 
-    if pol is Polarization.R:
-        candidates = _r_candidates(datum)
-    else:
-        candidates = _m_candidates(datum)
-    candidates.sort(key=lambda cand: (cand.cls.a, cand.cls.b))
-    certified = all(cand.reason is not None for cand in candidates)
+    certified = all(_exclusion(datum, n_cls) is not None for n_cls in _boundary(datum, pol))
     return StabilityReport(
-        polarization=pol,
-        certified=certified,
-        candidates=tuple(candidates),
-        warnings=tuple(warnings),
+        polarization=pol, certified=certified, warnings=tuple(warnings), datum=datum
     )
 
 

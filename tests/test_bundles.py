@@ -555,6 +555,75 @@ def test_stability_certifies_across_surfaces(e):
         assert stability_certificate(datum, "M").certified
 
 
+def test_stability_verdict_agrees_with_the_full_enumeration():
+    # the verdict is read off the boundary of the slope region and the
+    # candidate list enumerates the whole region, so each referees the
+    # other.  Every c1 with u <= 3 (all uncertified data seen lie there)
+    # and three seeded v per (e, u) above, each with a seeded s.
+    rng = random.Random(8)
+    uncertified = 0
+    for e in range(1, 6):
+        surface = Surface(e)
+        for u in range(-2, 15):
+            vs = range(e * (u - 1) - 3, 2 * e * u + 4)
+            for v in vs if u <= 3 else rng.sample(vs, 3):
+                if v < e * (u - 1) - 1:
+                    with pytest.raises(ConstructionError):
+                        construct_extension(surface, u, v, 0, 0)
+                    continue
+                s = rng.randint(*section_count_bounds(surface, u, v, 0))
+                datum = construct_extension(surface, u, v, 0, s)
+                for pol in ("R", "M"):
+                    report = stability_certificate(datum, pol)
+                    survivors = [c.cls for c in report.candidates if c.reason is None]
+                    where = (e, u, v, s, pol)
+                    if report.certified:
+                        assert not any(n.a >= 1 and n.b >= 1 for n in survivors), where
+                    assert report.certified == (not survivors), where
+                    uncertified += not report.certified
+    assert uncertified >= 100
+
+
+@pytest.fixture
+def exclusion_calls(monkeypatch):
+    # every class `_exclusion` is asked about, in call order
+    import hirzebruch.bundles as bundles
+
+    real = bundles._exclusion
+    calls = []
+    monkeypatch.setattr(
+        bundles, "_exclusion", lambda datum, n_cls: calls.append(n_cls) or real(datum, n_cls)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("u", [3, 100])
+def test_stability_verdict_cost_does_not_grow_with_the_region(exclusion_calls, u):
+    surface = Surface(1)
+    datum = construct_extension(surface, u, u, 0, section_count_bounds(surface, u, u, 0)[0])
+    # the antidiagonal gamma + delta = ceil((u+v)/2) inside the R box
+    gamma_max = max(datum.sub.a, datum.quotient.cls.a)
+    delta_max = max(datum.sub.b, datum.quotient.cls.b)
+    antidiagonal = gamma_max + delta_max - (u + u + 1) // 2 + 1
+    cases = [("M", 1, {3: 8, 100: 5151}), ("R", antidiagonal, {3: 6, 100: 5050})]
+    for pol, most, listed in cases:
+        exclusion_calls.clear()
+        report = stability_certificate(datum, pol)
+        assert report.certified
+        assert 1 <= len(exclusion_calls) <= most
+        # the list still pays one call per candidate
+        exclusion_calls.clear()
+        assert len(report.candidates) == len(exclusion_calls) == listed[u]
+
+
+def test_stability_audit_cost_grows_linearly_in_e(exclusion_calls):
+    from hirzebruch.audit import run_audit
+
+    e = 400
+    (finding,) = run_audit([e], ["stability-exclusion"])
+    assert finding.status == "agrees"
+    assert len(exclusion_calls) <= 20 * e
+
 # --- region classifier
 
 
