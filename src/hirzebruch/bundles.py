@@ -481,10 +481,12 @@ class StabilityReport:
 
     @property
     def candidates(self) -> tuple[DestabilizerCandidate, ...]:
-        """Every slope-qualifying class and its exclusion, sorted by (a, b),
-        computed on each access.
+        """Every slope-qualifying class and its exclusion, sorted by (a, b).
 
-        The verdict does not read them; they let a caller or a test check it.
+        Nothing is stored: each access reruns the enumeration, one
+        `_exclusion` call per listed class, so it costs O(u^2) calls on
+        every read.  The verdict does not read them; they let a caller or
+        a test check it.
         """
         if self.polarization is Polarization.R:
             candidates = _r_candidates(self.datum)
