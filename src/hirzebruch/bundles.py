@@ -40,10 +40,10 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cohomology import CohomologyTriple, ConsistencyError, h0, h1, triple
+from .cohomology import CohomologyTriple, ConsistencyError, counts, sections
 from .natural import Outcome, Verdict
-from .picard import DivisorClass, DomainError, Surface, ceil_div, twist
-from .sheaves import IdealSheafModel, Locus, PointConfig, h0_ideal, triple_ideal
+from .picard import DivisorClass, DomainError, Surface, ceil_div, require_ints
+from .sheaves import IdealSheafModel, Locus, PointConfig, ideal_counts, ideal_sections
 
 
 class ConstructionError(DomainError):
@@ -106,8 +106,9 @@ class ExtensionDatum:
         surface, e, u, v, m, s = self.surface, self.surface.e, self.u, self.v, self.m, self.s
         s_range = section_count_bounds(surface, u, v, m)
         # vacuous at s = 0: there are no points to condition
-        cb = s == 0 or h0(surface, DivisorClass(u + 2 * m - 5, v + 2 * m * e - 2 * e - 2)) < s
-        split = s == 0 and h1(surface, self.sub - self.quotient.cls) == 0
+        cb = s == 0 or sections(e, u + 2 * m - 5, v + 2 * m * e - 2 * e - 2) < s
+        sub, qcls = self.sub, self.quotient.cls
+        split = s == 0 and counts(e, sub.a - qcls.a, sub.b - qcls.b)[1] == 0
         # the dataclass is frozen, so the derived fields are set past __setattr__
         object.__setattr__(self, "s_range", s_range)
         object.__setattr__(self, "section_min", s_range[0] <= s)
@@ -175,11 +176,12 @@ def section_count_bounds(surface: Surface, u: int, v: int, m: int) -> tuple[int,
     b_hi = h0 of (u+2m-1, v+2me), the quotient class at twist m.  Always
     a_lo <= b_hi since the two classes differ by the effective class M.
     """
+    require_ints(u, v, m)
     if m < 0:
         raise DomainError(f"twist parameter must be >= 0, got {m}")
     e = surface.e
-    a_lo = h0(surface, DivisorClass(u + 2 * m - 2, v + 2 * m * e - e))
-    b_hi = h0(surface, DivisorClass(u + 2 * m - 1, v + 2 * m * e))
+    a_lo = sections(e, u + 2 * m - 2, v + 2 * m * e - e)
+    b_hi = sections(e, u + 2 * m - 1, v + 2 * m * e)
     return a_lo, b_hi
 
 
@@ -210,6 +212,7 @@ def construct_extension(surface: Surface, u: int, v: int, m: int, s: int) -> Ext
       hypothesis_m:   m >= 0
       s_out_of_range: a_lo <= s <= b_hi
     """
+    require_ints(u, v, m, s)
     e = surface.e
     if v < e * (u - 1) - 1:
         raise ConstructionError(
@@ -267,14 +270,14 @@ def cohomology_interval(datum: ExtensionDatum, t: int) -> CohomologyInterval:
     r1 <= min(q1, a2) give h0 = a0 + q0 - r0, h1 = (a1 - r0) + (q1 - r1),
     h2 = (a2 - r1) + q2.  The bounds below are those projections; the
     expected triple takes r0, r1 maximal.  A forced split pins r0 = r1 = 0.
+    The ends are evaluated on coordinates (M = (1, e)); only the box and
+    its expected triple are built.
     """
-    surface = datum.surface
-    mm = surface.m_class()
-    a = triple(surface, twist(datum.sub, t, mm))
-    q = triple_ideal(surface, datum.quotient.twisted(t, mm))
-    a0, a1, a2 = a.h0, a.h1, a.h2
-    q0, q1, q2 = q.h0, q.h1, q.h2
-    total_chi = a.chi() + q.chi()
+    e, sub, quot = datum.surface.e, datum.sub, datum.quotient
+    a0, a1, a2 = counts(e, sub.a + t, sub.b + t * e)
+    z, locus = quot.config.z, quot.config.locus
+    q0, q1, q2 = ideal_counts(e, z, locus, quot.cls.a + t, quot.cls.b + t * e)
+    total_chi = a0 - a1 + a2 + q0 - q1 + q2
 
     if datum.ext_forced_split:
         lo0 = hi0 = a0 + q0
@@ -496,22 +499,22 @@ class StabilityReport:
         return tuple(candidates)
 
 
-def _exclusion(datum: ExtensionDatum, n_cls: DivisorClass) -> Optional[str]:
-    """Why O(N) cannot inject into the extension, or None if it can.
+def _exclusion(datum: ExtensionDatum, n: tuple[int, int]) -> Optional[str]:
+    """Why O(N) for N = n = (gamma, delta) cannot inject into the extension,
+    or None if it can.
 
     A nonzero map lands in the sub (needs sub - N effective) or, after
     composing with the quotient map, in the ideal piece (needs a section
     of the ideal model twisted to class quot - N; for general points that
     is h0(quot - N) >= s + 1).
     """
-    surface = datum.surface
-    if surface.positivity(datum.sub - n_cls).effective:
+    (gamma, delta), sub, quot, e = n, datum.sub, datum.quotient, datum.surface.e
+    if sub.a >= gamma and sub.b >= delta:
         return None
-    residual = datum.quotient.cls - n_cls
-    shifted = IdealSheafModel(datum.quotient.config, residual)
-    if h0_ideal(surface, shifted) > 0:
+    ra, rb = quot.cls.a - gamma, quot.cls.b - delta
+    if ideal_sections(e, quot.config.z, quot.config.locus, ra, rb) > 0:
         return None
-    if h0(surface, residual) > 0:
+    if sections(e, ra, rb) > 0:
         return "genericity"
     return "no_map"
 
@@ -545,7 +548,7 @@ def _r_candidates(datum: ExtensionDatum) -> list[DestabilizerCandidate]:
     for delta in range(threshold - gamma_max, delta_max + 1):
         for gamma in range(threshold - delta, gamma_max + 1):
             n_cls = DivisorClass(gamma, delta)
-            out.append(DestabilizerCandidate(n_cls, _exclusion(datum, n_cls)))
+            out.append(DestabilizerCandidate(n_cls, _exclusion(datum, (gamma, delta))))
     return out
 
 
@@ -558,26 +561,25 @@ def _m_candidates(datum: ExtensionDatum) -> list[DestabilizerCandidate]:
         gamma_lo = _m_gamma_lo(datum, delta)
         for gamma in range(gamma_lo, gamma_max + 1):
             n_cls = DivisorClass(gamma, delta)
-            out.append(DestabilizerCandidate(n_cls, _exclusion(datum, n_cls)))
+            out.append(DestabilizerCandidate(n_cls, _exclusion(datum, (gamma, delta))))
         tail_cls = DivisorClass(gamma_lo - 1, delta)
         out.append(
-            DestabilizerCandidate(tail_cls, _exclusion(datum, tail_cls), tail=True)
+            DestabilizerCandidate(tail_cls, _exclusion(datum, (gamma_lo - 1, delta)), tail=True)
         )
     return out
 
 
-def _boundary(datum: ExtensionDatum, pol: Polarization) -> list[DivisorClass]:
+def _boundary(datum: ExtensionDatum, pol: Polarization) -> list[tuple[int, int]]:
     # M: the tail class at the least qualifying delta.  R: the antidiagonal
     # gamma + delta = ceil((u+v)/2) inside the box; its delta runs up to
     # delta_max, so gamma starts at threshold - delta_max.
     if pol is Polarization.M:
         delta = ceil_div(datum.v, 2)
-        return [DivisorClass(_m_gamma_lo(datum, delta) - 1, delta)]
+        return [(_m_gamma_lo(datum, delta) - 1, delta)]
     gamma_max, delta_max = _candidate_box(datum)
     threshold = ceil_div(datum.u + datum.v, 2)
     return [
-        DivisorClass(gamma, threshold - gamma)
-        for gamma in range(threshold - delta_max, gamma_max + 1)
+        (gamma, threshold - gamma) for gamma in range(threshold - delta_max, gamma_max + 1)
     ]
 
 
@@ -620,7 +622,7 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
             f"v = {v} violates the fiber-polarization bound v <= 2eu-3 = {2 * e * u - 3}"
         )
 
-    certified = all(_exclusion(datum, n_cls) is not None for n_cls in _boundary(datum, pol))
+    certified = all(_exclusion(datum, n) is not None for n in _boundary(datum, pol))
     return StabilityReport(
         polarization=pol, certified=certified, warnings=tuple(warnings), datum=datum
     )

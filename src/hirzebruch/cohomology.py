@@ -30,13 +30,21 @@ h^1 vanishes exactly on three regimes ("the trichotomy"):
 
 which is closed under Serre duality; :mod:`hirzebruch.natural` reads the
 runs of h^1 > 0 along a twist line off it.
+
+Kernels and wrappers: ``sections(e, a, b)`` (the h^0 sum) and
+``counts(e, a, b)`` (the triple, with both consistency checks) take plain
+integers and build no object.  The hot loops of :mod:`hirzebruch.natural`
+and :mod:`hirzebruch.bundles` call them on twisted coordinates.  The
+public functions on (Surface, DivisorClass) are thin wrappers that refuse
+non-integer coordinates and then call a kernel, so each quantity has one
+formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .picard import DivisorClass, DomainError, Surface, twist
+from .picard import DivisorClass, DomainError, Surface, require_ints
 
 
 class ConsistencyError(RuntimeError):
@@ -53,18 +61,46 @@ class CohomologyTriple:
         return self.h0 - self.h1 + self.h2
 
 
-def h0(surface: Surface, c: DivisorClass) -> int:
-    """Global sections of O(c), by summing the pushforward degrees.
+def sections(e: int, a: int, b: int) -> int:
+    """h^0(a*h + b*f) on F_e, by summing the pushforward degrees.
 
     The nonzero terms of sum_i max(0, b - i*e + 1) are the i with
     i <= b/e, so with n = min(a, floor(b/e)) the sum collapses to
     (n+1)(b+1) - e*n(n+1)/2.
     """
-    a, b, e = c.a, c.b, surface.e
     if a < 0 or b < 0:
         return 0
     n = min(a, b // e)
     return (n + 1) * (b + 1) - e * n * (n + 1) // 2
+
+
+def _euler(e: int, a: int, b: int) -> int:
+    """Riemann-Roch; exact integer division."""
+    num = e * a * (a + 1)
+    q, rem = divmod(num, 2)
+    if rem != 0:
+        raise ConsistencyError(f"e*a*(a+1) = {num} is odd; impossible")
+    return 1 + a * b + a + b - q
+
+
+def counts(e: int, a: int, b: int) -> tuple[int, int, int]:
+    """(h0, h1, h2) of a*h + b*f on F_e: h0 and h2 = h0(K - c) summed once
+    each, h1 forced by chi = h0 - h1 + h2."""
+    v0, v2 = sections(e, a, b), sections(e, -2 - a, -e - 2 - b)
+    v1 = v0 + v2 - _euler(e, a, b)
+    if v1 < 0:
+        raise ConsistencyError(f"negative h1 = {v1} at e={e}, c=({a},{b})")
+    return v0, v1, v2
+
+
+def _coords(c: DivisorClass) -> tuple[int, int]:
+    require_ints(c.a, c.b)
+    return c.a, c.b
+
+
+def h0(surface: Surface, c: DivisorClass) -> int:
+    """Global sections of O(c)."""
+    return sections(surface.e, *_coords(c))
 
 
 def oracle_h0(surface: Surface, c: DivisorClass) -> int:
@@ -82,28 +118,24 @@ def oracle_h0(surface: Surface, c: DivisorClass) -> int:
 
 
 def chi(surface: Surface, c: DivisorClass) -> int:
-    """Euler characteristic via Riemann-Roch; exact integer division."""
-    a, b, e = c.a, c.b, surface.e
-    num = e * a * (a + 1)
-    q, rem = divmod(num, 2)
-    if rem != 0:
-        raise ConsistencyError(f"e*a*(a+1) = {num} is odd; impossible")
-    return 1 + a * b + a + b - q
+    """Euler characteristic via Riemann-Roch."""
+    return _euler(surface.e, *_coords(c))
 
 
 def h2(surface: Surface, c: DivisorClass) -> int:
     """Serre duality: h^2(c) = h^0(K - c)."""
-    return h0(surface, surface.canonical_class() - c)
+    return counts(surface.e, *_coords(c))[2]
 
 
 def h1(surface: Surface, c: DivisorClass) -> int:
     """h^1 forced by chi = h0 - h1 + h2."""
-    return triple(surface, c).h1
+    return counts(surface.e, *_coords(c))[1]
 
 
 def h1_vanishes(surface: Surface, c: DivisorClass) -> bool:
     """Closed-form h^1 = 0 test (the trichotomy); no cohomology computed."""
-    a, b, e = c.a, c.b, surface.e
+    a, b = _coords(c)
+    e = surface.e
     if a >= 0:
         return b >= e * a - 1
     if a == -1:
@@ -113,11 +145,7 @@ def h1_vanishes(surface: Surface, c: DivisorClass) -> bool:
 
 def triple(surface: Surface, c: DivisorClass) -> CohomologyTriple:
     """(h0, h1, h2) from one evaluation each of h0, h2 and chi."""
-    v0, v2 = h0(surface, c), h2(surface, c)
-    v1 = v0 + v2 - chi(surface, c)
-    if v1 < 0:
-        raise ConsistencyError(f"negative h1 = {v1} at e={surface.e}, c={c}")
-    return CohomologyTriple(v0, v1, v2)
+    return CohomologyTriple(*counts(surface.e, *_coords(c)))
 
 
 def cohomology_profile(
@@ -128,6 +156,12 @@ def cohomology_profile(
     t_to: int,
 ) -> list[tuple[int, CohomologyTriple]]:
     """Triples of c + t*by for t in the inclusive range [t_from, t_to]."""
+    (a, b), (da, db) = _coords(c), _coords(by)
+    require_ints(t_from, t_to)
     if t_from > t_to:
         raise DomainError(f"inverted twist range {t_from}..{t_to}")
-    return [(t, triple(surface, twist(c, t, by))) for t in range(t_from, t_to + 1)]
+    e = surface.e
+    return [
+        (t, CohomologyTriple(*counts(e, a + t * da, b + t * db)))
+        for t in range(t_from, t_to + 1)
+    ]

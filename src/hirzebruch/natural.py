@@ -30,6 +30,12 @@ referees, the closed forms are the fast paths.
 
 All verdicts carry a witness twist and the (h0, h1) evidence so a failed
 check is reproducible by a single cohomology evaluation.
+
+The scans check their inputs once, on entry, and then evaluate each twist
+on plain coordinates through the integer kernels ``cohomology.counts`` and
+``sheaves.ideal_counts`` (``ideal_sections`` for the min-twist probe), so
+no class, model or triple is built per twist; the `Verdict` and the
+`ScanEvidence` are built once per answer.
 """
 
 from __future__ import annotations
@@ -38,9 +44,9 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .cohomology import ConsistencyError, triple
-from .picard import DivisorClass, DomainError, Surface, ceil_div, twist
-from .sheaves import IdealSheafModel, h0_ideal, triple_ideal
+from .cohomology import ConsistencyError, counts
+from .picard import DivisorClass, DomainError, Surface, ceil_div, require_ints
+from .sheaves import IdealSheafModel, ideal_counts, ideal_sections
 
 
 @dataclass(frozen=True)
@@ -111,11 +117,11 @@ def _require_inputs(surface: Surface, model: SheafModel, by: DivisorClass) -> No
     """Reject a twisting class that is not spanned and nonzero, and any class
     (or point count) whose coordinates are not plain integers."""
     for c in (by, *_components(model)):
-        if type(c.a) is not int or type(c.b) is not int:
-            raise DomainError(f"classes must have integer coordinates, got ({c.a!r}, {c.b!r})")
-    if isinstance(model, IdealSheafModel) and type(model.config.z) is not int:
-        raise DomainError(f"point count must be an integer, got {model.config.z!r}")
-    if by.is_zero() or not surface.positivity(by).spanned:
+        require_ints(c.a, c.b)
+    if isinstance(model, IdealSheafModel):
+        require_ints(model.config.z)
+    # spanned: a >= 0 and b >= e*a
+    if by.is_zero() or by.a < 0 or by.b < surface.e * by.a:
         raise DomainError(f"twisting class must be spanned and nonzero, got {by}")
 
 
@@ -131,14 +137,16 @@ def _components(model: SheafModel) -> tuple[DivisorClass, ...]:
 
 def _values_at(surface: Surface, model: SheafModel, t: int, by: DivisorClass) -> tuple[int, int]:
     """(h0, h1) of the model twisted by t*by.  Exact for all three shapes."""
+    e, da, db = surface.e, t * by.a, t * by.b
     if isinstance(model, IdealSheafModel):
-        c = triple_ideal(surface, model.twisted(t, by))
-        return c.h0, c.h1
+        config, cls = model.config, model.cls
+        v0, v1, _ = ideal_counts(e, config.z, config.locus, cls.a + da, cls.b + db)
+        return v0, v1
     total0 = total1 = 0
     for cls in _components(model):
-        c = triple(surface, twist(cls, t, by))
-        total0 += c.h0
-        total1 += c.h1
+        v0, v1, _ = counts(e, cls.a + da, cls.b + db)
+        total0 += v0
+        total1 += v1
     return total0, total1
 
 
@@ -183,7 +191,8 @@ def min_twist_with_sections(surface: Surface, model: SheafModel, by: DivisorClas
         candidates = [_line_min_twist(surface, cls, by) for cls in model.classes]
         finite = [t for t in candidates if t is not None]
         if not finite:
-            raise DomainError(f"no twist of {model} by {by} has sections")
+            summands = " + ".join(str(cls) for cls in model.classes)
+            raise DomainError(f"no twist of {summands} by {by} has sections")
         return min(finite)
 
     # Ideal sheaf: h0_ideal <= h0 of the underlying line bundle, so start at
@@ -192,16 +201,16 @@ def min_twist_with_sections(surface: Surface, model: SheafModel, by: DivisorClas
     # h0(line) >= z + 1, which the i = 0 pushforward term alone guarantees
     # once v + t*d >= z (and the h-coordinate is nonnegative).  The answer
     # is often `start` itself, which `first_true` probes first.
-    z = model.config.z
+    z, locus, u, v = model.config.z, model.config.locus, model.cls.a, model.cls.b
     start = _line_min_twist(surface, model.cls, by)
     if start is None:
         raise DomainError(f"no twist of the ideal model class {model.cls} by {by} has sections")
-    c, d = by.a, by.b
-    stop = max(start, ceil_div(z - model.cls.b, d))
+    e, c, d = surface.e, by.a, by.b
+    stop = max(start, ceil_div(z - v, d))
     if c >= 1:
-        stop = max(stop, ceil_div(-model.cls.a, c))
+        stop = max(stop, ceil_div(-u, c))
 
-    t = first_true(lambda t: h0_ideal(surface, model.twisted(t, by)) > 0, start, stop)
+    t = first_true(lambda t: ideal_sections(e, z, locus, u + t * c, v + t * d) > 0, start, stop)
     if t is None:
         raise ConsistencyError(
             f"section bound violated: h0_ideal of {model} twisted by {stop}*{by} is 0"

@@ -117,6 +117,17 @@ def twist(c: DivisorClass, t: int, by: DivisorClass) -> DivisorClass:
     return DivisorClass(c.a + t * by.a, c.b + t * by.b)
 
 
+def require_ints(*values: object) -> None:
+    """DomainError unless every value is a plain int.
+
+    ``type(x) is int`` refuses bool and every float, 2.0 included.  The
+    public entry points check here; the integer kernels they call do not.
+    """
+    for x in values:
+        if type(x) is not int:
+            raise DomainError(f"expected an integer, got {x!r}")
+
+
 def ceil_div(p: int, q: int) -> int:
     """ceil(p / q) for integers with q > 0, exactly."""
     return -((-p) // q)

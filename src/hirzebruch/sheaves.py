@@ -23,6 +23,12 @@ chi(I_Z(c)) = chi(c) - z.  In every case
 
 with rho the capacity returned by ``max_conditions``; the scan windows in
 :mod:`hirzebruch.natural` lean on that shape, and the test suite checks it.
+
+As in :mod:`hirzebruch.cohomology`, the formulas live in integer kernels,
+``ideal_sections(e, z, locus, a, b)`` and ``ideal_counts(e, z, locus, a,
+b)``, which the scan, box and exclusion loops call without building a
+model per twist.  The functions on (Surface, IdealSheafModel) are thin
+wrappers that refuse non-integer input and call a kernel.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .cohomology import CohomologyTriple, ConsistencyError, chi, h0, h2
-from .picard import DivisorClass, DomainError, Surface, twist
+from .cohomology import CohomologyTriple, ConsistencyError, counts, sections
+from .picard import DivisorClass, DomainError, Surface, require_ints, twist
 
 
 class Locus(enum.Enum):
@@ -80,49 +86,67 @@ def restriction_degree(surface: Surface, c: DivisorClass, locus: Locus) -> int:
     return surface.intersect(c, _CURVE_CLASS[locus])
 
 
+def _unseen(e: int, locus: Locus, a: int, b: int) -> int:
+    """The sections of O(c) that vanish on the whole supporting curve,
+    h0(c - C); none in general position."""
+    if locus is Locus.GENERAL:
+        return 0
+    curve = _CURVE_CLASS[locus]
+    return sections(e, a - curve.a, b - curve.b)
+
+
+def ideal_sections(e: int, z: int, locus: Locus, a: int, b: int) -> int:
+    """h0(c) - min(z, capacity) for c = (a, b): each point imposes one
+    condition until the capacity runs out.  h0(c) is evaluated once."""
+    full = sections(e, a, b)
+    return full - min(z, full - _unseen(e, locus, a, b))
+
+
+def ideal_counts(e: int, z: int, locus: Locus, a: int, b: int) -> tuple[int, int, int]:
+    """(h0, h1, h2) of I_Z(a, b): h2 is the line bundle's, and h1 is
+    forced by chi(I_Z(c)) = chi(c) - z."""
+    full, line1, v2 = counts(e, a, b)
+    v0 = ideal_sections(e, z, locus, a, b)
+    v1 = v0 + v2 - (full - line1 + v2 - z)
+    if v1 < 0:
+        raise ConsistencyError(
+            f"negative ideal h1 = {v1} at e={e}, z={z}, locus={locus.value}, c=({a},{b})"
+        )
+    return v0, v1, v2
+
+
+def _fields(model: IdealSheafModel) -> tuple[int, Locus, int, int]:
+    """(z, locus, a, b) of the model, refusing non-integer counts and coordinates."""
+    z, cls = model.config.z, model.cls
+    require_ints(z, cls.a, cls.b)
+    return z, model.config.locus, cls.a, cls.b
+
+
 def max_conditions(surface: Surface, model: IdealSheafModel) -> int:
     """How many independent conditions this configuration can impose.
 
     GENERAL position: all of h0(c).  On a curve C: the part of h0(c) that
     the restriction to C sees, r = h0(c) - h0(c - C).
     """
-    return h0(surface, model.cls) - _unseen(surface, model)
-
-
-def _unseen(surface: Surface, model: IdealSheafModel) -> int:
-    """The sections of O(c) that vanish on the whole supporting curve,
-    h0(c - C); none in general position."""
-    if model.config.locus is Locus.GENERAL:
-        return 0
-    return h0(surface, model.cls - _CURVE_CLASS[model.config.locus])
+    _, locus, a, b = _fields(model)
+    return sections(surface.e, a, b) - _unseen(surface.e, locus, a, b)
 
 
 def h0_ideal(surface: Surface, model: IdealSheafModel) -> int:
-    """h0(c) - min(z, max_conditions): each point imposes one condition
-    until the capacity runs out.  h0(c) is evaluated once."""
-    full = h0(surface, model.cls)
-    return full - min(model.config.z, full - _unseen(surface, model))
+    """h0(c) - min(z, max_conditions)."""
+    return ideal_sections(surface.e, *_fields(model))
 
 
 def h2_ideal(surface: Surface, model: IdealSheafModel) -> int:
     # a length-z subscheme cannot change h^2
-    return h2(surface, model.cls)
+    return ideal_counts(surface.e, *_fields(model))[2]
 
 
 def h1_ideal(surface: Surface, model: IdealSheafModel) -> int:
     """Forced by chi(I_Z(c)) = chi(c) - z."""
-    return triple_ideal(surface, model).h1
+    return ideal_counts(surface.e, *_fields(model))[1]
 
 
 def triple_ideal(surface: Surface, model: IdealSheafModel) -> CohomologyTriple:
-    """(h0, h1, h2) of the ideal model from one evaluation each of
-    h0_ideal, h2_ideal and chi."""
-    z = model.config.z
-    v0, v2 = h0_ideal(surface, model), h2_ideal(surface, model)
-    v1 = v0 + v2 - (chi(surface, model.cls) - z)
-    if v1 < 0:
-        raise ConsistencyError(
-            f"negative ideal h1 = {v1} at e={surface.e}, z={z}, "
-            f"locus={model.config.locus.value}, c={model.cls}"
-        )
-    return CohomologyTriple(v0, v1, v2)
+    """(h0, h1, h2) of the ideal model."""
+    return CohomologyTriple(*ideal_counts(surface.e, *_fields(model)))

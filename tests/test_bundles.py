@@ -308,6 +308,21 @@ def test_broken_box_chi_is_a_consistency_error(monkeypatch):
         cohomology_interval(build(1, 2, 1, 0, 2), 0)
 
 
+def test_box_builds_only_its_expected_triple(built):
+    # the two end classes are evaluated on coordinates: no class and no
+    # triple per box beyond the expected corner
+    surface = Surface(2)
+    u, v, m = 10_000, 30_000, 3
+    far = construct_extension(surface, u, v, m, section_count_bounds(surface, u, v, m)[0])
+    split = build(2, 2, 1, 0, 0)
+    assert split.ext_forced_split
+    for datum in (far, split):
+        for t in range(-5, 25):
+            built.clear()
+            cohomology_interval(datum, t)
+            assert built == {"CohomologyTriple": 1}
+
+
 # --- the natural-cohomology audit
 
 

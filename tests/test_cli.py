@@ -372,6 +372,12 @@ def test_model_without_sections(capsys):
     assert (code, out) == (0, "true (HOLDS)\n")
 
 
+def test_sum_without_sections_names_its_summands(capsys):
+    code, out, err = run(["check", "--e", "2", "--sum", "-1,3;-2,0", "--wrt", "0,1"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "domain error: no twist of (-1,3) + (-2,0) by (0,1) has sections\n"
+
+
 def test_negative_range_endpoints_parse(capsys):
     code, out, _ = run(
         ["coh", "--e", "1", "--class", "-2,3", "--twist-by", "1,1", "--t", "-1..1"],

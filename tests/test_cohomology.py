@@ -7,6 +7,8 @@ i = 0..a) and are pinned against BOTH implementations, so neither can
 drift to match the other.
 """
 
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,16 @@ from hirzebruch import (
     h2,
     oracle_h0,
     triple,
+)
+from hirzebruch.cohomology import counts
+from hirzebruch.sheaves import (
+    IdealSheafModel,
+    Locus,
+    PointConfig,
+    h0_ideal,
+    ideal_counts,
+    ideal_sections,
+    triple_ideal,
 )
 
 surfaces = st.integers(min_value=1, max_value=5).map(Surface)
@@ -158,3 +170,85 @@ def test_profile_rows():
     assert flat == [(0, 1, 1, 0), (1, 4, 1, 0), (2, 9, 1, 0)]
     with pytest.raises(DomainError):
         cohomology_profile(surface, DivisorClass(1, 0), surface.m_class(), 2, 0)
+
+
+# --- the integer kernels behind the wrappers
+
+kernel_surfaces = st.integers(min_value=1, max_value=6)
+kernel_coords = st.integers(min_value=-40, max_value=40)
+
+
+@settings(max_examples=300)
+@given(kernel_surfaces, kernel_coords, kernel_coords)
+def test_kernel_matches_the_oracle_and_the_wrappers(e, a, b):
+    surface, c = Surface(e), DivisorClass(a, b)
+    v0, v1, v2 = counts(e, a, b)
+    # h0 and, through K - c, h2 against the lattice-point count
+    assert v0 == oracle_h0(surface, c)
+    assert v2 == oracle_h0(surface, surface.canonical_class() - c)
+    assert (v0, v1, v2) == (h0(surface, c), h1(surface, c), h2(surface, c))
+    assert astuple(triple(surface, c)) == (v0, v1, v2)
+    assert v0 - v1 + v2 == chi(surface, c)
+
+
+@settings(max_examples=300)
+@given(
+    kernel_surfaces,
+    st.integers(min_value=0, max_value=10),
+    st.sampled_from(list(Locus)),
+    kernel_coords,
+    kernel_coords,
+)
+def test_ideal_kernel_matches_the_oracle_and_the_wrappers(e, z, locus, a, b):
+    surface, c = Surface(e), DivisorClass(a, b)
+    model = IdealSheafModel(PointConfig(z, locus), c)
+    v0, v1, v2 = ideal_counts(e, z, locus, a, b)
+    assert (v0, v1, v2) == astuple(triple_ideal(surface, model))
+    assert ideal_sections(e, z, locus, a, b) == v0 == h0_ideal(surface, model)
+    # the capacity from lattice-point counts: all of h0(c) in general
+    # position, else what the supporting curve C sees, h0(c) - h0(c - C)
+    curve = {Locus.ON_SECTION: DivisorClass(1, 0), Locus.ON_FIBER: DivisorClass(0, 1)}
+    full = oracle_h0(surface, c)
+    rho = full - (oracle_h0(surface, c - curve[locus]) if locus in curve else 0)
+    assert v0 == full - min(z, rho)
+    assert v1 == h1(surface, c) + max(0, z - rho)
+    assert v2 == h2(surface, c)
+
+
+# --- inputs typed at the boundary
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True])
+def test_public_entry_points_reject_non_integer_inputs(bad):
+    from hirzebruch import construct_extension, section_count_bounds
+    from hirzebruch.sheaves import h1_ideal, h2_ideal, max_conditions
+
+    surface = Surface(1)
+    by = DivisorClass(1, 1)
+    calls = []
+    for c in (DivisorClass(bad, 2), DivisorClass(1, bad)):
+        for fn in (h0, h1, h2, chi, triple, h1_vanishes):
+            calls.append(lambda fn=fn, c=c: fn(surface, c))
+        calls.append(lambda c=c: cohomology_profile(surface, c, by, 0, 1))
+        calls.append(lambda c=c: cohomology_profile(surface, by, c, 0, 1))
+    calls.append(lambda: cohomology_profile(surface, by, by, bad, 3))
+    calls.append(lambda: cohomology_profile(surface, by, by, 0, bad))
+    models = [
+        IdealSheafModel(PointConfig(2, Locus.GENERAL), DivisorClass(bad, 2)),
+        IdealSheafModel(PointConfig(2, Locus.ON_SECTION), DivisorClass(2, bad)),
+        IdealSheafModel(PointConfig(bad, Locus.ON_FIBER), DivisorClass(2, 2)),
+    ]
+    for model in models:
+        for fn in (h0_ideal, h1_ideal, h2_ideal, triple_ideal, max_conditions):
+            calls.append(lambda fn=fn, model=model: fn(surface, model))
+    for at in range(3):
+        args = [3, 2, 0]
+        args[at] = bad
+        calls.append(lambda args=args: section_count_bounds(surface, *args))
+    for at in range(4):
+        args = [3, 2, 0, 3]
+        args[at] = bad
+        calls.append(lambda args=args: construct_extension(surface, *args))
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()

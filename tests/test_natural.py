@@ -413,7 +413,8 @@ def test_ideal_min_twist_is_sharp_for_many_points(surface, model, pick):
 def test_broken_section_bound_is_a_consistency_error(monkeypatch):
     import hirzebruch.natural as natural
 
-    monkeypatch.setattr(natural, "h0_ideal", lambda surface, model: 0)
+    # the min-twist probe reads the ideal section kernel
+    monkeypatch.setattr(natural, "ideal_sections", lambda e, z, locus, a, b: 0)
     surface = Surface(1)
     model = IdealSheafModel(PointConfig(3, Locus.GENERAL), DivisorClass(1, 1))
     with pytest.raises(ConsistencyError):
@@ -529,3 +530,43 @@ def test_scans_against_independent_wide_window():
                 assert _values_at(surface, model, width, by)[0] == 0
                 continue
             assert one == walked
+
+
+# --- no object per evaluated twist
+
+
+def test_scans_build_no_class_or_triple_per_evaluated_twist(built, monkeypatch):
+    import hirzebruch.natural as natural
+
+    # count the twists the verdicts evaluate, through the two kernels
+    evaluated = []
+    for name in ("counts", "ideal_counts"):
+        real = getattr(natural, name)
+        monkeypatch.setattr(
+            natural, name, lambda *args, _real=real: evaluated.append(args) or _real(*args)
+        )
+    big = 10_000
+    decided = 0
+    for e in (1, 3):
+        surface = Surface(e)
+        bys = [surface.m_class(), surface.r_class(), DivisorClass(0, 1), DivisorClass(2, 2 * e + 3)]
+        models = [
+            Line(DivisorClass(3, -big)),
+            Line(DivisorClass(-big, 7)),
+            Line(DivisorClass(big, e * big - 2)),
+            DirectSum((DivisorClass(big, -big), DivisorClass(-3, e * big), DivisorClass(2, 2))),
+            *(IdealSheafModel(PointConfig(big, locus), DivisorClass(5, -big)) for locus in Locus),
+        ]
+        for by in bys:
+            for model in models:
+                for scan in (scan_verdict, unconditional_scan):
+                    built.clear()
+                    try:
+                        scan(surface, model, by)
+                    except DomainError:
+                        pass  # no twist of the model by a fiber class has sections
+                    else:
+                        decided += 1
+                    assert sum(built.values()) == 0, (scan.__name__, model, by, built)
+    assert decided >= 50
+    assert len(evaluated) >= decided
