@@ -515,13 +515,3 @@ def run_audit(
         for surface in surfaces:
             findings.extend(CLAIMS[claim](surface))
     return tuple(findings)
-
-
-__all__ = [
-    "AGREES",
-    "CLAIMS",
-    "DISCREPANCY",
-    "Finding",
-    "INDETERMINATE",
-    "run_audit",
-]

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .cohomology import CohomologyTriple, ConsistencyError, counts, sections
 from .natural import Outcome, Verdict
@@ -94,11 +94,14 @@ class ExtensionDatum:
     ext_forced_split: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        sub, qcls = self.sub, self.quotient.cls
+        # u, v and m are checked by `section_count_bounds` below
+        require_ints(self.s, self.quotient.config.z, sub.a, sub.b, qcls.a, qcls.b)
         if self.s < 0:
             raise DomainError(f"point count must be >= 0, got {self.s}")
         if self.quotient.config.z != self.s:
             raise DomainError("quotient ideal length must equal s")
-        total = self.sub + self.quotient.cls
+        total = sub + qcls
         if (total.a, total.b) != (self.u, self.v):
             raise DomainError(
                 f"ends {self.sub} + {self.quotient.cls} do not add up to c1 ({self.u},{self.v})"
@@ -107,7 +110,6 @@ class ExtensionDatum:
         s_range = section_count_bounds(surface, u, v, m)
         # vacuous at s = 0: there are no points to condition
         cb = s == 0 or sections(e, u + 2 * m - 5, v + 2 * m * e - 2 * e - 2) < s
-        sub, qcls = self.sub, self.quotient.cls
         split = s == 0 and counts(e, sub.a - qcls.a, sub.b - qcls.b)[1] == 0
         # the dataclass is frozen, so the derived fields are set past __setattr__
         object.__setattr__(self, "s_range", s_range)
@@ -459,7 +461,7 @@ class DestabilizerCandidate:
     only possible route is through the quotient and the s general points
     absorb every section of the residual class.  A tail entry stands for
     every class (g, delta) with g <= its own first coordinate: below it all
-    three exclusion ingredients are frozen (see `_m_candidates`).
+    three exclusion ingredients are frozen (see `_columns`).
     Candidates are listed by `StabilityReport.candidates`, on access; the
     verdict does not read them.
     """
@@ -491,10 +493,17 @@ class StabilityReport:
         every read.  The verdict does not read them; they let a caller or
         a test check it.
         """
-        if self.polarization is Polarization.R:
-            candidates = _r_candidates(self.datum)
-        else:
-            candidates = _m_candidates(self.datum)
+        datum, pol = self.datum, self.polarization
+        candidates = []
+        for delta, gamma_lo, gamma_max in _columns(datum, pol):
+            # under M a column starts at its tail entry, one below gamma_lo
+            first = gamma_lo - 1 if pol is Polarization.M else gamma_lo
+            for gamma in range(first, gamma_max + 1):
+                reason = _exclusion(datum, (gamma, delta))
+                # the third field is `tail`
+                candidates.append(
+                    DestabilizerCandidate(DivisorClass(gamma, delta), reason, gamma < gamma_lo)
+                )
         candidates.sort(key=lambda cand: (cand.cls.a, cand.cls.b))
         return tuple(candidates)
 
@@ -519,68 +528,37 @@ def _exclusion(datum: ExtensionDatum, n: tuple[int, int]) -> Optional[str]:
     return "no_map"
 
 
-def _candidate_box(datum: ExtensionDatum) -> tuple[int, int]:
-    # a map needs gamma <= sub.a or gamma <= quot.a, and delta <= sub.b
-    # or delta <= quot.b: classes past (gamma_max, delta_max) map into
-    # neither end and are excluded wholesale
-    qcls = datum.quotient.cls
-    return max(datum.sub.a, qcls.a), max(datum.sub.b, qcls.b)
+def _columns(datum: ExtensionDatum, pol: Polarization) -> Iterator[tuple[int, int, int]]:
+    """The slope region of `pol`, one column (delta, gamma_lo, gamma_max)
+    per delta, in increasing delta.
 
-
-def _m_gamma_lo(datum: ExtensionDatum, delta: int) -> int:
-    # For gamma below both 0 and the freeze point
-    # quot.a - floor(max(0, quot.b - delta)/e), the residual class
-    # (quot - N) keeps a constant h0 (its h-coordinate is past the section
-    # count's saturation) and constant effectivity, and sub - N keeps a
-    # constant effectivity status; one tail entry at gamma_lo - 1 stands
-    # for all of them.
-    qcls = datum.quotient.cls
-    freeze = qcls.a - (max(0, qcls.b - delta) // datum.surface.e)
-    return min(0, freeze, datum.sub.a)
-
-
-def _r_candidates(datum: ExtensionDatum) -> list[DestabilizerCandidate]:
-    # N.R = gamma + delta for every e, so the slope condition is
-    # 2(gamma + delta) >= u + v, inside the box of `_candidate_box`.
-    gamma_max, delta_max = _candidate_box(datum)
-    threshold = ceil_div(datum.u + datum.v, 2)
-    out = []
-    for delta in range(threshold - gamma_max, delta_max + 1):
-        for gamma in range(threshold - delta, gamma_max + 1):
-            n_cls = DivisorClass(gamma, delta)
-            out.append(DestabilizerCandidate(n_cls, _exclusion(datum, (gamma, delta))))
-    return out
-
-
-def _m_candidates(datum: ExtensionDatum) -> list[DestabilizerCandidate]:
-    # N.M = delta, so the slope condition is 2*delta >= v and gamma is
-    # unbounded below; each delta ends in the tail entry of `_m_gamma_lo`.
-    gamma_max, delta_max = _candidate_box(datum)
-    out = []
+    A class N = (gamma, delta) is in the region when its slope meets half
+    of c1's and it is not excluded wholesale.  The box: a map O(N) -> E
+    needs gamma <= sub.a or gamma <= quot.a, and delta <= sub.b or
+    delta <= quot.b, so classes past gamma_max = max(sub.a, quot.a) or
+    delta_max = max(sub.b, quot.b) map into neither end.  The slope:
+    N.R = gamma + delta for every e, so under R a column holds the gammas
+    from threshold - delta to gamma_max, threshold = ceil((u+v)/2), and
+    its deltas run from threshold - gamma_max; N.M = delta, so under M the
+    deltas start at ceil(v/2) and gamma is unbounded below.  The freeze
+    point: for gamma below 0, below quot.a - floor(max(0, quot.b - delta)/e)
+    and below sub.a, the residual class quot - N keeps a constant h0 (its
+    h-coordinate is past the section count's saturation) and a constant
+    effectivity, and sub - N keeps a constant effectivity, so `_exclusion`
+    is constant there; under M the column stops at gamma_lo, the least of
+    those three, and the tail entry at gamma_lo - 1 stands for all of them.
+    """
+    qcls, sub = datum.quotient.cls, datum.sub
+    gamma_max, delta_max = max(sub.a, qcls.a), max(sub.b, qcls.b)
+    if pol is Polarization.R:
+        threshold = ceil_div(datum.u + datum.v, 2)
+        for delta in range(threshold - gamma_max, delta_max + 1):
+            yield delta, threshold - delta, gamma_max
+        return
+    e = datum.surface.e
     for delta in range(ceil_div(datum.v, 2), delta_max + 1):
-        gamma_lo = _m_gamma_lo(datum, delta)
-        for gamma in range(gamma_lo, gamma_max + 1):
-            n_cls = DivisorClass(gamma, delta)
-            out.append(DestabilizerCandidate(n_cls, _exclusion(datum, (gamma, delta))))
-        tail_cls = DivisorClass(gamma_lo - 1, delta)
-        out.append(
-            DestabilizerCandidate(tail_cls, _exclusion(datum, (gamma_lo - 1, delta)), tail=True)
-        )
-    return out
-
-
-def _boundary(datum: ExtensionDatum, pol: Polarization) -> list[tuple[int, int]]:
-    # M: the tail class at the least qualifying delta.  R: the antidiagonal
-    # gamma + delta = ceil((u+v)/2) inside the box; its delta runs up to
-    # delta_max, so gamma starts at threshold - delta_max.
-    if pol is Polarization.M:
-        delta = ceil_div(datum.v, 2)
-        return [(_m_gamma_lo(datum, delta) - 1, delta)]
-    gamma_max, delta_max = _candidate_box(datum)
-    threshold = ceil_div(datum.u + datum.v, 2)
-    return [
-        (gamma, threshold - gamma) for gamma in range(threshold - delta_max, gamma_max + 1)
-    ]
+        freeze = qcls.a - (max(0, qcls.b - delta) // e)
+        yield delta, min(0, freeze, sub.a), gamma_max
 
 
 def stability_certificate(datum: ExtensionDatum, polarization: Polarization | str) -> StabilityReport:
@@ -597,11 +575,12 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
     lowering either coordinate of N raises both coordinates of sub - N
     and of quot - N, and effectivity, h0 and h0_ideal are nondecreasing
     in each coordinate.  So a survivor exists iff one lies on the lower
-    boundary of the region: under M (2*delta >= v, gamma unbounded below)
-    that is the tail class at delta = ceil(v/2), one `_exclusion` call,
-    and under R (gamma + delta >= ceil((u+v)/2) inside the candidate box)
-    the antidiagonal of the box, O(u + v) calls.  The report lists the
-    whole region on access (`StabilityReport.candidates`), as a referee.
+    boundary of the region's columns (`_columns`): under M that is the
+    tail entry of the first column, delta = ceil(v/2), one `_exclusion`
+    call; under R it is the least class of each column, the antidiagonal
+    gamma + delta = ceil((u+v)/2) of the box, O(u + v) calls.  The report
+    lists the same columns whole on access (`StabilityReport.candidates`),
+    as a referee.
 
     Only twist parameter m = 0 is supported; the slope bookkeeping above
     assumes the untwisted presentation.
@@ -622,7 +601,16 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
             f"v = {v} violates the fiber-polarization bound v <= 2eu-3 = {2 * e * u - 3}"
         )
 
-    certified = all(_exclusion(datum, n) is not None for n in _boundary(datum, pol))
+    columns = _columns(datum, pol)
+    if pol is Polarization.M:
+        # the first column's tail stands below every other class
+        first = next(columns, None)  # (delta, gamma_lo, gamma_max)
+        certified = first is None or _exclusion(datum, (first[1] - 1, first[0])) is not None
+    else:
+        # each column's least gamma: the antidiagonal
+        certified = all(
+            _exclusion(datum, (gamma_lo, delta)) is not None for delta, gamma_lo, _ in columns
+        )
     return StabilityReport(
         polarization=pol, certified=certified, warnings=tuple(warnings), datum=datum
     )
@@ -684,12 +672,13 @@ def classify_region(
     decided.  Rank-2 witnesses list the c2 values over m = 0..m_max;
     rank-1 witnesses are the single point 0 (the line bundle itself).
     """
+    u_lo, u_hi = u_range
+    v_lo, v_hi = v_range
+    require_ints(rank, u_lo, u_hi, v_lo, v_hi, m_max)
     if rank not in (1, 2):
         raise DomainError(f"classifier covers ranks 1 and 2, got {rank}")
     if m_max < 0:
         raise DomainError(f"m_max must be >= 0, got {m_max}")
-    u_lo, u_hi = u_range
-    v_lo, v_hi = v_range
     if u_lo > u_hi or v_lo > v_hi:
         raise DomainError("empty (u, v) range")
     cells = []
@@ -706,29 +695,3 @@ def classify_region(
                 witness = _c2_witness(surface, u, v, m_max)
                 cells.append(RegionCell(u, v, RegionLabel.EXISTENT, witness=witness))
     return tuple(cells)
-
-
-__all__ = [
-    "ChernData",
-    "CohomologyInterval",
-    "ConstructionError",
-    "DestabilizerCandidate",
-    "ExtensionAudit",
-    "ExtensionAuditRow",
-    "ExtensionDatum",
-    "Polarization",
-    "RegionCell",
-    "RegionLabel",
-    "StabilityReport",
-    "allowed_min_section_divisors",
-    "audit_extension_natural",
-    "c1_obstructed",
-    "chern_of_extension",
-    "classify_region",
-    "cohomology_interval",
-    "construct_extension",
-    "construction_c2",
-    "extension_c2_twisted",
-    "section_count_bounds",
-    "stability_certificate",
-]

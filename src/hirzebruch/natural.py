@@ -24,9 +24,10 @@ when nothing fails; past that no run begins, so no first failure can
 appear.  The scan evidence rebuilds the (t, h0, h1) rows of the whole
 window on demand, as a referee.
 
-Closed-form criteria exist when T is M = h + e*f or R = h + (e+1)*f and
-are checked against the scans by the test suite; the scans are the
-referees, the closed forms are the fast paths.
+Closed-form criteria exist for lines and sums when T is M = h + e*f or
+R = h + (e+1)*f and are checked against the scans by the test suite; the
+scans are the referees, the closed forms are the fast paths.  Ideal
+models have none: `ideal_natural_wrt_m` is the M scan's boolean form.
 
 All verdicts carry a witness twist and the (h0, h1) evidence so a failed
 check is reproducible by a single cohomology evaluation.
@@ -154,7 +155,7 @@ def _values_at(surface: Surface, model: SheafModel, t: int, by: DivisorClass) ->
 # minimal twist with sections
 
 
-def _line_min_twist(surface: Surface, cls: DivisorClass, by: DivisorClass) -> Optional[int]:
+def _line_min_twist(cls: DivisorClass, by: DivisorClass) -> Optional[int]:
     """Least t with h0(cls + t*by) > 0, or None if no twist has sections.
 
     h0 > 0 exactly when both coordinates are >= 0.  With by = (c, d),
@@ -182,13 +183,13 @@ def min_twist_with_sections(surface: Surface, model: SheafModel, by: DivisorClas
     """
     _require_inputs(surface, model, by)
     if isinstance(model, Line):
-        t = _line_min_twist(surface, model.cls, by)
+        t = _line_min_twist(model.cls, by)
         if t is None:
             raise DomainError(f"no twist of {model.cls} by {by} has sections")
         return t
     if isinstance(model, DirectSum):
         # a direct sum has sections exactly when some summand does
-        candidates = [_line_min_twist(surface, cls, by) for cls in model.classes]
+        candidates = [_line_min_twist(cls, by) for cls in model.classes]
         finite = [t for t in candidates if t is not None]
         if not finite:
             summands = " + ".join(str(cls) for cls in model.classes)
@@ -202,7 +203,7 @@ def min_twist_with_sections(surface: Surface, model: SheafModel, by: DivisorClas
     # once v + t*d >= z (and the h-coordinate is nonnegative).  The answer
     # is often `start` itself, which `first_true` probes first.
     z, locus, u, v = model.config.z, model.config.locus, model.cls.a, model.cls.b
-    start = _line_min_twist(surface, model.cls, by)
+    start = _line_min_twist(model.cls, by)
     if start is None:
         raise DomainError(f"no twist of the ideal model class {model.cls} by {by} has sections")
     e, c, d = surface.e, by.a, by.b
@@ -348,7 +349,7 @@ def unconditional_scan(surface: Surface, model: SheafModel, by: DivisorClass) ->
     runs = _runs(surface, model, by)
     edges = [t for run in runs for t in run if t is not None]
     if isinstance(model, IdealSheafModel) and model.config.z > 0:
-        first = _line_min_twist(surface, model.cls, by)
+        first = _line_min_twist(model.cls, by)
         if first is not None:
             edges.append(first)
     lo = min(edges) - 1 if edges else 0
@@ -424,24 +425,11 @@ def direct_sum_natural_wrt_m(surface: Surface, classes: list[DivisorClass]) -> b
     return True
 
 
+# ---------------------------------------------------------------------------
+# the M scan's boolean form (no closed form)
+
+
 def ideal_natural_wrt_m(surface: Surface, model: IdealSheafModel) -> bool:
-    """Natural cohomology for a twisted ideal of generic points, by scan."""
+    """Natural cohomology for a twisted ideal of generic points w.r.t. M:
+    `scan_verdict(...).verdict.holds()`, the scan itself, not a closed form."""
     return scan_verdict(surface, model, surface.m_class()).verdict.holds()
-
-
-__all__ = [
-    "DirectSum",
-    "Line",
-    "Outcome",
-    "ScanEvidence",
-    "SheafModel",
-    "Verdict",
-    "direct_sum_natural_wrt_m",
-    "ideal_natural_wrt_m",
-    "line_natural_wrt_m",
-    "line_natural_wrt_r",
-    "line_unconditional_wrt_m",
-    "min_twist_with_sections",
-    "scan_verdict",
-    "unconditional_scan",
-]

@@ -220,6 +220,25 @@ def test_hand_built_datum_derives_its_certificates():
         ExtensionDatum(surface, 2, 1, 0, 1, DivisorClass(1, 0), quotient, True, True, True)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True])
+def test_hand_built_datum_takes_integers_only(bad):
+    surface = Surface(1)
+    sub, quot = DivisorClass(1, 0), DivisorClass(2, 2)
+    quotient = IdealSheafModel(PointConfig(bad, Locus.GENERAL), quot)
+    for s in (bad, 2):
+        with pytest.raises(DomainError):
+            ExtensionDatum(surface, 3, 2, 0, s, sub, quotient)
+    # each end coordinate in turn; c1 stays the sum of the ends
+    for i in range(4):
+        coords = [sub.a, sub.b, quot.a, quot.b]
+        coords[i] = bad
+        ends = DivisorClass(*coords[:2]), DivisorClass(*coords[2:])
+        total = ends[0] + ends[1]
+        quotient = IdealSheafModel(PointConfig(0, Locus.GENERAL), ends[1])
+        with pytest.raises(DomainError):
+            ExtensionDatum(surface, total.a, total.b, 0, 0, ends[0], quotient)
+
+
 def test_replace_re_derives_the_certificates():
     import dataclasses
 
@@ -494,23 +513,96 @@ def test_stability_certificate_frozen_instance():
         assert any(c.tail for c in m_report.candidates)
 
 
-def test_r_candidate_box_is_complete():
-    # independent wide enumeration: outside the reported box no class with
-    # qualifying slope can map to either end of the extension
-    datum = build(1, 3, 2, 0, 3)
-    surface = datum.surface
-    reported = {(c.cls.a, c.cls.b) for c in stability_certificate(datum, "R").candidates}
-    for gamma in range(-15, 16):
-        for delta in range(-15, 16):
-            if 2 * (gamma + delta) < datum.u + datum.v:
-                continue
-            n_cls = DivisorClass(gamma, delta)
-            if (gamma, delta) in reported:
-                continue
-            assert not surface.positivity(datum.sub - n_cls).effective
-            residual = datum.quotient.cls - n_cls
-            shifted = IdealSheafModel(datum.quotient.config, residual)
-            assert h0_ideal(surface, shifted) == 0
+def _maps_into(datum, n):
+    # O(N) maps into the extension iff it maps into the sub (sub - N
+    # effective) or into the quotient's ideal piece (a section of I_Z(quot - N))
+    surface, n_cls = datum.surface, DivisorClass(*n)
+    if surface.positivity(datum.sub - n_cls).effective:
+        return True
+    residual = IdealSheafModel(datum.quotient.config, datum.quotient.cls - n_cls)
+    return h0_ideal(surface, residual) > 0
+
+
+def _region_referee_data():
+    rng = random.Random(10)
+    for e in range(1, 4):
+        surface = Surface(e)
+        for u in range(-1, 7):
+            for v in rng.sample(range(e * (u - 1) - 1, 2 * e * u + 4), 2):
+                s = rng.randint(*section_count_bounds(surface, u, v, 0))
+                yield construct_extension(surface, u, v, 0, s)
+    # hand-built: two in three with arbitrary ends, the rest shaped like
+    # a construction (a small sub class)
+    for locus in Locus:
+        for i in range(60):
+            surface = Surface(rng.randint(1, 4))
+            if i % 3:
+                sub = DivisorClass(rng.randint(-4, 4), rng.randint(-6, 6))
+                quot = DivisorClass(rng.randint(-4, 5), rng.randint(-6, 8))
+            else:
+                u = rng.randint(2, 5)
+                sub = DivisorClass(rng.randint(-1, 1), rng.randint(-2, 0))
+                quot = DivisorClass(u - sub.a, rng.randint(surface.e * (u - 1), 2 * surface.e * u))
+            s = rng.choice([0, rng.randint(0, 3), rng.randint(0, 15)])
+            yield ExtensionDatum(
+                surface, sub.a + quot.a, sub.b + quot.b, 0, s, sub,
+                IdealSheafModel(PointConfig(s, locus), quot),
+            )
+
+
+def test_stability_region_is_complete():
+    # a brute referee of the slope region: every class of a window derived
+    # from the datum's coefficients is judged with the public h0, h0_ideal
+    # and positivity.  The window reaches past the candidate box above and
+    # below every M tail; inside it, the certificate holds exactly when no
+    # slope-qualifying class maps into E, every listed class qualifies and
+    # carries the right reason, and every other qualifying class lies below
+    # the tail entry of its delta and maps exactly when that tail does.
+    seen = set()
+    for datum in _region_referee_data():
+        surface, sub, quot = datum.surface, datum.sub, datum.quotient.cls
+        span = abs(sub.a) + abs(sub.b) + abs(quot.a) + abs(quot.b) + 2
+        window = range(-2 * span, span + 3)
+        maps = {}
+        for pol in ("R", "M"):
+            if pol == "R":
+                qualifying = [
+                    (g, d) for g in window for d in window if 2 * (g + d) >= datum.u + datum.v
+                ]
+            else:
+                qualifying = [(g, d) for g in window for d in window if 2 * d >= datum.v]
+            for n in qualifying:
+                if n not in maps:
+                    maps[n] = _maps_into(datum, n)
+            report = stability_certificate(datum, pol)
+            listed = {(c.cls.a, c.cls.b): c for c in report.candidates}
+            tails = {c.cls.b: c for c in report.candidates if c.tail}
+            where = (surface.e, sub, datum.quotient, pol)
+            assert set(listed) <= set(qualifying), where
+            assert all(tail.cls.a > window[0] for tail in tails.values()), where
+            assert report.certified == (not any(maps[n] for n in qualifying)), where
+            for n in qualifying:
+                if n in listed:
+                    reason = listed[n].reason
+                    residual = quot - DivisorClass(*n)
+                    if maps[n]:
+                        assert reason is None, (where, n)
+                    elif h0(surface, residual) > 0:
+                        assert reason == "genericity", (where, n)
+                    else:
+                        assert reason == "no_map", (where, n)
+                elif n[1] in tails and n[0] < tails[n[1]].cls.a:
+                    assert maps[n] == (tails[n[1]].reason is None), (where, n)
+                else:
+                    assert not maps[n], (where, n)
+            seen.add((pol, report.certified, datum.quotient.config.locus))
+    assert {(pol, certified) for pol, certified, _ in seen} == {
+        (pol, certified) for pol in ("R", "M") for certified in (False, True)
+    }
+    # every locus certifies somewhere, though points confined to a section
+    # never do under M: down the first column the residual's h0 grows
+    # without bound and their capacity does not
+    assert {locus for _, certified, locus in seen if certified} == set(Locus)
 
 
 def test_m_tail_entries_are_really_frozen():
@@ -662,6 +754,18 @@ def test_classifier_rejects_bad_inputs():
         classify_region(surface, 2, (1, 0), (0, 1))
     with pytest.raises(DomainError):
         classify_region(surface, 2, (0, 1), (0, 1), m_max=-1)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True])
+def test_classifier_takes_integers_only(bad):
+    surface = Surface(1)
+    with pytest.raises(DomainError):
+        classify_region(surface, bad, (0, 1), (0, 1))
+    for ranges in [((bad, 1), (0, 1)), ((0, bad), (0, 1)), ((0, 1), (bad, 1)), ((0, 1), (0, bad))]:
+        with pytest.raises(DomainError):
+            classify_region(surface, 2, *ranges)
+    with pytest.raises(DomainError):
+        classify_region(surface, 2, (0, 1), (0, 1), m_max=bad)
 
 
 def test_flagship_c2_witness():

@@ -1,11 +1,15 @@
 """The command-line contract: formats, exit codes, diagnostics."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import io
 import json
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -46,6 +50,58 @@ def test_audit_example(capsys):
     assert code == 0
     assert out.count("agrees") == 4
     assert "fails at t=0" in out
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading, fence):
+    # the first fenced block under `heading`, without its fences
+    section = README.read_text().split(heading + "\n", 1)[1]
+    body = section.split(fence + "\n", 1)[1]
+    return body.split("```", 1)[0]
+
+
+def test_readme_cli_examples(capsys, monkeypatch):
+    # every `$ hirzebruch ...` line of the README's CLI block exits 0, and
+    # stdout starts with the output lines shown under it, up to a `...`
+    monkeypatch.delenv("HIRZEBRUCH_FORMAT", raising=False)
+    examples = []
+    for line in _readme_block("## CLI", "```").splitlines():
+        if line.startswith("$ "):
+            examples.append((shlex.split(line[2:]), []))
+        elif line:
+            examples[-1][1].append(line)
+    assert len(examples) == 11
+    for argv, shown in examples:
+        assert argv[0] == "hirzebruch"
+        code, out, _ = run(argv[1:], capsys)
+        assert code == 0, argv
+        if "..." in shown:
+            shown = shown[: shown.index("...")]
+        assert out.splitlines()[: len(shown)] == shown, argv
+
+
+def test_readme_library_snippet():
+    # the snippet runs, and each expression line ending in a literal
+    # comment (`# 5`, `# False`) evaluates to that literal
+    code = _readme_block("## Library", "```python")
+    namespace = {}
+    exec(code, namespace)
+    checked = 0
+    for line in code.splitlines():
+        match = re.fullmatch(r"(.*\S)\s+#\s*(.+)", line)
+        if not match:
+            continue
+        try:
+            expr = ast.parse(match[1], mode="eval")
+            want = ast.literal_eval(match[2])
+        except (SyntaxError, ValueError):
+            continue
+        got = eval(compile(expr, "README.md", "eval"), namespace)
+        assert (type(got), got) == (type(want), want), line
+        checked += 1
+    assert checked == 2
 
 
 # --- exit codes and diagnostics

@@ -37,3 +37,29 @@ def test_no_private_names_imported_across_modules():
                 if alias.name.startswith("_")
             ]
     assert found == []
+
+
+def test_one_list_of_public_names():
+    # the package `__all__` is the one export list: no module keeps its
+    # own copy, and it names exactly what `__init__` imports
+    package = pathlib.Path(hirzebruch.__file__).parent
+    assigners = [
+        path.name
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        )
+    ]
+    assert assigners == ["__init__.py"]
+    tree = ast.parse((package / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert len(hirzebruch.__all__) == len(set(hirzebruch.__all__))
+    assert set(hirzebruch.__all__) == imported
