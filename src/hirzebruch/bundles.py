@@ -31,7 +31,7 @@ audit rebuilds the rows of the whole window on demand, as a referee.
 
 Slope stability is decided likewise on the lower boundary of the region
 of destabilizing candidates (see `stability_certificate`); the report
-lists the whole region on demand.
+lists the whole region on demand and counts it without listing it.
 """
 
 from __future__ import annotations
@@ -147,6 +147,7 @@ def extension_c2_twisted(
 ) -> int:
     """c2 of E(mM) when a minimal section of E(mM) vanishes on `vanishing`
     plus s residual points: D.c1 + 2m(M.D) - D^2 + s."""
+    require_ints(m, s, vanishing.a, vanishing.b, c1.a, c1.b)
     if s < 0:
         raise DomainError(f"point count must be >= 0, got {s}")
     mm = surface.m_class()
@@ -189,7 +190,11 @@ def section_count_bounds(surface: Surface, u: int, v: int, m: int) -> tuple[int,
 
 def construction_c2(surface: Surface, u: int, v: int, m: int, s: int) -> int:
     """c2 of the standard construction: s - e(u+m-1) + (1-m)(v+em)."""
-    e = surface.e
+    require_ints(u, v, m, s)
+    return _construction_c2(surface.e, u, v, m, s)
+
+
+def _construction_c2(e: int, u: int, v: int, m: int, s: int) -> int:
     return s - e * (u + m - 1) + (1 - m) * (v + e * m)
 
 
@@ -197,9 +202,14 @@ def c1_obstructed(surface: Surface, rank: int, u: int, v: int) -> bool:
     """True when no rank-`rank` bundle with c1 = (u, v) has natural
     cohomology w.r.t. M: the criterion is v <= e(u - rank + 1) - 2.
     False only means "not decided by this criterion"."""
+    require_ints(rank, u, v)
     if rank < 1:
         raise DomainError(f"rank must be >= 1, got {rank}")
-    return v <= surface.e * (u - rank + 1) - 2
+    return _c1_obstructed(surface.e, rank, u, v)
+
+
+def _c1_obstructed(e: int, rank: int, u: int, v: int) -> bool:
+    return v <= e * (u - rank + 1) - 2
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +486,8 @@ class StabilityReport:
     """The stability verdict of `datum` for one polarization.
 
     `certified` is decided on the boundary of the slope region (see
-    `stability_certificate`); `candidates` lists the whole region.
+    `stability_certificate`); `candidates` lists the whole region and
+    `candidate_count` counts it.
     """
 
     polarization: Polarization
@@ -491,21 +502,33 @@ class StabilityReport:
         Nothing is stored: each access reruns the enumeration, one
         `_exclusion` call per listed class, so it costs O(u^2) calls on
         every read.  The verdict does not read them; they let a caller or
-        a test check it.
+        a test check it.  `candidate_count` gives their number without
+        building them.
         """
-        datum, pol = self.datum, self.polarization
         candidates = []
-        for delta, gamma_lo, gamma_max in _columns(datum, pol):
-            # under M a column starts at its tail entry, one below gamma_lo
-            first = gamma_lo - 1 if pol is Polarization.M else gamma_lo
-            for gamma in range(first, gamma_max + 1):
-                reason = _exclusion(datum, (gamma, delta))
+        for delta, gamma_lo, gammas in self._gammas():
+            for gamma in gammas:
+                reason = _exclusion(self.datum, (gamma, delta))
                 # the third field is `tail`
                 candidates.append(
                     DestabilizerCandidate(DivisorClass(gamma, delta), reason, gamma < gamma_lo)
                 )
         candidates.sort(key=lambda cand: (cand.cls.a, cand.cls.b))
         return tuple(candidates)
+
+    @property
+    def candidate_count(self) -> int:
+        """len(candidates), summed over the columns in O(u + v) with no
+        `_exclusion` call."""
+        return sum(len(gammas) for _, _, gammas in self._gammas())
+
+    def _gammas(self) -> Iterator[tuple[int, int, range]]:
+        # (delta, gamma_lo, listed gammas) per column
+        pol = self.polarization
+        for delta, gamma_lo, gamma_max in _columns(self.datum, pol):
+            # under M a column starts at its tail entry, one below gamma_lo
+            first = gamma_lo - 1 if pol is Polarization.M else gamma_lo
+            yield delta, gamma_lo, range(first, gamma_max + 1)
 
 
 def _exclusion(datum: ExtensionDatum, n: tuple[int, int]) -> Optional[str]:
@@ -652,7 +675,7 @@ def _c2_witness(surface: Surface, u: int, v: int, m_max: int) -> tuple[tuple[int
     intervals = []
     for m in range(m_max + 1):
         a_lo, b_hi = section_count_bounds(surface, u, v, m)
-        base = construction_c2(surface, u, v, m, 0)
+        base = _construction_c2(surface.e, u, v, m, 0)
         intervals.append((base + a_lo, base + b_hi))
     return _merge_intervals(intervals)
 
@@ -672,6 +695,9 @@ def classify_region(
     decided.  Rank-2 witnesses list the c2 values over m = 0..m_max;
     rank-1 witnesses are the single point 0 (the line bundle itself).
     """
+    for bounds in (u_range, v_range):
+        if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
+            raise DomainError(f"a range is a pair (lo, hi), got {bounds!r}")
     u_lo, u_hi = u_range
     v_lo, v_hi = v_range
     require_ints(rank, u_lo, u_hi, v_lo, v_hi, m_max)
@@ -681,10 +707,11 @@ def classify_region(
         raise DomainError(f"m_max must be >= 0, got {m_max}")
     if u_lo > u_hi or v_lo > v_hi:
         raise DomainError("empty (u, v) range")
+    # every input is checked above, so the cells call the unchecked kernels
     cells = []
     for u in range(u_lo, u_hi + 1):
         for v in range(v_lo, v_hi + 1):
-            if c1_obstructed(surface, rank, u, v):
+            if _c1_obstructed(surface.e, rank, u, v):
                 cells.append(RegionCell(u, v, RegionLabel.NONEXISTENT))
             elif rank == 1:
                 # v >= eu - 1: the line bundle (u, v) itself is natural

@@ -12,7 +12,8 @@ fields command, inputs, results, findings, in that order, deterministic
 for fixed inputs.  Exit codes: 0 success, 1 oracle mismatch, 2 usage
 error, 3 domain error.  A command whose ranges would produce more than
 ROW_BUDGET rows, cells, classes or claim checks is a domain error, refused
-before anything is computed.
+before anything is computed; so is a JSON `construct` that would list
+more than ROW_BUDGET stability candidates, refused before any is listed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import Any, Optional, Sequence
 
 from .audit import CLAIMS, run_audit
 from .bundles import (
-    ExtensionDatum,
     audit_extension_natural,
     classify_region,
     construct_extension,
@@ -74,6 +74,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # on the top-level parser: each command's sub-parser (see `_build_parser`)
+    commands: dict[str, "_Parser"]
+
     # argparse's default error handling prints usage plus the message;
     # the contract here is a single diagnostic line and exit code 2
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -307,25 +310,6 @@ def _closed_form(
     return None
 
 
-def _stability_summary(datum: ExtensionDatum) -> dict[str, Any]:
-    out = {}
-    for pol in ("R", "M"):
-        report = stability_certificate(datum, pol)
-        out[pol] = {
-            "certified": report.certified,
-            "candidates": [
-                {
-                    "class": str(c.cls),
-                    "reason": c.reason,
-                    "tail": c.tail,
-                }
-                for c in report.candidates
-            ],
-            "warnings": list(report.warnings),
-        }
-    return out
-
-
 _CONSTRUCT_COLUMNS = [
     "e", "u", "v", "m", "s", "sub", "quotient_class", "c2",
     "section_min", "cayley_bacharach", "ext_forced_split",
@@ -357,20 +341,36 @@ def _cmd_construct(args: argparse.Namespace) -> Report:
         f"section_min={datum.section_min} cayley_bacharach={datum.cayley_bacharach} "
         f"ext_forced_split={datum.ext_forced_split}",
     ]
-    if args.m == 0:
-        results["stability"] = _stability_summary(datum)
-        for pol in ("R", "M"):
-            info = results["stability"][pol]
-            row[f"stable_{pol}"] = info["certified"]
-            status = "certified" if info["certified"] else "NOT certified"
-            lines.append(
-                f"stability w.r.t. {pol}: {status} "
-                f"({len(info['candidates'])} candidates)"
-                + (f" warnings: {'; '.join(info['warnings'])}" if info["warnings"] else "")
-            )
-    else:
+    if args.m != 0:
         results["stability"] = "only computed for m = 0"
         lines.append("stability: only computed for m = 0")
+        return Report("construct", inputs, results, _CONSTRUCT_COLUMNS, [row], lines)
+    reports = [stability_certificate(datum, pol) for pol in ("R", "M")]
+    for report in reports:
+        pol = report.polarization.value
+        row[f"stable_{pol}"] = report.certified
+        status = "certified" if report.certified else "NOT certified"
+        lines.append(
+            f"stability w.r.t. {pol}: {status} ({report.candidate_count} candidates)"
+            + (f" warnings: {'; '.join(report.warnings)}" if report.warnings else "")
+        )
+    # only JSON lists the candidates; the table and CSV read their counts
+    if args.format == "json":
+        _check_budget(
+            sum(report.candidate_count for report in reports),
+            f"--u {args.u} --v {args.v} --format json", "stability candidates",
+        )
+        results["stability"] = {
+            report.polarization.value: {
+                "certified": report.certified,
+                "candidates": [
+                    {"class": str(c.cls), "reason": c.reason, "tail": c.tail}
+                    for c in report.candidates
+                ],
+                "warnings": list(report.warnings),
+            }
+            for report in reports
+        }
     return Report("construct", inputs, results, _CONSTRUCT_COLUMNS, [row], lines)
 
 
@@ -488,21 +488,26 @@ def _cmd_oracle(args: argparse.Namespace) -> Report:
 def _build_parser() -> _Parser:
     # built on the first call, not at import, and shared by every later
     # call: parsing keeps no state in the parser, each call gets its own
-    # Namespace
+    # Namespace.  `commands` keeps each command's sub-parser by name.
     parser = _Parser(prog="hirzebruch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
+
+    def add_command(name: str, help_text: str) -> _Parser:
+        p = parser.commands[name] = sub.add_parser(name, help=help_text)
+        return p
 
     def add_format(p: _Parser) -> None:
         p.add_argument("--format", choices=FORMATS, default=None)
 
-    p_coh = sub.add_parser("coh", help="cohomology of a divisor class")
+    p_coh = add_command("coh", "cohomology of a divisor class")
     p_coh.add_argument("--e", type=int, required=True)
     p_coh.add_argument("--class", dest="cls", required=True, metavar="A,B")
     p_coh.add_argument("--twist-by", default=None, metavar="A,B")
     p_coh.add_argument("--t", default=None, metavar="FROM..TO")
     add_format(p_coh)
 
-    p_check = sub.add_parser("check", help="natural / unconditional vanishing checks")
+    p_check = add_command("check", "natural / unconditional vanishing checks")
     p_check.add_argument("--e", type=int, required=True)
     p_check.add_argument("--line", default=None, metavar="U,V")
     p_check.add_argument("--sum", default=None, metavar="U1,V1;U2,V2;...")
@@ -516,7 +521,7 @@ def _build_parser() -> _Parser:
     )
     add_format(p_check)
 
-    p_con = sub.add_parser("construct", help="rank-2 extension with certificates")
+    p_con = add_command("construct", "rank-2 extension with certificates")
     p_con.add_argument("--e", type=int, required=True)
     p_con.add_argument("--u", type=int, required=True)
     p_con.add_argument("--v", type=int, required=True)
@@ -528,7 +533,7 @@ def _build_parser() -> _Parser:
         ("classify", "label a (u, v) region"),
         ("enumerate", "classify with CSV output by default"),
     ):
-        p_cls = sub.add_parser(name, help=help_text)
+        p_cls = add_command(name, help_text)
         p_cls.add_argument("--e", type=int, required=True)
         p_cls.add_argument("--r", type=int, required=True)
         p_cls.add_argument("--u", required=True, metavar="FROM..TO")
@@ -536,12 +541,12 @@ def _build_parser() -> _Parser:
         p_cls.add_argument("--m-max", type=int, default=0)
         add_format(p_cls)
 
-    p_audit = sub.add_parser("audit", help="desk-scale claim verification")
+    p_audit = add_command("audit", "desk-scale claim verification")
     p_audit.add_argument("--claims", default=None, metavar="NAME,NAME,...")
     p_audit.add_argument("--e", default="1..4", metavar="FROM..TO")
     add_format(p_audit)
 
-    p_oracle = sub.add_parser("oracle", help="closed form vs brute force")
+    p_oracle = add_command("oracle", "closed form vs brute force")
     p_oracle.add_argument("--e", required=True, metavar="FROM..TO")
     p_oracle.add_argument("--a", required=True, metavar="FROM..TO")
     p_oracle.add_argument("--b", required=True, metavar="FROM..TO")
@@ -568,10 +573,26 @@ def _default_format(command: str) -> str:
     return "csv" if command == "enumerate" else "table"
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The Namespace that the top-level parser gives for `argv`.
+
+    An argv that opens with a command is parsed by that command's
+    sub-parser alone, in one argparse pass.  Any other argv (empty, an
+    unknown command, --help, an option before the command) goes to the
+    top-level parser, for its diagnostics.
+    """
     parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        # resolved first: a handler may skip what its format does not print
+        args.format = args.format or _default_format(args.command)
         report = _COMMANDS[args.command](args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -579,8 +600,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as err:
         print(f"domain error: {err}", file=sys.stderr)
         return 3
-    fmt = args.format or _default_format(args.command)
-    print(report.render(fmt))
+    print(report.render(args.format))
     return report.exit_code
 
 

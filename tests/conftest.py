@@ -19,3 +19,16 @@ def built(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counting)
     return made
+
+
+@pytest.fixture
+def exclusion_calls(monkeypatch):
+    """Every class `bundles._exclusion` is asked about, in call order."""
+    import hirzebruch.bundles as bundles
+
+    real = bundles._exclusion
+    calls = []
+    monkeypatch.setattr(
+        bundles, "_exclusion", lambda datum, n_cls: calls.append(n_cls) or real(datum, n_cls)
+    )
+    return calls

@@ -83,6 +83,28 @@ def test_twisted_c2_frozen():
         extension_c2_twisted(surface, d, 1, c1, -1)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True])
+def test_chern_formulas_take_integers_only(bad):
+    # each integer argument, and each coordinate of a class argument, in turn
+    surface = Surface(1)
+    calls = [
+        (construction_c2, (2, 1, 0, 1)),
+        (c1_obstructed, (2, 3, 2)),
+        (extension_c2_twisted, (DivisorClass(1, 0), 1, DivisorClass(2, 3), 0)),
+        (chern_of_extension, (DivisorClass(1, 0), 1, DivisorClass(2, 3), 0)),
+    ]
+    for fn, args in calls:
+        fn(surface, *args)
+        for i, arg in enumerate(args):
+            if isinstance(arg, DivisorClass):
+                swaps = [DivisorClass(bad, arg.b), DivisorClass(arg.a, bad)]
+            else:
+                swaps = [bad]
+            for swap in swaps:
+                with pytest.raises(DomainError):
+                    fn(surface, *args[:i], swap, *args[i + 1:])
+
+
 def test_untwisting_undoes_the_shift():
     # untwisted c2 = twisted c2 - m(M.c1) - m^2 e
     surface = Surface(2)
@@ -682,26 +704,15 @@ def test_stability_verdict_agrees_with_the_full_enumeration():
                 datum = construct_extension(surface, u, v, 0, s)
                 for pol in ("R", "M"):
                     report = stability_certificate(datum, pol)
-                    survivors = [c.cls for c in report.candidates if c.reason is None]
+                    candidates = report.candidates
+                    survivors = [c.cls for c in candidates if c.reason is None]
                     where = (e, u, v, s, pol)
+                    assert report.candidate_count == len(candidates), where
                     # a certified report has no survivor at all, so none
                     # with both coordinates positive either
                     assert report.certified == (not survivors), where
                     uncertified += not report.certified
     assert uncertified >= 100
-
-
-@pytest.fixture
-def exclusion_calls(monkeypatch):
-    # every class `_exclusion` is asked about, in call order
-    import hirzebruch.bundles as bundles
-
-    real = bundles._exclusion
-    calls = []
-    monkeypatch.setattr(
-        bundles, "_exclusion", lambda datum, n_cls: calls.append(n_cls) or real(datum, n_cls)
-    )
-    return calls
 
 
 @pytest.mark.parametrize("u", [3, 100])
@@ -718,8 +729,10 @@ def test_stability_verdict_cost_does_not_grow_with_the_region(exclusion_calls, u
         report = stability_certificate(datum, pol)
         assert report.certified
         assert 1 <= len(exclusion_calls) <= most
-        # the list still pays one call per candidate
+        # the list still pays one call per candidate; the count pays none
         exclusion_calls.clear()
+        assert report.candidate_count == listed[u]
+        assert exclusion_calls == []
         assert len(report.candidates) == len(exclusion_calls) == listed[u]
 
 
@@ -754,6 +767,15 @@ def test_classifier_rejects_bad_inputs():
         classify_region(surface, 2, (1, 0), (0, 1))
     with pytest.raises(DomainError):
         classify_region(surface, 2, (0, 1), (0, 1), m_max=-1)
+
+
+@pytest.mark.parametrize("bad", [(0, 1, 2), (0,), 5, None, "01"])
+def test_classifier_ranges_are_pairs(bad):
+    surface = Surface(1)
+    for ranges in [(bad, (0, 1)), ((0, 1), bad)]:
+        with pytest.raises(DomainError):
+            classify_region(surface, 2, *ranges)
+    assert classify_region(surface, 2, [0, 1], [0, 1]) == classify_region(surface, 2, (0, 1), (0, 1))
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True])

@@ -18,7 +18,14 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from hirzebruch import CLAIMS, cli, run_audit
+from hirzebruch import (
+    CLAIMS,
+    Surface,
+    cli,
+    construct_extension,
+    run_audit,
+    section_count_bounds,
+)
 
 
 def run(argv, capsys):
@@ -383,6 +390,42 @@ def test_construct_skips_stability_when_twisted(capsys):
     assert record["results"]["stability"] == "only computed for m = 0"
 
 
+def _big_construct(fmt):
+    # e = 1, u = v = 1000, s = a_lo: 500,500 candidates under R, 501,501 under M
+    s = section_count_bounds(Surface(1), 1000, 1000, 0)[0]
+    argv = ["construct", "--e", "1", "--u", "1000", "--v", "1000", "--m", "0", "--s", str(s)]
+    return argv + ["--format", fmt], construct_extension(Surface(1), 1000, 1000, 0, s)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_construct_counts_the_candidates_it_does_not_print(fmt, exclusion_calls, capsys):
+    argv, datum = _big_construct(fmt)
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    # only the verdicts' calls: one under M and the R antidiagonal
+    # gamma + delta = ceil((u+v)/2) inside the box
+    gamma_max = max(datum.sub.a, datum.quotient.cls.a)
+    delta_max = max(datum.sub.b, datum.quotient.cls.b)
+    antidiagonal = gamma_max + delta_max - 1000 + 1
+    assert 1 <= len(exclusion_calls) <= 1 + antidiagonal
+    if fmt == "table":
+        assert "R: certified (500500 candidates)" in out
+        assert "M: certified (501501 candidates)" in out
+    else:
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert (row["stable_R"], row["stable_M"]) == ("True", "True")
+
+
+def test_construct_json_over_the_budget_is_refused_before_listing(exclusion_calls, capsys):
+    argv, _ = _big_construct("json")
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error: ") and err.count("\n") == 1
+    assert "1002001 stability candidates" in err and f"the limit is {cli.ROW_BUDGET}" in err
+    # the verdicts ran; no candidate was listed
+    assert len(exclusion_calls) <= 1 + 1000
+
+
 def test_audit_json_findings(capsys):
     code, out, _ = run(
         ["audit", "--claims", "extension-natural", "--e", "2..2", "--format", "json"],
@@ -594,6 +637,78 @@ def test_warm_calls_add_no_argparse_actions(capsys, monkeypatch):
         for _, _, line in REUSE_CASES[:12]:
             run(line.split(), capsys)
     assert added == []
+
+
+def _parse_outcome(parse, argv, capsys):
+    # the Namespace, the UsageError text, or the exit code and stdout of --help
+    try:
+        return parse(argv)
+    except cli.UsageError as err:
+        return f"usage error: {err}"
+    except SystemExit as done:
+        return done.code, capsys.readouterr().out
+
+
+def _parse_corpus():
+    import importlib.util
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    readme = [
+        shlex.split(line[2:])[1:]
+        for line in _readme_block("## CLI", "```").splitlines()
+        if line.startswith("$ ")
+    ]
+    spec = importlib.util.spec_from_file_location("procs", root / "perfbench" / "procs.py")
+    procs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(procs)
+    cold = [argv for argv, _ in procs.COLD_CLI]
+    assert len(readme) == 11 and len(cold) == 5
+    corpus = readme + cold
+    # one malformed token per option: a bad value, then no value at all
+    for argv in [line.split() for _, _, line in REUSE_CASES if line] + readme:
+        for i, token in enumerate(argv):
+            if token == "--pp":
+                corpus.append(argv[:i] + ["--pp=x"] + argv[i + 1:])
+            elif token.startswith("--"):
+                corpus.append(argv[:i + 1] + ["x"] + argv[i + 2:])
+                corpus.append(argv[:i] + argv[i + 2:] + [token])
+    corpus += [
+        [], ["bogus", "--e", "1"], ["--format", "json", "coh", "--e", "1", "--class", "1,1"],
+        ["coh", "--e", "1", "--cl", "1,1"], ["coh", "--e", "1", "--c", "1,1"],
+        ["check", "--e", "2", "--l", "1,0", "--w", "M", "--p"],
+        ["coh", "--", "--e", "1"], ["coh", "--e", "1", "--class", "--", "1,1"],
+        ["-h"], ["--help"], ["coh", "-h"], ["construct", "--e", "1", "--help"],
+        ["coh", "--e", "1", "--class", "1,1", "coh"], ["COH", "--e", "1"],
+    ]
+    return corpus
+
+
+def test_dispatch_parses_like_the_top_level_parser(capsys):
+    outcomes = set()
+    for argv in _parse_corpus():
+        want = _parse_outcome(cli._build_parser().parse_args, argv, capsys)
+        got = _parse_outcome(cli._parse, argv, capsys)
+        assert got == want, argv
+        outcomes.add(type(want).__name__)
+    assert outcomes == {"Namespace", "str", "tuple"}
+
+
+def test_a_command_line_is_parsed_in_one_pass(monkeypatch):
+    passes = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        passes.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    cli._parse(["coh", "--e", "1", "--class", "1,1"])
+    assert passes == ["hirzebruch coh"]
+    # any other argv still goes through the top-level parser
+    passes.clear()
+    with pytest.raises(cli.UsageError):
+        cli._parse(["--format", "json", "coh", "--e", "1", "--class", "1,1"])
+    assert passes[0] == "hirzebruch"
 
 
 _COMMAND_OPTIONS = {
