@@ -7,11 +7,15 @@ A rank-2 bundle E on F_e is presented here by an extension
 with Z a length-s general subscheme.  The standard construction takes
 integers (u, v, m, s) with v >= e(u-1)-1, m >= 0 and builds the datum with
 sub = (1-m, -e*m) and quot = (u+m-1, v+e*m), so c1(E) = (u, v); the
-admissible range of s is [a_lo, b_hi] = `section_count_bounds`.  Every
-datum derives three certificates from its own fields: the chosen twist is
-the first with a section (section_min), the points impose the
-independence needed for local freeness (cayley_bacharach), and the
-extension is forced to split (ext_forced_split).
+admissible range of s is [a_lo, b_hi] = `section_count_bounds`.  A datum
+is built from m and its two ends, and derives c1, s and three
+certificates from them: the chosen twist is the first with a section
+(section_min), the points satisfy the Cayley-Bacharach condition that a
+locally free extension needs (cayley_bacharach), and the extension is
+forced to split (ext_forced_split).  The ends are typed: `DivisorClass`
+and `PointConfig` refuse non-integer coordinates and point counts when
+they are built, so only the plain-int parameters (u, v, m, s, rank, the
+classifier's bounds) are checked here, through `require_ints`.
 
 E is never materialized.  Its cohomology at a twist is reported as a box
 of intervals squeezed out of the long exact sequence, together with the
@@ -72,50 +76,49 @@ class ChernData:
 class ExtensionDatum:
     """One extension presentation of a rank-2 sheaf, plus its certificates.
 
-    c1 is (u, v); sub and quotient carry the two ends.  s_range and the
-    certificates are derived from those fields, never passed in.  s_range:
-    (a_lo, b_hi) of `section_count_bounds`.  section_min: no earlier twist
-    of the would-be bundle has a section (numerically s >= a_lo).
-    cayley_bacharach: the point-count inequality that makes a locally free
-    extension possible, vacuous at s = 0.  ext_forced_split: the extension
-    group vanishes and s = 0, so the only extension is the direct sum.
+    Built from the twist parameter m and the two ends: the sub class and
+    the quotient ideal model.  Everything else is derived from those
+    fields, never passed in, so `dataclasses.replace` re-derives it.  u, v:
+    c1 = sub + quot.  s: the quotient's point count.  s_range: (a_lo, b_hi)
+    of `section_count_bounds`.  section_min: no earlier twist of the
+    would-be bundle has a section (numerically s >= a_lo).
+    cayley_bacharach: the s general points satisfy the Cayley-Bacharach
+    condition for |L + K|, L = quot - sub, that a locally free extension
+    needs (Griffiths-Harris, Ann. of Math. 1978; Friedman, *Algebraic
+    Surfaces and Holomorphic Vector Bundles*, 1998): h0(L + K) < s,
+    vacuous at s = 0.  ext_forced_split: the
+    extension group vanishes and s = 0, so the only extension is the
+    direct sum.  The ends' coordinates and point count are plain ints
+    already (their types refuse anything else); m is checked by
+    `section_count_bounds`.
     """
 
     surface: Surface
-    u: int
-    v: int
     m: int
-    s: int
     sub: DivisorClass
     quotient: IdealSheafModel
+    u: int = field(init=False)
+    v: int = field(init=False)
+    s: int = field(init=False)
     s_range: tuple[int, int] = field(init=False)
     section_min: bool = field(init=False)
     cayley_bacharach: bool = field(init=False)
     ext_forced_split: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        sub, qcls = self.sub, self.quotient.cls
-        # u, v and m are checked by `section_count_bounds` below
-        require_ints(self.s, self.quotient.config.z, sub.a, sub.b, qcls.a, qcls.b)
-        if self.s < 0:
-            raise DomainError(f"point count must be >= 0, got {self.s}")
-        if self.quotient.config.z != self.s:
-            raise DomainError("quotient ideal length must equal s")
-        total = sub + qcls
-        if (total.a, total.b) != (self.u, self.v):
-            raise DomainError(
-                f"ends {self.sub} + {self.quotient.cls} do not add up to c1 ({self.u},{self.v})"
-            )
-        surface, e, u, v, m, s = self.surface, self.surface.e, self.u, self.v, self.m, self.s
-        s_range = section_count_bounds(surface, u, v, m)
-        # vacuous at s = 0: there are no points to condition
-        cb = s == 0 or sections(e, u + 2 * m - 5, v + 2 * m * e - 2 * e - 2) < s
+        e, sub, qcls = self.surface.e, self.sub, self.quotient.cls
+        u, v, s = sub.a + qcls.a, sub.b + qcls.b, self.quotient.config.z
+        s_range = section_count_bounds(self.surface, u, v, self.m)
+        # L + K = (quot - sub) + (-2, -e-2)
+        cb = s == 0 or sections(e, qcls.a - sub.a - 2, qcls.b - sub.b - e - 2) < s
         split = s == 0 and counts(e, sub.a - qcls.a, sub.b - qcls.b)[1] == 0
+        derived = {
+            "u": u, "v": v, "s": s, "s_range": s_range, "section_min": s_range[0] <= s,
+            "cayley_bacharach": cb, "ext_forced_split": split,
+        }
         # the dataclass is frozen, so the derived fields are set past __setattr__
-        object.__setattr__(self, "s_range", s_range)
-        object.__setattr__(self, "section_min", s_range[0] <= s)
-        object.__setattr__(self, "cayley_bacharach", cb)
-        object.__setattr__(self, "ext_forced_split", split)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def c1(self) -> DivisorClass:
         return DivisorClass(self.u, self.v)
@@ -147,7 +150,7 @@ def extension_c2_twisted(
 ) -> int:
     """c2 of E(mM) when a minimal section of E(mM) vanishes on `vanishing`
     plus s residual points: D.c1 + 2m(M.D) - D^2 + s."""
-    require_ints(m, s, vanishing.a, vanishing.b, c1.a, c1.b)
+    require_ints(m, s)
     if s < 0:
         raise DomainError(f"point count must be >= 0, got {s}")
     mm = surface.m_class()
@@ -241,7 +244,7 @@ def construct_extension(surface: Surface, u: int, v: int, m: int, s: int) -> Ext
     sub = DivisorClass(1 - m, -e * m)
     qcls = DivisorClass(u + m - 1, v + e * m)
     quotient = IdealSheafModel(PointConfig(z=s, locus=Locus.GENERAL), qcls)
-    return ExtensionDatum(surface, u, v, m, s, sub, quotient)
+    return ExtensionDatum(surface, m, sub, quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +283,9 @@ def cohomology_interval(datum: ExtensionDatum, t: int) -> CohomologyInterval:
     With a_i from the sub line bundle and q_i from the quotient ideal model
     (both twisted by tM), the connecting-map ranks r0 <= min(q0, a1) and
     r1 <= min(q1, a2) give h0 = a0 + q0 - r0, h1 = (a1 - r0) + (q1 - r1),
-    h2 = (a2 - r1) + q2.  The bounds below are those projections; the
-    expected triple takes r0, r1 maximal.  A forced split pins r0 = r1 = 0.
+    h2 = (a2 - r1) + q2.  The bounds below are those projections: each
+    upper bound takes the ranks 0, each lower bound and the expected
+    triple take them at their caps.  A forced split caps both at 0.
     The ends are evaluated on coordinates (M = (1, e)); only the box and
     its expected triple are built.
     """
@@ -291,14 +295,10 @@ def cohomology_interval(datum: ExtensionDatum, t: int) -> CohomologyInterval:
     q0, q1, q2 = ideal_counts(e, z, locus, quot.cls.a + t, quot.cls.b + t * e)
     total_chi = a0 - a1 + a2 + q0 - q1 + q2
 
-    if datum.ext_forced_split:
-        lo0 = hi0 = a0 + q0
-        lo1 = hi1 = a1 + q1
-        lo2 = hi2 = a2 + q2
-    else:
-        lo0, hi0 = a0 + max(0, q0 - a1), a0 + q0
-        lo1, hi1 = max(0, a1 - q0) + max(0, q1 - a2), a1 + q1
-        lo2, hi2 = max(0, a2 - q1) + q2, a2 + q2
+    # the caps on r0 and r1; a forced split pins both ranks at 0
+    cap0, cap1 = (0, 0) if datum.ext_forced_split else (min(q0, a1), min(q1, a2))
+    hi0, hi1, hi2 = a0 + q0, a1 + q1, a2 + q2
+    lo0, lo1, lo2 = hi0 - cap0, hi1 - cap0 - cap1, hi2 - cap1
     expected = CohomologyTriple(lo0, lo1, lo2)
 
     if expected.chi() != total_chi:

@@ -82,6 +82,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
 
+    def parse_known_args(self, args: Any = None, namespace: Any = None) -> Any:
+        try:
+            return super().parse_known_args(args, namespace)
+        except UsageError:
+            # the top-level parser skips a command's option given before the
+            # command and reads the option's value as the command; name the
+            # option instead of that value
+            lead = (args or [""])[0].partition("=")[0]
+            commands = getattr(self, "commands", {}).values()
+            if any(lead in command._option_string_actions for command in commands):
+                raise UsageError(f"{lead} must follow the command") from None
+            raise
+
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         # ranges and pairs may open with a negative integer ("-5..6",

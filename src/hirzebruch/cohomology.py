@@ -35,9 +35,10 @@ Kernels and wrappers: ``sections(e, a, b)`` (the h^0 sum) and
 ``counts(e, a, b)`` (the triple, with both consistency checks) take plain
 integers and build no object.  The hot loops of :mod:`hirzebruch.natural`
 and :mod:`hirzebruch.bundles` call them on twisted coordinates.  The
-public functions on (Surface, DivisorClass) are thin wrappers that refuse
-non-integer coordinates and then call a kernel, so each quantity has one
-formula.
+public functions on (Surface, DivisorClass) are thin wrappers that call a
+kernel on the class's coordinates, so each quantity has one formula; they
+check nothing themselves, since `DivisorClass` refuses non-integer
+coordinates when it is built.
 """
 
 from __future__ import annotations
@@ -93,14 +94,9 @@ def counts(e: int, a: int, b: int) -> tuple[int, int, int]:
     return v0, v1, v2
 
 
-def _coords(c: DivisorClass) -> tuple[int, int]:
-    require_ints(c.a, c.b)
-    return c.a, c.b
-
-
 def h0(surface: Surface, c: DivisorClass) -> int:
     """Global sections of O(c)."""
-    return sections(surface.e, *_coords(c))
+    return sections(surface.e, c.a, c.b)
 
 
 def oracle_h0(surface: Surface, c: DivisorClass) -> int:
@@ -119,23 +115,22 @@ def oracle_h0(surface: Surface, c: DivisorClass) -> int:
 
 def chi(surface: Surface, c: DivisorClass) -> int:
     """Euler characteristic via Riemann-Roch."""
-    return _euler(surface.e, *_coords(c))
+    return _euler(surface.e, c.a, c.b)
 
 
 def h2(surface: Surface, c: DivisorClass) -> int:
     """Serre duality: h^2(c) = h^0(K - c)."""
-    return counts(surface.e, *_coords(c))[2]
+    return counts(surface.e, c.a, c.b)[2]
 
 
 def h1(surface: Surface, c: DivisorClass) -> int:
     """h^1 forced by chi = h0 - h1 + h2."""
-    return counts(surface.e, *_coords(c))[1]
+    return counts(surface.e, c.a, c.b)[1]
 
 
 def h1_vanishes(surface: Surface, c: DivisorClass) -> bool:
     """Closed-form h^1 = 0 test (the trichotomy); no cohomology computed."""
-    a, b = _coords(c)
-    e = surface.e
+    a, b, e = c.a, c.b, surface.e
     if a >= 0:
         return b >= e * a - 1
     if a == -1:
@@ -145,7 +140,7 @@ def h1_vanishes(surface: Surface, c: DivisorClass) -> bool:
 
 def triple(surface: Surface, c: DivisorClass) -> CohomologyTriple:
     """(h0, h1, h2) from one evaluation each of h0, h2 and chi."""
-    return CohomologyTriple(*counts(surface.e, *_coords(c)))
+    return CohomologyTriple(*counts(surface.e, c.a, c.b))
 
 
 def cohomology_profile(
@@ -156,11 +151,10 @@ def cohomology_profile(
     t_to: int,
 ) -> list[tuple[int, CohomologyTriple]]:
     """Triples of c + t*by for t in the inclusive range [t_from, t_to]."""
-    (a, b), (da, db) = _coords(c), _coords(by)
     require_ints(t_from, t_to)
     if t_from > t_to:
         raise DomainError(f"inverted twist range {t_from}..{t_to}")
-    e = surface.e
+    e, a, b, da, db = surface.e, c.a, c.b, by.a, by.b
     return [
         (t, CohomologyTriple(*counts(e, a + t * da, b + t * db)))
         for t in range(t_from, t_to + 1)

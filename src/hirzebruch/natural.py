@@ -32,11 +32,13 @@ models have none: `ideal_natural_wrt_m` is the M scan's boolean form.
 All verdicts carry a witness twist and the (h0, h1) evidence so a failed
 check is reproducible by a single cohomology evaluation.
 
-The scans check their inputs once, on entry, and then evaluate each twist
-on plain coordinates through the integer kernels ``cohomology.counts`` and
-``sheaves.ideal_counts`` (``ideal_sections`` for the min-twist probe), so
-no class, model or triple is built per twist; the `Verdict` and the
-`ScanEvidence` are built once per answer.
+The scans check the model's shape and the twisting class once, on entry;
+coordinates and point counts are plain ints already, since `DivisorClass`
+and `PointConfig` refuse anything else when they are built.  Each twist is
+then evaluated on plain coordinates through the integer kernels
+``cohomology.counts`` and ``sheaves.ideal_counts`` (``ideal_sections`` for
+the min-twist probe), so no class, model or triple is built per twist; the
+`Verdict` and the `ScanEvidence` are built once per answer.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .cohomology import ConsistencyError, counts
-from .picard import DivisorClass, DomainError, Surface, ceil_div, require_ints
+from .picard import DivisorClass, DomainError, Surface, ceil_div
 from .sheaves import IdealSheafModel, ideal_counts, ideal_sections
 
 
@@ -115,12 +117,10 @@ class ScanEvidence:
 
 
 def _require_inputs(surface: Surface, model: SheafModel, by: DivisorClass) -> None:
-    """Reject a twisting class that is not spanned and nonzero, and any class
-    (or point count) whose coordinates are not plain integers."""
-    for c in (by, *_components(model)):
-        require_ints(c.a, c.b)
-    if isinstance(model, IdealSheafModel):
-        require_ints(model.config.z)
+    """Reject a non-model and a twisting class that is not spanned and
+    nonzero.  Coordinates and point counts need no check: the types refuse
+    non-integers when they are built."""
+    _components(model)  # DomainError for a non-model
     # spanned: a >= 0 and b >= e*a
     if by.is_zero() or by.a < 0 or by.b < surface.e * by.a:
         raise DomainError(f"twisting class must be spanned and nonzero, got {by}")

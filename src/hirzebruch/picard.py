@@ -8,6 +8,10 @@ generated by h and a fiber f of the ruling, with intersection pairing
 
 A class a*h + b*f is stored as the integer pair (a, b).  Everything here
 is exact integer arithmetic; no floats appear anywhere in this package.
+The types refuse non-integers when they are built: `DivisorClass`,
+`Surface` and `sheaves.PointConfig` check their own fields through
+`require_ints` (a bool or a float such as 2.0 is a `DomainError`), so a
+function that takes them reads plain ints without checking again.
 
 Positivity on F_e has closed-form descriptions:
 
@@ -36,6 +40,9 @@ class DivisorClass:
 
     a: int
     b: int
+
+    def __post_init__(self) -> None:
+        require_ints(self.a, self.b)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.a + other.a, self.b + other.b)
@@ -78,7 +85,8 @@ class Surface:
     e: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.e, int) or isinstance(self.e, bool) or self.e < 1:
+        require_ints(self.e)
+        if self.e < 1:
             raise DomainError(f"surface parameter e must be an integer >= 1, got {self.e!r}")
 
     def intersect(self, c1: DivisorClass, c2: DivisorClass) -> int:
@@ -121,7 +129,8 @@ def require_ints(*values: object) -> None:
     """DomainError unless every value is a plain int.
 
     ``type(x) is int`` refuses bool and every float, 2.0 included.  The
-    public entry points check here; the integer kernels they call do not.
+    types check their fields here, and the public entry points their
+    plain-int parameters; the integer kernels they call do not.
     """
     for x in values:
         if type(x) is not int:

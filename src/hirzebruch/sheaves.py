@@ -28,7 +28,9 @@ As in :mod:`hirzebruch.cohomology`, the formulas live in integer kernels,
 ``ideal_sections(e, z, locus, a, b)`` and ``ideal_counts(e, z, locus, a,
 b)``, which the scan, box and exclusion loops call without building a
 model per twist.  The functions on (Surface, IdealSheafModel) are thin
-wrappers that refuse non-integer input and call a kernel.
+wrappers that call a kernel and check nothing themselves: `PointConfig`
+refuses a point count that is not a plain int >= 0, and `DivisorClass`
+non-integer coordinates, when they are built.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ class PointConfig:
     locus: Locus
 
     def __post_init__(self) -> None:
+        require_ints(self.z)
         if self.z < 0:
             raise DomainError(f"point count must be >= 0, got {self.z}")
 
@@ -116,10 +119,8 @@ def ideal_counts(e: int, z: int, locus: Locus, a: int, b: int) -> tuple[int, int
 
 
 def _fields(model: IdealSheafModel) -> tuple[int, Locus, int, int]:
-    """(z, locus, a, b) of the model, refusing non-integer counts and coordinates."""
-    z, cls = model.config.z, model.cls
-    require_ints(z, cls.a, cls.b)
-    return z, model.config.locus, cls.a, cls.b
+    """(z, locus, a, b) of the model: the arguments of the kernels."""
+    return model.config.z, model.config.locus, model.cls.a, model.cls.b
 
 
 def max_conditions(surface: Surface, model: IdealSheafModel) -> int:

@@ -85,24 +85,27 @@ def test_twisted_c2_frozen():
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True])
 def test_chern_formulas_take_integers_only(bad):
-    # each integer argument, and each coordinate of a class argument, in turn
+    # each integer argument, and each coordinate of a class argument, in
+    # turn; a class argument is built inside the check, where its type
+    # refuses the bad coordinate
     surface = Surface(1)
     calls = [
         (construction_c2, (2, 1, 0, 1)),
         (c1_obstructed, (2, 3, 2)),
-        (extension_c2_twisted, (DivisorClass(1, 0), 1, DivisorClass(2, 3), 0)),
-        (chern_of_extension, (DivisorClass(1, 0), 1, DivisorClass(2, 3), 0)),
+        (extension_c2_twisted, ((1, 0), 1, (2, 3), 0)),
+        (chern_of_extension, ((1, 0), 1, (2, 3), 0)),
     ]
+
+    def call(fn, args):
+        return fn(surface, *(DivisorClass(*a) if isinstance(a, tuple) else a for a in args))
+
     for fn, args in calls:
-        fn(surface, *args)
+        call(fn, args)
         for i, arg in enumerate(args):
-            if isinstance(arg, DivisorClass):
-                swaps = [DivisorClass(bad, arg.b), DivisorClass(arg.a, bad)]
-            else:
-                swaps = [bad]
+            swaps = [(bad, arg[1]), (arg[0], bad)] if isinstance(arg, tuple) else [bad]
             for swap in swaps:
                 with pytest.raises(DomainError):
-                    fn(surface, *args[:i], swap, *args[i + 1:])
+                    call(fn, (*args[:i], swap, *args[i + 1:]))
 
 
 def test_untwisting_undoes_the_shift():
@@ -233,32 +236,55 @@ def test_hand_built_datum_derives_its_certificates():
     # the ends of the e = 2 forced split, but with a point: no split is forced
     surface = Surface(2)
     quotient = IdealSheafModel(PointConfig(1, Locus.GENERAL), DivisorClass(1, 1))
-    datum = ExtensionDatum(surface, 2, 1, 0, 1, DivisorClass(1, 0), quotient)
+    datum = ExtensionDatum(surface, 0, DivisorClass(1, 0), quotient)
+    assert (datum.u, datum.v, datum.s) == (2, 1, 1)
     assert not datum.ext_forced_split
     assert datum.section_min and datum.cayley_bacharach
     box = cohomology_interval(datum, 0)
     assert not box.exact()
+    # c1 and s come from the ends, and the certificates from all of them
     with pytest.raises(TypeError):
-        ExtensionDatum(surface, 2, 1, 0, 1, DivisorClass(1, 0), quotient, True, True, True)
+        ExtensionDatum(surface, 2, 1, 0, 1, DivisorClass(1, 0), quotient)
+    with pytest.raises(TypeError):
+        ExtensionDatum(surface, 0, DivisorClass(1, 0), quotient, True, True, True)
+
+
+def test_cayley_bacharach_reads_the_datum_ends():
+    # the condition concerns |L + K| with L = quot - sub, K = (-2, -e-2):
+    # it holds for s general points iff h0(L + K) < s, whatever m says
+    surface = Surface(1)
+    for sub, quot, m, s, want in [
+        # L + K = (0, 0): the constant section misses the point
+        (DivisorClass(0, 0), DivisorClass(2, 3), 0, 1, False),
+        # the construction's ends for (3, 2) at m = 0, declared at m = 1:
+        # L + K = (-1, -1) has no section, so one point satisfies it
+        (DivisorClass(1, 0), DivisorClass(2, 2), 1, 1, True),
+    ]:
+        datum = ExtensionDatum(surface, m, sub, IdealSheafModel(PointConfig(s, Locus.GENERAL), quot))
+        assert datum.cayley_bacharach is want
+        assert (h0(surface, quot - sub + surface.canonical_class()) < s) is want
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True])
 def test_hand_built_datum_takes_integers_only(bad):
+    # the point count, m and each end coordinate in turn; each end is built
+    # inside the check, where its type refuses the bad value
     surface = Surface(1)
-    sub, quot = DivisorClass(1, 0), DivisorClass(2, 2)
-    quotient = IdealSheafModel(PointConfig(bad, Locus.GENERAL), quot)
-    for s in (bad, 2):
+    ends = [1, 0, 2, 2]
+
+    def build_datum(m=0, z=2, coords=ends):
+        quotient = IdealSheafModel(PointConfig(z, Locus.GENERAL), DivisorClass(*coords[2:]))
+        return ExtensionDatum(surface, m, DivisorClass(*coords[:2]), quotient)
+
+    build_datum()
+    for kwargs in ({"z": bad}, {"m": bad}):
         with pytest.raises(DomainError):
-            ExtensionDatum(surface, 3, 2, 0, s, sub, quotient)
-    # each end coordinate in turn; c1 stays the sum of the ends
+            build_datum(**kwargs)
     for i in range(4):
-        coords = [sub.a, sub.b, quot.a, quot.b]
+        coords = list(ends)
         coords[i] = bad
-        ends = DivisorClass(*coords[:2]), DivisorClass(*coords[2:])
-        total = ends[0] + ends[1]
-        quotient = IdealSheafModel(PointConfig(0, Locus.GENERAL), ends[1])
         with pytest.raises(DomainError):
-            ExtensionDatum(surface, total.a, total.b, 0, 0, ends[0], quotient)
+            build_datum(z=0, coords=coords)
 
 
 def test_replace_re_derives_the_certificates():
@@ -267,20 +293,23 @@ def test_replace_re_derives_the_certificates():
     surface = Surface(2)
     split = construct_extension(surface, 2, 1, 0, 0)
     assert (split.section_min, split.cayley_bacharach, split.ext_forced_split) == (True, True, True)
-    # plant three wrong flags: replace must not carry any of them over
-    for name in ("section_min", "cayley_bacharach", "ext_forced_split"):
-        object.__setattr__(split, name, not getattr(split, name))
+    # plant wrong derived values: replace must not carry any of them over
+    derived = ("u", "v", "s", "s_range", "section_min", "cayley_bacharach", "ext_forced_split")
+    for name in derived:
+        object.__setattr__(split, name, None)
     _, hi = section_count_bounds(surface, 2, 1, 0)
     assert hi >= 1
     for s in range(1, hi + 1):
         quotient = IdealSheafModel(PointConfig(s, Locus.GENERAL), split.quotient.cls)
-        moved = dataclasses.replace(split, s=s, quotient=quotient)
+        moved = dataclasses.replace(split, quotient=quotient)
         assert moved == construct_extension(surface, 2, 1, 0, s)
+        assert (moved.u, moved.v, moved.s, moved.s_range) == (2, 1, s, (0, hi))
         assert (moved.section_min, moved.cayley_bacharach, moved.ext_forced_split) == (
             True, True, False,
         )
-    with pytest.raises(ValueError):
-        dataclasses.replace(split, ext_forced_split=True)
+    for name in derived:
+        with pytest.raises(ValueError):
+            dataclasses.replace(split, **{name: True})
 
 
 # --- cohomology boxes
@@ -481,8 +510,7 @@ def test_hand_built_audit_verdict_is_the_verdict_of_its_rows(locus):
         quot = DivisorClass(rng.randint(-8, 8), rng.randint(-25, 30))
         s = rng.choice([0, rng.randint(0, 4), rng.randint(0, 40)])
         datum = ExtensionDatum(
-            surface, sub.a + quot.a, sub.b + quot.b, rng.randint(0, 8), s, sub,
-            IdealSheafModel(PointConfig(s, locus), quot),
+            surface, rng.randint(0, 8), sub, IdealSheafModel(PointConfig(s, locus), quot)
         )
         audit = audit_extension_natural(datum)
         assert audit.verdict == _verdict_of_rows(audit)
@@ -566,10 +594,7 @@ def _region_referee_data():
                 sub = DivisorClass(rng.randint(-1, 1), rng.randint(-2, 0))
                 quot = DivisorClass(u - sub.a, rng.randint(surface.e * (u - 1), 2 * surface.e * u))
             s = rng.choice([0, rng.randint(0, 3), rng.randint(0, 15)])
-            yield ExtensionDatum(
-                surface, sub.a + quot.a, sub.b + quot.b, 0, s, sub,
-                IdealSheafModel(PointConfig(s, locus), quot),
-            )
+            yield ExtensionDatum(surface, 0, sub, IdealSheafModel(PointConfig(s, locus), quot))
 
 
 def test_stability_region_is_complete():

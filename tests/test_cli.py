@@ -121,6 +121,17 @@ def test_usage_error_names_the_token(capsys):
     assert "1,1,2" in err
 
 
+def test_an_option_before_the_command_is_named(capsys):
+    # argparse would read the option's value as the command
+    code, out, err = run(["--format", "json", "coh", "--e", "1", "--class", "1,1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --format must follow the command\n"
+    code, _, err = run(["--e", "1", "coh", "--class", "1,1"], capsys)
+    assert (code, err) == (2, "error: --e must follow the command\n")
+    code, _, err = run(["json", "coh"], capsys)
+    assert code == 2 and "invalid choice: 'json'" in err
+
+
 def test_malformed_range(capsys):
     code, _, err = run(["oracle", "--e", "1..x", "--a", "0..1", "--b", "0..1"], capsys)
     assert code == 2

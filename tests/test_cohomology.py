@@ -223,24 +223,30 @@ def test_public_entry_points_reject_non_integer_inputs(bad):
     from hirzebruch import construct_extension, section_count_bounds
     from hirzebruch.sheaves import h1_ideal, h2_ideal, max_conditions
 
+    # a class or model is built inside the check, where its type refuses
+    # the bad coordinate or point count
     surface = Surface(1)
     by = DivisorClass(1, 1)
     calls = []
-    for c in (DivisorClass(bad, 2), DivisorClass(1, bad)):
+    for ab in ((bad, 2), (1, bad)):
         for fn in (h0, h1, h2, chi, triple, h1_vanishes):
-            calls.append(lambda fn=fn, c=c: fn(surface, c))
-        calls.append(lambda c=c: cohomology_profile(surface, c, by, 0, 1))
-        calls.append(lambda c=c: cohomology_profile(surface, by, c, 0, 1))
+            calls.append(lambda fn=fn, ab=ab: fn(surface, DivisorClass(*ab)))
+        calls.append(lambda ab=ab: cohomology_profile(surface, DivisorClass(*ab), by, 0, 1))
+        calls.append(lambda ab=ab: cohomology_profile(surface, by, DivisorClass(*ab), 0, 1))
     calls.append(lambda: cohomology_profile(surface, by, by, bad, 3))
     calls.append(lambda: cohomology_profile(surface, by, by, 0, bad))
     models = [
-        IdealSheafModel(PointConfig(2, Locus.GENERAL), DivisorClass(bad, 2)),
-        IdealSheafModel(PointConfig(2, Locus.ON_SECTION), DivisorClass(2, bad)),
-        IdealSheafModel(PointConfig(bad, Locus.ON_FIBER), DivisorClass(2, 2)),
+        (2, Locus.GENERAL, (bad, 2)),
+        (2, Locus.ON_SECTION, (2, bad)),
+        (bad, Locus.ON_FIBER, (2, 2)),
     ]
-    for model in models:
+    for z, locus, ab in models:
         for fn in (h0_ideal, h1_ideal, h2_ideal, triple_ideal, max_conditions):
-            calls.append(lambda fn=fn, model=model: fn(surface, model))
+            calls.append(
+                lambda fn=fn, z=z, locus=locus, ab=ab: fn(
+                    surface, IdealSheafModel(PointConfig(z, locus), DivisorClass(*ab))
+                )
+            )
     for at in range(3):
         args = [3, 2, 0]
         args[at] = bad

@@ -455,22 +455,24 @@ def test_first_true_is_the_least_true_twist():
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True])
 def test_scans_reject_non_integer_inputs(bad):
+    # each case builds its model and twisting class inside the check,
+    # where their types refuse the bad coordinate or point count
     surface = Surface(1)
     m = surface.m_class()
     general = PointConfig(2, Locus.GENERAL)
     cases = [
-        (Line(DivisorClass(bad, 2)), m),
-        (Line(DivisorClass(1, bad)), m),
-        (DirectSum((DivisorClass(0, 0), DivisorClass(bad, 1))), m),
-        (IdealSheafModel(general, DivisorClass(2, bad)), m),
-        (IdealSheafModel(PointConfig(bad, Locus.ON_FIBER), DivisorClass(2, 2)), m),
-        (Line(DivisorClass(1, 1)), DivisorClass(bad, 3)),
-        (Line(DivisorClass(1, 1)), DivisorClass(0, bad)),
+        lambda: (Line(DivisorClass(bad, 2)), m),
+        lambda: (Line(DivisorClass(1, bad)), m),
+        lambda: (DirectSum((DivisorClass(0, 0), DivisorClass(bad, 1))), m),
+        lambda: (IdealSheafModel(general, DivisorClass(2, bad)), m),
+        lambda: (IdealSheafModel(PointConfig(bad, Locus.ON_FIBER), DivisorClass(2, 2)), m),
+        lambda: (Line(DivisorClass(1, 1)), DivisorClass(bad, 3)),
+        lambda: (Line(DivisorClass(1, 1)), DivisorClass(0, bad)),
     ]
-    for model, by in cases:
+    for case in cases:
         for call in (scan_verdict, unconditional_scan, min_twist_with_sections):
             with pytest.raises(DomainError):
-                call(surface, model, by)
+                call(surface, *case())
 
 
 # --- windows from the runs of h1 > 0

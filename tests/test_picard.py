@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hirzebruch import DivisorClass, DomainError, Surface, twist
+from hirzebruch import DivisorClass, DomainError, Locus, PointConfig, Surface, twist
 from hirzebruch.picard import ceil_div
 
 ints = st.integers(min_value=-50, max_value=50)
@@ -24,6 +24,27 @@ def test_rejects_nonpositive_e(e):
 def test_rejects_non_integer_e():
     with pytest.raises(DomainError):
         Surface(1.5)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True])
+def test_types_refuse_non_integers(bad):
+    # checked once, where the value is stored, so no function that takes
+    # these types sees a float or a bool
+    makers = [
+        lambda: DivisorClass(bad, 0),
+        lambda: DivisorClass(0, bad),
+        lambda: PointConfig(bad, Locus.GENERAL),
+        lambda: Surface(bad),
+        lambda: twist(DivisorClass(1, 1), 0.5, DivisorClass(1, 2)),
+    ]
+    for make in makers:
+        with pytest.raises(DomainError):
+            make()
+    # the range messages are unchanged
+    with pytest.raises(DomainError, match=r"^surface parameter e must be an integer >= 1, got 0$"):
+        Surface(0)
+    with pytest.raises(DomainError, match=r"^point count must be >= 0, got -1$"):
+        PointConfig(-1, Locus.GENERAL)
 
 
 # frozen pairings, each checked by hand against the form

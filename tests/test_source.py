@@ -63,3 +63,37 @@ def test_one_list_of_public_names():
     }
     assert len(hirzebruch.__all__) == len(set(hirzebruch.__all__))
     assert set(hirzebruch.__all__) == imported
+
+
+def test_integers_are_checked_by_the_types_that_hold_them():
+    # a class coordinate or a point count is checked once, when its type
+    # is built; a function that reads one off an argument (`c.a`,
+    # `model.config.z`) must not check it again.  Only a type's own
+    # `__post_init__` may pass `require_ints` its fields (`self.x`).
+    package = pathlib.Path(hirzebruch.__file__).parent
+    found = []
+
+    def visit(node, in_post_init, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name == "__post_init__", path)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "require_ints"
+            ):
+                for arg in child.args:
+                    own = (
+                        in_post_init
+                        and isinstance(arg, ast.Attribute)
+                        and isinstance(arg.value, ast.Name)
+                        and arg.value.id == "self"
+                    )
+                    if not own and any(isinstance(n, ast.Attribute) for n in ast.walk(arg)):
+                        found.append(f"{path.name}:{child.lineno} {ast.unparse(arg)}")
+            visit(child, in_post_init, path)
+
+    for path in sorted(package.rglob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), False, path)
+    assert found == []
