@@ -11,6 +11,8 @@ counts, splitting behavior, stability) is decided by exact arithmetic.
 Run with: python3 demos/build_a_bundle.py
 """
 
+import sys
+
 from hirzebruch import (
     ConstructionError,
     Outcome,
@@ -54,7 +56,8 @@ boundary = construct_extension(Surface(2), 2, 1, 0, 0)
 print(f"boundary e = 2, c1 = (2,1), s = 0: forced split = "
       f"{boundary.ext_forced_split}")
 bv = audit_extension_natural(boundary).verdict
-assert bv.outcome is Outcome.FAILS
+if bv.outcome is not Outcome.FAILS:
+    sys.exit(f"expected the split boundary instance to fail, got {bv.outcome.name}")
 print(f"  fails at t = {bv.witness_t} with (h0,h1) = "
       f"({bv.witness_h0},{bv.witness_h1})")
 print()

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator, Optional
 
 from .cohomology import CohomologyTriple, ConsistencyError, counts, sections
@@ -469,9 +470,10 @@ class DestabilizerCandidate:
     reason is None when the candidate is NOT excluded (the certificate then
     fails); "no_map" when N maps into neither end; "genericity" when the
     only possible route is through the quotient and the s general points
-    absorb every section of the residual class.  A tail entry stands for
-    every class (g, delta) with g <= its own first coordinate: below it all
-    three exclusion ingredients are frozen (see `_columns`).
+    absorb every section of the residual class.  A tail entry is the first
+    listed class of an M column (the boundary rule in `_columns`); it
+    stands for every class (g, delta) with g <= its own first coordinate,
+    where all three exclusion ingredients are frozen.
     Candidates are listed by `StabilityReport.candidates`, on access; the
     verdict does not read them.
     """
@@ -485,9 +487,9 @@ class DestabilizerCandidate:
 class StabilityReport:
     """The stability verdict of `datum` for one polarization.
 
-    `certified` is decided on the boundary of the slope region (see
-    `stability_certificate`); `candidates` lists the whole region and
-    `candidate_count` counts it.
+    `certified` is decided on the first classes of the slope region's
+    columns (the boundary rule in `_columns`); `candidates` lists the whole
+    region and `candidate_count` counts it.
     """
 
     polarization: Polarization
@@ -506,13 +508,12 @@ class StabilityReport:
         building them.
         """
         candidates = []
-        for delta, gamma_lo, gammas in self._gammas():
-            for gamma in gammas:
+        pol = self.polarization
+        for delta, first, gamma_max in _columns(self.datum, pol):
+            for gamma in range(first, gamma_max + 1):
                 reason = _exclusion(self.datum, (gamma, delta))
-                # the third field is `tail`
-                candidates.append(
-                    DestabilizerCandidate(DivisorClass(gamma, delta), reason, gamma < gamma_lo)
-                )
+                tail = pol is Polarization.M and gamma == first
+                candidates.append(DestabilizerCandidate(DivisorClass(gamma, delta), reason, tail))
         candidates.sort(key=lambda cand: (cand.cls.a, cand.cls.b))
         return tuple(candidates)
 
@@ -520,15 +521,9 @@ class StabilityReport:
     def candidate_count(self) -> int:
         """len(candidates), summed over the columns in O(u + v) with no
         `_exclusion` call."""
-        return sum(len(gammas) for _, _, gammas in self._gammas())
-
-    def _gammas(self) -> Iterator[tuple[int, int, range]]:
-        # (delta, gamma_lo, listed gammas) per column
-        pol = self.polarization
-        for delta, gamma_lo, gamma_max in _columns(self.datum, pol):
-            # under M a column starts at its tail entry, one below gamma_lo
-            first = gamma_lo - 1 if pol is Polarization.M else gamma_lo
-            yield delta, gamma_lo, range(first, gamma_max + 1)
+        return sum(
+            gamma_max - first + 1 for _, first, gamma_max in _columns(self.datum, self.polarization)
+        )
 
 
 def _exclusion(datum: ExtensionDatum, n: tuple[int, int]) -> Optional[str]:
@@ -552,8 +547,9 @@ def _exclusion(datum: ExtensionDatum, n: tuple[int, int]) -> Optional[str]:
 
 
 def _columns(datum: ExtensionDatum, pol: Polarization) -> Iterator[tuple[int, int, int]]:
-    """The slope region of `pol`, one column (delta, gamma_lo, gamma_max)
-    per delta, in increasing delta.
+    """The slope region of `pol`, one column (delta, first, gamma_max)
+    per delta, in increasing delta; the column lists the classes
+    (gamma, delta) with first <= gamma <= gamma_max.
 
     A class N = (gamma, delta) is in the region when its slope meets half
     of c1's and it is not excluded wholesale.  The box: a map O(N) -> E
@@ -568,8 +564,16 @@ def _columns(datum: ExtensionDatum, pol: Polarization) -> Iterator[tuple[int, in
     and below sub.a, the residual class quot - N keeps a constant h0 (its
     h-coordinate is past the section count's saturation) and a constant
     effectivity, and sub - N keeps a constant effectivity, so `_exclusion`
-    is constant there; under M the column stops at gamma_lo, the least of
-    those three, and the tail entry at gamma_lo - 1 stands for all of them.
+    is constant there.
+
+    The boundary rule: `first` is the column's first listed class, and
+    this is the only code that says where a listing begins.  Under R it is
+    threshold - delta, on the antidiagonal gamma + delta = threshold.
+    Under M it is min(0, freeze, sub.a) - 1, the tail entry, which stands
+    for every class of the column below the freeze point; freeze grows
+    with delta, so the first column's tail stands below every class of the
+    region.  The stability verdict checks exactly these first classes
+    (see `stability_certificate`).
     """
     qcls, sub = datum.quotient.cls, datum.sub
     gamma_max, delta_max = max(sub.a, qcls.a), max(sub.b, qcls.b)
@@ -581,7 +585,7 @@ def _columns(datum: ExtensionDatum, pol: Polarization) -> Iterator[tuple[int, in
     e = datum.surface.e
     for delta in range(ceil_div(datum.v, 2), delta_max + 1):
         freeze = qcls.a - (max(0, qcls.b - delta) // e)
-        yield delta, min(0, freeze, sub.a), gamma_max
+        yield delta, min(0, freeze, sub.a) - 1, gamma_max
 
 
 def stability_certificate(datum: ExtensionDatum, polarization: Polarization | str) -> StabilityReport:
@@ -597,13 +601,11 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
     `_exclusion` does not exclude form a down-set in (gamma, delta):
     lowering either coordinate of N raises both coordinates of sub - N
     and of quot - N, and effectivity, h0 and h0_ideal are nondecreasing
-    in each coordinate.  So a survivor exists iff one lies on the lower
-    boundary of the region's columns (`_columns`): under M that is the
-    tail entry of the first column, delta = ceil(v/2), one `_exclusion`
-    call; under R it is the least class of each column, the antidiagonal
-    gamma + delta = ceil((u+v)/2) of the box, O(u + v) calls.  The report
-    lists the same columns whole on access (`StabilityReport.candidates`),
-    as a referee.
+    in each coordinate.  So a survivor exists iff one of the columns'
+    first classes survives, as `_columns` states: under R every column's,
+    O(u + v) `_exclusion` calls; under M the first column's alone, one
+    call.  The report lists the same columns whole on access
+    (`StabilityReport.candidates`), as a referee.
 
     Only twist parameter m = 0 is supported; the slope bookkeeping above
     assumes the untwisted presentation.
@@ -627,13 +629,8 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
     columns = _columns(datum, pol)
     if pol is Polarization.M:
         # the first column's tail stands below every other class
-        first = next(columns, None)  # (delta, gamma_lo, gamma_max)
-        certified = first is None or _exclusion(datum, (first[1] - 1, first[0])) is not None
-    else:
-        # each column's least gamma: the antidiagonal
-        certified = all(
-            _exclusion(datum, (gamma_lo, delta)) is not None for delta, gamma_lo, _ in columns
-        )
+        columns = tuple(islice(columns, 1))
+    certified = all(_exclusion(datum, (first, delta)) is not None for delta, first, _ in columns)
     return StabilityReport(
         polarization=pol, certified=certified, warnings=tuple(warnings), datum=datum
     )

@@ -291,7 +291,7 @@ def _cmd_check(args: argparse.Namespace) -> Report:
         inputs = {"e": args.e, **model_inputs, "wrt": args.wrt, "pp": bool(args.pp)}
         scan = unconditional_scan if args.pp else scan_verdict
         evidence = scan(surface, model, by)
-        closed = _closed_form(surface, model, by, args.wrt, bool(args.pp))
+        closed = _closed_form(surface, model, args.wrt, bool(args.pp))
 
     verdict = evidence.verdict
     results: dict[str, Any] = {"outcome": verdict.outcome.value, "holds": verdict.holds()}
@@ -308,9 +308,7 @@ def _cmd_check(args: argparse.Namespace) -> Report:
     return Report("check", inputs, results, columns, [results], [line])
 
 
-def _closed_form(
-    surface: Surface, model: SheafModel, by: DivisorClass, wrt: str, two_sided: bool
-) -> Optional[bool]:
+def _closed_form(surface: Surface, model: SheafModel, wrt: str, two_sided: bool) -> Optional[bool]:
     if isinstance(model, Line):
         if wrt == "M":
             if two_sided:

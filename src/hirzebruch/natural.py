@@ -280,17 +280,6 @@ def _runs(
     return runs
 
 
-def _first_failure(
-    surface: Surface, model: SheafModel, by: DivisorClass, twists: list[int]
-) -> Verdict:
-    """FAILS at the first of the sorted `twists` with h^1 > 0, else HOLDS."""
-    for t in twists:
-        v0, v1 = _values_at(surface, model, t, by)
-        if v1 > 0:
-            return Verdict(Outcome.FAILS, witness_t=t, witness_h0=v0, witness_h1=v1)
-    return Verdict(Outcome.HOLDS)
-
-
 def _decide(
     surface: Surface,
     model: SheafModel,
@@ -298,17 +287,20 @@ def _decide(
     runs: list[tuple[Optional[int], Optional[int]]],
     lo: int,
 ) -> ScanEvidence:
-    """The scan of the window from lo to the witness, or else to the last
-    run start above lo (lo itself when there is none).
+    """The scan of the window from lo to the witness, the first twist
+    with h^1 > 0, or else to the last run start above lo (lo itself when
+    there is none).
 
     Only lo and those run starts are evaluated.
     """
     starts = sorted({start for start, _ in runs if start is not None and start > lo})
-    verdict = _first_failure(surface, model, by, [lo, *starts])
-    stop = verdict.witness_t
-    if stop is None:
-        stop = starts[-1] if starts else lo
-    return ScanEvidence(verdict, lo, stop, surface, model, by)
+    twists = (lo, *starts)
+    for t in twists:
+        v0, v1 = _values_at(surface, model, t, by)
+        if v1 > 0:
+            verdict = Verdict(Outcome.FAILS, witness_t=t, witness_h0=v0, witness_h1=v1)
+            return ScanEvidence(verdict, lo, t, surface, model, by)
+    return ScanEvidence(Verdict(Outcome.HOLDS), lo, twists[-1], surface, model, by)
 
 
 def scan_verdict(surface: Surface, model: SheafModel, by: DivisorClass) -> ScanEvidence:

@@ -54,7 +54,7 @@ class DivisorClass:
         return DivisorClass(-self.a, -self.b)
 
     def __rmul__(self, k: int) -> "DivisorClass":
-        if not isinstance(k, int):
+        if type(k) is not int:
             return NotImplemented
         return DivisorClass(k * self.a, k * self.b)
 
@@ -121,7 +121,8 @@ class Surface:
 
 
 def twist(c: DivisorClass, t: int, by: DivisorClass) -> DivisorClass:
-    """The class c + t*by.  t may be any integer."""
+    """The class c + t*by.  t may be any integer, and only an integer."""
+    require_ints(t)
     return DivisorClass(c.a + t * by.a, c.b + t * by.b)
 
 

@@ -29,8 +29,9 @@ As in :mod:`hirzebruch.cohomology`, the formulas live in integer kernels,
 b)``, which the scan, box and exclusion loops call without building a
 model per twist.  The functions on (Surface, IdealSheafModel) are thin
 wrappers that call a kernel and check nothing themselves: `PointConfig`
-refuses a point count that is not a plain int >= 0, and `DivisorClass`
-non-integer coordinates, when they are built.
+refuses a point count that is not a plain int >= 0 and a locus that is
+not a `Locus`, and `DivisorClass` non-integer coordinates, when they are
+built.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .cohomology import CohomologyTriple, ConsistencyError, counts, sections
+from .cohomology import ConsistencyError, counts, sections
 from .picard import DivisorClass, DomainError, Surface, require_ints, twist
 
 
@@ -59,6 +60,8 @@ class PointConfig:
         require_ints(self.z)
         if self.z < 0:
             raise DomainError(f"point count must be >= 0, got {self.z}")
+        if not isinstance(self.locus, Locus):
+            raise DomainError(f"point locus must be a Locus, got {self.locus!r}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,3 @@ def h1_ideal(surface: Surface, model: IdealSheafModel) -> int:
     """Forced by chi(I_Z(c)) = chi(c) - z."""
     return ideal_counts(surface.e, *_fields(model))[1]
 
-
-def triple_ideal(surface: Surface, model: IdealSheafModel) -> CohomologyTriple:
-    """(h0, h1, h2) of the ideal model."""
-    return CohomologyTriple(*ideal_counts(surface.e, *_fields(model)))

@@ -709,11 +709,14 @@ def test_stability_certifies_across_surfaces(e):
         assert stability_certificate(datum, "M").certified
 
 
-def test_stability_verdict_agrees_with_the_full_enumeration():
+def test_stability_verdict_agrees_with_the_full_enumeration(exclusion_calls):
     # the verdict is read off the boundary of the slope region and the
     # candidate list enumerates the whole region, so each referees the
     # other.  Every c1 with u <= 3 (all uncertified data seen lie there)
-    # and three seeded v per (e, u) above, each with a seeded s.
+    # and three seeded v per (e, u) above, each with a seeded s.  The
+    # boundary the verdict reads is pinned as well: under R the least
+    # class of each column, in increasing delta, up to the first
+    # survivor; under M the tail of the first column alone.
     rng = random.Random(8)
     uncertified = 0
     for e in range(1, 6):
@@ -728,10 +731,24 @@ def test_stability_verdict_agrees_with_the_full_enumeration():
                 s = rng.randint(*section_count_bounds(surface, u, v, 0))
                 datum = construct_extension(surface, u, v, 0, s)
                 for pol in ("R", "M"):
+                    exclusion_calls.clear()
                     report = stability_certificate(datum, pol)
+                    checked = list(exclusion_calls)
                     candidates = report.candidates
                     survivors = [c.cls for c in candidates if c.reason is None]
                     where = (e, u, v, s, pol)
+                    least = {}
+                    for cand in candidates:  # sorted by (a, b)
+                        least.setdefault(cand.cls.b, cand)
+                    boundary = [least[delta] for delta in sorted(least)]
+                    if pol == "M":
+                        assert boundary[0].tail, where
+                        boundary = boundary[:1]
+                    else:
+                        reasons = [c.reason for c in boundary]
+                        if None in reasons:
+                            boundary = boundary[: reasons.index(None) + 1]
+                    assert checked == [(c.cls.a, c.cls.b) for c in boundary], where
                     assert report.candidate_count == len(candidates), where
                     # a certified report has no survivor at all, so none
                     # with both coordinates positive either

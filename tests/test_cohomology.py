@@ -32,9 +32,10 @@ from hirzebruch.sheaves import (
     Locus,
     PointConfig,
     h0_ideal,
+    h1_ideal,
+    h2_ideal,
     ideal_counts,
     ideal_sections,
-    triple_ideal,
 )
 
 surfaces = st.integers(min_value=1, max_value=5).map(Surface)
@@ -203,7 +204,7 @@ def test_ideal_kernel_matches_the_oracle_and_the_wrappers(e, z, locus, a, b):
     surface, c = Surface(e), DivisorClass(a, b)
     model = IdealSheafModel(PointConfig(z, locus), c)
     v0, v1, v2 = ideal_counts(e, z, locus, a, b)
-    assert (v0, v1, v2) == astuple(triple_ideal(surface, model))
+    assert (v0, v1, v2) == tuple(fn(surface, model) for fn in (h0_ideal, h1_ideal, h2_ideal))
     assert ideal_sections(e, z, locus, a, b) == v0 == h0_ideal(surface, model)
     # the capacity from lattice-point counts: all of h0(c) in general
     # position, else what the supporting curve C sees, h0(c) - h0(c - C)
@@ -221,7 +222,7 @@ def test_ideal_kernel_matches_the_oracle_and_the_wrappers(e, z, locus, a, b):
 @pytest.mark.parametrize("bad", [1.5, 2.0, True])
 def test_public_entry_points_reject_non_integer_inputs(bad):
     from hirzebruch import construct_extension, section_count_bounds
-    from hirzebruch.sheaves import h1_ideal, h2_ideal, max_conditions
+    from hirzebruch.sheaves import max_conditions
 
     # a class or model is built inside the check, where its type refuses
     # the bad coordinate or point count
@@ -241,7 +242,7 @@ def test_public_entry_points_reject_non_integer_inputs(bad):
         (bad, Locus.ON_FIBER, (2, 2)),
     ]
     for z, locus, ab in models:
-        for fn in (h0_ideal, h1_ideal, h2_ideal, triple_ideal, max_conditions):
+        for fn in (h0_ideal, h1_ideal, h2_ideal, max_conditions):
             calls.append(
                 lambda fn=fn, z=z, locus=locus, ab=ab: fn(
                     surface, IdealSheafModel(PointConfig(z, locus), DivisorClass(*ab))

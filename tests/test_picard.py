@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -45,6 +46,18 @@ def test_types_refuse_non_integers(bad):
         Surface(0)
     with pytest.raises(DomainError, match=r"^point count must be >= 0, got -1$"):
         PointConfig(-1, Locus.GENERAL)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 0.5])
+def test_twist_counts_are_integers(bad):
+    # the count is checked itself, not through the class it would build:
+    # True would pass as 1, and 2.0 or 0.5 were named only through the
+    # coordinates they produced
+    c, by = DivisorClass(1, 1), DivisorClass(1, 2)
+    with pytest.raises(DomainError, match=rf"^expected an integer, got {re.escape(repr(bad))}$"):
+        twist(c, bad, by)
+    with pytest.raises(TypeError):
+        bad * by
 
 
 # frozen pairings, each checked by hand against the form

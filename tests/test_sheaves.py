@@ -34,6 +34,15 @@ def test_point_config_rejects_negative_count():
         PointConfig(z=-1, locus=Locus.GENERAL)
 
 
+@pytest.mark.parametrize("bad", ["general", None, 0])
+def test_point_config_rejects_a_locus_that_is_not_a_locus(bad):
+    # refused where it is stored, with the value named, not as a KeyError
+    # from a lookup deep in the ideal count
+    match = rf"^point locus must be a Locus, got {bad!r}$"
+    with pytest.raises(DomainError, match=match):
+        h0_ideal(Surface(1), IdealSheafModel(PointConfig(2, bad), DivisorClass(1, 1)))
+
+
 def test_restriction_degrees():
     surface = Surface(2)
     cls = DivisorClass(3, 4)

@@ -6,18 +6,56 @@ import pathlib
 import hirzebruch
 
 
-def test_no_assert_statements_in_the_package():
-    # python -O strips assert statements, so an internal check written as
-    # one would silently stop running
-    modules = sorted(pathlib.Path(hirzebruch.__file__).parent.rglob("*.py"))
-    assert modules
-    found = [
+def _assert_statements(paths):
+    # python -O strips assert statements, so a check written as one would
+    # silently stop running
+    return [
         f"{path.name}:{node.lineno}"
-        for path in modules
+        for path in paths
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
-    assert found == []
+
+
+def test_no_assert_statements_in_the_package():
+    modules = sorted(pathlib.Path(hirzebruch.__file__).parent.rglob("*.py"))
+    assert modules
+    assert _assert_statements(modules) == []
+
+
+def test_no_assert_statements_in_the_demos():
+    # the demos check what they print, and must still check it under -O
+    demos = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+    assert demos
+    assert _assert_statements(demos) == []
+
+
+def test_every_module_level_definition_is_exported_or_used():
+    # a function or class that no package code names and `__all__` does
+    # not export is dead: only a test could still reach it
+    package = pathlib.Path(hirzebruch.__file__).parent
+    defined, used = [], set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [
+            (path.name, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert defined
+    dead = [
+        f"{module}:{name}"
+        for module, name in defined
+        if name not in hirzebruch.__all__ and name not in used
+    ]
+    assert dead == []
 
 
 def test_no_private_names_imported_across_modules():
