@@ -46,7 +46,7 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from .cohomology import CohomologyTriple, ConsistencyError, counts, sections
-from .natural import Outcome, Verdict
+from .natural import HOLDS_VERDICT, INDETERMINATE_VERDICT, Outcome, Verdict
 from .picard import DivisorClass, DomainError, Surface, ceil_div, require_ints
 from .sheaves import IdealSheafModel, Locus, PointConfig, ideal_counts, ideal_sections
 
@@ -441,16 +441,12 @@ def audit_extension_natural(datum: ExtensionDatum) -> ExtensionAudit:
     rows = _audit_rows(datum, start, max(start, _settle_twist(datum)))
     failing = next((row for row in rows if row.outcome is Outcome.FAILS), None)
     if failing is not None:
-        verdict = Verdict(
-            Outcome.FAILS,
-            witness_t=failing.t,
-            witness_h0=failing.interval.h0_min,
-            witness_h1=failing.interval.h1_min,
-        )
+        box = failing.interval
+        verdict = Verdict(Outcome.FAILS, failing.t, box.h0_min, box.h1_min)
     elif all(row.outcome is Outcome.HOLDS for row in rows) and rows[0].interval.h0_max == 0:
-        verdict = Verdict(Outcome.HOLDS)
+        verdict = HOLDS_VERDICT
     else:
-        verdict = Verdict(Outcome.INDETERMINATE)
+        verdict = INDETERMINATE_VERDICT
     return ExtensionAudit(verdict=verdict, scan_start=start, scan_stop=stop, datum=datum)
 
 
@@ -576,16 +572,38 @@ def _columns(datum: ExtensionDatum, pol: Polarization) -> Iterator[tuple[int, in
     (see `stability_certificate`).
     """
     qcls, sub = datum.quotient.cls, datum.sub
-    gamma_max, delta_max = max(sub.a, qcls.a), max(sub.b, qcls.b)
+    gamma_max = max(sub.a, qcls.a)
     if pol is Polarization.R:
         threshold = ceil_div(datum.u + datum.v, 2)
-        for delta in range(threshold - gamma_max, delta_max + 1):
+        for delta in _deltas(datum, pol):
             yield delta, threshold - delta, gamma_max
         return
     e = datum.surface.e
-    for delta in range(ceil_div(datum.v, 2), delta_max + 1):
+    for delta in _deltas(datum, pol):
         freeze = qcls.a - (max(0, qcls.b - delta) // e)
         yield delta, min(0, freeze, sub.a) - 1, gamma_max
+
+
+def _deltas(datum: ExtensionDatum, pol: Polarization) -> range:
+    """The deltas of the region's columns (see `_columns`): up to
+    delta_max, from threshold - gamma_max under R and from ceil(v/2)
+    under M."""
+    qcls, sub = datum.quotient.cls, datum.sub
+    delta_max = max(sub.b, qcls.b)
+    if pol is Polarization.R:
+        return range(ceil_div(datum.u + datum.v, 2) - max(sub.a, qcls.a), delta_max + 1)
+    return range(ceil_div(datum.v, 2), delta_max + 1)
+
+
+def stability_checks(datum: ExtensionDatum, polarization: Polarization | str) -> int:
+    """How many classes `stability_certificate` checks at most: the first
+    class of every column under R, the first column's tail alone under M.
+
+    Counted without walking the columns, so a caller can refuse a long R
+    walk, O(u + v) `_exclusion` calls, before it starts.
+    """
+    pol = Polarization(polarization)
+    return len(_deltas(datum, pol)) if pol is Polarization.R else 1
 
 
 def stability_certificate(datum: ExtensionDatum, polarization: Polarization | str) -> StabilityReport:
@@ -604,8 +622,8 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
     in each coordinate.  So a survivor exists iff one of the columns'
     first classes survives, as `_columns` states: under R every column's,
     O(u + v) `_exclusion` calls; under M the first column's alone, one
-    call.  The report lists the same columns whole on access
-    (`StabilityReport.candidates`), as a referee.
+    call (`stability_checks` counts them).  The report lists the same
+    columns whole on access (`StabilityReport.candidates`), as a referee.
 
     Only twist parameter m = 0 is supported; the slope bookkeeping above
     assumes the untwisted presentation.

@@ -12,8 +12,10 @@ fields command, inputs, results, findings, in that order, deterministic
 for fixed inputs.  Exit codes: 0 success, 1 oracle mismatch, 2 usage
 error, 3 domain error.  A command whose ranges would produce more than
 ROW_BUDGET rows, cells, classes or claim checks is a domain error, refused
-before anything is computed; so is a JSON `construct` that would list
-more than ROW_BUDGET stability candidates, refused before any is listed.
+before anything is computed.  So is a `construct` whose stability
+verdicts would check more than ROW_BUDGET classes, refused before the
+first check, and a JSON `construct` that would list more than ROW_BUDGET
+stability candidates, refused before any is listed.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .bundles import (
     classify_region,
     construct_extension,
     stability_certificate,
+    stability_checks,
 )
 from .cohomology import (
     CohomologyTriple,
@@ -356,6 +359,11 @@ def _cmd_construct(args: argparse.Namespace) -> Report:
         results["stability"] = "only computed for m = 0"
         lines.append("stability: only computed for m = 0")
         return Report("construct", inputs, results, _CONSTRUCT_COLUMNS, [row], lines)
+    # the R verdict checks one class per column of its region, O(u + v)
+    _check_budget(
+        sum(stability_checks(datum, pol) for pol in ("R", "M")),
+        f"--u {args.u} --v {args.v}", "stability checks",
+    )
     reports = [stability_certificate(datum, pol) for pol in ("R", "M")]
     for report in reports:
         pol = report.polarization.value

@@ -6,23 +6,24 @@ twisted ideal sheaf of generic points.  Fix a spanned nonzero class T.
     natural (w.r.t. T):        h^1(E + t*T) = 0 for every t with h^0 > 0
     unconditional (w.r.t. T):  h^1(E + t*T) = 0 for every integer t
 
-Every checker decides from the *runs* of the model (`_runs`): the maximal
-twist intervals on which a component has h^1 > 0.  By the trichotomy of
-:mod:`hirzebruch.cohomology`, a component class has h^1 > 0 exactly when
-its h-coordinate a is >= 0 and its slack b - e*a is <= -2, or a <= -2 and
-slack >= e.  Along a spanned twist both a and the slack are
-nondecreasing in t, so each of these sets is one interval: it starts
-where one form reaches its threshold (a reaches 0, or the slack reaches
-e) and stops where the other passes its own.  For ideal models
-h1_ideal = h1 + max(0, z - rho), and the capacity rho is nondecreasing
-along a spanned twist, so the shortfall is positive only on a prefix of
-the twist line.  Hence the first failing twist of a window is its first
-twist or a run start, and a verdict evaluates cohomology there only:
-O(#components) evaluations whatever the coefficients.  The window runs
-from its first twist to the failure witness, or to the last run start
-when nothing fails; past that no run begins, so no first failure can
-appear.  The scan evidence rebuilds the (t, h0, h1) rows of the whole
-window on demand, as a referee.
+Every checker decides from the *runs* of the model (`_run_edges`): the
+maximal twist intervals on which a component has h^1 > 0.  By the
+trichotomy of :mod:`hirzebruch.cohomology`, a component class has
+h^1 > 0 exactly when its h-coordinate a is >= 0 and its slack b - e*a
+is <= -2, or a <= -2 and slack >= e.  Along a spanned twist both a and
+the slack are nondecreasing in t, so each of these sets is one interval:
+it starts where one form reaches its threshold (a reaches 0, or the
+slack reaches e) and stops where the other passes its own.  For ideal
+models h1_ideal = h1 + max(0, z - rho), and the capacity rho is
+nondecreasing along a spanned twist, so the shortfall is positive only
+on a prefix of the twist line.  Hence the first failing twist of a
+window is its first twist or a run start, and since h^1 > 0 at every
+run start, it is the first twist or the least run start above it.  A
+verdict evaluates cohomology at those two twists only, whatever the
+coefficients.  The window runs from its first twist to the failure
+witness, and is its first twist alone when nothing fails: no run begins
+past it then.  The scan evidence rebuilds the (t, h0, h1) rows of the
+whole window on demand, as a referee.
 
 Closed-form criteria exist for lines and sums when T is M = h + e*f or
 R = h + (e+1)*f and are checked against the scans by the test suite; the
@@ -32,13 +33,17 @@ models have none: `ideal_natural_wrt_m` is the M scan's boolean form.
 All verdicts carry a witness twist and the (h0, h1) evidence so a failed
 check is reproducible by a single cohomology evaluation.
 
-The scans check the model's shape and the twisting class once, on entry;
+What a verdict builds: each scan checks the model and the twisting class
+once, on entry, and dispatches on the model's shape once (`_components`);
 coordinates and point counts are plain ints already, since `DivisorClass`
-and `PointConfig` refuse anything else when they are built.  Each twist is
-then evaluated on plain coordinates through the integer kernels
-``cohomology.counts`` and ``sheaves.ideal_counts`` (``ideal_sections`` for
-the min-twist probe), so no class, model or triple is built per twist; the
-`Verdict` and the `ScanEvidence` are built once per answer.
+and `PointConfig` refuse anything else when they are built.  The checked
+components then go to the min twist, the runs and the evaluations, each
+one walk over them.  Each twist is evaluated on plain coordinates through
+the integer kernels ``cohomology.counts`` and ``sheaves.ideal_counts``
+(``ideal_sections`` for the min-twist probe), so no class, model or
+triple is built per twist.  An answer builds one `ScanEvidence`, and a
+`Verdict` only when it FAILS: the HOLDS and INDETERMINATE verdicts are
+the shared constants `HOLDS_VERDICT` and `INDETERMINATE_VERDICT`.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from typing import Callable, Optional, Union
 
 from .cohomology import ConsistencyError, counts
 from .picard import DivisorClass, DomainError, Surface, ceil_div
-from .sheaves import IdealSheafModel, ideal_counts, ideal_sections
+from .sheaves import IdealSheafModel, PointConfig, ideal_counts, ideal_sections
 
 
 @dataclass(frozen=True)
@@ -75,26 +80,50 @@ class Outcome(str, enum.Enum):
     INDETERMINATE = "INDET"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Verdict:
-    """An outcome plus, for FAILS, the twist and cohomology that witness it."""
+    """An outcome plus, for FAILS, the twist and cohomology that witness it.
+
+    Verdicts are frozen, so the HOLDS and INDETERMINATE ones are shared:
+    `HOLDS_VERDICT` and `INDETERMINATE_VERDICT`.
+    """
 
     outcome: Outcome
     witness_t: Optional[int] = None
     witness_h0: Optional[int] = None
     witness_h1: Optional[int] = None
 
+    def __init__(
+        self,
+        outcome: Outcome,
+        witness_t: Optional[int] = None,
+        witness_h0: Optional[int] = None,
+        witness_h1: Optional[int] = None,
+    ) -> None:
+        # written once, straight into the instance dict: the generated
+        # frozen __init__ goes through object.__setattr__ per field, about
+        # twice the cost, and a scan builds a verdict per failure
+        fields = self.__dict__
+        fields["outcome"] = outcome
+        fields["witness_t"] = witness_t
+        fields["witness_h0"] = witness_h0
+        fields["witness_h1"] = witness_h1
+
     def holds(self) -> bool:
         return self.outcome is Outcome.HOLDS
 
 
-@dataclass(frozen=True)
+HOLDS_VERDICT = Verdict(Outcome.HOLDS)
+INDETERMINATE_VERDICT = Verdict(Outcome.INDETERMINATE)
+
+
+@dataclass(frozen=True, init=False)
 class ScanEvidence:
     """The verdict of a scan over the twists scan_start..scan_stop of model + t*by.
 
-    A FAILS window ends at its witness.  Otherwise it ends at the last run
-    start above its first twist, or at its first twist when no run starts
-    above it; no run starts after scan_stop then.
+    A FAILS window ends at its witness.  A HOLDS window is its first twist
+    alone: no run of h^1 > 0 starts after it, since such a start would
+    fail.
     """
 
     verdict: Verdict
@@ -103,6 +132,24 @@ class ScanEvidence:
     surface: Surface
     model: SheafModel
     by: DivisorClass
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        scan_start: int,
+        scan_stop: int,
+        surface: Surface,
+        model: SheafModel,
+        by: DivisorClass,
+    ) -> None:
+        # every scan builds one; written like `Verdict`'s fields
+        fields = self.__dict__
+        fields["verdict"] = verdict
+        fields["scan_start"] = scan_start
+        fields["scan_stop"] = scan_stop
+        fields["surface"] = surface
+        fields["model"] = model
+        fields["by"] = by
 
     @property
     def rows(self) -> tuple[tuple[int, int, int], ...]:
@@ -116,55 +163,66 @@ class ScanEvidence:
         )
 
 
-def _require_inputs(surface: Surface, model: SheafModel, by: DivisorClass) -> None:
-    """Reject a non-model and a twisting class that is not spanned and
-    nonzero.  Coordinates and point counts need no check: the types refuse
-    non-integers when they are built."""
-    _components(model)  # DomainError for a non-model
-    # spanned: a >= 0 and b >= e*a
-    if by.is_zero() or by.a < 0 or by.b < surface.e * by.a:
-        raise DomainError(f"twisting class must be spanned and nonzero, got {by}")
-
-
-def _components(model: SheafModel) -> tuple[DivisorClass, ...]:
+def _components(model: SheafModel) -> tuple[tuple[DivisorClass, ...], Optional[PointConfig]]:
+    """The model's line-bundle classes and, for an ideal model, its points
+    (None for a line or a sum): the one dispatch on the model's shape."""
     if isinstance(model, Line):
-        return (model.cls,)
+        return (model.cls,), None
     if isinstance(model, DirectSum):
-        return model.classes
+        return model.classes, None
     if isinstance(model, IdealSheafModel):
-        return (model.cls,)
+        return (model.cls,), model.config
     raise DomainError(f"not a sheaf model: {model!r}")
 
 
-def _values_at(surface: Surface, model: SheafModel, t: int, by: DivisorClass) -> tuple[int, int]:
-    """(h0, h1) of the model twisted by t*by.  Exact for all three shapes."""
-    e, da, db = surface.e, t * by.a, t * by.b
-    if isinstance(model, IdealSheafModel):
-        config, cls = model.config, model.cls
+def _checked(
+    surface: Surface, model: SheafModel, by: DivisorClass
+) -> tuple[tuple[DivisorClass, ...], Optional[PointConfig]]:
+    """`_components` of the model, after rejecting a non-model and a
+    twisting class that is not spanned and nonzero.  Coordinates and point
+    counts need no check: the types refuse non-integers when they are
+    built."""
+    parts = _components(model)  # DomainError for a non-model
+    # spanned: c >= 0 and d >= e*c, where d = 0 leaves only c = 0
+    c, d = by.a, by.b
+    if c < 0 or d < surface.e * c or d == 0:
+        raise DomainError(f"twisting class must be spanned and nonzero, got {by}")
+    return parts
+
+
+def _evaluate(
+    e: int, classes: tuple[DivisorClass, ...], config: Optional[PointConfig], da: int, db: int
+) -> tuple[int, int]:
+    """(h0, h1) of the model whose classes are moved by (da, db)."""
+    if config is not None:
+        cls = classes[0]
         v0, v1, _ = ideal_counts(e, config.z, config.locus, cls.a + da, cls.b + db)
         return v0, v1
     total0 = total1 = 0
-    for cls in _components(model):
+    for cls in classes:
         v0, v1, _ = counts(e, cls.a + da, cls.b + db)
         total0 += v0
         total1 += v1
     return total0, total1
 
 
+def _values_at(surface: Surface, model: SheafModel, t: int, by: DivisorClass) -> tuple[int, int]:
+    """(h0, h1) of the model twisted by t*by.  Exact for all three shapes."""
+    return _evaluate(surface.e, *_components(model), t * by.a, t * by.b)
+
+
 # ---------------------------------------------------------------------------
 # minimal twist with sections
 
 
-def _line_min_twist(cls: DivisorClass, by: DivisorClass) -> Optional[int]:
-    """Least t with h0(cls + t*by) > 0, or None if no twist has sections.
+def _line_min_twist(u: int, v: int, c: int, d: int) -> Optional[int]:
+    """Least t with h0((u, v) + t*(c, d)) > 0, or None if no twist has sections.
 
-    h0 > 0 exactly when both coordinates are >= 0.  With by = (c, d),
-    spanned nonzero: if c >= 1 then d >= e*c >= 1 and both coordinates
-    grow, so the answer is max(ceil(-u/c), ceil(-v/d)); if c = 0 the
+    h0 > 0 exactly when both coordinates are >= 0.  With (c, d) spanned
+    and nonzero: if c >= 1 then d >= e*c >= 1 and both coordinates grow,
+    so the answer is max(ceil(-u/c), ceil(-v/d)); if c = 0 the
     h-coordinate is frozen at u, so u < 0 means no twist ever works.
     """
-    u, v = cls.a, cls.b
-    c, d = by.a, by.b
     if c >= 1:
         return max(ceil_div(-u, c), ceil_div(-v, d))
     if u < 0:
@@ -181,20 +239,30 @@ def min_twist_with_sections(surface: Surface, model: SheafModel, by: DivisorClas
     the ray is empty, which happens only for fiber-type twisting classes
     (0, d) against models whose h-coordinates are all negative.
     """
-    _require_inputs(surface, model, by)
-    if isinstance(model, Line):
-        t = _line_min_twist(model.cls, by)
-        if t is None:
-            raise DomainError(f"no twist of {model.cls} by {by} has sections")
-        return t
-    if isinstance(model, DirectSum):
-        # a direct sum has sections exactly when some summand does
-        candidates = [_line_min_twist(cls, by) for cls in model.classes]
-        finite = [t for t in candidates if t is not None]
-        if not finite:
-            summands = " + ".join(str(cls) for cls in model.classes)
+    return _min_twist(surface.e, model, *_checked(surface, model, by), by)
+
+
+def _min_twist(
+    e: int,
+    model: SheafModel,
+    classes: tuple[DivisorClass, ...],
+    config: Optional[PointConfig],
+    by: DivisorClass,
+) -> int:
+    """`min_twist_with_sections` of a checked model, given its `_components`."""
+    c, d = by.a, by.b
+    if config is None:
+        # a direct sum has sections exactly when some summand does, and a
+        # line is a sum of one summand
+        least = None
+        for cls in classes:
+            t = _line_min_twist(cls.a, cls.b, c, d)
+            if t is not None and (least is None or t < least):
+                least = t
+        if least is None:
+            summands = " + ".join(str(cls) for cls in classes)
             raise DomainError(f"no twist of {summands} by {by} has sections")
-        return min(finite)
+        return least
 
     # Ideal sheaf: h0_ideal <= h0 of the underlying line bundle, so start at
     # the line bundle's minimal twist and search upward.  h0_ideal is
@@ -202,11 +270,11 @@ def min_twist_with_sections(surface: Surface, model: SheafModel, by: DivisorClas
     # h0(line) >= z + 1, which the i = 0 pushforward term alone guarantees
     # once v + t*d >= z (and the h-coordinate is nonnegative).  The answer
     # is often `start` itself, which `first_true` probes first.
-    z, locus, u, v = model.config.z, model.config.locus, model.cls.a, model.cls.b
-    start = _line_min_twist(model.cls, by)
+    cls = classes[0]
+    z, locus, u, v = config.z, config.locus, cls.a, cls.b
+    start = _line_min_twist(u, v, c, d)
     if start is None:
-        raise DomainError(f"no twist of the ideal model class {model.cls} by {by} has sections")
-    e, c, d = surface.e, by.a, by.b
+        raise DomainError(f"no twist of the ideal model class {cls} by {by} has sections")
     stop = max(start, ceil_div(z - v, d))
     if c >= 1:
         stop = max(stop, ceil_div(-u, c))
@@ -244,76 +312,96 @@ def first_true(pred: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
 # runs of h^1 > 0 and the scans
 
 
-def _runs(
-    surface: Surface, model: SheafModel, by: DivisorClass
-) -> list[tuple[Optional[int], Optional[int]]]:
-    """Each component's runs: maximal twist intervals [start, stop) with h^1 > 0.
+def _run_edges(
+    e: int, classes: tuple[DivisorClass, ...], c: int, d: int
+) -> tuple[list[int], list[int]]:
+    """The finite starts and the finite stops of the components' runs:
+    the maximal twist intervals [start, stop) with h^1 > 0.
 
-    None marks an unbounded end.  Per twist the h-coordinate a of a
-    component moves by by.a and its slack b - e*a by by.b - e*by.a, both
-    >= 0.  h^1 > 0 while a >= 0 and slack < -1, and while slack >= e and
-    a < -1 (the trichotomy), so each run starts where one form reaches its
-    threshold and stops where the other reaches -1.  A form that does not
-    move either always or never meets its threshold.
+    Per twist by (c, d) the h-coordinate a of a component moves by c and
+    its slack b - e*a by step = d - e*c, both >= 0 and not both 0.
+    h^1 > 0 while a >= 0 and slack <= -2, and while slack >= e and
+    a <= -2 (the trichotomy), so each run starts where one form reaches
+    its threshold and stops where the other reaches -1.  Neither form
+    decreases, so a component has at most one run: once a >= 0 it never
+    returns to -2, and once slack >= e neither does the slack.  A form
+    that does not move either always or never meets its threshold, which
+    leaves the run unbounded on that side or empty: under a multiple of M
+    (step = 0) the run starts where a reaches 0 or stops where it reaches
+    -1, and under a fiber class (c = 0) likewise with the slack.  An
+    empty run has no edges.
     """
-    e = surface.e
-    c, step = by.a, by.b - e * by.a
-    runs = []
-    for k in _components(model):
-        a, slack = k.a, k.b - e * k.a
-        # on while x >= on and y < -1: x moves by dx, y by dy per twist
-        for x, dx, on, y, dy in ((a, c, 0, slack, step), (slack, step, e, a, c)):
-            if dx:
-                start = ceil_div(on - x, dx)
-            elif x >= on:
-                start = None
-            else:
-                continue
-            if dy:
-                stop = ceil_div(-1 - y, dy)
-            elif y < -1:
-                stop = None
-            else:
-                continue
-            if start is None or stop is None or start < stop:
-                runs.append((start, stop))
-    return runs
+    step = d - e * c
+    starts: list[int] = []
+    stops: list[int] = []
+    for cls in classes:
+        a, slack = cls.a, cls.b - e * cls.a
+        if not step:
+            if slack <= -2:
+                starts.append(ceil_div(-a, c))
+            elif slack >= e:
+                stops.append(ceil_div(-1 - a, c))
+        elif not c:
+            if a >= 0:
+                stops.append(ceil_div(-1 - slack, step))
+            elif a <= -2:
+                starts.append(ceil_div(e - slack, step))
+        else:
+            start, stop = ceil_div(-a, c), ceil_div(-1 - slack, step)
+            if start >= stop:
+                start, stop = ceil_div(e - slack, step), ceil_div(-1 - a, c)
+            if start < stop:
+                starts.append(start)
+                stops.append(stop)
+    return starts, stops
 
 
 def _decide(
     surface: Surface,
     model: SheafModel,
     by: DivisorClass,
-    runs: list[tuple[Optional[int], Optional[int]]],
+    classes: tuple[DivisorClass, ...],
+    config: Optional[PointConfig],
     lo: int,
+    starts: list[int],
 ) -> ScanEvidence:
-    """The scan of the window from lo to the witness, the first twist
-    with h^1 > 0, or else to the last run start above lo (lo itself when
-    there is none).
+    """The scan of the window from lo, given the finite run starts.
 
-    Only lo and those run starts are evaluated.
+    Two twists at most are evaluated.  If lo has h^1 > 0 it is the
+    witness.  Otherwise the least run start above lo is: a run start is a
+    twist where one component has h^1 > 0, and the model's h^1 is at
+    least that (a sum's is the sum of its summands', an ideal's adds the
+    shortfall to the line bundle's), so h^1 = 0 there is a
+    ConsistencyError.  With no run start above lo, the window is lo alone.
     """
-    starts = sorted({start for start, _ in runs if start is not None and start > lo})
-    twists = (lo, *starts)
-    for t in twists:
-        v0, v1 = _values_at(surface, model, t, by)
-        if v1 > 0:
-            verdict = Verdict(Outcome.FAILS, witness_t=t, witness_h0=v0, witness_h1=v1)
-            return ScanEvidence(verdict, lo, t, surface, model, by)
-    return ScanEvidence(Verdict(Outcome.HOLDS), lo, twists[-1], surface, model, by)
+    e, c, d = surface.e, by.a, by.b
+    t = lo
+    v0, v1 = _evaluate(e, classes, config, t * c, t * d)
+    if v1 == 0:
+        above = [start for start in starts if start > lo]
+        if above:
+            t = min(above)
+            v0, v1 = _evaluate(e, classes, config, t * c, t * d)
+            if v1 == 0:
+                raise ConsistencyError(
+                    f"h1 = 0 at the run start t = {t} of {model} twisted by {by}"
+                )
+    if v1 > 0:
+        return ScanEvidence(Verdict(Outcome.FAILS, t, v0, v1), lo, t, surface, model, by)
+    return ScanEvidence(HOLDS_VERDICT, lo, lo, surface, model, by)
 
 
 def scan_verdict(surface: Surface, model: SheafModel, by: DivisorClass) -> ScanEvidence:
     """Decide the natural-cohomology property over a finite twist window.
 
     The window runs from the first twist with sections, m0, to the witness
-    of a failure, or else to the last run start above m0.  Since h^0 is
+    of a failure; it is m0 alone when the property holds.  Since h^0 is
     monotone along a spanned twist, h^0 > 0 from m0 on, so the property
     fails exactly at the twists from m0 on with h^1 > 0.  Every run that
     meets [m0, infinity) either contains m0 or starts above it, and for
     ideal models the capacity shortfall max(0, z - rho) is positive only on
     a prefix of the twist line, which contains m0 if it reaches it; so m0
-    and the run starts above it are the only twists evaluated.
+    and the least run start above it are the only twists evaluated.
 
     A model with no twist that has sections (possible only for a fiber-type
     `by` against negative h-coordinates) raises DomainError from
@@ -321,8 +409,11 @@ def scan_verdict(surface: Surface, model: SheafModel, by: DivisorClass) -> ScanE
     there; the CLI reports it as exit 3.  `unconditional_scan` decides
     such a model like any other.
     """
-    m0 = min_twist_with_sections(surface, model, by)  # checks the inputs
-    return _decide(surface, model, by, _runs(surface, model, by), m0)
+    classes, config = _checked(surface, model, by)
+    e = surface.e
+    m0 = _min_twist(e, model, classes, config, by)
+    starts, _ = _run_edges(e, classes, by.a, by.b)
+    return _decide(surface, model, by, classes, config, m0, starts)
 
 
 def unconditional_scan(surface: Surface, model: SheafModel, by: DivisorClass) -> ScanEvidence:
@@ -330,24 +421,25 @@ def unconditional_scan(surface: Surface, model: SheafModel, by: DivisorClass) ->
 
     The window starts one twist below every finite run edge (at 0 when
     there is none), so each run either contains the window start or starts
-    above it.  It ends at the witness of a failure, or else at the last
-    run start.
+    above it.  It ends at the witness of a failure; it is its start alone
+    when the property holds.
     For ideal models with z > 0 the window also starts below the line
     bundle's first twist with sections, where rho = 0 < z, so a capacity
     shortfall shows at the window start.  When a failing run is unbounded
     below, the witness is the window start.
     """
-    _require_inputs(surface, model, by)
-    runs = _runs(surface, model, by)
-    edges = [t for run in runs for t in run if t is not None]
-    if isinstance(model, IdealSheafModel) and model.config.z > 0:
-        first = _line_min_twist(model.cls, by)
+    classes, config = _checked(surface, model, by)
+    c, d = by.a, by.b
+    starts, stops = _run_edges(surface.e, classes, c, d)
+    edges = starts + stops
+    if config is not None and config.z > 0:
+        first = _line_min_twist(classes[0].a, classes[0].b, c, d)
         if first is not None:
             edges.append(first)
     lo = min(edges) - 1 if edges else 0
     # below lo no run edge is crossed and an ideal's shortfall is z (or 0),
     # so every twist there has the verdict of lo
-    return _decide(surface, model, by, runs, lo)
+    return _decide(surface, model, by, classes, config, lo, starts)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,8 @@ class PointConfig:
     locus: Locus
 
     def __post_init__(self) -> None:
-        require_ints(self.z)
+        if type(self.z) is not int:
+            require_ints(self.z)  # raises
         if self.z < 0:
             raise DomainError(f"point count must be >= 0, got {self.z}")
         if not isinstance(self.locus, Locus):
@@ -87,6 +88,8 @@ def restriction_degree(surface: Surface, c: DivisorClass, locus: Locus) -> int:
     On the section h this is c.h = b - e*a; on a fiber it is c.f = a.
     Undefined for GENERAL position.
     """
+    if not isinstance(locus, Locus):
+        raise DomainError(f"point locus must be a Locus, got {locus!r}")
     if locus is Locus.GENERAL:
         raise DomainError("restriction degree needs a curve locus, not GENERAL")
     return surface.intersect(c, _CURVE_CLASS[locus])

@@ -32,6 +32,7 @@ from hirzebruch import (
     section_count_bounds,
     stability_certificate,
 )
+from hirzebruch.bundles import stability_checks
 from hirzebruch.sheaves import IdealSheafModel, PointConfig, h0_ideal
 
 surfaces = st.integers(min_value=1, max_value=4).map(Surface)
@@ -741,6 +742,10 @@ def test_stability_verdict_agrees_with_the_full_enumeration(exclusion_calls):
                     for cand in candidates:  # sorted by (a, b)
                         least.setdefault(cand.cls.b, cand)
                     boundary = [least[delta] for delta in sorted(least)]
+                    # the most classes the verdict checks, counted without
+                    # a walk: every column's first under R, one under M
+                    most = len(least) if pol == "R" else 1
+                    assert stability_checks(datum, pol) == most, where
                     if pol == "M":
                         assert boundary[0].tail, where
                         boundary = boundary[:1]

@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -435,6 +436,24 @@ def test_construct_json_over_the_budget_is_refused_before_listing(exclusion_call
     assert "1002001 stability candidates" in err and f"the limit is {cli.ROW_BUDGET}" in err
     # the verdicts ran; no candidate was listed
     assert len(exclusion_calls) <= 1 + 1000
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_construct_past_the_budget_of_stability_checks_is_refused(fmt, exclusion_calls, capsys):
+    # e = 1, u = v = 10^8: the R verdict would check one class per column,
+    # 10^8 of them; the count is read off the region before the first check
+    u = 10**8
+    s = section_count_bounds(Surface(1), u, u, 0)[0]
+    argv = ["construct", "--e", "1", "--u", str(u), "--v", str(u), "--m", "0", "--s", str(s)]
+    started = time.perf_counter()
+    code, out, err = run(argv + ["--format", fmt], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        f"domain error: --u {u} --v {u} would produce {u + 1} stability checks; "
+        f"the limit is {cli.ROW_BUDGET}\n"
+    )
+    assert exclusion_calls == []
 
 
 def test_audit_json_findings(capsys):

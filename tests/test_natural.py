@@ -5,7 +5,9 @@ inside a window whose sufficiency the window-stability tests probe by
 walking a wider window twist by twist.
 """
 
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from hirzebruch import (
     Locus,
     Outcome,
     PointConfig,
+    ScanEvidence,
     Surface,
     Verdict,
     direct_sum_natural_wrt_m,
@@ -421,6 +424,25 @@ def test_broken_section_bound_is_a_consistency_error(monkeypatch):
         min_twist_with_sections(surface, model, surface.m_class())
 
 
+def test_a_run_start_with_no_h1_is_a_consistency_error(monkeypatch):
+    import hirzebruch.natural as natural
+
+    surface = Surface(1)
+    m, fiber = surface.m_class(), DivisorClass(0, 1)
+    # the second summand's run starts at t = 5, above the sum's m0 = 0;
+    # the line's run starts where its slack reaches e, at t = 9
+    late = DirectSum((DivisorClass(0, 0), DivisorClass(-5, -20)))
+    left = Line(DivisorClass(-3, -11))
+    assert scan_verdict(surface, late, m).verdict.witness_t == 5
+    assert unconditional_scan(surface, left, fiber).verdict.witness_t == 9
+    # a kernel that never sees h1 contradicts the runs
+    monkeypatch.setattr(natural, "counts", lambda e, a, b: (1, 0, 0))
+    with pytest.raises(ConsistencyError, match=r"^h1 = 0 at the run start t = 5 of "):
+        scan_verdict(surface, late, m)
+    with pytest.raises(ConsistencyError, match=r"^h1 = 0 at the run start t = 9 of "):
+        unconditional_scan(surface, left, fiber)
+
+
 @settings(max_examples=300)
 @given(surfaces, st.lists(classes, min_size=1, max_size=5))
 def test_sum_head_realizes_min_twist(surface, cs):
@@ -572,3 +594,71 @@ def test_scans_build_no_class_or_triple_per_evaluated_twist(built, monkeypatch):
                     assert sum(built.values()) == 0, (scan.__name__, model, by, built)
     assert decided >= 50
     assert len(evaluated) >= decided
+
+
+# --- what a verdict builds
+
+
+def test_a_scan_builds_one_evidence_and_a_verdict_only_when_it_fails(monkeypatch):
+    made = Counter()
+    for cls in (Verdict, ScanEvidence):
+
+        def counting(obj, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            made[_name] += 1
+            _init(obj, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    rng = random.Random(1414)
+    seen = Counter()
+    for e in (1, 2, 3):
+        surface = Surface(e)
+        draw = lambda: DivisorClass(rng.randint(-8, 8), rng.randint(-8, 8))
+        models = [
+            *(Line(draw()) for _ in range(6)),
+            *(DirectSum(tuple(draw() for _ in range(rng.randint(1, 4)))) for _ in range(6)),
+            *(
+                IdealSheafModel(PointConfig(rng.randint(0, 6), locus), draw())
+                for locus in Locus
+                for _ in range(4)
+            ),
+        ]
+        for pick in range(5):
+            by = _twisting_class(surface, pick)
+            for model in models:
+                for scan in (scan_verdict, unconditional_scan):
+                    made.clear()
+                    try:
+                        evidence = scan(surface, model, by)
+                    except DomainError:
+                        assert made == {}
+                        continue
+                    fails = evidence.verdict.outcome is Outcome.FAILS
+                    assert made == Counter(ScanEvidence=1, Verdict=int(fails))
+                    if not fails:
+                        assert evidence.verdict == Verdict(Outcome.HOLDS)
+                    frozen = ((evidence, "scan_stop"), (evidence.verdict, "witness_t"))
+                    for obj, field in frozen:
+                        with pytest.raises(dataclasses.FrozenInstanceError):
+                            setattr(obj, field, 0)
+                    seen[type(model).__name__, fails] += 1
+    assert set(seen) == {(kind, fails) for kind in ("Line", "DirectSum", "IdealSheafModel")
+                         for fails in (False, True)}
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_a_line_and_its_one_summand_sum_have_one_min_twist(e):
+    surface = Surface(e)
+    bys = [_twisting_class(surface, pick) for pick in range(5)]
+    for a in range(-6, 7):
+        for b in range(-9, 10):
+            cls = DivisorClass(a, b)
+            for by in bys:
+                answers = []
+                for model in (Line(cls), DirectSum((cls,))):
+                    try:
+                        answers.append(min_twist_with_sections(surface, model, by))
+                    except DomainError as err:
+                        answers.append(str(err))
+                assert answers[0] == answers[1]
+                if by.a == 0 and a < 0:
+                    assert answers[0] == f"no twist of {cls} by {by} has sections"

@@ -53,6 +53,14 @@ def test_restriction_degrees():
         restriction_degree(surface, cls, Locus.GENERAL)
 
 
+@pytest.mark.parametrize("bad", ["fiber", "section", "general", None, 0])
+def test_restriction_degree_rejects_a_locus_that_is_not_a_locus(bad):
+    # worded like `PointConfig`'s refusal, not a KeyError from the curve lookup
+    match = rf"^point locus must be a Locus, got {bad!r}$"
+    with pytest.raises(DomainError, match=match):
+        restriction_degree(Surface(1), DivisorClass(1, 1), bad)
+
+
 # frozen (e, locus, z, a, b, h0_ideal, h1_ideal), hand-computed:
 # for a curve locus, sections not vanishing on the whole curve see the
 # points through the restricted system of rank r = h0(c) - h0(c - C)

@@ -135,3 +135,36 @@ def test_integers_are_checked_by_the_types_that_hold_them():
     for path in sorted(package.rglob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), False, path)
     assert found == []
+
+
+def test_holds_and_indeterminate_verdicts_are_shared():
+    # a HOLDS or INDETERMINATE verdict carries no witness and verdicts are
+    # frozen, so the package builds each once, as `natural`'s constants,
+    # and every answer that needs one shares it
+    package = pathlib.Path(hirzebruch.__file__).parent
+    shared = {"HOLDS_VERDICT", "INDETERMINATE_VERDICT"}
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        definitions = {
+            id(node.value)
+            for node in tree.body
+            if path.name == "natural.py"
+            and isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and ast.unparse(node.targets[0]) in shared
+        }
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Verdict"
+            ):
+                continue
+            outcome = node.args[0] if node.args else None
+            outcome = next((k.value for k in node.keywords if k.arg == "outcome"), outcome)
+            if outcome is None or id(node) in definitions:
+                continue
+            if ast.unparse(outcome) in ("Outcome.HOLDS", "Outcome.INDETERMINATE"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
