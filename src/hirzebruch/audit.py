@@ -499,7 +499,14 @@ def run_audit(
     e_values: Iterable[int] = (1, 2, 3, 4),
     claims: Optional[Iterable[str]] = None,
 ) -> tuple[Finding, ...]:
-    """Run the selected claims over the selected surfaces, in stable order."""
+    """Run the selected claims over the selected surfaces, in stable order.
+
+    Both arguments are collections; a bare string is refused, since it
+    would be read one character at a time.
+    """
+    for name, value in (("e_values", e_values), ("claims", claims)):
+        if isinstance(value, str):
+            raise DomainError(f"{name} must be a collection, not the string {value!r}")
     if claims is None:
         selected = list(CLAIMS)
     else:

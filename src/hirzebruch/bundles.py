@@ -31,7 +31,9 @@ the twists before both end classes reach a >= 1 and b >= 0, and at the
 first twist of the *monotone tail* that follows.  On the tail the sub
 class is effective and the box's h1 bounds are nonincreasing, so that
 first twist decides every later one (see `audit_extension_natural`).  The
-audit rebuilds the rows of the whole window on demand, as a referee.
+verdict reads each box as plain ints from the box kernel `_box`, which
+`cohomology_interval` wraps, and builds no box and no row; the audit
+rebuilds the rows of the whole window on demand, as a referee.
 
 Slope stability is decided likewise on the lower boundary of the region
 of destabilizing candidates (see `stability_certificate`); the report
@@ -113,13 +115,16 @@ class ExtensionDatum:
         # L + K = (quot - sub) + (-2, -e-2)
         cb = s == 0 or sections(e, qcls.a - sub.a - 2, qcls.b - sub.b - e - 2) < s
         split = s == 0 and counts(e, sub.a - qcls.a, sub.b - qcls.b)[1] == 0
-        derived = {
-            "u": u, "v": v, "s": s, "s_range": s_range, "section_min": s_range[0] <= s,
-            "cayley_bacharach": cb, "ext_forced_split": split,
-        }
-        # the dataclass is frozen, so the derived fields are set past __setattr__
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        # the dataclass is frozen, so the derived fields are set past
+        # __setattr__, one call each
+        put = object.__setattr__
+        put(self, "u", u)
+        put(self, "v", v)
+        put(self, "s", s)
+        put(self, "s_range", s_range)
+        put(self, "section_min", s_range[0] <= s)
+        put(self, "cayley_bacharach", cb)
+        put(self, "ext_forced_split", split)
 
     def c1(self) -> DivisorClass:
         return DivisorClass(self.u, self.v)
@@ -227,6 +232,10 @@ def construct_extension(surface: Surface, u: int, v: int, m: int, s: int) -> Ext
       hypothesis_v:   v >= e(u-1)-1
       hypothesis_m:   m >= 0
       s_out_of_range: a_lo <= s <= b_hi
+
+    The range is the datum's own `s_range`, so the bounds are evaluated
+    once; a negative s, which no datum can hold, is refused against
+    `section_count_bounds` directly.
     """
     require_ints(u, v, m, s)
     e = surface.e
@@ -236,16 +245,17 @@ def construct_extension(surface: Surface, u: int, v: int, m: int, s: int) -> Ext
         )
     if m < 0:
         raise ConstructionError("hypothesis_m", f"need m >= 0, got m = {m}")
-    a_lo, b_hi = section_count_bounds(surface, u, v, m)
-    if not a_lo <= s <= b_hi:
-        raise ConstructionError(
-            "s_out_of_range", f"need {a_lo} <= s <= {b_hi}, got s = {s}"
-        )
-
-    sub = DivisorClass(1 - m, -e * m)
-    qcls = DivisorClass(u + m - 1, v + e * m)
-    quotient = IdealSheafModel(PointConfig(z=s, locus=Locus.GENERAL), qcls)
-    return ExtensionDatum(surface, m, sub, quotient)
+    if s < 0:
+        a_lo, b_hi = section_count_bounds(surface, u, v, m)
+    else:
+        sub = DivisorClass(1 - m, -e * m)
+        qcls = DivisorClass(u + m - 1, v + e * m)
+        quotient = IdealSheafModel(PointConfig(s, Locus.GENERAL), qcls)
+        datum = ExtensionDatum(surface, m, sub, quotient)
+        a_lo, b_hi = datum.s_range
+        if a_lo <= s <= b_hi:
+            return datum
+    raise ConstructionError("s_out_of_range", f"need {a_lo} <= s <= {b_hi}, got s = {s}")
 
 
 # ---------------------------------------------------------------------------
@@ -278,17 +288,17 @@ class CohomologyInterval:
         )
 
 
-def cohomology_interval(datum: ExtensionDatum, t: int) -> CohomologyInterval:
-    """Cohomology box of the extension twisted by t copies of M.
+def _box(datum: ExtensionDatum, t: int) -> tuple[int, int, int, int, int, int, int]:
+    """The LES box of the extension twisted by t copies of M, as plain ints:
+    (h0_min, h0_max, h1_min, h1_max, h2_min, h2_max, chi).
 
     With a_i from the sub line bundle and q_i from the quotient ideal model
     (both twisted by tM), the connecting-map ranks r0 <= min(q0, a1) and
     r1 <= min(q1, a2) give h0 = a0 + q0 - r0, h1 = (a1 - r0) + (q1 - r1),
     h2 = (a2 - r1) + q2.  The bounds below are those projections: each
-    upper bound takes the ranks 0, each lower bound and the expected
-    triple take them at their caps.  A forced split caps both at 0.
-    The ends are evaluated on coordinates (M = (1, e)); only the box and
-    its expected triple are built.
+    upper bound takes the ranks 0, each lower bound (the expected triple)
+    takes them at their caps.  A forced split caps both at 0.  The ends
+    are evaluated on coordinates (M = (1, e)), and nothing is built.
     """
     e, sub, quot = datum.surface.e, datum.sub, datum.quotient
     a0, a1, a2 = counts(e, sub.a + t, sub.b + t * e)
@@ -300,12 +310,26 @@ def cohomology_interval(datum: ExtensionDatum, t: int) -> CohomologyInterval:
     cap0, cap1 = (0, 0) if datum.ext_forced_split else (min(q0, a1), min(q1, a2))
     hi0, hi1, hi2 = a0 + q0, a1 + q1, a2 + q2
     lo0, lo1, lo2 = hi0 - cap0, hi1 - cap0 - cap1, hi2 - cap1
-    expected = CohomologyTriple(lo0, lo1, lo2)
 
-    if expected.chi() != total_chi:
-        raise ConsistencyError(f"LES box chi {expected.chi()} != {total_chi} at t={t}")
+    if lo0 - lo1 + lo2 != total_chi:
+        raise ConsistencyError(f"LES box chi {lo0 - lo1 + lo2} != {total_chi} at t={t}")
     if lo0 > hi0 or lo1 > hi1 or lo2 > hi2:
         raise ConsistencyError(f"LES box has an inverted interval at t={t}")
+    return lo0, hi0, lo1, hi1, lo2, hi2, total_chi
+
+
+def cohomology_interval(datum: ExtensionDatum, t: int) -> CohomologyInterval:
+    """Cohomology box of the extension twisted by t copies of M (see `_box`).
+
+    t must be a plain int.  Only the box and its expected triple, the
+    corner where both connecting maps have maximal rank, are built; the
+    triple must have the box's chi.
+    """
+    require_ints(t)
+    lo0, hi0, lo1, hi1, lo2, hi2, total_chi = _box(datum, t)
+    expected = CohomologyTriple(lo0, lo1, lo2)
+    if expected.chi() != total_chi:
+        raise ConsistencyError(f"LES box chi {expected.chi()} != {total_chi} at t={t}")
     return CohomologyInterval(
         h0_min=lo0,
         h0_max=hi0,
@@ -329,21 +353,22 @@ class ExtensionAuditRow:
     outcome: Outcome
 
 
-def _audit_rows(datum: ExtensionDatum, lo: int, hi: int) -> tuple[ExtensionAuditRow, ...]:
-    """The LES box of each twist in [lo, hi] and what it says about that twist.
+def _outcome(h0_min: int, h0_max: int, h1_min: int, h1_max: int) -> Outcome:
+    """What a box says about its twist: Fails when it forces h0 > 0 and
+    h1 > 0; Holds when it forces h1 = 0 or h0 = 0; Indeterminate otherwise."""
+    if h0_min > 0 and h1_min > 0:
+        return Outcome.FAILS
+    if h1_max == 0 or h0_max == 0:
+        return Outcome.HOLDS
+    return Outcome.INDETERMINATE
 
-    Fails when the box forces h0 > 0 and h1 > 0; Holds when it forces
-    h1 = 0 or h0 = 0; Indeterminate otherwise.
-    """
+
+def _audit_rows(datum: ExtensionDatum, lo: int, hi: int) -> tuple[ExtensionAuditRow, ...]:
+    """The LES box of each twist in [lo, hi] and its `_outcome`."""
     rows = []
     for t in range(lo, hi + 1):
         box = cohomology_interval(datum, t)
-        if box.h0_min > 0 and box.h1_min > 0:
-            outcome = Outcome.FAILS
-        elif box.h1_max == 0 or box.h0_max == 0:
-            outcome = Outcome.HOLDS
-        else:
-            outcome = Outcome.INDETERMINATE
+        outcome = _outcome(box.h0_min, box.h0_max, box.h1_min, box.h1_max)
         rows.append(ExtensionAuditRow(t=t, interval=box, outcome=outcome))
     return tuple(rows)
 
@@ -381,7 +406,7 @@ def _settle_twist(datum: ExtensionDatum) -> int:
     return max(cuts)
 
 
-def _audit_scan_stop(datum: ExtensionDatum) -> int:
+def _audit_scan_stop(datum: ExtensionDatum, settle: int) -> int:
     """Twist past which the h1 upper bound a1 + q1 is monotone nonincreasing.
 
     Needs the component line bundles settled into the constant regime (both
@@ -390,12 +415,12 @@ def _audit_scan_stop(datum: ExtensionDatum) -> int:
     correction max(0, s - capacity) is nonincreasing because the capacity
     is nondecreasing for every locus; the extra cuts push the capacity of
     the unbounded loci past s.  For construction data the capacity at twist
-    m is already b_hi >= s; the cuts cover hand-built data.
+    m is already b_hi >= s; the cuts cover hand-built data.  `settle` is
+    `_settle_twist(datum)`.
     """
-    surface = datum.surface
-    e = surface.e
+    e = datum.surface.e
     qcls = datum.quotient.cls
-    cuts = [datum.m, _settle_twist(datum)]
+    cuts = [datum.m, settle]
     if datum.s > 0:
         locus = datum.quotient.config.locus
         if locus is Locus.GENERAL:
@@ -412,14 +437,14 @@ def _audit_scan_stop(datum: ExtensionDatum) -> int:
 def audit_extension_natural(datum: ExtensionDatum) -> ExtensionAudit:
     """Decide the natural-cohomology property of the extension's twists by M.
 
-    The window runs from m - 1 to `_audit_scan_stop`, and `_audit_rows`
-    says whether each twist Fails, Holds or is Indeterminate.  Aggregate
-    verdict: Fails at the first failing twist; Holds when every twist holds
-    and both tails are pinned (left: h0_max = 0 at the window start, and
-    h0_max is monotone under twisting by the spanned class M, so every
-    earlier twist has no sections; right: h1_max = 0 at the window end,
-    which lies past the monotone threshold of `_audit_scan_stop`);
-    otherwise Indeterminate.
+    The window runs from m - 1 to `_audit_scan_stop`, and the `_outcome`
+    of each twist's box says whether it Fails, Holds or is Indeterminate.
+    Aggregate verdict: Fails at the first failing twist; Holds when every
+    twist holds and both tails are pinned (left: h0_max = 0 at the window
+    start, and h0_max is monotone under twisting by the spanned class M,
+    so every earlier twist has no sections; right: h1_max = 0 at the
+    window end, which lies past the monotone threshold of
+    `_audit_scan_stop`); otherwise Indeterminate.
 
     Only the twists from the window start through `_settle_twist` are
     evaluated (the start alone, if it lies past that twist): the *settle
@@ -433,21 +458,26 @@ def audit_extension_natural(datum: ExtensionDatum) -> ExtensionAudit:
     and holds exactly when h1_max = 0, and the tail's first twist is its
     worst: if it does not fail no tail twist does, and if it holds every
     tail twist holds, the window end included (which pins the right tail).
-    The verdict costs settle - m + 2 boxes, however long the window; the
-    audit rebuilds every row of the window on demand, as a referee.
+    The verdict costs settle - m + 2 calls of the box kernel `_box`
+    (one when the start lies past the settle twist), however long the
+    window, and builds no box and no row: only the audit and, when it
+    fails, its verdict.  The audit rebuilds every row of the window on
+    demand, as a referee.
     """
     start = datum.m - 1
-    stop = _audit_scan_stop(datum)
-    rows = _audit_rows(datum, start, max(start, _settle_twist(datum)))
-    failing = next((row for row in rows if row.outcome is Outcome.FAILS), None)
-    if failing is not None:
-        box = failing.interval
-        verdict = Verdict(Outcome.FAILS, failing.t, box.h0_min, box.h1_min)
-    elif all(row.outcome is Outcome.HOLDS for row in rows) and rows[0].interval.h0_max == 0:
-        verdict = HOLDS_VERDICT
-    else:
-        verdict = INDETERMINATE_VERDICT
-    return ExtensionAudit(verdict=verdict, scan_start=start, scan_stop=stop, datum=datum)
+    settle = _settle_twist(datum)
+    verdict = HOLDS_VERDICT
+    for t in range(start, max(start, settle) + 1):
+        lo0, hi0, lo1, hi1, _, _, _ = _box(datum, t)
+        outcome = _outcome(lo0, hi0, lo1, hi1)
+        if outcome is Outcome.FAILS:
+            verdict = Verdict(Outcome.FAILS, t, lo0, lo1)
+            break
+        if outcome is not Outcome.HOLDS or (t == start and hi0 > 0):
+            verdict = INDETERMINATE_VERDICT
+    return ExtensionAudit(
+        verdict=verdict, scan_start=start, scan_stop=_audit_scan_stop(datum, settle), datum=datum
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +625,14 @@ def _deltas(datum: ExtensionDatum, pol: Polarization) -> range:
     return range(ceil_div(datum.v, 2), delta_max + 1)
 
 
+def _polarization(value: Polarization | str) -> Polarization:
+    """The polarization named by value; DomainError unless it is R or M."""
+    try:
+        return Polarization(value)
+    except ValueError:
+        raise DomainError(f"polarization must be R or M, got {value!r}") from None
+
+
 def stability_checks(datum: ExtensionDatum, polarization: Polarization | str) -> int:
     """How many classes `stability_certificate` checks at most: the first
     class of every column under R, the first column's tail alone under M.
@@ -602,7 +640,7 @@ def stability_checks(datum: ExtensionDatum, polarization: Polarization | str) ->
     Counted without walking the columns, so a caller can refuse a long R
     walk, O(u + v) `_exclusion` calls, before it starts.
     """
-    pol = Polarization(polarization)
+    pol = _polarization(polarization)
     return len(_deltas(datum, pol)) if pol is Polarization.R else 1
 
 
@@ -628,7 +666,7 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
     Only twist parameter m = 0 is supported; the slope bookkeeping above
     assumes the untwisted presentation.
     """
-    pol = Polarization(polarization)
+    pol = _polarization(polarization)
     if datum.m != 0:
         raise DomainError(f"stability certification needs m = 0, got m = {datum.m}")
     surface = datum.surface

@@ -34,7 +34,11 @@ runs of h^1 > 0 along a twist line off it.
 Kernels and wrappers: ``sections(e, a, b)`` (the h^0 sum) and
 ``counts(e, a, b)`` (the triple, with both consistency checks) take plain
 integers and build no object.  The hot loops of :mod:`hirzebruch.natural`
-and :mod:`hirzebruch.bundles` call them on twisted coordinates.  The
+and :mod:`hirzebruch.bundles` call them on twisted coordinates.  One
+more kernel runs the section count backwards along a spanned twist
+(c, d): ``sections_twist`` gives the first twist with k sections in a
+fixed number of integer operations, whatever the size of k and the
+coordinates.  The
 public functions on (Surface, DivisorClass) are thin wrappers that call a
 kernel on the class's coordinates, so each quantity has one formula; they
 check nothing themselves, since `DivisorClass` refuses non-integer
@@ -44,8 +48,10 @@ coordinates when it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
+from typing import Optional
 
-from .picard import DivisorClass, DomainError, Surface, require_ints
+from .picard import DivisorClass, DomainError, Surface, ceil_div, require_ints
 
 
 class ConsistencyError(RuntimeError):
@@ -73,6 +79,62 @@ def sections(e: int, a: int, b: int) -> int:
         return 0
     n = min(a, b // e)
     return (n + 1) * (b + 1) - e * n * (n + 1) // 2
+
+
+def sections_twist(e: int, k: int, u: int, v: int, c: int, d: int, start: int) -> Optional[int]:
+    """Least t >= start with sections(e, u + t*c, v + t*d) >= k, for k >= 1
+    and (c, d) spanned and nonzero; None if no twist has a section.
+
+    Both the h-coordinate a and the slack b - e*a are nondecreasing along
+    the twist, and so is h^0.  Where it is nonzero:
+
+      slack < 0:  h^0 depends on b alone (a > b // e in the sum), a
+                  triangular count whose q+1 full columns, b = e*q + e - 1,
+                  hold e*(q+1)*(q+2)/2 sections; the least b with k
+                  sections is read off the column count with `isqrt`;
+      slack >= 0: 2*h^0 = (a+1)*(2b + 2 - e*a), a product of two linear
+                  forms in t that are positive there: a quadratic with a
+                  nonnegative leading coefficient (linear when c = 0),
+                  increasing past its larger root, which `isqrt` gives up
+                  to one step.
+
+    The first regime ends at the twist where the slack turns nonnegative
+    (never, when a multiple of M leaves a negative slack alone).  Either
+    answer has both coordinates >= 0, so no start needs clamping to the
+    first twist with a section.  With c = 0 and u < 0 the h-coordinate
+    never turns nonnegative.
+    """
+    if not c and u < 0:
+        return None
+    step, slack = d - e * c, v - e * u
+    if step:
+        turn: Optional[int] = ceil_div(-slack, step)
+    else:
+        turn = start if slack >= 0 else None
+    if turn is None or turn > start:
+        # the least n with n full columns, e*n*(n+1)/2 >= k, then the least
+        # b in the last of them; the n before holds fewer than k sections
+        need = ceil_div(2 * k, e)
+        n = (isqrt(4 * need + 1) - 1) // 2
+        if n * (n + 1) < need:
+            n += 1
+        q = n - 1
+        b = e * q + ceil_div(k - e * q * n // 2, n) - 1
+        t = max(start, ceil_div(b - v, d))
+        if turn is None or t < turn:
+            return t
+    # 2*h^0 - 2k = lead*t^2 + mid*t + rest where the slack is >= 0; where
+    # it is < 0 the quadratic is at most 2*h^0 - 2k (the pushforward sum
+    # over i <= n is largest at n = b // e), so it finds no earlier twist
+    lead = c * (2 * d - e * c)
+    mid = (u + 1) * (2 * d - e * c) + c * (2 * v + 2 - e * u)
+    rest = (u + 1) * (2 * v + 2 - e * u) - 2 * k
+    if not lead:
+        return max(start, ceil_div(-rest, mid))
+    t = ceil_div(isqrt(mid * mid - 4 * lead * rest) - mid, 2 * lead)
+    if (lead * t + mid) * t + rest < 0:
+        t += 1
+    return max(start, t)
 
 
 def _euler(e: int, a: int, b: int) -> int:

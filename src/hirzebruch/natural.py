@@ -39,22 +39,31 @@ coordinates and point counts are plain ints already, since `DivisorClass`
 and `PointConfig` refuse anything else when they are built.  The checked
 components then go to the min twist, the runs and the evaluations, each
 one walk over them.  Each twist is evaluated on plain coordinates through
-the integer kernels ``cohomology.counts`` and ``sheaves.ideal_counts``
-(``ideal_sections`` for the min-twist probe), so no class, model or
-triple is built per twist.  An answer builds one `ScanEvidence`, and a
-`Verdict` only when it FAILS: the HOLDS and INDETERMINATE verdicts are
-the shared constants `HOLDS_VERDICT` and `INDETERMINATE_VERDICT`.
+the integer kernels ``cohomology.counts`` and ``sheaves.ideal_counts``,
+so no class, model or triple is built per twist.  The min twist is read
+off the coordinates too: for an ideal model it is the line bundle's
+first twist with sections, probed with ``ideal_sections``, or else the
+closed-form inverse ``sheaves.ideal_sections_twist``, a fixed number of
+kernel calls at any point count.  An answer builds one `ScanEvidence`,
+and a `Verdict` only when it FAILS: the HOLDS and INDETERMINATE verdicts
+are the shared constants `HOLDS_VERDICT` and `INDETERMINATE_VERDICT`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .cohomology import ConsistencyError, counts
 from .picard import DivisorClass, DomainError, Surface, ceil_div
-from .sheaves import IdealSheafModel, PointConfig, ideal_counts, ideal_sections
+from .sheaves import (
+    IdealSheafModel,
+    PointConfig,
+    ideal_counts,
+    ideal_sections,
+    ideal_sections_twist,
+)
 
 
 @dataclass(frozen=True)
@@ -238,6 +247,16 @@ def min_twist_with_sections(surface: Surface, model: SheafModel, by: DivisorClas
     twists with sections is the ray [m0, infinity).  Raises DomainError if
     the ray is empty, which happens only for fiber-type twisting classes
     (0, d) against models whose h-coordinates are all negative.
+
+    m0 is computed in closed form, in a fixed number of integer
+    operations whatever the coordinates and the point count.  A line or a sum has sections from
+    the first twist at which some summand is effective.  An ideal model
+    has h0_ideal = max(h0(c) - z, h0(c - C)), so m0 is the line bundle's
+    first twist with sections when a probe finds sections there, and
+    otherwise the earlier of the first twist where O(c) has z + 1 sections
+    and the first where c - C is effective (`sheaves.ideal_sections_twist`,
+    which inverts the section count with `math.isqrt`); two more probes
+    certify that answer, and a miss is a ConsistencyError.
     """
     return _min_twist(surface.e, model, *_checked(surface, model, by), by)
 
@@ -264,48 +283,27 @@ def _min_twist(
             raise DomainError(f"no twist of {summands} by {by} has sections")
         return least
 
-    # Ideal sheaf: h0_ideal <= h0 of the underlying line bundle, so start at
-    # the line bundle's minimal twist and search upward.  h0_ideal is
-    # monotone (both h0(c) and h0(c - C) are), and it is positive as soon as
-    # h0(line) >= z + 1, which the i = 0 pushforward term alone guarantees
-    # once v + t*d >= z (and the h-coordinate is nonnegative).  The answer
-    # is often `start` itself, which `first_true` probes first.
+    # Ideal sheaf: h0_ideal <= h0 of the underlying line bundle, so the
+    # answer is at or past the line bundle's first twist with sections,
+    # and it is often that twist itself, which is probed first.  Past it,
+    # the closed-form inverse answers, and two probes certify its answer.
     cls = classes[0]
     z, locus, u, v = config.z, config.locus, cls.a, cls.b
     start = _line_min_twist(u, v, c, d)
     if start is None:
         raise DomainError(f"no twist of the ideal model class {cls} by {by} has sections")
-    stop = max(start, ceil_div(z - v, d))
-    if c >= 1:
-        stop = max(stop, ceil_div(-u, c))
-
-    t = first_true(lambda t: ideal_sections(e, z, locus, u + t * c, v + t * d) > 0, start, stop)
-    if t is None:
+    if ideal_sections(e, z, locus, u + start * c, v + start * d) > 0:
+        return start
+    t = ideal_sections_twist(e, z, locus, u, v, c, d, start)
+    if (
+        t is None
+        or ideal_sections(e, z, locus, u + t * c, v + t * d) == 0
+        or ideal_sections(e, z, locus, u + (t - 1) * c, v + (t - 1) * d) > 0
+    ):
         raise ConsistencyError(
-            f"section bound violated: h0_ideal of {model} twisted by {stop}*{by} is 0"
+            f"twist {t} of {model} by {by} is not the first with ideal sections"
         )
     return t
-
-
-def first_true(pred: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
-    """Least t in [lo, hi] (lo <= hi) with pred(t), for a pred that turns true once
-    and stays true; None when pred(hi) is false.
-
-    Gallops (lo, lo+1, lo+3, lo+7, ...) before bisecting, so an answer d
-    steps past lo costs O(log d) calls of pred.
-    """
-    below, probe = lo - 1, lo  # pred is false at every t <= below
-    while not pred(probe):
-        if probe == hi:
-            return None
-        below, probe = probe, min(hi, 2 * probe - lo + 1)
-    while probe - below > 1:
-        mid = (below + probe) // 2
-        if pred(mid):
-            probe = mid
-        else:
-            below = mid
-    return probe
 
 
 # ---------------------------------------------------------------------------

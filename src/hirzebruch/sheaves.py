@@ -23,23 +23,28 @@ chi(I_Z(c)) = chi(c) - z.  In every case
 
 with rho the capacity returned by ``max_conditions``; the scan windows in
 :mod:`hirzebruch.natural` lean on that shape, and the test suite checks it.
+Equivalently h0_ideal(c) = max(h0(c) - z, h0(c - C)), with h0(c - C) = 0
+in general position, so I_Z(c) has a section exactly when O(c) has z + 1
+or c - C is effective.
 
 As in :mod:`hirzebruch.cohomology`, the formulas live in integer kernels,
 ``ideal_sections(e, z, locus, a, b)`` and ``ideal_counts(e, z, locus, a,
 b)``, which the scan, box and exclusion loops call without building a
-model per twist.  The functions on (Surface, IdealSheafModel) are thin
-wrappers that call a kernel and check nothing themselves: `PointConfig`
-refuses a point count that is not a plain int >= 0 and a locus that is
-not a `Locus`, and `DivisorClass` non-integer coordinates, when they are
-built.
+model per twist; ``ideal_sections_twist`` runs the first of them
+backwards along a twist, in a fixed number of integer operations.  The functions on (Surface,
+IdealSheafModel) are thin wrappers that call a kernel and check nothing
+themselves: `PointConfig` refuses a point count that is not a plain int
+>= 0 and a locus that is not a `Locus`, and `DivisorClass` non-integer
+coordinates, when they are built.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Optional
 
-from .cohomology import ConsistencyError, counts, sections
+from .cohomology import ConsistencyError, counts, sections, sections_twist
 from .picard import DivisorClass, DomainError, Surface, require_ints, twist
 
 
@@ -109,6 +114,25 @@ def ideal_sections(e: int, z: int, locus: Locus, a: int, b: int) -> int:
     condition until the capacity runs out.  h0(c) is evaluated once."""
     full = sections(e, a, b)
     return full - min(z, full - _unseen(e, locus, a, b))
+
+
+def ideal_sections_twist(
+    e: int, z: int, locus: Locus, u: int, v: int, c: int, d: int, start: int
+) -> Optional[int]:
+    """Least t >= start with ideal_sections(e, z, locus, u + t*c, v + t*d) > 0,
+    for (c, d) spanned and nonzero; None if no twist has a section.
+
+    h0_ideal = max(h0(c) - z, h0(c - C)) and both terms are nondecreasing
+    along the twist, so the answer is the earlier of the first twist where
+    O(c) has z + 1 sections and the first where c - C is effective.
+    """
+    t = sections_twist(e, z + 1, u, v, c, d, start)
+    if locus is Locus.GENERAL:
+        return t
+    curve = _CURVE_CLASS[locus]
+    unseen = sections_twist(e, 1, u - curve.a, v - curve.b, c, d, start)
+    # c - C effective makes c effective, so unseen is None whenever t is
+    return t if unseen is None else min(t, unseen)
 
 
 def ideal_counts(e: int, z: int, locus: Locus, a: int, b: int) -> tuple[int, int, int]:

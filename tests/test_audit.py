@@ -50,6 +50,14 @@ def test_unknown_claim_is_rejected():
         run_audit(claims=["no-such-claim"])
 
 
+def test_a_bare_string_is_not_a_collection():
+    # a string would be read one character at a time
+    with pytest.raises(DomainError, match=r"^claims must be a collection"):
+        run_audit([1], "direct-sum-splitting")
+    with pytest.raises(DomainError, match=r"^e_values must be a collection"):
+        run_audit("12", ["rank1-points"])
+
+
 def test_claim_filter():
     findings = run_audit(claims=["rank1-points"])
     assert findings

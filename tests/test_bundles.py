@@ -1,6 +1,8 @@
 """Rank-2 construction, cohomology boxes, stability, and the region map."""
 
 import random
+from collections import Counter
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +198,18 @@ def test_construction_rejections_are_named():
     assert info.value.reason == "s_out_of_range"
 
 
+def test_an_s_out_of_range_names_the_datum_range():
+    # the range is the datum's own s_range, and a negative s, which no
+    # datum can hold, gets the same message
+    surface = Surface(2)
+    lo, hi = section_count_bounds(surface, 2, 3, 1)
+    for s in (-1, lo - 1, hi + 1):
+        with pytest.raises(ConstructionError) as info:
+            construct_extension(surface, 2, 3, 1, s)
+        assert info.value.reason == "s_out_of_range"
+        assert str(info.value) == f"need {lo} <= s <= {hi}, got s = {s}"
+
+
 def test_datum_shape():
     datum = build(1, 3, 2, 0, 3)
     assert datum.sub == DivisorClass(1, 0)
@@ -379,6 +393,81 @@ def test_broken_box_chi_is_a_consistency_error(monkeypatch):
         cohomology_interval(build(1, 2, 1, 0, 2), 0)
 
 
+def _hand_built_data(rng, count):
+    """Extension data of every locus from random ends, forced splits among them."""
+    data = []
+    for _ in range(count):
+        surface = Surface(rng.randint(1, 5))
+        sub = DivisorClass(rng.randint(-8, 5), rng.randint(-25, 15))
+        quot = DivisorClass(rng.randint(-8, 8), rng.randint(-25, 30))
+        s = rng.choice([0, rng.randint(0, 4), rng.randint(0, 40)])
+        locus = rng.choice(list(Locus))
+        data.append(
+            ExtensionDatum(surface, rng.randint(0, 8), sub, IdealSheafModel(PointConfig(s, locus), quot))
+        )
+    return data
+
+
+def _constructed_data():
+    """Standard constructions at both ends of their s range, forced splits among them."""
+    data = []
+    for e in (1, 2, 3):
+        surface = Surface(e)
+        for u in range(-2, 5):
+            for m in range(0, 4):
+                v = e * (u - 1) - 1 + (u + m) % 3
+                for s in section_count_bounds(surface, u, v, m):
+                    data.append(construct_extension(surface, u, v, m, s))
+    return data
+
+
+def test_box_kernel_is_the_interval():
+    from hirzebruch.bundles import _box
+
+    data = _constructed_data() + _hand_built_data(random.Random(15), 200)
+    assert {datum.ext_forced_split for datum in data} == {False, True}
+    for datum in data:
+        for t in range(datum.m - 4, datum.m + 6):
+            box = cohomology_interval(datum, t)
+            bounds = (box.h0_min, box.h0_max, box.h1_min, box.h1_max, box.h2_min, box.h2_max)
+            assert _box(datum, t) == (*bounds, box.chi)
+            assert astuple(box.expected) == (box.h0_min, box.h1_min, box.h2_min)
+
+
+def test_the_audit_verdict_builds_no_box_and_no_row(monkeypatch):
+    import hirzebruch.bundles as bundles
+
+    built = Counter()
+    for cls in (bundles.CohomologyInterval, bundles.ExtensionAuditRow):
+
+        def counting(obj, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(obj, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    real = bundles._box
+    twists = []
+    monkeypatch.setattr(bundles, "_box", lambda datum, t: twists.append(t) or real(datum, t))
+    data = _constructed_data() + _hand_built_data(random.Random(16), 200)
+    outcomes = set()
+    for datum in data:
+        twists.clear()
+        audit = audit_extension_natural(datum)
+        start, settle = datum.m - 1, bundles._settle_twist(datum)
+        # the settle prefix and the tail's first twist, in order, stopping
+        # at a failure
+        assert twists == list(range(start, start + len(twists)))
+        if audit.verdict.outcome is Outcome.FAILS:
+            assert twists[-1] == audit.verdict.witness_t
+        else:
+            assert len(twists) == max(1, settle - datum.m + 2)
+        outcomes.add(audit.verdict.outcome)
+    assert built == {}
+    assert outcomes == set(Outcome)
+    # the referee rows still build their boxes
+    assert len(audit.rows) == built["ExtensionAuditRow"] == built["CohomologyInterval"]
+
+
 def test_box_builds_only_its_expected_triple(built):
     # the two end classes are evaluated on coordinates: no class and no
     # triple per box beyond the expected corner
@@ -524,11 +613,9 @@ def test_hand_built_audit_verdict_is_the_verdict_of_its_rows(locus):
 def test_audit_cost_does_not_grow_with_the_window(monkeypatch):
     import hirzebruch.bundles as bundles
 
-    real = bundles.cohomology_interval
+    real = bundles._box
     twists = []
-    monkeypatch.setattr(
-        bundles, "cohomology_interval", lambda datum, t: twists.append(t) or real(datum, t)
-    )
+    monkeypatch.setattr(bundles, "_box", lambda datum, t: twists.append(t) or real(datum, t))
     outcomes = set()
     for e, u, v in [(1, 3, 2), (2, 3, 3)]:
         surface = Surface(e)
@@ -542,6 +629,14 @@ def test_audit_cost_does_not_grow_with_the_window(monkeypatch):
 
 
 # --- stability certificates
+
+
+@pytest.mark.parametrize("bad", ["X", "r", "", None, 1])
+def test_an_unknown_polarization_is_a_domain_error(bad):
+    datum = build(1, 3, 2, 0, 3)
+    for call in (stability_certificate, stability_checks):
+        with pytest.raises(DomainError, match=r"^polarization must be R or M, got "):
+            call(datum, bad)
 
 
 def test_stability_certificate_frozen_instance():

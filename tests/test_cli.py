@@ -387,8 +387,8 @@ def test_construct_reads_the_section_bounds_off_the_datum(capsys, monkeypatch):
     )
     assert code == 0
     assert "admissible s in [3, 6]" in out
-    # once for the range check, once for the datum's own s_range
-    assert len(calls) == 2
+    # once, for the datum's own s_range, which the range check reads
+    assert len(calls) == 1
 
 
 def test_construct_skips_stability_when_twisted(capsys):

@@ -7,6 +7,7 @@ i = 0..a) and are pinned against BOTH implementations, so neither can
 drift to match the other.
 """
 
+import random
 from dataclasses import astuple
 
 import pytest
@@ -26,7 +27,7 @@ from hirzebruch import (
     oracle_h0,
     triple,
 )
-from hirzebruch.cohomology import counts
+from hirzebruch.cohomology import counts, sections, sections_twist
 from hirzebruch.sheaves import (
     IdealSheafModel,
     Locus,
@@ -36,6 +37,7 @@ from hirzebruch.sheaves import (
     h2_ideal,
     ideal_counts,
     ideal_sections,
+    ideal_sections_twist,
 )
 
 surfaces = st.integers(min_value=1, max_value=5).map(Surface)
@@ -216,12 +218,99 @@ def test_ideal_kernel_matches_the_oracle_and_the_wrappers(e, z, locus, a, b):
     assert v2 == h2(surface, c)
 
 
+# --- the section counts run backwards along a twist
+
+
+def _spanned_twists(e):
+    """One twisting class of each kind: M, R, fiber classes (0, d), a
+    multiple of M and mixed spanned classes, some moving the slack by
+    more than e per twist."""
+    return [
+        (1, e), (1, e + 1), (0, 1), (0, 3), (0, e + 4),
+        (2, 2 * e), (2, 2 * e + 1), (1, e + 6), (3, 3 * e + 5),
+    ]
+
+
+def _walked_twist(holds, c, u, start):
+    """Least t >= start with holds(t), walked one twist at a time; None
+    when c = 0 and u < 0, where the h-coordinate never turns nonnegative."""
+    if c == 0 and u < 0:
+        return None
+    t = start
+    while not holds(t):
+        t += 1
+    return t
+
+
+def _searched_twist(holds, c, u, start):
+    """The same least twist, for a predicate that turns true once and stays
+    true: gallop up from start (start, start+1, start+3, ...), then
+    bisect.  It shares nothing with the closed-form inverses but the
+    forward count it is given, and it takes O(log) steps at any size."""
+    if c == 0 and u < 0:
+        return None
+    below, probe = start - 1, start
+    while not holds(probe):
+        below, probe = probe, 2 * probe - start + 1
+    while probe - below > 1:
+        mid = (below + probe) // 2
+        if holds(mid):
+            probe = mid
+        else:
+            below = mid
+    return probe
+
+
+def test_section_inverses_are_the_walked_least_twists():
+    # a seeded grid: every twisting class kind, both slack regimes, both
+    # sides of the turn between them, and starts below and past the first
+    # twist with a section
+    rng = random.Random(15)
+    loci = list(Locus)
+    for e in range(1, 5):
+        for c, d in _spanned_twists(e):
+            for _ in range(60):
+                u, v = rng.randint(-8, 8), rng.randint(-20, 20)
+                start = rng.choice([-40, rng.randint(-10, 10)])
+                k = rng.choice([1, 2, rng.randint(3, 12), rng.randint(13, 400)])
+                want = _walked_twist(
+                    lambda t: sections(e, u + t * c, v + t * d) >= k, c, u, start
+                )
+                assert sections_twist(e, k, u, v, c, d, start) == want, (e, k, u, v, c, d, start)
+                z, locus = k - 1, rng.choice(loci)
+                want = _walked_twist(
+                    lambda t: ideal_sections(e, z, locus, u + t * c, v + t * d) > 0, c, u, start
+                )
+                got = ideal_sections_twist(e, z, locus, u, v, c, d, start)
+                assert got == want, (e, z, locus, u, v, c, d, start)
+
+
+@settings(max_examples=400)
+@given(
+    kernel_surfaces,
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=0, max_value=10**30),
+    st.sampled_from(list(Locus)),
+    st.integers(min_value=-10**3, max_value=10**3),
+)
+def test_section_inverses_match_a_search_at_any_size(e, pick, u, v, z, locus, start):
+    c, d = _spanned_twists(e)[pick]
+    want = _searched_twist(lambda t: sections(e, u + t * c, v + t * d) > z, c, u, start)
+    assert sections_twist(e, z + 1, u, v, c, d, start) == want
+    want = _searched_twist(
+        lambda t: ideal_sections(e, z, locus, u + t * c, v + t * d) > 0, c, u, start
+    )
+    assert ideal_sections_twist(e, z, locus, u, v, c, d, start) == want
+
+
 # --- inputs typed at the boundary
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True])
 def test_public_entry_points_reject_non_integer_inputs(bad):
-    from hirzebruch import construct_extension, section_count_bounds
+    from hirzebruch import cohomology_interval, construct_extension, section_count_bounds
     from hirzebruch.sheaves import max_conditions
 
     # a class or model is built inside the check, where its type refuses
@@ -256,6 +345,7 @@ def test_public_entry_points_reject_non_integer_inputs(bad):
         args = [3, 2, 0, 3]
         args[at] = bad
         calls.append(lambda args=args: construct_extension(surface, *args))
+    calls.append(lambda: cohomology_interval(construct_extension(surface, 3, 2, 0, 3), bad))
     for call in calls:
         with pytest.raises(DomainError):
             call()

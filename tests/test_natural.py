@@ -455,21 +455,39 @@ def test_sum_head_realizes_min_twist(surface, cs):
     assert m == min_twist_with_sections(surface, DirectSum(tuple(cs)), surface.m_class())
 
 
-def test_first_true_is_the_least_true_twist():
-    from hirzebruch.natural import first_true
+@pytest.mark.parametrize("locus", list(Locus))
+def test_the_ideal_min_twist_makes_a_fixed_number_of_kernel_calls(monkeypatch, locus):
+    import hirzebruch.natural as natural
+    import hirzebruch.sheaves as sheaves
+    from hirzebruch.sheaves import h0_ideal
 
-    for lo, hi in [(0, 0), (-5, 40), (3, 200)]:
-        for answer in range(lo - 2, hi + 3):
-            probes = []
+    calls = Counter()
 
-            def pred(t):
-                assert lo <= t <= hi
-                probes.append(t)
-                return t >= answer
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args: calls.update([name]) or real(*args)
+        )
 
-            found = first_true(pred, lo, hi)
-            assert found == (max(lo, answer) if answer <= hi else None)
-            assert len(probes) <= 2 * (hi - lo + 1).bit_length() + 2
+    count(natural, "ideal_sections")
+    count(natural, "ideal_sections_twist")
+    count(sheaves, "sections_twist")
+    surface = Surface(2)
+    for by in (surface.m_class(), surface.r_class(), DivisorClass(0, 1), DivisorClass(2, 5)):
+        for cls in (DivisorClass(0, -3), DivisorClass(1, -3), DivisorClass(2, 7)):
+            seen = set()
+            for z in (10, 10**6, 10**12, 10**30):
+                calls.clear()
+                model = IdealSheafModel(PointConfig(z, locus), cls)
+                t = min_twist_with_sections(surface, model, by)
+                seen.add(tuple(sorted(calls.items())))
+                # a probe at the line bundle's first twist with sections;
+                # past it one inverse and two certifying probes
+                assert sum(calls.values()) <= 6
+                assert h0_ideal(surface, model.twisted(t, by)) > 0
+                assert h0_ideal(surface, model.twisted(t - 1, by)) == 0
+            # the same calls at every point count
+            assert len(seen) == 1, (by, cls, seen)
 
 
 # --- inputs typed at the boundary
