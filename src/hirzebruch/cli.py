@@ -9,13 +9,17 @@ oracle (closed form vs brute force).
 Output formats: table (default), csv, json; the HIRZEBRUCH_FORMAT
 environment variable changes the default.  JSON output is one object with
 fields command, inputs, results, findings, in that order, deterministic
-for fixed inputs.  Exit codes: 0 success, 1 oracle mismatch, 2 usage
-error, 3 domain error.  A command whose ranges would produce more than
-ROW_BUDGET rows, cells, classes or claim checks is a domain error, refused
-before anything is computed.  So is a `construct` whose stability
-verdicts would check more than ROW_BUDGET classes, refused before the
-first check, and a JSON `construct` that would list more than ROW_BUDGET
-stability candidates, refused before any is listed.
+for fixed inputs.  It is laid out as `json.dumps(record, indent=2)` lays
+it out, but written by the package's own writer, `_json_text`.  Exit
+codes: 0 success, 1 oracle mismatch, 2 usage error, 3 domain error.  A
+command whose ranges would produce more than ROW_BUDGET rows, cells,
+classes or claim checks is a domain error, refused before anything is
+computed; for a rank-2 `classify` or `enumerate` the count is cells times
+(m_max + 1), one section-count interval per cell and m.  So is a
+`construct` whose stability verdicts would check more than ROW_BUDGET
+classes, refused before the first check, and a JSON `construct` that
+would list more than ROW_BUDGET stability candidates, refused before any
+is listed.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ import argparse
 import csv
 import functools
 import io
-import json
 import os
 import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional, Sequence
 
 from .audit import CLAIMS, run_audit
@@ -210,7 +214,7 @@ class Report:
                 "results": self.results,
                 "findings": self.findings,
             }
-            return json.dumps(record, indent=2)
+            return _json_text(record)
         if fmt == "csv":
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
@@ -219,6 +223,44 @@ class Report:
                 writer.writerow([_csv_cell(row.get(name, "")) for name in self.columns])
             return buf.getvalue().rstrip("\n")
         return "\n".join(self.table_lines)
+
+
+def _json_text(value: Any, indent: str = "\n") -> str:
+    """`value` in the layout of `json.dumps(value, indent=2)`.
+
+    `json` turns its C encoder off when asked to indent, so the record is
+    written here, with the same C string escaper.  Exact types are tried
+    first; str and int subclasses are written as `json` writes them, and
+    any other type, a non-str key included, raises TypeError.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _csv_cell(value: Any) -> Any:
@@ -397,7 +439,15 @@ def _cmd_classify(args: argparse.Namespace) -> Report:
     surface = Surface(args.e)
     u_lo, u_hi = u_range = _parse_range(args.u)
     v_lo, v_hi = v_range = _parse_range(args.v)
-    _check_budget((u_hi - u_lo + 1) * (v_hi - v_lo + 1), f"--u {args.u} --v {args.v}", "cells")
+    cell_count = (u_hi - u_lo + 1) * (v_hi - v_lo + 1)
+    _check_budget(cell_count, f"--u {args.u} --v {args.v}", "cells")
+    if args.r == 2:
+        # each cell merges one section-count interval per m; rank-1
+        # witnesses read no m.  A negative m_max is left to classify_region
+        _check_budget(
+            cell_count * (args.m_max + 1),
+            f"--u {args.u} --v {args.v} --m-max {args.m_max}", "(cell, m) intervals",
+        )
     inputs = {
         "e": args.e,
         "r": args.r,

@@ -109,11 +109,15 @@ def _unseen(e: int, locus: Locus, a: int, b: int) -> int:
     return sections(e, a - curve.a, b - curve.b)
 
 
-def ideal_sections(e: int, z: int, locus: Locus, a: int, b: int) -> int:
-    """h0(c) - min(z, capacity) for c = (a, b): each point imposes one
-    condition until the capacity runs out.  h0(c) is evaluated once."""
-    full = sections(e, a, b)
+def _ideal_h0(e: int, z: int, locus: Locus, a: int, b: int, full: int) -> int:
+    """h0(c) - min(z, capacity) for c = (a, b), given full = h0(c): each
+    point imposes one condition until the capacity runs out."""
     return full - min(z, full - _unseen(e, locus, a, b))
+
+
+def ideal_sections(e: int, z: int, locus: Locus, a: int, b: int) -> int:
+    """h0 of I_Z(a, b), with h0(c) evaluated once."""
+    return _ideal_h0(e, z, locus, a, b, sections(e, a, b))
 
 
 def ideal_sections_twist(
@@ -137,9 +141,9 @@ def ideal_sections_twist(
 
 def ideal_counts(e: int, z: int, locus: Locus, a: int, b: int) -> tuple[int, int, int]:
     """(h0, h1, h2) of I_Z(a, b): h2 is the line bundle's, and h1 is
-    forced by chi(I_Z(c)) = chi(c) - z."""
+    forced by chi(I_Z(c)) = chi(c) - z.  h0 reads the h0(c) of `counts`."""
     full, line1, v2 = counts(e, a, b)
-    v0 = ideal_sections(e, z, locus, a, b)
+    v0 = _ideal_h0(e, z, locus, a, b, full)
     v1 = v0 + v2 - (full - line1 + v2 - z)
     if v1 < 0:
         raise ConsistencyError(

@@ -4,6 +4,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import enum
 import io
 import json
 import os
@@ -16,7 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from hirzebruch import (
@@ -232,7 +233,7 @@ def test_oracle_exit_one_on_mismatch(capsys, monkeypatch):
 # --- formats
 
 
-def test_json_round_trip(capsys):
+def test_json_round_trip(capsys, monkeypatch):
     code, out, _ = run(
         ["coh", "--e", "2", "--class", "1,0", "--twist-by", "1,2", "--t", "0..2",
          "--format", "json"],
@@ -243,8 +244,74 @@ def test_json_round_trip(capsys):
     assert list(record) == ["command", "inputs", "results", "findings"]
     assert record["command"] == "coh"
     assert record["results"]["rows"][0] == {"t": 0, "h0": 1, "h1": 1, "h2": 0, "chi": 0}
-    # stable key order: re-serializing reproduces the bytes
-    assert json.dumps(record, indent=2) == out.strip()
+    # the package writes JSON itself; `json.dumps(indent=2)` is the
+    # referee for its bytes, on every README example and every command
+    monkeypatch.delenv("HIRZEBRUCH_FORMAT", raising=False)
+    readme = [
+        shlex.split(line[2:])[1:]
+        for line in _readme_block("## CLI", "```").splitlines()
+        if line.startswith("$ ")
+    ]
+    extra = [
+        ["audit"],
+        ["oracle", "--e", "1..2", "--a", "-2..3", "--b", "-3..4"],
+        ["check", "--e", "1", "--ideal", "section:3:2,4", "--wrt", "R", "--pp"],
+        ["check", "--e", "2", "--line", "-1,0", "--wrt", "1,3"],
+    ]
+    commands = set()
+    for argv in readme + extra:
+        code, out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == 0, argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+        commands.add(argv[0])
+    assert commands == set(cli._COMMANDS)
+    # the README construct lists stability candidates under both polarizations
+    construct = next(argv for argv in readme if argv[0] == "construct")
+    code, out, _ = run(construct + ["--format", "json"], capsys)
+    assert all(json.loads(out)["results"]["stability"][pol]["candidates"] for pol in "RM")
+
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.text()
+    | st.text(alphabet=st.characters(max_codepoint=0x7F))
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@given(_json_values)
+@example(["", [], {}, (), {"a": {}}, [[]]])
+@example({'"quoted"': "back\\slash \"q\"", "\x00\x1f\n\t\x7f": "\u00e9\u2603\U0001f600\ud800"})
+@example([10**399, -(10**399), 0, True, False, None])
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_treats_str_and_int_subclasses_as_json_does():
+    class Tag(str, enum.Enum):
+        A = "a\u00e9"
+
+    value = {Tag.A: [Tag.A, enum.IntEnum("N", "ONE TWO").TWO, True]}
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, [0.0], {"a": float("nan")}, {1, 2}, {1: "a"}, {"a": {(1, 2): 3}}, b"x"]
+)
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
 
 
 def test_csv_and_json_agree(capsys):
@@ -860,6 +927,48 @@ def test_ranges_over_the_budget_are_refused_before_any_work(argv, token, capsys,
     assert (code, out) == (3, "")
     assert err.startswith("domain error: ") and err.count("\n") == 1
     assert token in err and f"the limit is {cli.ROW_BUDGET}" in err
+
+
+def test_rank_two_sweeps_budget_m_max_before_any_section_bounds(capsys, monkeypatch):
+    # a rank-2 cell merges one section-count interval per m = 0..m_max
+    import hirzebruch.bundles as bundles
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed past the budget check")
+
+    monkeypatch.setattr(bundles, "section_count_bounds", refuse)
+    for command in ("classify", "enumerate"):
+        argv = [command, "--e", "1", "--r", "2", "--u", "0..0", "--v", "0..0", "--m-max", "100000000"]
+        started = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            "domain error: --u 0..0 --v 0..0 --m-max 100000000 would produce 100000001 "
+            f"(cell, m) intervals; the limit is {cli.ROW_BUDGET}\n"
+        )
+    # two cells: m_max = 4999 fills the budget exactly, 5000 goes past it
+    code, _, err = run(
+        ["classify", "--e", "1", "--r", "2", "--u", "0..0", "--v", "0..1", "--m-max", "5000"], capsys
+    )
+    assert code == 3 and "10002 (cell, m) intervals" in err
+    monkeypatch.undo()
+    code, out, _ = run(
+        ["classify", "--e", "1", "--r", "2", "--u", "0..0", "--v", "0..1", "--m-max", "4999",
+         "--format", "csv"],
+        capsys,
+    )
+    assert code == 0 and out.count("\n") == 3
+    # rank-1 witnesses read no m, and a negative m_max keeps its own message
+    code, out, _ = run(
+        ["classify", "--e", "1", "--r", "1", "--u", "0..0", "--v", "0..0", "--m-max", "100000000"],
+        capsys,
+    )
+    assert code == 0 and "Existent" in out
+    code, _, err = run(
+        ["classify", "--e", "1", "--r", "2", "--u", "0..0", "--v", "0..0", "--m-max", "-1"], capsys
+    )
+    assert (code, err) == (3, "domain error: m_max must be >= 0, got -1\n")
 
 
 def test_a_range_at_the_budget_runs(capsys):

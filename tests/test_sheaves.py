@@ -16,7 +16,16 @@ from hirzebruch import (
     h1,
     h2,
 )
-from hirzebruch.sheaves import h0_ideal, h1_ideal, h2_ideal, max_conditions, restriction_degree
+from hirzebruch.cohomology import counts
+from hirzebruch.sheaves import (
+    h0_ideal,
+    h1_ideal,
+    h2_ideal,
+    ideal_counts,
+    ideal_sections,
+    max_conditions,
+    restriction_degree,
+)
 
 surfaces = st.integers(min_value=1, max_value=4).map(Surface)
 small = st.integers(min_value=-6, max_value=8)
@@ -146,3 +155,35 @@ def test_h1_ideal_is_line_h1_plus_capacity_shortfall(surface, cls, locus, z):
     sheaf = IdealSheafModel(PointConfig(z=z, locus=locus), cls)
     shortfall = max(0, z - max_conditions(surface, sheaf))
     assert h1_ideal(surface, sheaf) == h1(surface, cls) + shortfall
+
+
+def test_ideal_counts_agree_with_the_two_evaluation_formula():
+    # h0 from `ideal_sections` and h1 forced by chi(I_Z(c)) = chi(c) - z
+    # from the line bundle's own counts, which sum h0(c) a second time
+    for e in range(1, 5):
+        for locus in Locus:
+            for z in range(0, 8):
+                for a in range(-3, 7):
+                    for b in range(-5, 14):
+                        v0 = ideal_sections(e, z, locus, a, b)
+                        full, line1, v2 = counts(e, a, b)
+                        want = (v0, v0 + v2 - (full - line1 + v2 - z), v2)
+                        assert ideal_counts(e, z, locus, a, b) == want, (e, locus, z, a, b)
+
+
+@pytest.mark.parametrize("locus", list(Locus))
+def test_ideal_counts_sums_the_sections_of_c_once(locus, monkeypatch):
+    import hirzebruch.cohomology as cohomology
+    import hirzebruch.sheaves as sheaves
+
+    asked = []
+    real = cohomology.sections
+
+    def counting(e, a, b):
+        asked.append((a, b))
+        return real(e, a, b)
+
+    monkeypatch.setattr(cohomology, "sections", counting)
+    monkeypatch.setattr(sheaves, "sections", counting)
+    ideal_counts(2, 3, locus, 4, 9)
+    assert asked.count((4, 9)) == 1

@@ -168,3 +168,22 @@ def test_holds_and_indeterminate_verdicts_are_shared():
             if ast.unparse(outcome) in ("Outcome.HOLDS", "Outcome.INDETERMINATE"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_json_is_written_in_one_place():
+    # `cli._json_text` writes every JSON record; a `json.dumps` call in the
+    # package would be a second way to compute the same bytes
+    package = pathlib.Path(hirzebruch.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            dumps = (
+                isinstance(node, ast.Attribute) and node.attr in ("dumps", "dump")
+                and isinstance(node.value, ast.Name) and node.value.id == "json"
+            ) or (
+                isinstance(node, ast.ImportFrom) and node.module == "json"
+                and any(alias.name in ("dumps", "dump") for alias in node.names)
+            )
+            if dumps:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
