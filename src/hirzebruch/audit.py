@@ -22,7 +22,6 @@ e >= 2); they are reported, never patched over.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .bundles import (
@@ -47,7 +46,7 @@ from .natural import (
     scan_verdict,
     unconditional_scan,
 )
-from .picard import DivisorClass, DomainError, Surface, ceil_div
+from .picard import DivisorClass, DomainError, Record, Surface, ceil_div
 from .sheaves import IdealSheafModel, Locus, PointConfig
 
 AGREES = "agrees"
@@ -55,13 +54,16 @@ DISCREPANCY = "discrepancy"
 INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class Finding:
-    claim: str
-    e: int
-    status: str
-    subject: str
-    detail: str
+class Finding(Record):
+    __slots__ = ("claim", "e", "status", "subject", "detail")
+
+    def __init__(self, claim: str, e: int, status: str, subject: str, detail: str) -> None:
+        put = object.__setattr__
+        put(self, "claim", claim)
+        put(self, "e", e)
+        put(self, "status", status)
+        put(self, "subject", subject)
+        put(self, "detail", detail)
 
 
 def _settle(

@@ -43,13 +43,12 @@ lists the whole region on demand and counts it without listing it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator, Optional
 
 from .cohomology import CohomologyTriple, ConsistencyError, counts, sections
 from .natural import HOLDS_VERDICT, INDETERMINATE_VERDICT, Outcome, Verdict
-from .picard import DivisorClass, DomainError, Surface, ceil_div, require_ints
+from .picard import DivisorClass, DomainError, Record, Surface, ceil_div, require_ints, setters
 from .sheaves import IdealSheafModel, Locus, PointConfig, ideal_counts, ideal_sections
 
 
@@ -61,27 +60,28 @@ class ConstructionError(DomainError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class ChernData:
-    rank: int
-    c1: DivisorClass
-    c2: int
+class ChernData(Record):
+    __slots__ = ("rank", "c1", "c2")
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise DomainError(f"rank must be >= 1, got {self.rank}")
-        if self.rank == 1 and self.c2 < 0:
+    def __init__(self, rank: int, c1: DivisorClass, c2: int) -> None:
+        if rank < 1:
+            raise DomainError(f"rank must be >= 1, got {rank}")
+        if rank == 1 and c2 < 0:
             # rank-1 c2 is an ideal length
-            raise DomainError(f"rank-1 c2 is a point count, got {self.c2}")
+            raise DomainError(f"rank-1 c2 is a point count, got {c2}")
+        put = object.__setattr__
+        put(self, "rank", rank)
+        put(self, "c1", c1)
+        put(self, "c2", c2)
 
 
-@dataclass(frozen=True)
-class ExtensionDatum:
+class ExtensionDatum(Record):
     """One extension presentation of a rank-2 sheaf, plus its certificates.
 
     Built from the twist parameter m and the two ends: the sub class and
     the quotient ideal model.  Everything else is derived from those
-    fields, never passed in, so `dataclasses.replace` re-derives it.  u, v:
+    fields, never passed in: a datum built from changed ends derives it
+    afresh, and a derived field passed as an argument is a TypeError.  u, v:
     c1 = sub + quot.  s: the quotient's point count.  s_range: (a_lo, b_hi)
     of `section_count_bounds`.  section_min: no earlier twist of the
     would-be bundle has a section (numerically s >= a_lo).
@@ -96,35 +96,35 @@ class ExtensionDatum:
     `section_count_bounds`.
     """
 
-    surface: Surface
-    m: int
-    sub: DivisorClass
-    quotient: IdealSheafModel
-    u: int = field(init=False)
-    v: int = field(init=False)
-    s: int = field(init=False)
-    s_range: tuple[int, int] = field(init=False)
-    section_min: bool = field(init=False)
-    cayley_bacharach: bool = field(init=False)
-    ext_forced_split: bool = field(init=False)
+    __slots__ = (
+        "surface", "m", "sub", "quotient",
+        "u", "v", "s", "s_range", "section_min", "cayley_bacharach", "ext_forced_split",
+    )
 
-    def __post_init__(self) -> None:
-        e, sub, qcls = self.surface.e, self.sub, self.quotient.cls
-        u, v, s = sub.a + qcls.a, sub.b + qcls.b, self.quotient.config.z
-        s_range = section_count_bounds(self.surface, u, v, self.m)
+    def __init__(
+        self, surface: Surface, m: int, sub: DivisorClass, quotient: IdealSheafModel
+    ) -> None:
+        e, qcls = surface.e, quotient.cls
+        u, v, s = sub.a + qcls.a, sub.b + qcls.b, quotient.config.z
+        s_range = section_count_bounds(surface, u, v, m)
         # L + K = (quot - sub) + (-2, -e-2)
         cb = s == 0 or sections(e, qcls.a - sub.a - 2, qcls.b - sub.b - e - 2) < s
         split = s == 0 and counts(e, sub.a - qcls.a, sub.b - qcls.b)[1] == 0
-        # the dataclass is frozen, so the derived fields are set past
-        # __setattr__, one call each
-        put = object.__setattr__
-        put(self, "u", u)
-        put(self, "v", v)
-        put(self, "s", s)
-        put(self, "s_range", s_range)
-        put(self, "section_min", s_range[0] <= s)
-        put(self, "cayley_bacharach", cb)
-        put(self, "ext_forced_split", split)
+        (
+            put_surface, put_m, put_sub, put_quotient, put_u, put_v, put_s,
+            put_range, put_min, put_cb, put_split,
+        ) = _EXTENSION_DATUM
+        put_surface(self, surface)
+        put_m(self, m)
+        put_sub(self, sub)
+        put_quotient(self, quotient)
+        put_u(self, u)
+        put_v(self, v)
+        put_s(self, s)
+        put_range(self, s_range)
+        put_min(self, s_range[0] <= s)
+        put_cb(self, cb)
+        put_split(self, split)
 
     def c1(self) -> DivisorClass:
         return DivisorClass(self.u, self.v)
@@ -132,6 +132,9 @@ class ExtensionDatum:
     def chern(self) -> ChernData:
         c2 = self.s + self.surface.intersect(self.sub, self.quotient.cls)
         return ChernData(rank=2, c1=self.c1(), c2=c2)
+
+
+_EXTENSION_DATUM = setters(ExtensionDatum)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +236,9 @@ def construct_extension(surface: Surface, u: int, v: int, m: int, s: int) -> Ext
       hypothesis_m:   m >= 0
       s_out_of_range: a_lo <= s <= b_hi
 
-    The range is the datum's own `s_range`, so the bounds are evaluated
-    once; a negative s, which no datum can hold, is refused against
-    `section_count_bounds` directly.
+    The range is checked before anything is built, so a refusal builds no
+    datum; an accepted datum evaluates the bounds again for its own
+    `s_range`.
     """
     require_ints(u, v, m, s)
     e = surface.e
@@ -245,25 +248,20 @@ def construct_extension(surface: Surface, u: int, v: int, m: int, s: int) -> Ext
         )
     if m < 0:
         raise ConstructionError("hypothesis_m", f"need m >= 0, got m = {m}")
-    if s < 0:
-        a_lo, b_hi = section_count_bounds(surface, u, v, m)
-    else:
-        sub = DivisorClass(1 - m, -e * m)
-        qcls = DivisorClass(u + m - 1, v + e * m)
-        quotient = IdealSheafModel(PointConfig(s, Locus.GENERAL), qcls)
-        datum = ExtensionDatum(surface, m, sub, quotient)
-        a_lo, b_hi = datum.s_range
-        if a_lo <= s <= b_hi:
-            return datum
-    raise ConstructionError("s_out_of_range", f"need {a_lo} <= s <= {b_hi}, got s = {s}")
+    a_lo, b_hi = section_count_bounds(surface, u, v, m)
+    if not a_lo <= s <= b_hi:
+        raise ConstructionError("s_out_of_range", f"need {a_lo} <= s <= {b_hi}, got s = {s}")
+    sub = DivisorClass(1 - m, -e * m)
+    qcls = DivisorClass(u + m - 1, v + e * m)
+    quotient = IdealSheafModel(PointConfig(s, Locus.GENERAL), qcls)
+    return ExtensionDatum(surface, m, sub, quotient)
 
 
 # ---------------------------------------------------------------------------
 # long-exact-sequence intervals
 
 
-@dataclass(frozen=True)
-class CohomologyInterval:
+class CohomologyInterval(Record):
     """Box of possible (h0, h1, h2) for the extension at one twist.
 
     The long exact sequence leaves exactly two free parameters, the ranks
@@ -271,14 +269,30 @@ class CohomologyInterval:
     `expected` is the corner where both ranks are maximal.  chi is exact.
     """
 
-    h0_min: int
-    h0_max: int
-    h1_min: int
-    h1_max: int
-    h2_min: int
-    h2_max: int
-    chi: int
-    expected: CohomologyTriple
+    __slots__ = ("h0_min", "h0_max", "h1_min", "h1_max", "h2_min", "h2_max", "chi", "expected")
+
+    def __init__(
+        self,
+        h0_min: int,
+        h0_max: int,
+        h1_min: int,
+        h1_max: int,
+        h2_min: int,
+        h2_max: int,
+        chi: int,
+        expected: CohomologyTriple,
+    ) -> None:
+        put_lo0, put_hi0, put_lo1, put_hi1, put_lo2, put_hi2, put_chi, put_expected = (
+            _COHOMOLOGY_INTERVAL
+        )
+        put_lo0(self, h0_min)
+        put_hi0(self, h0_max)
+        put_lo1(self, h1_min)
+        put_hi1(self, h1_max)
+        put_lo2(self, h2_min)
+        put_hi2(self, h2_max)
+        put_chi(self, chi)
+        put_expected(self, expected)
 
     def exact(self) -> bool:
         return (
@@ -286,6 +300,9 @@ class CohomologyInterval:
             and self.h1_min == self.h1_max
             and self.h2_min == self.h2_max
         )
+
+
+_COHOMOLOGY_INTERVAL = setters(CohomologyInterval)
 
 
 def _box(datum: ExtensionDatum, t: int) -> tuple[int, int, int, int, int, int, int]:
@@ -346,11 +363,14 @@ def cohomology_interval(datum: ExtensionDatum, t: int) -> CohomologyInterval:
 # natural-cohomology audit of an extension, w.r.t. M
 
 
-@dataclass(frozen=True)
-class ExtensionAuditRow:
-    t: int
-    interval: CohomologyInterval
-    outcome: Outcome
+class ExtensionAuditRow(Record):
+    __slots__ = ("t", "interval", "outcome")
+
+    def __init__(self, t: int, interval: CohomologyInterval, outcome: Outcome) -> None:
+        put = object.__setattr__
+        put(self, "t", t)
+        put(self, "interval", interval)
+        put(self, "outcome", outcome)
 
 
 def _outcome(h0_min: int, h0_max: int, h1_min: int, h1_max: int) -> Outcome:
@@ -373,14 +393,19 @@ def _audit_rows(datum: ExtensionDatum, lo: int, hi: int) -> tuple[ExtensionAudit
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class ExtensionAudit:
+class ExtensionAudit(Record):
     """The verdict of an audit over the twists scan_start..scan_stop of `datum`."""
 
-    verdict: Verdict
-    scan_start: int
-    scan_stop: int
-    datum: ExtensionDatum
+    __slots__ = ("verdict", "scan_start", "scan_stop", "datum")
+
+    def __init__(
+        self, verdict: Verdict, scan_start: int, scan_stop: int, datum: ExtensionDatum
+    ) -> None:
+        put = object.__setattr__
+        put(self, "verdict", verdict)
+        put(self, "scan_start", scan_start)
+        put(self, "scan_stop", scan_stop)
+        put(self, "datum", datum)
 
     @property
     def rows(self) -> tuple[ExtensionAuditRow, ...]:
@@ -489,8 +514,7 @@ class Polarization(str, enum.Enum):
     M = "M"
 
 
-@dataclass(frozen=True)
-class DestabilizerCandidate:
+class DestabilizerCandidate(Record):
     """A slope-qualifying class N, with its exclusion reason if excluded.
 
     reason is None when the candidate is NOT excluded (the certificate then
@@ -504,13 +528,16 @@ class DestabilizerCandidate:
     verdict does not read them.
     """
 
-    cls: DivisorClass
-    reason: Optional[str]
-    tail: bool = False
+    __slots__ = ("cls", "reason", "tail")
+
+    def __init__(self, cls: DivisorClass, reason: Optional[str], tail: bool = False) -> None:
+        put = object.__setattr__
+        put(self, "cls", cls)
+        put(self, "reason", reason)
+        put(self, "tail", tail)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Record):
     """The stability verdict of `datum` for one polarization.
 
     `certified` is decided on the first classes of the slope region's
@@ -518,10 +545,20 @@ class StabilityReport:
     region and `candidate_count` counts it.
     """
 
-    polarization: Polarization
-    certified: bool
-    warnings: tuple[str, ...]
-    datum: ExtensionDatum
+    __slots__ = ("polarization", "certified", "warnings", "datum")
+
+    def __init__(
+        self,
+        polarization: Polarization,
+        certified: bool,
+        warnings: tuple[str, ...],
+        datum: ExtensionDatum,
+    ) -> None:
+        put = object.__setattr__
+        put(self, "polarization", polarization)
+        put(self, "certified", certified)
+        put(self, "warnings", warnings)
+        put(self, "datum", datum)
 
     @property
     def candidates(self) -> tuple[DestabilizerCandidate, ...]:
@@ -701,15 +738,20 @@ class RegionLabel(str, enum.Enum):
     EXISTENT = "Existent"
 
 
-@dataclass(frozen=True)
-class RegionCell:
+class RegionCell(Record):
     """One (u, v) cell: the label and, when existent, the c2 values
     realized by the construction as merged inclusive intervals."""
 
-    u: int
-    v: int
-    label: RegionLabel
-    witness: tuple[tuple[int, int], ...] = field(default=())
+    __slots__ = ("u", "v", "label", "witness")
+
+    def __init__(
+        self, u: int, v: int, label: RegionLabel, witness: tuple[tuple[int, int], ...] = ()
+    ) -> None:
+        put = object.__setattr__
+        put(self, "u", u)
+        put(self, "v", v)
+        put(self, "label", label)
+        put(self, "witness", witness)
 
 
 def _merge_intervals(intervals: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

@@ -11,7 +11,8 @@ environment variable changes the default.  JSON output is one object with
 fields command, inputs, results, findings, in that order, deterministic
 for fixed inputs.  It is laid out as `json.dumps(record, indent=2)` lays
 it out, but written by the package's own writer, `_json_text`.  Exit
-codes: 0 success, 1 oracle mismatch, 2 usage error, 3 domain error.  A
+codes: 0 success, 1 oracle mismatch, 2 usage error, 3 domain error, 141
+the reader closed the output pipe early (nothing is printed then).  A
 command whose ranges would produce more than ROW_BUDGET rows, cells,
 classes or claim checks is a domain error, refused before anything is
 computed; for a rank-2 `classify` or `enumerate` the count is cells times
@@ -32,7 +33,6 @@ import os
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional, Sequence
 
@@ -66,7 +66,7 @@ from .natural import (
     scan_verdict,
     unconditional_scan,
 )
-from .picard import DivisorClass, DomainError, Surface
+from .picard import DivisorClass, DomainError, Record, Surface
 from .sheaves import IdealSheafModel, Locus, PointConfig
 
 FORMATS = ("table", "csv", "json")
@@ -74,6 +74,10 @@ FORMATS = ("table", "csv", "json")
 # every row is held in memory until the report renders, so the ranges of
 # one command are capped; desk-sized queries stay far below this
 ROW_BUDGET = 10_000
+
+# the reader closed stdout before the report was written: 128 + SIGPIPE,
+# the status a shell gives a pipeline stage that SIGPIPE ended
+CLOSED_PIPE = 141
 
 
 class UsageError(Exception):
@@ -187,8 +191,7 @@ def _parse_wrt(token: str, surface: Surface) -> DivisorClass:
 # output plumbing
 
 
-@dataclass
-class Report:
+class Report(Record):
     """One invocation's output record, renderable in all three formats.
 
     JSON carries `results` and `findings`.  CSV writes `rows` under the
@@ -197,14 +200,32 @@ class Report:
     format prints `table_lines`.
     """
 
-    command: str
-    inputs: dict[str, Any]
-    results: dict[str, Any]
-    columns: list[str]
-    rows: list[dict[str, Any]]
-    table_lines: list[str]
-    findings: list[dict[str, Any]] = field(default_factory=list)
-    exit_code: int = 0
+    # built once per call and read once, by `render`: a dict layout, like
+    # `natural.Verdict`'s, builds fastest
+    _fields = (
+        "command", "inputs", "results", "columns", "rows", "table_lines", "findings", "exit_code"
+    )
+
+    def __init__(
+        self,
+        command: str,
+        inputs: dict[str, Any],
+        results: dict[str, Any],
+        columns: list[str],
+        rows: list[dict[str, Any]],
+        table_lines: list[str],
+        findings: Optional[list[dict[str, Any]]] = None,
+        exit_code: int = 0,
+    ) -> None:
+        fields = self.__dict__
+        fields["command"] = command
+        fields["inputs"] = inputs
+        fields["results"] = results
+        fields["columns"] = columns
+        fields["rows"] = rows
+        fields["table_lines"] = table_lines
+        fields["findings"] = [] if findings is None else findings
+        fields["exit_code"] = exit_code
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -669,8 +690,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as err:
         print(f"domain error: {err}", file=sys.stderr)
         return 3
-    print(report.render(args.format))
+    try:
+        print(report.render(args.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _silence_stdout()
+        return CLOSED_PIPE
     return report.exit_code
+
+
+def _silence_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the
+    interpreter's flush of the unwritten rest at exit meets no closed pipe
+    and prints nothing.  A stdout without a descriptor is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

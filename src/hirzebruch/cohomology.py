@@ -47,25 +47,30 @@ coordinates when it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 
-from .picard import DivisorClass, DomainError, Surface, ceil_div, require_ints
+from .picard import DivisorClass, DomainError, Record, Surface, ceil_div, require_ints, setters
 
 
 class ConsistencyError(RuntimeError):
     """An internal identity failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class CohomologyTriple:
-    h0: int
-    h1: int
-    h2: int
+class CohomologyTriple(Record):
+    __slots__ = ("h0", "h1", "h2")
+
+    def __init__(self, h0: int, h1: int, h2: int) -> None:
+        put_h0, put_h1, put_h2 = _COHOMOLOGY_TRIPLE
+        put_h0(self, h0)
+        put_h1(self, h1)
+        put_h2(self, h2)
 
     def chi(self) -> int:
         return self.h0 - self.h1 + self.h2
+
+
+_COHOMOLOGY_TRIPLE = setters(CohomologyTriple)
 
 
 def sections(e: int, a: int, b: int) -> int:

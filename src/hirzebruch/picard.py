@@ -27,24 +27,89 @@ ample class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any, Callable
 
 
 class DomainError(ValueError):
     """Raised when an argument lies outside the mathematical domain."""
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class Record:
+    """Base of the package's value types: small immutable records.
+
+    A subclass names its fields, in order, in `__slots__`, and its own
+    `__init__` checks its arguments and then sets each field past the
+    frozen `__setattr__`: through `object.__setattr__`, or, in the types
+    built once per evaluation, through the faster slot setters that
+    `setters` returns.  A type that is built far more often than read
+    (`natural.Verdict`, `natural.ScanEvidence`, `cli.Report`) names its
+    fields in `_fields` instead, has no slots, and writes them into its
+    instance dict, which builds faster still.
+
+    The base supplies the rest, as a frozen dataclass would: assigning or
+    deleting an attribute raises AttributeError; a record equals a record
+    of the same class whose fields are equal, and hashes as the tuple of
+    its fields; its repr is ``Name(field=value, ...)``; and pickle and
+    copy restore it field by field.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _values: Callable[[Any], tuple[Any, ...]]
+
+    def __init_subclass__(cls) -> None:
+        # a subclass's slots follow the fields it inherits or names
+        cls._fields = fields = cls._fields + tuple(vars(cls).get("__slots__", ()))
+        get = attrgetter(*fields)
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = zip(self._fields, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __getstate__(self) -> dict[str, Any]:
+        return dict(zip(self._fields, self._values(self)))
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # pickle and copy restore the fields past the frozen __setattr__
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+
+def setters(cls: type) -> tuple[Callable[[Any, Any], None], ...]:
+    """The slot setters of a `Record` subclass's fields, in `__slots__`
+    order: ``put(obj, value)`` sets one field past the frozen `__setattr__`."""
+    return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+
+class DivisorClass(Record):
     """The class a*h + b*f in the Picard lattice of a Hirzebruch surface."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a: int, b: int) -> None:
         # tested inline, since every class passes here; `require_ints` raises
-        if type(self.a) is not int or type(self.b) is not int:
-            require_ints(self.a, self.b)
+        if type(a) is not int or type(b) is not int:
+            require_ints(a, b)
+        put_a, put_b = _DIVISOR_CLASS
+        put_a(self, a)
+        put_b(self, b)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.a + other.a, self.b + other.b)
@@ -67,29 +132,35 @@ class DivisorClass:
         return self.a == 0 and self.b == 0
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+_DIVISOR_CLASS = setters(DivisorClass)
+
+
+class PositivityReport(Record):
     """Membership of a class in the nested effective/spanned/ample cones."""
 
-    effective: bool
-    spanned: bool
-    ample: bool
+    __slots__ = ("effective", "spanned", "ample")
+
+    def __init__(self, effective: bool, spanned: bool, ample: bool) -> None:
+        put = object.__setattr__
+        put(self, "effective", effective)
+        put(self, "spanned", spanned)
+        put(self, "ample", ample)
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(Record):
     """The Hirzebruch surface F_e, e >= 1.
 
     e = 0 (the quadric) is excluded: several classifications used here
     genuinely differ there, and nothing in this package is validated for it.
     """
 
-    e: int
+    __slots__ = ("e",)
 
-    def __post_init__(self) -> None:
-        require_ints(self.e)
-        if self.e < 1:
-            raise DomainError(f"surface parameter e must be an integer >= 1, got {self.e!r}")
+    def __init__(self, e: int) -> None:
+        require_ints(e)
+        if e < 1:
+            raise DomainError(f"surface parameter e must be an integer >= 1, got {e!r}")
+        object.__setattr__(self, "e", e)
 
     def intersect(self, c1: DivisorClass, c2: DivisorClass) -> int:
         """Intersection number of two classes.

@@ -41,11 +41,10 @@ coordinates, when they are built.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from .cohomology import ConsistencyError, counts, sections, sections_twist
-from .picard import DivisorClass, DomainError, Surface, require_ints, twist
+from .picard import DivisorClass, DomainError, Record, Surface, require_ints, setters, twist
 
 
 class Locus(enum.Enum):
@@ -54,31 +53,41 @@ class Locus(enum.Enum):
     ON_FIBER = "fiber"
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(Record):
     """z points in the given generic position; z = 0 means the empty scheme."""
 
-    z: int
-    locus: Locus
+    __slots__ = ("z", "locus")
 
-    def __post_init__(self) -> None:
-        if type(self.z) is not int:
-            require_ints(self.z)  # raises
-        if self.z < 0:
-            raise DomainError(f"point count must be >= 0, got {self.z}")
-        if not isinstance(self.locus, Locus):
-            raise DomainError(f"point locus must be a Locus, got {self.locus!r}")
+    def __init__(self, z: int, locus: Locus) -> None:
+        if type(z) is not int:
+            require_ints(z)  # raises
+        if z < 0:
+            raise DomainError(f"point count must be >= 0, got {z}")
+        if not isinstance(locus, Locus):
+            raise DomainError(f"point locus must be a Locus, got {locus!r}")
+        put_z, put_locus = _POINT_CONFIG
+        put_z(self, z)
+        put_locus(self, locus)
 
 
-@dataclass(frozen=True)
-class IdealSheafModel:
+_POINT_CONFIG = setters(PointConfig)
+
+
+class IdealSheafModel(Record):
     """I_Z(cls) with Z described by ``config``."""
 
-    config: PointConfig
-    cls: DivisorClass
+    __slots__ = ("config", "cls")
+
+    def __init__(self, config: PointConfig, cls: DivisorClass) -> None:
+        put_config, put_cls = _IDEAL_SHEAF_MODEL
+        put_config(self, config)
+        put_cls(self, cls)
 
     def twisted(self, t: int, by: DivisorClass) -> "IdealSheafModel":
         return IdealSheafModel(self.config, twist(self.cls, t, by))
+
+
+_IDEAL_SHEAF_MODEL = setters(IdealSheafModel)
 
 
 _CURVE_CLASS = {

@@ -156,7 +156,7 @@ def test_construction_bounds_sees_a_false_certificate(monkeypatch):
     real = audit.construct_extension
 
     def planted(*args):
-        # the certificate is derived, so a false one is planted past the frozen dataclass
+        # the certificate is derived, so a false one is planted past the frozen record
         datum = real(*args)
         object.__setattr__(datum, "section_min", False)
         return datum

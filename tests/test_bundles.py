@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -199,8 +198,8 @@ def test_construction_rejections_are_named():
 
 
 def test_an_s_out_of_range_names_the_datum_range():
-    # the range is the datum's own s_range, and a negative s, which no
-    # datum can hold, gets the same message
+    # the range is the one a datum would hold as its s_range, and a
+    # negative s, which no datum can hold, gets the same message
     surface = Surface(2)
     lo, hi = section_count_bounds(surface, 2, 3, 1)
     for s in (-1, lo - 1, hi + 1):
@@ -208,6 +207,27 @@ def test_an_s_out_of_range_names_the_datum_range():
             construct_extension(surface, 2, 3, 1, s)
         assert info.value.reason == "s_out_of_range"
         assert str(info.value) == f"need {lo} <= s <= {hi}, got s = {s}"
+    assert build(2, 2, 3, 1, lo).s_range == (lo, hi)
+
+
+def test_a_refused_s_builds_no_datum(monkeypatch):
+    built = Counter()
+    for cls in (IdealSheafModel, ExtensionDatum):
+
+        def counting(obj, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(obj, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    surface = Surface(2)
+    lo, hi = section_count_bounds(surface, 2, 3, 1)
+    assert lo >= 1
+    for s in (-1, lo - 1, hi + 1):
+        with pytest.raises(ConstructionError):
+            construct_extension(surface, 2, 3, 1, s)
+    assert built == Counter()
+    construct_extension(surface, 2, 3, 1, lo)
+    assert built == Counter(IdealSheafModel=1, ExtensionDatum=1)
 
 
 def test_datum_shape():
@@ -303,12 +323,11 @@ def test_hand_built_datum_takes_integers_only(bad):
 
 
 def test_replace_re_derives_the_certificates():
-    import dataclasses
-
     surface = Surface(2)
     split = construct_extension(surface, 2, 1, 0, 0)
     assert (split.section_min, split.cayley_bacharach, split.ext_forced_split) == (True, True, True)
-    # plant wrong derived values: replace must not carry any of them over
+    # plant wrong derived values: a datum built from the planted one's ends
+    # must not carry any of them over
     derived = ("u", "v", "s", "s_range", "section_min", "cayley_bacharach", "ext_forced_split")
     for name in derived:
         object.__setattr__(split, name, None)
@@ -316,15 +335,16 @@ def test_replace_re_derives_the_certificates():
     assert hi >= 1
     for s in range(1, hi + 1):
         quotient = IdealSheafModel(PointConfig(s, Locus.GENERAL), split.quotient.cls)
-        moved = dataclasses.replace(split, quotient=quotient)
+        moved = ExtensionDatum(split.surface, split.m, split.sub, quotient)
         assert moved == construct_extension(surface, 2, 1, 0, s)
         assert (moved.u, moved.v, moved.s, moved.s_range) == (2, 1, s, (0, hi))
         assert (moved.section_min, moved.cayley_bacharach, moved.ext_forced_split) == (
             True, True, False,
         )
+    ends = (split.surface, split.m, split.sub, split.quotient)
     for name in derived:
-        with pytest.raises(ValueError):
-            dataclasses.replace(split, **{name: True})
+        with pytest.raises(TypeError):
+            ExtensionDatum(*ends, **{name: True})
 
 
 # --- cohomology boxes
@@ -431,7 +451,8 @@ def test_box_kernel_is_the_interval():
             box = cohomology_interval(datum, t)
             bounds = (box.h0_min, box.h0_max, box.h1_min, box.h1_max, box.h2_min, box.h2_max)
             assert _box(datum, t) == (*bounds, box.chi)
-            assert astuple(box.expected) == (box.h0_min, box.h1_min, box.h2_min)
+            expected = box.expected
+            assert (expected.h0, expected.h1, expected.h2) == (box.h0_min, box.h1_min, box.h2_min)
 
 
 def test_the_audit_verdict_builds_no_box_and_no_row(monkeypatch):

@@ -454,8 +454,10 @@ def test_construct_reads_the_section_bounds_off_the_datum(capsys, monkeypatch):
     )
     assert code == 0
     assert "admissible s in [3, 6]" in out
-    # once, for the datum's own s_range, which the range check reads
-    assert len(calls) == 1
+    # twice, both in `construct_extension`: its range check, made before
+    # anything is built, and the datum's own s_range; the CLI reads the
+    # datum's and adds no evaluation of its own
+    assert len(calls) == 2
 
 
 def test_construct_skips_stability_when_twisted(capsys):
@@ -591,6 +593,69 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "h0=3 h1=0 h2=0"
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# the README's small examples that the benchmark times as whole processes
+COLD_CLI_EXAMPLES = (
+    "coh --e 1 --class 1,1",
+    "check --e 2 --line 1,0 --wrt M",
+    "construct --e 1 --u 3 --v 2 --m 0 --s 3 --format json",
+    "classify --e 2 --r 2 --u -3..6 --v -10..14 --format csv",
+    "enumerate --e 1 --r 2 --u 0..4 --v 0..6 --m-max 2",
+)
+
+
+def _cli_process(flags, line, **kwargs):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("HIRZEBRUCH_FORMAT", None)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as a pipe's is by default
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "hirzebruch", *line.split()], env=env, timeout=60, **kwargs
+    )
+
+
+def test_readme_examples_print_the_same_under_python_O():
+    # every internal check raises rather than asserts, so -O, which strips
+    # asserts, must leave each answer and exit code as it is
+    for line in COLD_CLI_EXAMPLES:
+        plain, optimized = (
+            _cli_process(flags, line, capture_output=True, text=True) for flags in ([], ["-O"])
+        )
+        assert (plain.returncode, plain.stderr) == (0, ""), line
+        assert plain.stdout
+        assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout), line
+
+
+@pytest.mark.parametrize(
+    "line", [COLD_CLI_EXAMPLES[0], "classify --e 2 --r 2 --u -3..6 --v -10..14 --format json"]
+)
+def test_a_closed_pipe_ends_the_process_quietly(line):
+    # the read end is closed before the process starts; a report that fits
+    # stdout's buffer meets the closed pipe on the flush, a longer one
+    # (35 kB here) already in the print
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process([], line, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_a_closed_pipe_in_process_is_exit_141(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert cli.main(COLD_CLI_EXAMPLES[2].split()) == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_two_sided_window_does_not_grow_with_coefficients(capsys):

@@ -8,7 +8,6 @@ drift to match the other.
 """
 
 import random
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -190,7 +189,8 @@ def test_kernel_matches_the_oracle_and_the_wrappers(e, a, b):
     assert v0 == oracle_h0(surface, c)
     assert v2 == oracle_h0(surface, surface.canonical_class() - c)
     assert (v0, v1, v2) == (h0(surface, c), h1(surface, c), h2(surface, c))
-    assert astuple(triple(surface, c)) == (v0, v1, v2)
+    full = triple(surface, c)
+    assert (full.h0, full.h1, full.h2) == (v0, v1, v2)
     assert v0 - v1 + v2 == chi(surface, c)
 
 

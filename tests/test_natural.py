@@ -5,7 +5,6 @@ inside a window whose sufficiency the window-stability tests probe by
 walking a wider window twist by twist.
 """
 
-import dataclasses
 import random
 from collections import Counter
 
@@ -656,7 +655,7 @@ def test_a_scan_builds_one_evidence_and_a_verdict_only_when_it_fails(monkeypatch
                         assert evidence.verdict == Verdict(Outcome.HOLDS)
                     frozen = ((evidence, "scan_stop"), (evidence.verdict, "witness_t"))
                     for obj, field in frozen:
-                        with pytest.raises(dataclasses.FrozenInstanceError):
+                        with pytest.raises(AttributeError):
                             setattr(obj, field, 0)
                     seen[type(model).__name__, fails] += 1
     assert set(seen) == {(kind, fails) for kind in ("Line", "DirectSum", "IdealSheafModel")

@@ -1,7 +1,10 @@
 """Rules on the package source itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import hirzebruch
 
@@ -105,36 +108,58 @@ def test_one_list_of_public_names():
 
 def test_integers_are_checked_by_the_types_that_hold_them():
     # a class coordinate or a point count is checked once, when its type
-    # is built; a function that reads one off an argument (`c.a`,
-    # `model.config.z`) must not check it again.  Only a type's own
-    # `__post_init__` may pass `require_ints` its fields (`self.x`).
+    # is built: a type's own `__init__` checks its arguments before it
+    # stores them, so no `require_ints` call reads an attribute, whether
+    # off an argument (`c.a`, `model.config.z`) or off `self`
+    package = pathlib.Path(hirzebruch.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno} {ast.unparse(arg)}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "require_ints"
+        for arg in node.args
+        if any(isinstance(n, ast.Attribute) for n in ast.walk(arg))
+    ]
+    assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    # the value types are `picard.Record` subclasses: `dataclasses` would
+    # load `inspect`, `ast`, `dis` and `tokenize` into every process and
+    # generate each type's methods at import
     package = pathlib.Path(hirzebruch.__file__).parent
     found = []
-
-    def visit(node, in_post_init, path):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name == "__post_init__", path)
-                continue
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Name)
-                and child.func.id == "require_ints"
-            ):
-                for arg in child.args:
-                    own = (
-                        in_post_init
-                        and isinstance(arg, ast.Attribute)
-                        and isinstance(arg.value, ast.Name)
-                        and arg.value.id == "self"
-                    )
-                    if not own and any(isinstance(n, ast.Attribute) for n in ast.walk(arg)):
-                        found.append(f"{path.name}:{child.lineno} {ast.unparse(arg)}")
-            visit(child, in_post_init, path)
-
     for path in sorted(package.rglob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), False, path)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_the_package_import_loads_no_code_introspection_modules():
+    # a fresh interpreter, so modules that pytest or another test loaded
+    # do not hide one the package loads; modules that interpreter start-up
+    # loaded are not the package's doing
+    probe = (
+        "import sys; before = set(sys.modules); import hirzebruch, hirzebruch.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')"
+        " if m in sys.modules and m not in before))"
+    )
+    src = pathlib.Path(hirzebruch.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 def test_holds_and_indeterminate_verdicts_are_shared():
