@@ -28,10 +28,12 @@ exact answers it does not have.
 The natural-cohomology audit of an extension (w.r.t. M) keeps a window of
 twists that grows as m^2, but evaluates boxes only on its *settle prefix*,
 the twists before both end classes reach a >= 1 and b >= 0, and at the
-first twist of the *monotone tail* that follows.  On the tail the sub
-class is effective and the box's h1 bounds are nonincreasing, so that
-first twist decides every later one (see `audit_extension_natural`).  The
-verdict reads each box as plain ints from the box kernel `_box`, which
+first twist of the *monotone tail* that follows.  The settle twist and
+the window's end are first effective twists along M of classes read off
+the ends (`cohomology.effective_twist`).  On the tail the sub class is
+effective and the box's h1 bounds are nonincreasing, so that first twist
+decides every later one (see `audit_extension_natural`).  The verdict
+reads each box as plain ints from the box kernel `_box`, which
 `cohomology_interval` wraps, and builds no box and no row; the audit
 rebuilds the rows of the whole window on demand, as a referee.
 
@@ -46,7 +48,7 @@ import enum
 from itertools import islice
 from typing import Iterator, Optional
 
-from .cohomology import CohomologyTriple, ConsistencyError, counts, sections
+from .cohomology import CohomologyTriple, ConsistencyError, counts, effective_twist, sections
 from .natural import HOLDS_VERDICT, INDETERMINATE_VERDICT, Outcome, Verdict
 from .picard import DivisorClass, DomainError, Record, Surface, ceil_div, require_ints, setters
 from .sheaves import IdealSheafModel, Locus, PointConfig, ideal_counts, ideal_sections
@@ -420,42 +422,29 @@ def _settle_twist(datum: ExtensionDatum) -> int:
     """Least twist at which both end classes have a >= 1 and b >= 0.
 
     Every later twist keeps both; there h1 and h2 of the end classes are
-    constant under M, and the capacity of the quotient's points is
-    nondecreasing.
+    constant under M, which keeps their slack, and the capacity of the
+    quotient's points is nondecreasing.
     """
-    e = datum.surface.e
-    cuts = []
-    for cls in (datum.sub, datum.quotient.cls):
-        cuts.append(1 - cls.a)
-        cuts.append(ceil_div(-cls.b, e))
-    return max(cuts)
+    ends, e = (datum.sub, datum.quotient.cls), datum.surface.e
+    return max(effective_twist(cls.a - 1, cls.b, 1, e) for cls in ends)
 
 
 def _audit_scan_stop(datum: ExtensionDatum, settle: int) -> int:
     """Twist past which the h1 upper bound a1 + q1 is monotone nonincreasing.
 
-    Needs the component line bundles settled into the constant regime (both
-    coordinates nonnegative, h-coordinate positive: h1 then depends only on
-    the constant M-slack) and, once settled, the quotient's point
-    correction max(0, s - capacity) is nonincreasing because the capacity
-    is nondecreasing for every locus; the extra cuts push the capacity of
-    the unbounded loci past s.  For construction data the capacity at twist
-    m is already b_hi >= s; the cuts cover hand-built data.  `settle` is
-    `_settle_twist(datum)`.
+    From `settle` (`_settle_twist(datum)`) on, the end classes' h1 is
+    constant and the quotient's capacity nondecreasing; the window also
+    reaches the twist where the capacity reaches s: once quot - (s-1)*f is
+    effective under GENERAL (capacity h0 >= b + 1), once quot - (s-1)*M is
+    under ON_FIBER (capacity min(a, b // e) + 1).  ON_SECTION's capacity is
+    constant under M.  Construction data have capacity b_hi >= s at m.
     """
-    e = datum.surface.e
-    qcls = datum.quotient.cls
+    e, qcls, n = datum.surface.e, datum.quotient.cls, datum.s - 1
     cuts = [datum.m, settle]
-    if datum.s > 0:
-        locus = datum.quotient.config.locus
-        if locus is Locus.GENERAL:
-            # capacity is full h0 >= b-coordinate + 1
-            cuts.append(ceil_div(datum.s - 1 - qcls.b, e))
-        elif locus is Locus.ON_FIBER:
-            # capacity is min(a, b//e) + 1
-            cuts.append(datum.s - 1 - qcls.a)
-            cuts.append(ceil_div(e * (datum.s - 1) - qcls.b, e))
-        # ON_SECTION: capacity is constant under M; no cut exists or is needed
+    locus = datum.quotient.config.locus
+    if locus is not Locus.ON_SECTION:
+        da, db = (0, 1) if locus is Locus.GENERAL else (1, e)
+        cuts.append(effective_twist(qcls.a - n * da, qcls.b - n * db, 1, e))
     return max(cuts) + 1
 
 

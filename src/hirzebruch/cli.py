@@ -20,7 +20,8 @@ computed; for a rank-2 `classify` or `enumerate` the count is cells times
 `construct` whose stability verdicts would check more than ROW_BUDGET
 classes, refused before the first check, and a JSON `construct` that
 would list more than ROW_BUDGET stability candidates, refused before any
-is listed.
+is listed, and an `oracle` box whose lattice walk, bounded from its
+corners, passes ORACLE_BUDGET steps.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .cohomology import (
     h2,
     h1_vanishes,
     oracle_h0,
+    sections,
     triple,
 )
 from .natural import (
@@ -74,6 +76,10 @@ FORMATS = ("table", "csv", "json")
 # every row is held in memory until the report renders, so the ranges of
 # one command are capped; desk-sized queries stay far below this
 ROW_BUDGET = 10_000
+
+# `oracle_h0` walks lattice points and rows one by one, so an `oracle` box
+# is also capped by a bound on that walk, read off the box's corners
+ORACLE_BUDGET = 1_000_000
 
 # the reader closed stdout before the report was written: 128 + SIGPIPE,
 # the status a shell gives a pipeline stage that SIGPIPE ended
@@ -174,9 +180,9 @@ def _parse_extension(token: str) -> tuple[int, int, int, int]:
     return u, v, m, s
 
 
-def _check_budget(count: int, ranges: str, unit: str) -> None:
-    if count > ROW_BUDGET:
-        raise DomainError(f"{ranges} would produce {count} {unit}; the limit is {ROW_BUDGET}")
+def _check_budget(count: int, ranges: str, unit: str, limit: int = ROW_BUDGET) -> None:
+    if count > limit:
+        raise DomainError(f"{ranges} would produce {count} {unit}; the limit is {limit}")
 
 
 def _parse_wrt(token: str, surface: Surface) -> DivisorClass:
@@ -502,6 +508,8 @@ def _cmd_audit(args: argparse.Namespace) -> Report:
         claims = None
     else:
         claims = [token for token in args.claims.split(",") if token]
+        if not claims:
+            raise UsageError(f"--claims names no claim: '{args.claims}'")
         unknown = [c for c in claims if c not in CLAIMS]
         if unknown:
             raise UsageError(
@@ -529,10 +537,15 @@ def _cmd_oracle(args: argparse.Namespace) -> Report:
     e_lo, e_hi = _parse_range(args.e)
     a_lo, a_hi = _parse_range(args.a)
     b_lo, b_hi = _parse_range(args.b)
-    _check_budget(
-        (e_hi - e_lo + 1) * (a_hi - a_lo + 1) * (b_hi - b_lo + 1),
-        f"--e {args.e} --a {args.a} --b {args.b}", "classes",
-    )
+    ranges = f"--e {args.e} --a {args.a} --b {args.b}"
+    classes = (e_hi - e_lo + 1) * (a_hi - a_lo + 1) * (b_hi - b_lo + 1)
+    _check_budget(classes, ranges, "classes")
+    # per class, oracle_h0 walks |a + 1| rows and the h0 + h2 points of c
+    # and K - c; h0 and h2 fall as e grows and grow toward a box corner
+    Surface(e_lo)  # refuses e < 1, which `sections` would divide by
+    rows = max(abs(a_lo + 1), abs(a_hi + 1))
+    points = sections(e_lo, a_hi, b_hi) + sections(e_lo, -2 - a_lo, -e_lo - 2 - b_lo)
+    _check_budget(classes * (rows + points), ranges, "oracle steps", ORACLE_BUDGET)
     inputs = {"e": args.e, "a": args.a, "b": args.b}
     checked = 0
     mismatches = []

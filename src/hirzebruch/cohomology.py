@@ -28,17 +28,22 @@ h^1 vanishes exactly on three regimes ("the trichotomy"):
     a == -1
     a <= -2 and b <= e*a + e - 1
 
-which is closed under Serre duality; :mod:`hirzebruch.natural` reads the
-runs of h^1 > 0 along a twist line off it.
+which is closed under Serre duality: h^1 > 0 exactly when a >= 0 and the
+slack b - e*a is <= -2, or a <= -2 and slack >= e.  Along a spanned
+twist (c, d), a moves by c and the slack by d - e*c, both >= 0, so each
+set is one interval of twists, and a class meets at most one: the first
+set before the second would need a to fall from >= 0 to <= -2, the
+second before the first the slack to fall from >= e to <= -2.  So each
+class has at most one *run* of h^1 > 0 along a twist line, from where
+one form reaches its threshold to where the other reaches -1.
 
 Kernels and wrappers: ``sections(e, a, b)`` (the h^0 sum) and
 ``counts(e, a, b)`` (the triple, with both consistency checks) take plain
 integers and build no object.  The hot loops of :mod:`hirzebruch.natural`
-and :mod:`hirzebruch.bundles` call them on twisted coordinates.  One
-more kernel runs the section count backwards along a spanned twist
-(c, d): ``sections_twist`` gives the first twist with k sections in a
-fixed number of integer operations, whatever the size of k and the
-coordinates.  The
+and :mod:`hirzebruch.bundles` call them on twisted coordinates.  The
+twist-line kernels ``effective_twist``, ``sections_twist`` (k sections)
+and ``run_edges`` answer along a spanned twist in a fixed number of
+integer operations per class, whatever the size of the coordinates.  The
 public functions on (Surface, DivisorClass) are thin wrappers that call a
 kernel on the class's coordinates, so each quantity has one formula; they
 check nothing themselves, since `DivisorClass` refuses non-integer
@@ -84,6 +89,22 @@ def sections(e: int, a: int, b: int) -> int:
         return 0
     n = min(a, b // e)
     return (n + 1) * (b + 1) - e * n * (n + 1) // 2
+
+
+def effective_twist(u: int, v: int, c: int, d: int) -> Optional[int]:
+    """Least t with (u, v) + t*(c, d) effective (h^0 > 0), for (c, d)
+    spanned and nonzero; None if no twist is effective.
+
+    A class is effective exactly when both coordinates are >= 0.  If
+    c >= 1 then d >= e*c >= 1 and both coordinates grow, so the answer is
+    max(ceil(-u/c), ceil(-v/d)); if c = 0 the h-coordinate is frozen at
+    u, so u < 0 means no twist is effective.
+    """
+    if c >= 1:
+        return max(ceil_div(-u, c), ceil_div(-v, d))
+    if u < 0:
+        return None
+    return ceil_div(-v, d)
 
 
 def sections_twist(e: int, k: int, u: int, v: int, c: int, d: int, start: int) -> Optional[int]:
@@ -203,6 +224,43 @@ def h1_vanishes(surface: Surface, c: DivisorClass) -> bool:
     if a == -1:
         return True
     return b <= e * a + e - 1
+
+
+def run_edges(
+    e: int, classes: tuple[DivisorClass, ...], c: int, d: int
+) -> tuple[list[int], list[int]]:
+    """The finite starts and stops of the classes' runs of h^1 > 0 along
+    a spanned nonzero twist (c, d), one run at most per class (see the
+    module docstring).
+
+    A form that does not move meets its threshold always or never, which
+    leaves the run unbounded on that side or empty: under a multiple of M
+    (step = 0) the run starts where a reaches 0 or stops where it reaches
+    -1, and under a fiber class (c = 0) likewise with the slack.
+    """
+    step = d - e * c
+    starts: list[int] = []
+    stops: list[int] = []
+    for cls in classes:
+        a, slack = cls.a, cls.b - e * cls.a
+        if not step:
+            if slack <= -2:
+                starts.append(ceil_div(-a, c))
+            elif slack >= e:
+                stops.append(ceil_div(-1 - a, c))
+        elif not c:
+            if a >= 0:
+                stops.append(ceil_div(-1 - slack, step))
+            elif a <= -2:
+                starts.append(ceil_div(e - slack, step))
+        else:
+            start, stop = ceil_div(-a, c), ceil_div(-1 - slack, step)
+            if start >= stop:
+                start, stop = ceil_div(e - slack, step), ceil_div(-1 - a, c)
+            if start < stop:
+                starts.append(start)
+                stops.append(stop)
+    return starts, stops
 
 
 def triple(surface: Surface, c: DivisorClass) -> CohomologyTriple:

@@ -6,24 +6,19 @@ twisted ideal sheaf of generic points.  Fix a spanned nonzero class T.
     natural (w.r.t. T):        h^1(E + t*T) = 0 for every t with h^0 > 0
     unconditional (w.r.t. T):  h^1(E + t*T) = 0 for every integer t
 
-Every checker decides from the *runs* of the model (`_run_edges`): the
-maximal twist intervals on which a component has h^1 > 0.  By the
-trichotomy of :mod:`hirzebruch.cohomology`, a component class has
-h^1 > 0 exactly when its h-coordinate a is >= 0 and its slack b - e*a
-is <= -2, or a <= -2 and slack >= e.  Along a spanned twist both a and
-the slack are nondecreasing in t, so each of these sets is one interval:
-it starts where one form reaches its threshold (a reaches 0, or the
-slack reaches e) and stops where the other passes its own.  For ideal
-models h1_ideal = h1 + max(0, z - rho), and the capacity rho is
-nondecreasing along a spanned twist, so the shortfall is positive only
-on a prefix of the twist line.  Hence the first failing twist of a
-window is its first twist or a run start, and since h^1 > 0 at every
-run start, it is the first twist or the least run start above it.  A
-verdict evaluates cohomology at those two twists only, whatever the
-coefficients.  The window runs from its first twist to the failure
-witness, and is its first twist alone when nothing fails: no run begins
-past it then.  The scan evidence rebuilds the (t, h0, h1) rows of the
-whole window on demand, as a referee.
+Every checker decides from the *runs* of the model
+(`cohomology.run_edges`): the maximal twist intervals on which a
+component has h^1 > 0, at most one per component (see the trichotomy in
+:mod:`hirzebruch.cohomology`).  For ideal models h1_ideal = h1 +
+max(0, z - rho), and the capacity rho is nondecreasing along a spanned
+twist, so the shortfall is positive only on a prefix of the twist line.
+Hence the first failing twist of a window is its first twist or a run
+start, and since h^1 > 0 at every run start, it is the first twist or
+the least run start above it.  A verdict evaluates cohomology at those
+two twists only, whatever the coefficients.  The window runs from its
+first twist to the failure witness, and is its first twist alone when
+nothing fails: no run begins past it then.  The scan evidence rebuilds
+the (t, h0, h1) rows of the whole window on demand, as a referee.
 
 Closed-form criteria exist for lines and sums when T is M = h + e*f or
 R = h + (e+1)*f and are checked against the scans by the test suite; the
@@ -41,12 +36,13 @@ components then go to the min twist, the runs and the evaluations, each
 one walk over them.  Each twist is evaluated on plain coordinates through
 the integer kernels ``cohomology.counts`` and ``sheaves.ideal_counts``,
 so no class, model or triple is built per twist.  The min twist is read
-off the coordinates too: for an ideal model it is the line bundle's
-first twist with sections, probed with ``ideal_sections``, or else the
-closed-form inverse ``sheaves.ideal_sections_twist``, a fixed number of
-kernel calls at any point count.  An answer builds one `ScanEvidence`,
-and a `Verdict` only when it FAILS: the HOLDS and INDETERMINATE verdicts
-are the shared constants `HOLDS_VERDICT` and `INDETERMINATE_VERDICT`.
+off the coordinates too (``cohomology.effective_twist``): for an ideal
+model it is the line bundle's first effective twist, probed with
+``ideal_sections``, or else the closed-form inverse
+``sheaves.ideal_sections_twist``, a fixed number of kernel calls at any
+point count.  An answer builds one `ScanEvidence`, and a `Verdict` only
+when it FAILS: the HOLDS and INDETERMINATE verdicts are the shared
+constants `HOLDS_VERDICT` and `INDETERMINATE_VERDICT`.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ from __future__ import annotations
 import enum
 from typing import Optional, Union
 
-from .cohomology import ConsistencyError, counts
+from .cohomology import ConsistencyError, counts, effective_twist, run_edges
 from .picard import DivisorClass, DomainError, Record, Surface, ceil_div
 from .sheaves import (
     IdealSheafModel,
@@ -218,21 +214,6 @@ def _values_at(surface: Surface, model: SheafModel, t: int, by: DivisorClass) ->
 # minimal twist with sections
 
 
-def _line_min_twist(u: int, v: int, c: int, d: int) -> Optional[int]:
-    """Least t with h0((u, v) + t*(c, d)) > 0, or None if no twist has sections.
-
-    h0 > 0 exactly when both coordinates are >= 0.  With (c, d) spanned
-    and nonzero: if c >= 1 then d >= e*c >= 1 and both coordinates grow,
-    so the answer is max(ceil(-u/c), ceil(-v/d)); if c = 0 the
-    h-coordinate is frozen at u, so u < 0 means no twist ever works.
-    """
-    if c >= 1:
-        return max(ceil_div(-u, c), ceil_div(-v, d))
-    if u < 0:
-        return None
-    return ceil_div(-v, d)
-
-
 def min_twist_with_sections(surface: Surface, model: SheafModel, by: DivisorClass) -> int:
     """Minimal t with h^0(model + t*by) > 0.
 
@@ -269,7 +250,7 @@ def _min_twist(
         # line is a sum of one summand
         least = None
         for cls in classes:
-            t = _line_min_twist(cls.a, cls.b, c, d)
+            t = effective_twist(cls.a, cls.b, c, d)
             if t is not None and (least is None or t < least):
                 least = t
         if least is None:
@@ -283,7 +264,7 @@ def _min_twist(
     # the closed-form inverse answers, and two probes certify its answer.
     cls = classes[0]
     z, locus, u, v = config.z, config.locus, cls.a, cls.b
-    start = _line_min_twist(u, v, c, d)
+    start = effective_twist(u, v, c, d)
     if start is None:
         raise DomainError(f"no twist of the ideal model class {cls} by {by} has sections")
     if ideal_sections(e, z, locus, u + start * c, v + start * d) > 0:
@@ -302,50 +283,6 @@ def _min_twist(
 
 # ---------------------------------------------------------------------------
 # runs of h^1 > 0 and the scans
-
-
-def _run_edges(
-    e: int, classes: tuple[DivisorClass, ...], c: int, d: int
-) -> tuple[list[int], list[int]]:
-    """The finite starts and the finite stops of the components' runs:
-    the maximal twist intervals [start, stop) with h^1 > 0.
-
-    Per twist by (c, d) the h-coordinate a of a component moves by c and
-    its slack b - e*a by step = d - e*c, both >= 0 and not both 0.
-    h^1 > 0 while a >= 0 and slack <= -2, and while slack >= e and
-    a <= -2 (the trichotomy), so each run starts where one form reaches
-    its threshold and stops where the other reaches -1.  Neither form
-    decreases, so a component has at most one run: once a >= 0 it never
-    returns to -2, and once slack >= e neither does the slack.  A form
-    that does not move either always or never meets its threshold, which
-    leaves the run unbounded on that side or empty: under a multiple of M
-    (step = 0) the run starts where a reaches 0 or stops where it reaches
-    -1, and under a fiber class (c = 0) likewise with the slack.  An
-    empty run has no edges.
-    """
-    step = d - e * c
-    starts: list[int] = []
-    stops: list[int] = []
-    for cls in classes:
-        a, slack = cls.a, cls.b - e * cls.a
-        if not step:
-            if slack <= -2:
-                starts.append(ceil_div(-a, c))
-            elif slack >= e:
-                stops.append(ceil_div(-1 - a, c))
-        elif not c:
-            if a >= 0:
-                stops.append(ceil_div(-1 - slack, step))
-            elif a <= -2:
-                starts.append(ceil_div(e - slack, step))
-        else:
-            start, stop = ceil_div(-a, c), ceil_div(-1 - slack, step)
-            if start >= stop:
-                start, stop = ceil_div(e - slack, step), ceil_div(-1 - a, c)
-            if start < stop:
-                starts.append(start)
-                stops.append(stop)
-    return starts, stops
 
 
 def _decide(
@@ -404,7 +341,7 @@ def scan_verdict(surface: Surface, model: SheafModel, by: DivisorClass) -> ScanE
     classes, config = _checked(surface, model, by)
     e = surface.e
     m0 = _min_twist(e, model, classes, config, by)
-    starts, _ = _run_edges(e, classes, by.a, by.b)
+    starts, _ = run_edges(e, classes, by.a, by.b)
     return _decide(surface, model, by, classes, config, m0, starts)
 
 
@@ -422,10 +359,10 @@ def unconditional_scan(surface: Surface, model: SheafModel, by: DivisorClass) ->
     """
     classes, config = _checked(surface, model, by)
     c, d = by.a, by.b
-    starts, stops = _run_edges(surface.e, classes, c, d)
+    starts, stops = run_edges(surface.e, classes, c, d)
     edges = starts + stops
     if config is not None and config.z > 0:
-        first = _line_min_twist(classes[0].a, classes[0].b, c, d)
+        first = effective_twist(classes[0].a, classes[0].b, c, d)
         if first is not None:
             edges.append(first)
     lo = min(edges) - 1 if edges else 0

@@ -31,7 +31,10 @@ As in :mod:`hirzebruch.cohomology`, the formulas live in integer kernels,
 ``ideal_sections(e, z, locus, a, b)`` and ``ideal_counts(e, z, locus, a,
 b)``, which the scan, box and exclusion loops call without building a
 model per twist; ``ideal_sections_twist`` runs the first of them
-backwards along a twist, in a fixed number of integer operations.  The functions on (Surface,
+backwards along a twist with the twist-line kernels of
+:mod:`hirzebruch.cohomology`, in a fixed number of integer operations:
+``sections_twist`` for the z + 1 sections of O(c) and
+``effective_twist`` for c - C.  The functions on (Surface,
 IdealSheafModel) are thin wrappers that call a kernel and check nothing
 themselves: `PointConfig` refuses a point count that is not a plain int
 >= 0 and a locus that is not a `Locus`, and `DivisorClass` non-integer
@@ -43,7 +46,7 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from .cohomology import ConsistencyError, counts, sections, sections_twist
+from .cohomology import ConsistencyError, counts, effective_twist, sections, sections_twist
 from .picard import DivisorClass, DomainError, Record, Surface, require_ints, setters, twist
 
 
@@ -143,9 +146,9 @@ def ideal_sections_twist(
     if locus is Locus.GENERAL:
         return t
     curve = _CURVE_CLASS[locus]
-    unseen = sections_twist(e, 1, u - curve.a, v - curve.b, c, d, start)
+    unseen = effective_twist(u - curve.a, v - curve.b, c, d)
     # c - C effective makes c effective, so unseen is None whenever t is
-    return t if unseen is None else min(t, unseen)
+    return t if unseen is None else min(t, max(start, unseen))
 
 
 def ideal_counts(e: int, z: int, locus: Locus, a: int, b: int) -> tuple[int, int, int]:

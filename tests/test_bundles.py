@@ -34,6 +34,7 @@ from hirzebruch import (
     stability_certificate,
 )
 from hirzebruch.bundles import stability_checks
+from hirzebruch.picard import ceil_div
 from hirzebruch.sheaves import IdealSheafModel, PointConfig, h0_ideal
 
 surfaces = st.integers(min_value=1, max_value=4).map(Surface)
@@ -453,6 +454,37 @@ def test_box_kernel_is_the_interval():
             assert _box(datum, t) == (*bounds, box.chi)
             expected = box.expected
             assert (expected.h0, expected.h1, expected.h2) == (box.h0_min, box.h1_min, box.h2_min)
+
+
+def _hand_derived_window(datum):
+    """(settle twist, audit window end) from the hand-derived cuts that
+    `bundles` once wrote out per end class and per locus: the referee for
+    the kernel-built `_settle_twist` and `_audit_scan_stop`."""
+    e, qcls, s = datum.surface.e, datum.quotient.cls, datum.s
+    settle = max(max(1 - cls.a, ceil_div(-cls.b, e)) for cls in (datum.sub, qcls))
+    cuts = [datum.m, settle]
+    if s > 0:
+        locus = datum.quotient.config.locus
+        if locus is Locus.GENERAL:
+            cuts.append(ceil_div(s - 1 - qcls.b, e))
+        elif locus is Locus.ON_FIBER:
+            cuts.append(s - 1 - qcls.a)
+            cuts.append(ceil_div(e * (s - 1) - qcls.b, e))
+    return settle, max(cuts) + 1
+
+
+def test_audit_window_is_the_hand_derived_one():
+    import hirzebruch.bundles as bundles
+
+    data = _constructed_data() + _hand_built_data(random.Random(17), 3000)
+    assert {datum.quotient.config.locus for datum in data} == set(Locus)
+    for datum in data:
+        settle, stop = _hand_derived_window(datum)
+        assert bundles._settle_twist(datum) == settle
+        assert bundles._audit_scan_stop(datum, settle) == stop
+        if datum.m < 4:
+            audit = audit_extension_natural(datum)
+            assert (audit.scan_start, audit.scan_stop) == (datum.m - 1, stop)
 
 
 def test_the_audit_verdict_builds_no_box_and_no_row(monkeypatch):

@@ -537,10 +537,14 @@ def test_audit_json_findings(capsys):
     assert record["results"]["checked"] == len(record["findings"])
 
 
-def test_audit_with_no_claims_prints_the_csv_header(capsys):
-    code, out, _ = run(["audit", "--claims", ",", "--format", "csv"], capsys)
-    assert code == 0
-    assert out == "claim,e,status,subject,detail\n"
+@pytest.mark.parametrize("claims", ["", ",", ",,"])
+def test_an_empty_claim_list_is_a_usage_error(claims, capsys, monkeypatch):
+    # a list that names no claim would check nothing and report "all"
+    monkeypatch.setattr(cli, "run_audit", lambda *args: pytest.fail("audited no claims"))
+    for fmt in ("table", "csv", "json"):
+        code, out, err = run(["audit", "--claims", claims, "--format", fmt], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --claims names no claim: '{claims}'\n"
 
 
 def test_audit_json_and_csv_list_the_run_audit_findings(capsys):
@@ -992,6 +996,40 @@ def test_ranges_over_the_budget_are_refused_before_any_work(argv, token, capsys,
     assert (code, out) == (3, "")
     assert err.startswith("domain error: ") and err.count("\n") == 1
     assert token in err and f"the limit is {cli.ROW_BUDGET}" in err
+
+
+@pytest.mark.parametrize(
+    "box,steps",
+    [
+        ("--e 1 --a 10000000 --b -1", 10_000_001),  # ten million empty rows
+        ("--e 1 --a 100000 --b 100000", 5_000_250_002),  # five billion points
+        ("--e 1 --a -3000 --b -3000", 4_498_500),  # the rows and points of K - c
+    ],
+)
+def test_an_oracle_walk_past_its_budget_is_refused_at_once(box, steps, capsys, monkeypatch):
+    # one class can cost the brute-force counter minutes: the walk is
+    # bounded from the box's corners before any class is counted
+    monkeypatch.setattr(cli, "oracle_h0", lambda *args: pytest.fail("walked past the budget"))
+    began = time.perf_counter()
+    code, out, err = run(["oracle", *box.split()], capsys)
+    assert time.perf_counter() - began < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        f"domain error: {box} would produce {steps} oracle steps; "
+        f"the limit is {cli.ORACLE_BUDGET}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        "--e 1..5 --a -6..7 --b -8..10",  # the largest desk boxes
+        "--e 1 --a 1400 --b 1400",  # one class, just inside the walk budget
+    ],
+)
+def test_oracle_boxes_inside_the_walk_budget_answer(box, capsys):
+    code, out, _ = run(["oracle", *box.split()], capsys)
+    assert code == 0 and out.endswith(" 0 mismatches\n")
 
 
 def test_rank_two_sweeps_budget_m_max_before_any_section_bounds(capsys, monkeypatch):

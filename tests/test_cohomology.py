@@ -26,7 +26,7 @@ from hirzebruch import (
     oracle_h0,
     triple,
 )
-from hirzebruch.cohomology import counts, sections, sections_twist
+from hirzebruch.cohomology import counts, effective_twist, run_edges, sections, sections_twist
 from hirzebruch.sheaves import (
     IdealSheafModel,
     Locus,
@@ -303,6 +303,49 @@ def test_section_inverses_match_a_search_at_any_size(e, pick, u, v, z, locus, st
         lambda t: ideal_sections(e, z, locus, u + t * c, v + t * d) > 0, c, u, start
     )
     assert ideal_sections_twist(e, z, locus, u, v, c, d, start) == want
+
+
+# --- the twist-line kernels
+
+
+def test_effective_twist_is_the_first_twist_with_sections():
+    # every answer on this grid lies in [-8, 8] and twist -9 has no
+    # section, so the least twist of the walk is the least of the line;
+    # no twist has one exactly when the h-coordinate is frozen below 0
+    window = range(-9, 10)
+    for e in range(1, 5):
+        for c, d in _spanned_twists(e):
+            for u in range(-8, 9):
+                for v in range(-8, 9):
+                    walked = [t for t in window if sections(e, u + t * c, v + t * d) > 0]
+                    assert window[0] not in walked
+                    got = effective_twist(u, v, c, d)
+                    assert got == (walked[0] if walked else None), (e, u, v, c, d)
+                    assert (got is None) == (c == 0 and u < 0)
+
+
+def test_run_edges_are_where_a_walk_sees_h1_turn():
+    # each class has at most one run of h1 > 0 along the twist: a walk over
+    # `counts` sees h1 turn positive at most once (a start) and back to 0
+    # at most once (a stop), after the start; a side left unbounded has no
+    # edge.  Every edge on this grid lies well inside the window.
+    window = range(-50, 51)
+    for e in range(1, 4):
+        for c, d in _spanned_twists(e):
+            classes = tuple(DivisorClass(a, b) for a in range(-5, 6) for b in range(-12, 13))
+            all_starts, all_stops = [], []
+            for cls in classes:
+                positive = [counts(e, cls.a + t * c, cls.b + t * d)[1] > 0 for t in window]
+                turns = list(zip(window[1:], positive, positive[1:]))
+                starts = [t for t, before, now in turns if now and not before]
+                stops = [t for t, before, now in turns if before and not now]
+                assert len(starts) <= 1 and len(stops) <= 1
+                assert not (starts and stops) or starts[0] < stops[0]
+                assert run_edges(e, (cls,), c, d) == (starts, stops), (e, cls, c, d)
+                all_starts += starts
+                all_stops += stops
+            # one call over all the classes gives every class's edges, in order
+            assert run_edges(e, classes, c, d) == (all_starts, all_stops)
 
 
 # --- inputs typed at the boundary

@@ -1,5 +1,7 @@
 """Ideal sheaf models: section counts with point conditions."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from hirzebruch.sheaves import (
     h2_ideal,
     ideal_counts,
     ideal_sections,
+    ideal_sections_twist,
     max_conditions,
     restriction_degree,
 )
@@ -187,3 +190,27 @@ def test_ideal_counts_sums_the_sections_of_c_once(locus, monkeypatch):
     monkeypatch.setattr(sheaves, "sections", counting)
     ideal_counts(2, 3, locus, 4, 9)
     assert asked.count((4, 9)) == 1
+
+
+@pytest.mark.parametrize("locus", list(Locus))
+def test_the_ideal_inverse_makes_one_section_inverse_call(monkeypatch, locus):
+    # O(c) needs z + 1 sections: one call of the k-section inverse; c - C
+    # needs only to be effective, which `effective_twist` reads off the
+    # coordinates without a section count
+    import hirzebruch.sheaves as sheaves
+
+    real = sheaves.sections_twist
+    calls = []
+    monkeypatch.setattr(
+        sheaves, "sections_twist", lambda *args: calls.append(args[1]) or real(*args)
+    )
+    rng = random.Random(18)
+    for _ in range(300):
+        e = rng.randint(1, 5)
+        c = rng.randint(0, 3)
+        d = e * c + rng.randint(0 if c else 1, 5)
+        z = rng.choice([0, rng.randint(1, 40), rng.randint(41, 10**12)])
+        u, v, start = rng.randint(-20, 20), rng.randint(-60, 60), rng.randint(-30, 30)
+        calls.clear()
+        ideal_sections_twist(e, z, locus, u, v, c, d, start)
+        assert calls == [z + 1], (e, z, u, v, c, d, start)

@@ -212,3 +212,37 @@ def test_json_is_written_in_one_place():
             if dumps:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_closed_forms_call_no_kernel():
+    # each closed form has a referee that shares no code with it: the
+    # scans and the walks go through the kernels, so the closed forms
+    # must not call them
+    package = pathlib.Path(hirzebruch.__file__).parent
+    kernels = {"sections", "counts", "sections_twist", "effective_twist", "run_edges"}
+    closed_forms = {
+        "natural.py": {
+            "line_natural_wrt_m",
+            "line_unconditional_wrt_m",
+            "line_natural_wrt_r",
+            "direct_sum_natural_wrt_m",
+        },
+        "cohomology.py": {"h1_vanishes"},
+    }
+    seen, found = set(), []
+    for module, names in closed_forms.items():
+        tree = ast.parse((package / module).read_text(), filename=module)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                seen.add(node.name)
+                found += [
+                    f"{module}:{call.lineno} {node.name} calls {ast.unparse(call.func)}"
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and (
+                        call.func.id if isinstance(call.func, ast.Name)
+                        else getattr(call.func, "attr", None)
+                    ) in kernels
+                ]
+    assert seen == set().union(*closed_forms.values())
+    assert found == []
