@@ -22,6 +22,12 @@ classes, refused before the first check, and a JSON `construct` that
 would list more than ROW_BUDGET stability candidates, refused before any
 is listed, and an `oracle` box whose lattice walk, bounded from its
 corners, passes ORACLE_BUDGET steps.
+
+Each command's options are defined once, in an option table.  A
+well-formed command line (the command, then exact option strings, each
+with its value or as `--opt=value`) is read off that table directly.
+Any other line goes to the argparse parser built from the same table,
+which gives every usage error and the help text.
 """
 
 from __future__ import annotations
@@ -34,8 +40,14 @@ import os
 import re
 import sys
 from collections import Counter
-from json.encoder import encode_basestring_ascii
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
+
+try:
+    # the C escaper that `json.encoder` itself uses, without loading the
+    # rest of the `json` package
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii
 
 from .audit import CLAIMS, run_audit
 from .bundles import (
@@ -90,6 +102,11 @@ class UsageError(Exception):
     pass
 
 
+# ranges and pairs may open with a negative integer ("-5..6", "-1,2"); a
+# token this matches is a value, never an option string
+_NEGATIVE_NUMBER = re.compile(r"^-\d")
+
+
 class _Parser(argparse.ArgumentParser):
     # on the top-level parser: each command's sub-parser (see `_build_parser`)
     commands: dict[str, "_Parser"]
@@ -114,9 +131,8 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        # ranges and pairs may open with a negative integer ("-5..6",
-        # "-1,2"); stock argparse would read those as option strings
-        self._negative_number_matcher = re.compile(r"^-\d")
+        # stock argparse would read "-5..6" or "-1,2" as option strings
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 # ---------------------------------------------------------------------------
@@ -587,74 +603,120 @@ def _cmd_oracle(args: argparse.Namespace) -> Report:
 # parser assembly and entry point
 
 
+class _Option:
+    """One row of a command's option table: an option string, the
+    Namespace field it sets and how its value is read.  A `bool` type
+    marks a store-true switch, which takes no value."""
+
+    __slots__ = ("flag", "dest", "type", "required", "default", "choices", "metavar", "help")
+
+    def __init__(
+        self,
+        flag: str,
+        dest: str,
+        type: Optional[Callable[[str], Any]] = None,
+        required: bool = False,
+        default: Any = None,
+        choices: Optional[Sequence[str]] = None,
+        metavar: Optional[str] = None,
+        help: Optional[str] = None,
+    ) -> None:
+        self.flag = flag
+        self.dest = dest
+        self.type = type
+        self.required = required
+        self.default = default
+        self.choices = choices
+        self.metavar = metavar
+        self.help = help
+
+
+_E = _Option("--e", "e", int, required=True)
+_FORMAT = _Option("--format", "format", choices=FORMATS)
+_REGION = (
+    _E,
+    _Option("--r", "r", int, required=True),
+    _Option("--u", "u", required=True, metavar="FROM..TO"),
+    _Option("--v", "v", required=True, metavar="FROM..TO"),
+    _Option("--m-max", "m_max", int, default=0),
+    _FORMAT,
+)
+
+# each command's help line and options, in `--help` order: the one
+# definition of the grammar, read by `_parse_line` and `_build_parser`
+_GRAMMAR: dict[str, tuple[str, tuple[_Option, ...]]] = {
+    "coh": ("cohomology of a divisor class", (
+        _E,
+        _Option("--class", "cls", required=True, metavar="A,B"),
+        _Option("--twist-by", "twist_by", metavar="A,B"),
+        _Option("--t", "t", metavar="FROM..TO"),
+        _FORMAT,
+    )),
+    "check": ("natural / unconditional vanishing checks", (
+        _E,
+        _Option("--line", "line", metavar="U,V"),
+        _Option("--sum", "sum", metavar="U1,V1;U2,V2;..."),
+        _Option("--ideal", "ideal", metavar="LOCUS:Z:U,V"),
+        _Option("--extension", "extension", metavar="U,V,M,S"),
+        _Option("--wrt", "wrt", required=True, metavar="M|R|A,B"),
+        _Option(
+            "--pp", "pp", bool, default=False,
+            help="require vanishing at every twist, not only where sections exist",
+        ),
+        _FORMAT,
+    )),
+    "construct": ("rank-2 extension with certificates", (
+        _E,
+        _Option("--u", "u", int, required=True),
+        _Option("--v", "v", int, required=True),
+        _Option("--m", "m", int, required=True),
+        _Option("--s", "s", int, required=True),
+        _FORMAT,
+    )),
+    "classify": ("label a (u, v) region", _REGION),
+    "enumerate": ("classify with CSV output by default", _REGION),
+    "audit": ("desk-scale claim verification", (
+        _Option("--claims", "claims", metavar="NAME,NAME,..."),
+        _Option("--e", "e", default="1..4", metavar="FROM..TO"),
+        _FORMAT,
+    )),
+    "oracle": ("closed form vs brute force", (
+        _Option("--e", "e", required=True, metavar="FROM..TO"),
+        _Option("--a", "a", required=True, metavar="FROM..TO"),
+        _Option("--b", "b", required=True, metavar="FROM..TO"),
+        _FORMAT,
+    )),
+}
+
+# each command's options by option string, for `_parse_line`
+_FLAGS = {
+    name: {option.flag: option for option in options}
+    for name, (_, options) in _GRAMMAR.items()
+}
+
+
 @functools.cache
 def _build_parser() -> _Parser:
-    # built on the first call, not at import, and shared by every later
-    # call: parsing keeps no state in the parser, each call gets its own
-    # Namespace.  `commands` keeps each command's sub-parser by name.
+    # built from `_GRAMMAR` on the first line `_parse_line` declines, not
+    # at import, and shared by every later one: parsing keeps no state in
+    # the parser, each call gets its own Namespace.  `commands` keeps each
+    # command's sub-parser by name.
     parser = _Parser(prog="hirzebruch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = {}
-
-    def add_command(name: str, help_text: str) -> _Parser:
-        p = parser.commands[name] = sub.add_parser(name, help=help_text)
-        return p
-
-    def add_format(p: _Parser) -> None:
-        p.add_argument("--format", choices=FORMATS, default=None)
-
-    p_coh = add_command("coh", "cohomology of a divisor class")
-    p_coh.add_argument("--e", type=int, required=True)
-    p_coh.add_argument("--class", dest="cls", required=True, metavar="A,B")
-    p_coh.add_argument("--twist-by", default=None, metavar="A,B")
-    p_coh.add_argument("--t", default=None, metavar="FROM..TO")
-    add_format(p_coh)
-
-    p_check = add_command("check", "natural / unconditional vanishing checks")
-    p_check.add_argument("--e", type=int, required=True)
-    p_check.add_argument("--line", default=None, metavar="U,V")
-    p_check.add_argument("--sum", default=None, metavar="U1,V1;U2,V2;...")
-    p_check.add_argument("--ideal", default=None, metavar="LOCUS:Z:U,V")
-    p_check.add_argument("--extension", default=None, metavar="U,V,M,S")
-    p_check.add_argument("--wrt", required=True, metavar="M|R|A,B")
-    p_check.add_argument(
-        "--pp",
-        action="store_true",
-        help="require vanishing at every twist, not only where sections exist",
-    )
-    add_format(p_check)
-
-    p_con = add_command("construct", "rank-2 extension with certificates")
-    p_con.add_argument("--e", type=int, required=True)
-    p_con.add_argument("--u", type=int, required=True)
-    p_con.add_argument("--v", type=int, required=True)
-    p_con.add_argument("--m", type=int, required=True)
-    p_con.add_argument("--s", type=int, required=True)
-    add_format(p_con)
-
-    for name, help_text in (
-        ("classify", "label a (u, v) region"),
-        ("enumerate", "classify with CSV output by default"),
-    ):
-        p_cls = add_command(name, help_text)
-        p_cls.add_argument("--e", type=int, required=True)
-        p_cls.add_argument("--r", type=int, required=True)
-        p_cls.add_argument("--u", required=True, metavar="FROM..TO")
-        p_cls.add_argument("--v", required=True, metavar="FROM..TO")
-        p_cls.add_argument("--m-max", type=int, default=0)
-        add_format(p_cls)
-
-    p_audit = add_command("audit", "desk-scale claim verification")
-    p_audit.add_argument("--claims", default=None, metavar="NAME,NAME,...")
-    p_audit.add_argument("--e", default="1..4", metavar="FROM..TO")
-    add_format(p_audit)
-
-    p_oracle = add_command("oracle", "closed form vs brute force")
-    p_oracle.add_argument("--e", required=True, metavar="FROM..TO")
-    p_oracle.add_argument("--a", required=True, metavar="FROM..TO")
-    p_oracle.add_argument("--b", required=True, metavar="FROM..TO")
-    add_format(p_oracle)
-
+    for name, (help_text, options) in _GRAMMAR.items():
+        command = parser.commands[name] = sub.add_parser(name, help=help_text)
+        for option in options:
+            if option.type is bool:
+                command.add_argument(
+                    option.flag, dest=option.dest, action="store_true", help=option.help
+                )
+            else:
+                command.add_argument(
+                    option.flag, dest=option.dest, type=option.type,
+                    required=option.required, default=option.default,
+                    choices=option.choices, metavar=option.metavar, help=option.help,
+                )
     return parser
 
 
@@ -676,14 +738,70 @@ def _default_format(command: str) -> str:
     return "csv" if command == "enumerate" else "table"
 
 
+def _parse_line(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The Namespace that argparse gives for `argv`, read off the option
+    table, if `argv` is well formed; None otherwise.
+
+    Well formed: a command, then exact option strings of that command,
+    each value option followed by its value or written `--opt=value`, every
+    value read as argparse reads it, and every required option given.  A
+    following token that opens with "-" and is not a negative number is
+    not taken as a value.  The last occurrence of an option wins.
+    """
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is None:
+        return None
+    given: dict[str, Any] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        option = flags.get(flag)
+        if option is None:
+            return None
+        if option.type is bool:
+            if eq:
+                return None
+            given[option.dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                return None
+        if value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
+            return None
+        if option.type is not None:
+            try:
+                value = option.type(value)
+            except ValueError:
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        given[option.dest] = value
+    # argparse sets the command, then every default in table order, then
+    # the values given
+    values = {"command": argv[0]}
+    for option in flags.values():
+        if option.dest in given:
+            values[option.dest] = given[option.dest]
+        elif option.required:
+            return None
+        else:
+            values[option.dest] = option.default
+    return argparse.Namespace(**values)
+
+
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """The Namespace that the top-level parser gives for `argv`.
 
-    An argv that opens with a command is parsed by that command's
-    sub-parser alone, in one argparse pass.  Any other argv (empty, an
-    unknown command, --help, an option before the command) goes to the
-    top-level parser, for its diagnostics.
+    A well-formed argv is read off the option table by `_parse_line`,
+    without argparse.  Any other argv that opens with a command is parsed
+    by that command's sub-parser alone, in one argparse pass, for its
+    diagnostic or help; the rest (empty, an unknown command, --help, an
+    option before the command) go to the top-level parser.
     """
+    args = _parse_line(argv)
+    if args is not None:
+        return args
     parser = _build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:

@@ -805,14 +805,16 @@ def test_warm_calls_add_no_argparse_actions(capsys, monkeypatch):
     assert added == []
 
 
-def _parse_outcome(parse, argv, capsys):
+def _parse_outcome(parse, argv):
     # the Namespace, the UsageError text, or the exit code and stdout of --help
+    out = io.StringIO()
     try:
-        return parse(argv)
+        with contextlib.redirect_stdout(out):
+            return parse(argv)
     except cli.UsageError as err:
         return f"usage error: {err}"
     except SystemExit as done:
-        return done.code, capsys.readouterr().out
+        return done.code, out.getvalue()
 
 
 def _parse_corpus():
@@ -849,14 +851,20 @@ def _parse_corpus():
     return corpus
 
 
-def test_dispatch_parses_like_the_top_level_parser(capsys):
-    outcomes = set()
+def _parse_path(argv):
+    return "table" if cli._parse_line(argv) is not None else "argparse"
+
+
+def test_dispatch_parses_like_the_top_level_parser():
+    outcomes, paths = set(), set()
     for argv in _parse_corpus():
-        want = _parse_outcome(cli._build_parser().parse_args, argv, capsys)
-        got = _parse_outcome(cli._parse, argv, capsys)
+        want = _parse_outcome(cli._build_parser().parse_args, argv)
+        got = _parse_outcome(cli._parse, argv)
         assert got == want, argv
         outcomes.add(type(want).__name__)
+        paths.add(_parse_path(argv))
     assert outcomes == {"Namespace", "str", "tuple"}
+    assert paths == {"table", "argparse"}
 
 
 def test_a_command_line_is_parsed_in_one_pass(monkeypatch):
@@ -868,13 +876,50 @@ def test_a_command_line_is_parsed_in_one_pass(monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    # a well-formed line is read off the option table: no argparse pass,
+    # and no parser built
+    cli._build_parser.cache_clear()
     cli._parse(["coh", "--e", "1", "--class", "1,1"])
-    assert passes == ["hirzebruch coh"]
-    # any other argv still goes through the top-level parser
-    passes.clear()
-    with pytest.raises(cli.UsageError):
-        cli._parse(["--format", "json", "coh", "--e", "1", "--class", "1,1"])
-    assert passes[0] == "hirzebruch"
+    cli._parse(["check", "--e=2", "--line", "-1,3", "--wrt", "0,1", "--pp", "--pp"])
+    assert passes == [] and cli._build_parser.cache_info().misses == 0
+    # a line the table declines, refused or abbreviated, makes one pass:
+    # through its command's sub-parser when it opens with a command,
+    # through the top-level parser otherwise
+    for argv, prog in (
+        (["coh", "--e", "x", "--class", "1,1"], "hirzebruch coh"),
+        (["coh", "--e", "1"], "hirzebruch coh"),
+        (["coh", "--e", "1", "--cl", "1,1"], "hirzebruch coh"),
+        (["--format", "json", "coh", "--e", "1", "--class", "1,1"], "hirzebruch"),
+        (["bogus", "--e", "1"], "hirzebruch"),
+        ([], "hirzebruch"),
+    ):
+        passes.clear()
+        with contextlib.suppress(cli.UsageError):
+            cli._parse(argv)
+        assert passes == [prog], argv
+
+
+def test_every_sub_parser_matches_the_option_table():
+    # `_build_parser` reads `_GRAMMAR`, which `_parse_line` reads too; an
+    # option that only one side knows, or reads differently, fails here
+    parser = cli._build_parser()
+    assert list(parser.commands) == list(cli._GRAMMAR)
+    for name, (_, options) in cli._GRAMMAR.items():
+        built = [
+            (
+                action.option_strings, action.dest, action.default,
+                bool if isinstance(action, argparse._StoreTrueAction) else action.type,
+                action.choices, action.required,
+            )
+            for action in parser.commands[name]._actions
+            if action.option_strings != ["-h", "--help"]
+        ]
+        table = [
+            ([option.flag], option.dest, option.default, option.type, option.choices,
+             option.required)
+            for option in options
+        ]
+        assert built == table, name
 
 
 _COMMAND_OPTIONS = {
@@ -953,6 +998,46 @@ def _argvs(draw):
         if option != "--pp":
             argv.append(draw(_JUNK if i == junk_at else _value(command, option)))
     return argv
+
+
+# tokens that the table parser declines or must read as argparse does
+_ODD = ["-", "--", "-h", "--help", "-3..6", "-1,2", "-1", "-x", ""]
+
+
+@st.composite
+def _respelled_argvs(draw):
+    # an `_argvs()` line with up to three respellings: an option joined to
+    # its value by "=", an option given again, an abbreviated option, or
+    # an odd token put anywhere
+    argv = draw(_argvs())
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        how = draw(st.sampled_from(["join", "repeat", "abbreviate", "odd"]))
+        i = draw(st.integers(min_value=0, max_value=len(argv)))
+        token = argv[i] if i < len(argv) else ""
+        if how == "odd":
+            argv.insert(i, draw(st.sampled_from(_ODD)))
+        elif not token.startswith("--"):
+            continue
+        elif how == "join" and i + 1 < len(argv):
+            argv[i:i + 2] = [f"{token}={argv[i + 1]}"]
+        elif how == "repeat":
+            argv += [token, draw(st.one_of(_INTS, _PAIRS, _RANGES, st.sampled_from(_ODD)))]
+        elif how == "abbreviate" and len(token) > 3:
+            argv[i] = token[:draw(st.integers(min_value=3, max_value=len(token) - 1))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_respelled_argvs())
+@example(["coh", "--e=1", "--class=", "--t=-3..6", "--twist-by", "-1,2"])
+@example(["coh", "--e", "1", "--class=--"])
+@example(["check", "--e", "1", "--line", "1,1", "--wrt", "M", "--pp=x"])
+@example(["coh", "--e", "1", "--class", "1,1", "--format=yaml"])
+@example(["coh", "--e", "1", "--e", "2", "--class", "1,1", "--class", "2,2"])
+def test_fuzzed_argv_parses_like_the_top_level_parser(argv):
+    event(f"path {_parse_path(argv)}")
+    want = _parse_outcome(cli._build_parser().parse_args, argv)
+    assert _parse_outcome(cli._parse, argv) == want
 
 
 @settings(max_examples=150, deadline=None)
