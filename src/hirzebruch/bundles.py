@@ -45,12 +45,11 @@ lists the whole region on demand and counts it without listing it.
 from __future__ import annotations
 
 import enum
-from itertools import islice
-from typing import Iterator, Optional
+from typing import Callable, Optional
 
 from .cohomology import CohomologyTriple, ConsistencyError, counts, effective_twist, sections
 from .natural import HOLDS_VERDICT, INDETERMINATE_VERDICT, Outcome, Verdict
-from .picard import DivisorClass, DomainError, Record, Surface, ceil_div, require_ints, setters
+from .picard import DivisorClass, DomainError, Record, Surface, ceil_div, require_ints
 from .sheaves import IdealSheafModel, Locus, PointConfig, ideal_counts, ideal_sections
 
 
@@ -112,21 +111,18 @@ class ExtensionDatum(Record):
         # L + K = (quot - sub) + (-2, -e-2)
         cb = s == 0 or sections(e, qcls.a - sub.a - 2, qcls.b - sub.b - e - 2) < s
         split = s == 0 and counts(e, sub.a - qcls.a, sub.b - qcls.b)[1] == 0
-        (
-            put_surface, put_m, put_sub, put_quotient, put_u, put_v, put_s,
-            put_range, put_min, put_cb, put_split,
-        ) = _EXTENSION_DATUM
-        put_surface(self, surface)
-        put_m(self, m)
-        put_sub(self, sub)
-        put_quotient(self, quotient)
-        put_u(self, u)
-        put_v(self, v)
-        put_s(self, s)
-        put_range(self, s_range)
-        put_min(self, s_range[0] <= s)
-        put_cb(self, cb)
-        put_split(self, split)
+        put = object.__setattr__
+        put(self, "surface", surface)
+        put(self, "m", m)
+        put(self, "sub", sub)
+        put(self, "quotient", quotient)
+        put(self, "u", u)
+        put(self, "v", v)
+        put(self, "s", s)
+        put(self, "s_range", s_range)
+        put(self, "section_min", s_range[0] <= s)
+        put(self, "cayley_bacharach", cb)
+        put(self, "ext_forced_split", split)
 
     def c1(self) -> DivisorClass:
         return DivisorClass(self.u, self.v)
@@ -134,9 +130,6 @@ class ExtensionDatum(Record):
     def chern(self) -> ChernData:
         c2 = self.s + self.surface.intersect(self.sub, self.quotient.cls)
         return ChernData(rank=2, c1=self.c1(), c2=c2)
-
-
-_EXTENSION_DATUM = setters(ExtensionDatum)
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +277,15 @@ class CohomologyInterval(Record):
         chi: int,
         expected: CohomologyTriple,
     ) -> None:
-        put_lo0, put_hi0, put_lo1, put_hi1, put_lo2, put_hi2, put_chi, put_expected = (
-            _COHOMOLOGY_INTERVAL
-        )
-        put_lo0(self, h0_min)
-        put_hi0(self, h0_max)
-        put_lo1(self, h1_min)
-        put_hi1(self, h1_max)
-        put_lo2(self, h2_min)
-        put_hi2(self, h2_max)
-        put_chi(self, chi)
-        put_expected(self, expected)
+        put = object.__setattr__
+        put(self, "h0_min", h0_min)
+        put(self, "h0_max", h0_max)
+        put(self, "h1_min", h1_min)
+        put(self, "h1_max", h1_max)
+        put(self, "h2_min", h2_min)
+        put(self, "h2_max", h2_max)
+        put(self, "chi", chi)
+        put(self, "expected", expected)
 
     def exact(self) -> bool:
         return (
@@ -302,9 +293,6 @@ class CohomologyInterval(Record):
             and self.h1_min == self.h1_max
             and self.h2_min == self.h2_max
         )
-
-
-_COHOMOLOGY_INTERVAL = setters(CohomologyInterval)
 
 
 def _box(datum: ExtensionDatum, t: int) -> tuple[int, int, int, int, int, int, int]:
@@ -510,7 +498,7 @@ class DestabilizerCandidate(Record):
     fails); "no_map" when N maps into neither end; "genericity" when the
     only possible route is through the quotient and the s general points
     absorb every section of the residual class.  A tail entry is the first
-    listed class of an M column (the boundary rule in `_columns`); it
+    listed class of an M column (the boundary rule in `_region`); it
     stands for every class (g, delta) with g <= its own first coordinate,
     where all three exclusion ingredients are frozen.
     Candidates are listed by `StabilityReport.candidates`, on access; the
@@ -530,7 +518,7 @@ class StabilityReport(Record):
     """The stability verdict of `datum` for one polarization.
 
     `certified` is decided on the first classes of the slope region's
-    columns (the boundary rule in `_columns`); `candidates` lists the whole
+    columns (the boundary rule in `_region`); `candidates` lists the whole
     region and `candidate_count` counts it.
     """
 
@@ -561,10 +549,12 @@ class StabilityReport(Record):
         """
         candidates = []
         pol = self.polarization
-        for delta, first, gamma_max in _columns(self.datum, pol):
-            for gamma in range(first, gamma_max + 1):
+        deltas, gamma_max, first = _region(self.datum, pol)
+        for delta in deltas:
+            start = first(delta)
+            for gamma in range(start, gamma_max + 1):
                 reason = _exclusion(self.datum, (gamma, delta))
-                tail = pol is Polarization.M and gamma == first
+                tail = pol is Polarization.M and gamma == start
                 candidates.append(DestabilizerCandidate(DivisorClass(gamma, delta), reason, tail))
         candidates.sort(key=lambda cand: (cand.cls.a, cand.cls.b))
         return tuple(candidates)
@@ -573,9 +563,8 @@ class StabilityReport(Record):
     def candidate_count(self) -> int:
         """len(candidates), summed over the columns in O(u + v) with no
         `_exclusion` call."""
-        return sum(
-            gamma_max - first + 1 for _, first, gamma_max in _columns(self.datum, self.polarization)
-        )
+        deltas, gamma_max, first = _region(self.datum, self.polarization)
+        return sum(gamma_max - first(delta) + 1 for delta in deltas)
 
 
 def _exclusion(datum: ExtensionDatum, n: tuple[int, int]) -> Optional[str]:
@@ -598,10 +587,11 @@ def _exclusion(datum: ExtensionDatum, n: tuple[int, int]) -> Optional[str]:
     return "no_map"
 
 
-def _columns(datum: ExtensionDatum, pol: Polarization) -> Iterator[tuple[int, int, int]]:
-    """The slope region of `pol`, one column (delta, first, gamma_max)
-    per delta, in increasing delta; the column lists the classes
-    (gamma, delta) with first <= gamma <= gamma_max.
+def _region(datum: ExtensionDatum, pol: Polarization) -> tuple[range, int, Callable[[int], int]]:
+    """The slope region of `pol` as (deltas, gamma_max, first): one column
+    per delta in `deltas`, increasing, and the column of delta lists the
+    classes (gamma, delta) with first(delta) <= gamma <= gamma_max.  This
+    is the one place that derives the region's bounds.
 
     A class N = (gamma, delta) is in the region when its slope meets half
     of c1's and it is not excluded wholesale.  The box: a map O(N) -> E
@@ -618,7 +608,7 @@ def _columns(datum: ExtensionDatum, pol: Polarization) -> Iterator[tuple[int, in
     effectivity, and sub - N keeps a constant effectivity, so `_exclusion`
     is constant there.
 
-    The boundary rule: `first` is the column's first listed class, and
+    The boundary rule: `first` gives a column's first listed class, and
     this is the only code that says where a listing begins.  Under R it is
     threshold - delta, on the antidiagonal gamma + delta = threshold.
     Under M it is min(0, freeze, sub.a) - 1, the tail entry, which stands
@@ -628,27 +618,18 @@ def _columns(datum: ExtensionDatum, pol: Polarization) -> Iterator[tuple[int, in
     (see `stability_certificate`).
     """
     qcls, sub = datum.quotient.cls, datum.sub
-    gamma_max = max(sub.a, qcls.a)
+    gamma_max, delta_max = max(sub.a, qcls.a), max(sub.b, qcls.b)
     if pol is Polarization.R:
         threshold = ceil_div(datum.u + datum.v, 2)
-        for delta in _deltas(datum, pol):
-            yield delta, threshold - delta, gamma_max
-        return
+        deltas = range(threshold - gamma_max, delta_max + 1)
+        return deltas, gamma_max, lambda delta: threshold - delta
     e = datum.surface.e
-    for delta in _deltas(datum, pol):
+
+    def first(delta: int) -> int:
         freeze = qcls.a - (max(0, qcls.b - delta) // e)
-        yield delta, min(0, freeze, sub.a) - 1, gamma_max
+        return min(0, freeze, sub.a) - 1
 
-
-def _deltas(datum: ExtensionDatum, pol: Polarization) -> range:
-    """The deltas of the region's columns (see `_columns`): up to
-    delta_max, from threshold - gamma_max under R and from ceil(v/2)
-    under M."""
-    qcls, sub = datum.quotient.cls, datum.sub
-    delta_max = max(sub.b, qcls.b)
-    if pol is Polarization.R:
-        return range(ceil_div(datum.u + datum.v, 2) - max(sub.a, qcls.a), delta_max + 1)
-    return range(ceil_div(datum.v, 2), delta_max + 1)
+    return range(ceil_div(datum.v, 2), delta_max + 1), gamma_max, first
 
 
 def _polarization(value: Polarization | str) -> Polarization:
@@ -667,7 +648,7 @@ def stability_checks(datum: ExtensionDatum, polarization: Polarization | str) ->
     walk, O(u + v) `_exclusion` calls, before it starts.
     """
     pol = _polarization(polarization)
-    return len(_deltas(datum, pol)) if pol is Polarization.R else 1
+    return len(_region(datum, pol)[0]) if pol is Polarization.R else 1
 
 
 def stability_certificate(datum: ExtensionDatum, polarization: Polarization | str) -> StabilityReport:
@@ -684,7 +665,7 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
     lowering either coordinate of N raises both coordinates of sub - N
     and of quot - N, and effectivity, h0 and h0_ideal are nondecreasing
     in each coordinate.  So a survivor exists iff one of the columns'
-    first classes survives, as `_columns` states: under R every column's,
+    first classes survives, as `_region` states: under R every column's,
     O(u + v) `_exclusion` calls; under M the first column's alone, one
     call (`stability_checks` counts them).  The report lists the same
     columns whole on access (`StabilityReport.candidates`), as a referee.
@@ -708,11 +689,11 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
             f"v = {v} violates the fiber-polarization bound v <= 2eu-3 = {2 * e * u - 3}"
         )
 
-    columns = _columns(datum, pol)
+    deltas, _, first = _region(datum, pol)
     if pol is Polarization.M:
         # the first column's tail stands below every other class
-        columns = tuple(islice(columns, 1))
-    certified = all(_exclusion(datum, (first, delta)) is not None for delta, first, _ in columns)
+        deltas = deltas[:1]
+    certified = all(_exclusion(datum, (first(delta), delta)) is not None for delta in deltas)
     return StabilityReport(
         polarization=pol, certified=certified, warnings=tuple(warnings), datum=datum
     )

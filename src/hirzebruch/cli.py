@@ -23,11 +23,12 @@ would list more than ROW_BUDGET stability candidates, refused before any
 is listed, and an `oracle` box whose lattice walk, bounded from its
 corners, passes ORACLE_BUDGET steps.
 
-Each command's options are defined once, in an option table.  A
-well-formed command line (the command, then exact option strings, each
-with its value or as `--opt=value`) is read off that table directly.
-Any other line goes to the argparse parser built from the same table,
-which gives every usage error and the help text.
+Each command's options are defined once, in an option table whose rows
+are an option string and its `add_argument` keywords.  A well-formed
+command line (the command, then exact option strings, each with its
+value or as `--opt=value`) is read off those keywords directly.  Any
+other line goes to the argparse parser built by passing each row to
+`add_argument`, which gives every usage error and the help text.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import os
 import re
 import sys
 from collections import Counter
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 try:
     # the C escaper that `json.encoder` itself uses, without loading the
@@ -603,96 +604,69 @@ def _cmd_oracle(args: argparse.Namespace) -> Report:
 # parser assembly and entry point
 
 
-class _Option:
-    """One row of a command's option table: an option string, the
-    Namespace field it sets and how its value is read.  A `bool` type
-    marks a store-true switch, which takes no value."""
+# one row of a command's option table: an option string and exactly its
+# `add_argument` keywords, which also tell `_parse_line` how to read it
+_Row = tuple[str, dict[str, Any]]
 
-    __slots__ = ("flag", "dest", "type", "required", "default", "choices", "metavar", "help")
-
-    def __init__(
-        self,
-        flag: str,
-        dest: str,
-        type: Optional[Callable[[str], Any]] = None,
-        required: bool = False,
-        default: Any = None,
-        choices: Optional[Sequence[str]] = None,
-        metavar: Optional[str] = None,
-        help: Optional[str] = None,
-    ) -> None:
-        self.flag = flag
-        self.dest = dest
-        self.type = type
-        self.required = required
-        self.default = default
-        self.choices = choices
-        self.metavar = metavar
-        self.help = help
-
-
-_E = _Option("--e", "e", int, required=True)
-_FORMAT = _Option("--format", "format", choices=FORMATS)
+_E: _Row = ("--e", dict(dest="e", type=int, required=True))
+_FORMAT: _Row = ("--format", dict(dest="format", choices=FORMATS))
 _REGION = (
     _E,
-    _Option("--r", "r", int, required=True),
-    _Option("--u", "u", required=True, metavar="FROM..TO"),
-    _Option("--v", "v", required=True, metavar="FROM..TO"),
-    _Option("--m-max", "m_max", int, default=0),
+    ("--r", dict(dest="r", type=int, required=True)),
+    ("--u", dict(dest="u", required=True, metavar="FROM..TO")),
+    ("--v", dict(dest="v", required=True, metavar="FROM..TO")),
+    ("--m-max", dict(dest="m_max", type=int, default=0)),
     _FORMAT,
 )
 
 # each command's help line and options, in `--help` order: the one
 # definition of the grammar, read by `_parse_line` and `_build_parser`
-_GRAMMAR: dict[str, tuple[str, tuple[_Option, ...]]] = {
+_GRAMMAR: dict[str, tuple[str, tuple[_Row, ...]]] = {
     "coh": ("cohomology of a divisor class", (
         _E,
-        _Option("--class", "cls", required=True, metavar="A,B"),
-        _Option("--twist-by", "twist_by", metavar="A,B"),
-        _Option("--t", "t", metavar="FROM..TO"),
+        ("--class", dict(dest="cls", required=True, metavar="A,B")),
+        ("--twist-by", dict(dest="twist_by", metavar="A,B")),
+        ("--t", dict(dest="t", metavar="FROM..TO")),
         _FORMAT,
     )),
     "check": ("natural / unconditional vanishing checks", (
         _E,
-        _Option("--line", "line", metavar="U,V"),
-        _Option("--sum", "sum", metavar="U1,V1;U2,V2;..."),
-        _Option("--ideal", "ideal", metavar="LOCUS:Z:U,V"),
-        _Option("--extension", "extension", metavar="U,V,M,S"),
-        _Option("--wrt", "wrt", required=True, metavar="M|R|A,B"),
-        _Option(
-            "--pp", "pp", bool, default=False,
+        ("--line", dict(dest="line", metavar="U,V")),
+        ("--sum", dict(dest="sum", metavar="U1,V1;U2,V2;...")),
+        ("--ideal", dict(dest="ideal", metavar="LOCUS:Z:U,V")),
+        ("--extension", dict(dest="extension", metavar="U,V,M,S")),
+        ("--wrt", dict(dest="wrt", required=True, metavar="M|R|A,B")),
+        ("--pp", dict(
+            dest="pp", action="store_true", default=False,
             help="require vanishing at every twist, not only where sections exist",
-        ),
+        )),
         _FORMAT,
     )),
     "construct": ("rank-2 extension with certificates", (
         _E,
-        _Option("--u", "u", int, required=True),
-        _Option("--v", "v", int, required=True),
-        _Option("--m", "m", int, required=True),
-        _Option("--s", "s", int, required=True),
+        ("--u", dict(dest="u", type=int, required=True)),
+        ("--v", dict(dest="v", type=int, required=True)),
+        ("--m", dict(dest="m", type=int, required=True)),
+        ("--s", dict(dest="s", type=int, required=True)),
         _FORMAT,
     )),
     "classify": ("label a (u, v) region", _REGION),
     "enumerate": ("classify with CSV output by default", _REGION),
     "audit": ("desk-scale claim verification", (
-        _Option("--claims", "claims", metavar="NAME,NAME,..."),
-        _Option("--e", "e", default="1..4", metavar="FROM..TO"),
+        ("--claims", dict(dest="claims", metavar="NAME,NAME,...")),
+        ("--e", dict(dest="e", default="1..4", metavar="FROM..TO")),
         _FORMAT,
     )),
     "oracle": ("closed form vs brute force", (
-        _Option("--e", "e", required=True, metavar="FROM..TO"),
-        _Option("--a", "a", required=True, metavar="FROM..TO"),
-        _Option("--b", "b", required=True, metavar="FROM..TO"),
+        ("--e", dict(dest="e", required=True, metavar="FROM..TO")),
+        ("--a", dict(dest="a", required=True, metavar="FROM..TO")),
+        ("--b", dict(dest="b", required=True, metavar="FROM..TO")),
         _FORMAT,
     )),
 }
 
-# each command's options by option string, for `_parse_line`
-_FLAGS = {
-    name: {option.flag: option for option in options}
-    for name, (_, options) in _GRAMMAR.items()
-}
+# each command's option keywords by option string, for `_parse_line`
+_FLAGS = {name: dict(options) for name, (_, options) in _GRAMMAR.items()}
 
 
 @functools.cache
@@ -706,17 +680,8 @@ def _build_parser() -> _Parser:
     parser.commands = {}
     for name, (help_text, options) in _GRAMMAR.items():
         command = parser.commands[name] = sub.add_parser(name, help=help_text)
-        for option in options:
-            if option.type is bool:
-                command.add_argument(
-                    option.flag, dest=option.dest, action="store_true", help=option.help
-                )
-            else:
-                command.add_argument(
-                    option.flag, dest=option.dest, type=option.type,
-                    required=option.required, default=option.default,
-                    choices=option.choices, metavar=option.metavar, help=option.help,
-                )
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
     return parser
 
 
@@ -758,10 +723,10 @@ def _parse_line(argv: Sequence[str]) -> Optional[argparse.Namespace]:
         option = flags.get(flag)
         if option is None:
             return None
-        if option.type is bool:
+        if "action" in option:  # store_true, the one action in the table
             if eq:
                 return None
-            given[option.dest] = True
+            given[option["dest"]] = True
             continue
         if not eq:
             value = next(tokens, None)
@@ -769,24 +734,25 @@ def _parse_line(argv: Sequence[str]) -> Optional[argparse.Namespace]:
                 return None
         if value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
             return None
-        if option.type is not None:
+        if "type" in option:
             try:
-                value = option.type(value)
+                value = option["type"](value)
             except ValueError:
                 return None
-        if option.choices is not None and value not in option.choices:
+        if "choices" in option and value not in option["choices"]:
             return None
-        given[option.dest] = value
+        given[option["dest"]] = value
     # argparse sets the command, then every default in table order, then
     # the values given
     values = {"command": argv[0]}
     for option in flags.values():
-        if option.dest in given:
-            values[option.dest] = given[option.dest]
-        elif option.required:
+        dest = option["dest"]
+        if dest in given:
+            values[dest] = given[dest]
+        elif option.get("required"):
             return None
         else:
-            values[option.dest] = option.default
+            values[dest] = option.get("default")
     return argparse.Namespace(**values)
 
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Optional
 
-from .picard import DivisorClass, DomainError, Record, Surface, ceil_div, require_ints, setters
+from .picard import DivisorClass, DomainError, Record, Surface, ceil_div, require_ints
 
 
 class ConsistencyError(RuntimeError):
@@ -66,16 +66,13 @@ class CohomologyTriple(Record):
     __slots__ = ("h0", "h1", "h2")
 
     def __init__(self, h0: int, h1: int, h2: int) -> None:
-        put_h0, put_h1, put_h2 = _COHOMOLOGY_TRIPLE
-        put_h0(self, h0)
-        put_h1(self, h1)
-        put_h2(self, h2)
+        put = object.__setattr__
+        put(self, "h0", h0)
+        put(self, "h1", h1)
+        put(self, "h2", h2)
 
     def chi(self) -> int:
         return self.h0 - self.h1 + self.h2
-
-
-_COHOMOLOGY_TRIPLE = setters(CohomologyTriple)
 
 
 def sections(e: int, a: int, b: int) -> int:

@@ -95,7 +95,7 @@ class Verdict(Record):
 
     # no slots: a FAILS scan builds one and its caller reads a field or
     # two, so a build written straight into the instance dict, cheaper
-    # than slot setters, wins over faster reads (an in-process far-twist
+    # than slot writes, wins over faster reads (an in-process far-twist
     # A/B: p50 per query 4-8% lower)
     _fields = ("outcome", "witness_t", "witness_h0", "witness_h1")
 

@@ -38,14 +38,14 @@ class DomainError(ValueError):
 class Record:
     """Base of the package's value types: small immutable records.
 
-    A subclass names its fields, in order, in `__slots__`, and its own
-    `__init__` checks its arguments and then sets each field past the
-    frozen `__setattr__`: through `object.__setattr__`, or, in the types
-    built once per evaluation, through the faster slot setters that
-    `setters` returns.  A type that is built far more often than read
+    A subclass has one of two layouts.  Most name their fields, in order,
+    in `__slots__`; their own `__init__` checks its arguments and then
+    sets each field past the frozen `__setattr__`, through
+    `object.__setattr__`.  A type that is built far more often than read
     (`natural.Verdict`, `natural.ScanEvidence`, `cli.Report`) names its
-    fields in `_fields` instead, has no slots, and writes them into its
-    instance dict, which builds faster still.
+    fields in `_fields` instead, has no slots, and writes them straight
+    into its instance dict: an in-process far-twist A/B measured that
+    build faster than the slotted one.
 
     The base supplies the rest, as a frozen dataclass would: assigning or
     deleting an attribute raises AttributeError; a record equals a record
@@ -92,12 +92,6 @@ class Record:
             object.__setattr__(self, name, value)
 
 
-def setters(cls: type) -> tuple[Callable[[Any, Any], None], ...]:
-    """The slot setters of a `Record` subclass's fields, in `__slots__`
-    order: ``put(obj, value)`` sets one field past the frozen `__setattr__`."""
-    return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
-
-
 class DivisorClass(Record):
     """The class a*h + b*f in the Picard lattice of a Hirzebruch surface."""
 
@@ -107,9 +101,9 @@ class DivisorClass(Record):
         # tested inline, since every class passes here; `require_ints` raises
         if type(a) is not int or type(b) is not int:
             require_ints(a, b)
-        put_a, put_b = _DIVISOR_CLASS
-        put_a(self, a)
-        put_b(self, b)
+        put = object.__setattr__
+        put(self, "a", a)
+        put(self, "b", b)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.a + other.a, self.b + other.b)
@@ -130,9 +124,6 @@ class DivisorClass(Record):
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-
-_DIVISOR_CLASS = setters(DivisorClass)
 
 
 class PositivityReport(Record):

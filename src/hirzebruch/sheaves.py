@@ -47,7 +47,7 @@ import enum
 from typing import Optional
 
 from .cohomology import ConsistencyError, counts, effective_twist, sections, sections_twist
-from .picard import DivisorClass, DomainError, Record, Surface, require_ints, setters, twist
+from .picard import DivisorClass, DomainError, Record, Surface, require_ints, twist
 
 
 class Locus(enum.Enum):
@@ -68,12 +68,9 @@ class PointConfig(Record):
             raise DomainError(f"point count must be >= 0, got {z}")
         if not isinstance(locus, Locus):
             raise DomainError(f"point locus must be a Locus, got {locus!r}")
-        put_z, put_locus = _POINT_CONFIG
-        put_z(self, z)
-        put_locus(self, locus)
-
-
-_POINT_CONFIG = setters(PointConfig)
+        put = object.__setattr__
+        put(self, "z", z)
+        put(self, "locus", locus)
 
 
 class IdealSheafModel(Record):
@@ -82,15 +79,12 @@ class IdealSheafModel(Record):
     __slots__ = ("config", "cls")
 
     def __init__(self, config: PointConfig, cls: DivisorClass) -> None:
-        put_config, put_cls = _IDEAL_SHEAF_MODEL
-        put_config(self, config)
-        put_cls(self, cls)
+        put = object.__setattr__
+        put(self, "config", config)
+        put(self, "cls", cls)
 
     def twisted(self, t: int, by: DivisorClass) -> "IdealSheafModel":
         return IdealSheafModel(self.config, twist(self.cls, t, by))
-
-
-_IDEAL_SHEAF_MODEL = setters(IdealSheafModel)
 
 
 _CURVE_CLASS = {
@@ -164,7 +158,7 @@ def ideal_counts(e: int, z: int, locus: Locus, a: int, b: int) -> tuple[int, int
     return v0, v1, v2
 
 
-def _fields(model: IdealSheafModel) -> tuple[int, Locus, int, int]:
+def _kernel_args(model: IdealSheafModel) -> tuple[int, Locus, int, int]:
     """(z, locus, a, b) of the model: the arguments of the kernels."""
     return model.config.z, model.config.locus, model.cls.a, model.cls.b
 
@@ -175,21 +169,21 @@ def max_conditions(surface: Surface, model: IdealSheafModel) -> int:
     GENERAL position: all of h0(c).  On a curve C: the part of h0(c) that
     the restriction to C sees, r = h0(c) - h0(c - C).
     """
-    _, locus, a, b = _fields(model)
+    _, locus, a, b = _kernel_args(model)
     return sections(surface.e, a, b) - _unseen(surface.e, locus, a, b)
 
 
 def h0_ideal(surface: Surface, model: IdealSheafModel) -> int:
     """h0(c) - min(z, max_conditions)."""
-    return ideal_sections(surface.e, *_fields(model))
+    return ideal_sections(surface.e, *_kernel_args(model))
 
 
 def h2_ideal(surface: Surface, model: IdealSheafModel) -> int:
     # a length-z subscheme cannot change h^2
-    return ideal_counts(surface.e, *_fields(model))[2]
+    return ideal_counts(surface.e, *_kernel_args(model))[2]
 
 
 def h1_ideal(surface: Surface, model: IdealSheafModel) -> int:
     """Forced by chi(I_Z(c)) = chi(c) - z."""
-    return ideal_counts(surface.e, *_fields(model))[1]
+    return ideal_counts(surface.e, *_kernel_args(model))[1]
 

@@ -899,25 +899,42 @@ def test_a_command_line_is_parsed_in_one_pass(monkeypatch):
         assert passes == [prog], argv
 
 
+# the `add_argument` keywords that `_parse_line` interprets; "action" only
+# as "store_true"
+_TABLE_KEYWORDS = {"dest", "type", "required", "default", "choices", "metavar", "help", "action"}
+
+
 def test_every_sub_parser_matches_the_option_table():
-    # `_build_parser` reads `_GRAMMAR`, which `_parse_line` reads too; an
-    # option that only one side knows, or reads differently, fails here
+    # `_build_parser` passes each row's keywords to `add_argument`, and
+    # `_parse_line` reads the same keywords; a keyword that `_parse_line`
+    # would not interpret, or an option that only one side knows or reads
+    # differently, fails here
     parser = cli._build_parser()
     assert list(parser.commands) == list(cli._GRAMMAR)
     for name, (_, options) in cli._GRAMMAR.items():
+        for flag, kwargs in options:
+            assert "dest" in kwargs and set(kwargs) <= _TABLE_KEYWORDS, (name, flag)
+            if "action" in kwargs:
+                # `_parse_line` fills an absent option with the row's default
+                assert kwargs["action"] == "store_true", (name, flag)
+                assert "default" in kwargs and kwargs["default"] is False, (name, flag)
         built = [
             (
                 action.option_strings, action.dest, action.default,
                 bool if isinstance(action, argparse._StoreTrueAction) else action.type,
-                action.choices, action.required,
+                action.choices, action.required, action.metavar, action.help,
             )
             for action in parser.commands[name]._actions
             if action.option_strings != ["-h", "--help"]
         ]
         table = [
-            ([option.flag], option.dest, option.default, option.type, option.choices,
-             option.required)
-            for option in options
+            (
+                [flag], kwargs["dest"], kwargs.get("default"),
+                bool if kwargs.get("action") == "store_true" else kwargs.get("type"),
+                kwargs.get("choices"), kwargs.get("required", False),
+                kwargs.get("metavar"), kwargs.get("help"),
+            )
+            for flag, kwargs in options
         ]
         assert built == table, name
 

@@ -144,6 +144,21 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
+def test_records_write_their_fields_in_one_way():
+    # a slotted record's `__init__` writes its fields through
+    # `object.__setattr__`; reading a slot descriptor's `__set__`, by
+    # attribute or by name, would be a second write path
+    package = pathlib.Path(hirzebruch.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr == "__set__")
+        or (isinstance(node, ast.Constant) and node.value == "__set__")
+    ]
+    assert found == []
+
+
 def test_the_package_import_loads_no_code_introspection_modules():
     # a fresh interpreter, so modules that pytest or another test loaded
     # do not hide one the package loads; modules that interpreter start-up
