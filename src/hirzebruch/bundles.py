@@ -5,17 +5,18 @@ A rank-2 bundle E on F_e is presented here by an extension
     0 -> O(sub) -> E -> I_Z(quot) -> 0
 
 with Z a length-s general subscheme.  The standard construction takes
-integers (u, v, m, s) with v >= e(u-1)-1, m >= 0 and builds the datum with
-sub = (1-m, -e*m) and quot = (u+m-1, v+e*m), so c1(E) = (u, v); the
-admissible range of s is [a_lo, b_hi] = `section_count_bounds`.  A datum
-is built from m and its two ends, and derives c1, s and three
-certificates from them: the chosen twist is the first with a section
-(section_min), the points satisfy the Cayley-Bacharach condition that a
-locally free extension needs (cayley_bacharach), and the extension is
-forced to split (ext_forced_split).  The ends are typed: `DivisorClass`
-and `PointConfig` refuse non-integer coordinates and point counts when
-they are built, so only the plain-int parameters (u, v, m, s, rank, the
-classifier's bounds) are checked here, through `require_ints`.
+integers (u, v, m, s) with v >= e(u-1)-1, m >= 0 and a_lo <= s <= b_hi;
+its ends (so c1(E) = (u, v)), the range [a_lo, b_hi] and c2 - s come from
+one plain-int kernel, `_construction`.  A datum is built from m and its
+two ends, and derives c1, s and three certificates from them: the chosen
+twist is the first with a section (section_min), the points satisfy the
+Cayley-Bacharach condition that a locally free extension needs
+(cayley_bacharach), and the extension is forced to split
+(ext_forced_split).  The ends are typed: `DivisorClass` and `PointConfig`
+refuse non-integer coordinates and point counts when they are built, so
+only the plain-int parameters (u, v, m, s, rank, the classifier's bounds)
+are checked here, through `require_ints`, once, by the public function
+that takes them.
 
 E is never materialized.  Its cohomology at a twist is reported as a box
 of intervals squeezed out of the long exact sequence, together with the
@@ -180,29 +181,32 @@ def chern_of_extension(
 
 
 def section_count_bounds(surface: Surface, u: int, v: int, m: int) -> tuple[int, int]:
-    """(a_lo, b_hi): the admissible point-count range of the construction.
-
-    a_lo = h0 of (u+2m-2, v+2me-e), the quotient class one twist before m;
-    b_hi = h0 of (u+2m-1, v+2me), the quotient class at twist m.  Always
-    a_lo <= b_hi since the two classes differ by the effective class M.
-    """
+    """(a_lo, b_hi): the construction's admissible point counts (see
+    `_construction`); a_lo <= b_hi, as the two classes differ by M."""
     require_ints(u, v, m)
     if m < 0:
         raise DomainError(f"twist parameter must be >= 0, got {m}")
-    e = surface.e
-    a_lo = sections(e, u + 2 * m - 2, v + 2 * m * e - e)
-    b_hi = sections(e, u + 2 * m - 1, v + 2 * m * e)
+    _, _, _, _, a_lo, b_hi, _ = _construction(surface.e, u, v, m)
     return a_lo, b_hi
 
 
 def construction_c2(surface: Surface, u: int, v: int, m: int, s: int) -> int:
-    """c2 of the standard construction: s - e(u+m-1) + (1-m)(v+em)."""
+    """c2 of the standard construction: s + sub.quot = s - e(u+m-1) + (1-m)(v+em)."""
     require_ints(u, v, m, s)
-    return _construction_c2(surface.e, u, v, m, s)
+    return s + _construction(surface.e, u, v, m)[6]
 
 
-def _construction_c2(e: int, u: int, v: int, m: int, s: int) -> int:
-    return s - e * (u + m - 1) + (1 - m) * (v + e * m)
+def _construction(e: int, u: int, v: int, m: int) -> tuple[int, int, int, int, int, int, int]:
+    """The standard construction at (u, v, m) on F_e, unchecked, as plain
+    ints (sub_a, sub_b, quot_a, quot_b, a_lo, b_hi, c2_0): the ends
+    sub = (1-m, -em) and quot = (u+m-1, v+em), the h0 of quot twisted by
+    m - 1 and by m copies of M = (1, e), and c2 at s = 0, sub.quot.  The
+    one place that writes these forms."""
+    em = e * m
+    qa, qb = u + m - 1, v + em
+    a, b = qa + m, qb + em  # quot + mM; quot + (m-1)M is (a - 1, b - e)
+    # c2_0 = sub.quot = -e(1-m)qa + (1-m)qb - em.qa = (1-m)qb - e.qa
+    return 1 - m, -em, qa, qb, sections(e, a - 1, b - e), sections(e, a, b), (1 - m) * qb - e * qa
 
 
 def c1_obstructed(surface: Surface, rank: int, u: int, v: int) -> bool:
@@ -231,9 +235,8 @@ def construct_extension(surface: Surface, u: int, v: int, m: int, s: int) -> Ext
       hypothesis_m:   m >= 0
       s_out_of_range: a_lo <= s <= b_hi
 
-    The range is checked before anything is built, so a refusal builds no
-    datum; an accepted datum evaluates the bounds again for its own
-    `s_range`.
+    Each input is checked once, here.  The ends and the range come from
+    `_construction`, before anything is built, so a refusal builds nothing.
     """
     require_ints(u, v, m, s)
     e = surface.e
@@ -243,13 +246,11 @@ def construct_extension(surface: Surface, u: int, v: int, m: int, s: int) -> Ext
         )
     if m < 0:
         raise ConstructionError("hypothesis_m", f"need m >= 0, got m = {m}")
-    a_lo, b_hi = section_count_bounds(surface, u, v, m)
+    sa, sb, qa, qb, a_lo, b_hi, _ = _construction(e, u, v, m)
     if not a_lo <= s <= b_hi:
         raise ConstructionError("s_out_of_range", f"need {a_lo} <= s <= {b_hi}, got s = {s}")
-    sub = DivisorClass(1 - m, -e * m)
-    qcls = DivisorClass(u + m - 1, v + e * m)
-    quotient = IdealSheafModel(PointConfig(s, Locus.GENERAL), qcls)
-    return ExtensionDatum(surface, m, sub, quotient)
+    quotient = IdealSheafModel(PointConfig(s, Locus.GENERAL), DivisorClass(qa, qb))
+    return ExtensionDatum(surface, m, DivisorClass(sa, sb), quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -736,11 +737,11 @@ def _merge_intervals(intervals: list[tuple[int, int]]) -> tuple[tuple[int, int],
     return tuple((lo, hi) for lo, hi in merged)
 
 
-def _c2_witness(surface: Surface, u: int, v: int, m_max: int) -> tuple[tuple[int, int], ...]:
+def _c2_witness(e: int, u: int, v: int, m_max: int) -> tuple[tuple[int, int], ...]:
+    # c2 = s + c2_0 over a_lo <= s <= b_hi, for each m
     intervals = []
     for m in range(m_max + 1):
-        a_lo, b_hi = section_count_bounds(surface, u, v, m)
-        base = _construction_c2(surface.e, u, v, m, 0)
+        _, _, _, _, a_lo, b_hi, base = _construction(e, u, v, m)
         intervals.append((base + a_lo, base + b_hi))
     return _merge_intervals(intervals)
 
@@ -757,8 +758,8 @@ def classify_region(
     Nonexistent when `c1_obstructed`; Existent when the construction (rank
     2) or the line-bundle criterion v >= eu-1 (rank 1) applies.  For these
     two ranks the thresholds are adjacent integers, so every cell is
-    decided.  Rank-2 witnesses list the c2 values over m = 0..m_max;
-    rank-1 witnesses are the single point 0 (the line bundle itself).
+    decided.  Rank-2 witnesses list the c2 values over m = 0..m_max, one
+    `_construction` call per m; rank-1 witnesses are the single point 0.
     """
     for bounds in (u_range, v_range):
         if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
@@ -784,6 +785,6 @@ def classify_region(
                     RegionCell(u, v, RegionLabel.EXISTENT, witness=((0, 0),))
                 )
             else:
-                witness = _c2_witness(surface, u, v, m_max)
+                witness = _c2_witness(surface.e, u, v, m_max)
                 cells.append(RegionCell(u, v, RegionLabel.EXISTENT, witness=witness))
     return tuple(cells)

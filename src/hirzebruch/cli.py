@@ -33,14 +33,13 @@ other line goes to the argparse parser built by passing each row to
 
 from __future__ import annotations
 
-import argparse
-import csv
 import functools
 import io
 import os
 import re
 import sys
 from collections import Counter
+from types import SimpleNamespace
 from typing import Any, Optional, Sequence
 
 try:
@@ -106,34 +105,6 @@ class UsageError(Exception):
 # ranges and pairs may open with a negative integer ("-5..6", "-1,2"); a
 # token this matches is a value, never an option string
 _NEGATIVE_NUMBER = re.compile(r"^-\d")
-
-
-class _Parser(argparse.ArgumentParser):
-    # on the top-level parser: each command's sub-parser (see `_build_parser`)
-    commands: dict[str, "_Parser"]
-
-    # argparse's default error handling prints usage plus the message;
-    # the contract here is a single diagnostic line and exit code 2
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
-
-    def parse_known_args(self, args: Any = None, namespace: Any = None) -> Any:
-        try:
-            return super().parse_known_args(args, namespace)
-        except UsageError:
-            # the top-level parser skips a command's option given before the
-            # command and reads the option's value as the command; name the
-            # option instead of that value
-            lead = (args or [""])[0].partition("=")[0]
-            commands = getattr(self, "commands", {}).values()
-            if any(lead in command._option_string_actions for command in commands):
-                raise UsageError(f"{lead} must follow the command") from None
-            raise
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        # stock argparse would read "-5..6" or "-1,2" as option strings
-        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +231,8 @@ class Report(Record):
             }
             return _json_text(record)
         if fmt == "csv":
+            import csv
+
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(self.columns)
@@ -323,7 +296,7 @@ def _triple_dict(values: CohomologyTriple) -> dict[str, int]:
 # subcommands
 
 
-def _cmd_coh(args: argparse.Namespace) -> Report:
+def _cmd_coh(args: SimpleNamespace) -> Report:
     surface = Surface(args.e)
     cls = _parse_pair(args.cls)
     if (args.twist_by is None) != (args.t is None):
@@ -348,7 +321,7 @@ def _cmd_coh(args: argparse.Namespace) -> Report:
     return Report("coh", inputs, {"rows": rows}, ["t", "h0", "h1", "h2", "chi"], rows, lines)
 
 
-def _check_model(args: argparse.Namespace, kind: str) -> tuple[SheafModel, dict[str, Any]]:
+def _check_model(args: SimpleNamespace, kind: str) -> tuple[SheafModel, dict[str, Any]]:
     if kind == "line":
         return Line(_parse_pair(args.line)), {"line": args.line}
     if kind == "sum":
@@ -360,7 +333,7 @@ def _check_model(args: argparse.Namespace, kind: str) -> tuple[SheafModel, dict[
     )
 
 
-def _cmd_check(args: argparse.Namespace) -> Report:
+def _cmd_check(args: SimpleNamespace) -> Report:
     surface = Surface(args.e)
     given = [name for name in ("line", "sum", "ideal", "extension") if getattr(args, name)]
     if len(given) != 1:
@@ -417,7 +390,7 @@ _CONSTRUCT_COLUMNS = [
 ]
 
 
-def _cmd_construct(args: argparse.Namespace) -> Report:
+def _cmd_construct(args: SimpleNamespace) -> Report:
     surface = Surface(args.e)
     inputs = {"e": args.e, "u": args.u, "v": args.v, "m": args.m, "s": args.s}
     datum = construct_extension(surface, args.u, args.v, args.m, args.s)
@@ -479,7 +452,7 @@ def _cmd_construct(args: argparse.Namespace) -> Report:
     return Report("construct", inputs, results, _CONSTRUCT_COLUMNS, [row], lines)
 
 
-def _cmd_classify(args: argparse.Namespace) -> Report:
+def _cmd_classify(args: SimpleNamespace) -> Report:
     surface = Surface(args.e)
     u_lo, u_hi = u_range = _parse_range(args.u)
     v_lo, v_hi = v_range = _parse_range(args.v)
@@ -519,7 +492,7 @@ def _cmd_classify(args: argparse.Namespace) -> Report:
 _FINDING_COLUMNS = ["claim", "e", "status", "subject", "detail"]
 
 
-def _cmd_audit(args: argparse.Namespace) -> Report:
+def _cmd_audit(args: SimpleNamespace) -> Report:
     e_lo, e_hi = _parse_range(args.e)
     if args.claims is None:
         claims = None
@@ -550,7 +523,7 @@ def _cmd_audit(args: argparse.Namespace) -> Report:
     return Report("audit", inputs, results, _FINDING_COLUMNS, findings, lines, findings)
 
 
-def _cmd_oracle(args: argparse.Namespace) -> Report:
+def _cmd_oracle(args: SimpleNamespace) -> Report:
     e_lo, e_hi = _parse_range(args.e)
     a_lo, a_hi = _parse_range(args.a)
     b_lo, b_hi = _parse_range(args.b)
@@ -670,11 +643,41 @@ _FLAGS = {name: dict(options) for name, (_, options) in _GRAMMAR.items()}
 
 
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> Any:
     # built from `_GRAMMAR` on the first line `_parse_line` declines, not
     # at import, and shared by every later one: parsing keeps no state in
-    # the parser, each call gets its own Namespace.  `commands` keeps each
-    # command's sub-parser by name.
+    # the parser, each call fills its own namespace.  `commands` keeps each
+    # command's sub-parser by name.  argparse, and the gettext it loads, is
+    # imported here, so a line read off the table never loads it.
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # on the top-level parser: each command's sub-parser
+        commands: dict[str, "_Parser"]
+
+        # argparse's default error handling prints usage plus the message;
+        # the contract here is a single diagnostic line and exit code 2
+        def error(self, message: str) -> None:  # type: ignore[override]
+            raise UsageError(message)
+
+        def parse_known_args(self, args: Any = None, namespace: Any = None) -> Any:
+            try:
+                return super().parse_known_args(args, namespace)
+            except UsageError:
+                # the top-level parser skips a command's option given before
+                # the command and reads the option's value as the command;
+                # name the option instead of that value
+                lead = (args or [""])[0].partition("=")[0]
+                commands = getattr(self, "commands", {}).values()
+                if any(lead in command._option_string_actions for command in commands):
+                    raise UsageError(f"{lead} must follow the command") from None
+                raise
+
+        def __init__(self, *args: Any, **kwargs: Any) -> None:
+            super().__init__(*args, **kwargs)
+            # stock argparse would read "-5..6" or "-1,2" as option strings
+            self._negative_number_matcher = _NEGATIVE_NUMBER
+
     parser = _Parser(prog="hirzebruch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = {}
@@ -703,8 +706,8 @@ def _default_format(command: str) -> str:
     return "csv" if command == "enumerate" else "table"
 
 
-def _parse_line(argv: Sequence[str]) -> Optional[argparse.Namespace]:
-    """The Namespace that argparse gives for `argv`, read off the option
+def _parse_line(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace that argparse fills for `argv`, read off the option
     table, if `argv` is well formed; None otherwise.
 
     Well formed: a command, then exact option strings of that command,
@@ -753,11 +756,11 @@ def _parse_line(argv: Sequence[str]) -> Optional[argparse.Namespace]:
             return None
         else:
             values[dest] = option.get("default")
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """The Namespace that the top-level parser gives for `argv`.
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """The SimpleNamespace that the top-level parser fills for `argv`.
 
     A well-formed argv is read off the option table by `_parse_line`,
     without argparse.  Any other argv that opens with a command is parsed
@@ -771,8 +774,8 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     parser = _build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
-        return parser.parse_args(argv)
-    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        return parser.parse_args(argv, SimpleNamespace())
+    return command.parse_args(argv[1:], SimpleNamespace(command=argv[0]))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -33,7 +33,8 @@ from hirzebruch import (
     section_count_bounds,
     stability_certificate,
 )
-from hirzebruch.bundles import stability_checks
+from hirzebruch.bundles import _construction, stability_checks
+from hirzebruch.cohomology import oracle_h0
 from hirzebruch.picard import ceil_div
 from hirzebruch.sheaves import IdealSheafModel, PointConfig, h0_ideal
 
@@ -162,6 +163,29 @@ def test_frozen_section_bounds(e, u, v, m, lo, hi):
 def test_section_bounds_reject_negative_m():
     with pytest.raises(DomainError):
         section_count_bounds(Surface(1), 2, 1, -1)
+
+
+@settings(max_examples=200)
+@given(
+    surfaces,
+    st.integers(min_value=-3, max_value=6),
+    st.integers(min_value=-3, max_value=8),
+    st.integers(min_value=0, max_value=3),
+)
+def test_the_construction_kernel_agrees_with_its_referees(surface, u, dv, m):
+    # referees that share no formula with `_construction`: the sub line is
+    # O(h - mM), the ends add up to c1, the lattice-point oracle counts the
+    # sections of the quotient class at twists m - 1 and m, and c2 at
+    # s = 0 is the intersection of the ends
+    e, mm = surface.e, surface.m_class()
+    v = e * (u - 1) - 1 + dv
+    sa, sb, qa, qb, a_lo, b_hi, c2_0 = _construction(e, u, v, m)
+    sub, quot = DivisorClass(sa, sb), DivisorClass(qa, qb)
+    assert sub == DivisorClass(1, 0) - m * mm
+    assert sub + quot == DivisorClass(u, v)
+    assert a_lo == oracle_h0(surface, quot + (m - 1) * mm)
+    assert b_hi == oracle_h0(surface, quot + m * mm)
+    assert c2_0 == surface.intersect(sub, quot)
 
 
 @settings(max_examples=200)

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -441,23 +442,28 @@ def test_construct_reads_the_section_bounds_off_the_datum(capsys, monkeypatch):
     from hirzebruch import bundles
 
     calls = []
-    real = bundles.section_count_bounds
+    real = bundles._construction
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(bundles, "section_count_bounds", counting)
-    monkeypatch.setattr(cli, "section_count_bounds", counting, raising=False)
-    code, out, _ = run(
-        ["construct", "--e", "1", "--u", "3", "--v", "2", "--m", "0", "--s", "3"], capsys
-    )
+    # every evaluation of the construction goes through its one kernel
+    monkeypatch.setattr(bundles, "_construction", counting)
+    argv = ["construct", "--e", "1", "--u", "3", "--v", "2", "--m", "0", "--s"]
+    code, out, _ = run(argv + ["3"], capsys)
     assert code == 0
     assert "admissible s in [3, 6]" in out
     # twice, both in `construct_extension`: its range check, made before
-    # anything is built, and the datum's own s_range; the CLI reads the
-    # datum's and adds no evaluation of its own
-    assert len(calls) == 2
+    # anything is built, and the datum's own s_range through
+    # `section_count_bounds`; the CLI reads the datum's and adds no
+    # evaluation of its own
+    assert calls == [(1, 3, 2, 0)] * 2
+    calls.clear()
+    code, _, err = run(argv + ["7"], capsys)
+    assert (code, err) == (3, "domain error: need 3 <= s <= 6, got s = 7\n")
+    # a refused s is decided by the range check alone
+    assert calls == [(1, 3, 2, 0)]
 
 
 def test_construct_skips_stability_when_twisted(capsys):
@@ -806,7 +812,7 @@ def test_warm_calls_add_no_argparse_actions(capsys, monkeypatch):
 
 
 def _parse_outcome(parse, argv):
-    # the Namespace, the UsageError text, or the exit code and stdout of --help
+    # the namespace, the UsageError text, or the exit code and stdout of --help
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
@@ -855,15 +861,29 @@ def _parse_path(argv):
     return "table" if cli._parse_line(argv) is not None else "argparse"
 
 
+def _top_level_outcome(argv):
+    # the top-level parser filling a SimpleNamespace, the type every
+    # `cli._parse` path returns; filling its own Namespace it must give
+    # the same fields, or the same refusal or help
+    parser = cli._build_parser()
+    want = _parse_outcome(lambda line: parser.parse_args(line, SimpleNamespace()), argv)
+    own = _parse_outcome(parser.parse_args, argv)
+    if isinstance(own, argparse.Namespace):
+        assert type(want) is SimpleNamespace and vars(own) == vars(want), argv
+    else:
+        assert own == want, argv
+    return want
+
+
 def test_dispatch_parses_like_the_top_level_parser():
     outcomes, paths = set(), set()
     for argv in _parse_corpus():
-        want = _parse_outcome(cli._build_parser().parse_args, argv)
+        want = _top_level_outcome(argv)
         got = _parse_outcome(cli._parse, argv)
-        assert got == want, argv
+        assert type(got) is type(want) and got == want, argv
         outcomes.add(type(want).__name__)
         paths.add(_parse_path(argv))
-    assert outcomes == {"Namespace", "str", "tuple"}
+    assert outcomes == {"SimpleNamespace", "str", "tuple"}
     assert paths == {"table", "argparse"}
 
 
@@ -1053,8 +1073,9 @@ def _respelled_argvs(draw):
 @example(["coh", "--e", "1", "--e", "2", "--class", "1,1", "--class", "2,2"])
 def test_fuzzed_argv_parses_like_the_top_level_parser(argv):
     event(f"path {_parse_path(argv)}")
-    want = _parse_outcome(cli._build_parser().parse_args, argv)
-    assert _parse_outcome(cli._parse, argv) == want
+    want = _top_level_outcome(argv)
+    got = _parse_outcome(cli._parse, argv)
+    assert type(got) is type(want) and got == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -1135,13 +1156,14 @@ def test_oracle_boxes_inside_the_walk_budget_answer(box, capsys):
 
 
 def test_rank_two_sweeps_budget_m_max_before_any_section_bounds(capsys, monkeypatch):
-    # a rank-2 cell merges one section-count interval per m = 0..m_max
+    # a rank-2 cell merges one section-count interval per m = 0..m_max,
+    # each read from the construction kernel
     import hirzebruch.bundles as bundles
 
     def refuse(*args, **kwargs):
         raise AssertionError("computed past the budget check")
 
-    monkeypatch.setattr(bundles, "section_count_bounds", refuse)
+    monkeypatch.setattr(bundles, "_construction", refuse)
     for command in ("classify", "enumerate"):
         argv = [command, "--e", "1", "--r", "2", "--u", "0..0", "--v", "0..0", "--m-max", "100000000"]
         started = time.perf_counter()

@@ -162,11 +162,15 @@ def test_records_write_their_fields_in_one_way():
 def test_the_package_import_loads_no_code_introspection_modules():
     # a fresh interpreter, so modules that pytest or another test loaded
     # do not hide one the package loads; modules that interpreter start-up
-    # loaded are not the package's doing
+    # loaded are not the package's doing.  `cli` loads argparse (and the
+    # gettext it imports) only to explain a declined command line, and
+    # csv only to write CSV.  The import still loads all seven layers,
+    # which the benchmark's per-layer import probe reads
     probe = (
         "import sys; before = set(sys.modules); import hirzebruch, hirzebruch.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')"
-        " if m in sys.modules and m not in before))"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize',"
+        " 'argparse', 'gettext', 'csv') if m in sys.modules and m not in before)); "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('hirzebruch.'))))"
     )
     src = pathlib.Path(hirzebruch.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -174,7 +178,31 @@ def test_the_package_import_loads_no_code_introspection_modules():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    loaded, layers = done.stdout.split("\n")[:2]
+    assert loaded.split() == []
+    seven = ("picard", "cohomology", "sheaves", "natural", "bundles", "audit", "cli")
+    assert layers.split() == [f"hirzebruch.{layer}" for layer in sorted(seven)]
+
+
+def test_the_construction_path_checks_each_input_once():
+    # `construct_extension` and `classify_region` check their plain ints
+    # once, on entry, and read the construction from the unchecked kernels
+    # (`_construction`, `_c1_obstructed`); naming a checked function there
+    # would check the same ints again
+    tree = ast.parse((pathlib.Path(hirzebruch.__file__).parent / "bundles.py").read_text())
+    checked = {"section_count_bounds", "construction_c2", "c1_obstructed"}
+    bodies = {"construct_extension", "classify_region", "_c2_witness"}
+    seen, found = set(), []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in bodies:
+            seen.add(node.name)
+            found += [
+                f"bundles.py:{name.lineno} {node.name} names {name.id}"
+                for name in ast.walk(node)
+                if isinstance(name, ast.Name) and name.id in checked
+            ]
+    assert seen == bodies
+    assert found == []
 
 
 def test_holds_and_indeterminate_verdicts_are_shared():
