@@ -204,7 +204,7 @@ def _claim_rank1_points(surface: Surface) -> list[Finding]:
     """Point schemes in general position never break the natural property
     of an effective-range line bundle, while points confined to a section
     or fiber curve do at small counts."""
-    e = surface.e
+    e, mm = surface.e, surface.m_class()
 
     def family(
         locus: Locus, cases: list[tuple[int, int, int]], expect_holds: bool, tag: str
@@ -212,7 +212,7 @@ def _claim_rank1_points(surface: Surface) -> list[Finding]:
         bad = []
         for u, v, z in cases:
             model = IdealSheafModel(PointConfig(z=z, locus=locus), DivisorClass(u, v))
-            if scan_verdict(surface, model, surface.m_class()).verdict.holds() != expect_holds:
+            if scan_verdict(surface, model, mm).verdict.holds() != expect_holds:
                 bad.append((u, v, z))
         problems = []
         if bad:
@@ -234,10 +234,17 @@ def _claim_rank1_points(surface: Surface) -> list[Finding]:
 
 
 def _random_sum(rng: random.Random) -> list[DivisorClass]:
-    count = rng.randint(1, 4)
-    return [
-        DivisorClass(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(count)
-    ]
+    """randint(1, 4) summands of coordinates randint(-8, 8), drawn inline as
+    `randint` draws (a test compares them): n.bit_length() bits until < n."""
+    bits, coords = rng.getrandbits, []
+    count = bits(3)
+    while count >= 4:
+        count = bits(3)
+    while len(coords) < 2 * count + 2:
+        r = bits(5)
+        if r < 17:
+            coords.append(r - 8)
+    return [DivisorClass(coords[i], coords[i + 1]) for i in range(0, len(coords), 2)]
 
 
 def _variant_sum_criterion(surface: Surface, classes: Sequence[DivisorClass]) -> bool:
@@ -261,7 +268,7 @@ def _variant_sum_criterion(surface: Surface, classes: Sequence[DivisorClass]) ->
 def _claim_sum_criterion(surface: Surface) -> list[Finding]:
     """Sorted-summand criterion for direct sums w.r.t. M, against scans."""
     name = "sum-criterion"
-    e = surface.e
+    e, mm = surface.e, surface.m_class()
     rng = random.Random(1000 * e + 17)
     samples = [_random_sum(rng) for _ in range(120)]
     # known witness for the sign variant: second summand needs the band
@@ -269,7 +276,7 @@ def _claim_sum_criterion(surface: Surface) -> list[Finding]:
     problems = []
     variant_bad = []
     for classes in samples:
-        truth = scan_verdict(surface, DirectSum(tuple(classes)), surface.m_class()).verdict.holds()
+        truth = scan_verdict(surface, DirectSum(tuple(classes)), mm).verdict.holds()
         if direct_sum_natural_wrt_m(surface, classes) != truth:
             problems.append(
                 (f"{[str(c) for c in classes]}", f"closed form says {not truth}, scan says {truth}")
@@ -339,12 +346,14 @@ def _claim_construction_bounds(surface: Surface) -> list[Finding]:
     rank-2 construction."""
     name = "construction-bounds"
     e = surface.e
+    vanishing = DivisorClass(1, 0)
     failures = []
     sum_mismatches = []
     checked = 0
     for u in range(0, 4):
         for dv in range(0, 4):
             v = e * (u - 1) - 1 + dv
+            c1 = DivisorClass(u, v)
             for m in range(0, 3):
                 a_lo, b_hi = section_count_bounds(surface, u, v, m)
                 if a_lo > b_hi:
@@ -359,27 +368,18 @@ def _claim_construction_bounds(surface: Surface) -> list[Finding]:
                     if datum.chern().c2 != c2:
                         failures.append(f"(u,v,m,s)=({u},{v},{m},{s}): c2 disagrees")
                     # the same bundle via its minimal-section presentation
-                    general = chern_of_extension(
-                        surface, DivisorClass(1, 0), m, DivisorClass(u, v), s
-                    )
-                    if general.c2 != c2:
-                        failures.append(
-                            f"(u,v,m,s)=({u},{v},{m},{s}): presentation c2 disagrees"
-                        )
+                    if chern_of_extension(surface, vanishing, m, c1, s).c2 != c2:
+                        failures.append(f"(u,v,m,s)=({u},{v},{m},{s}): presentation c2 disagrees")
                     checked += 1
                 stated = _stated_section_sums(e, u, v, m)
                 if stated != (a_lo, b_hi):
                     sum_mismatches.append((u, v, m, stated, a_lo, b_hi))
-    out = _settle(
-        name,
-        surface,
-        [(instance, "construction invariant failed") for instance in failures],
-        (
-            f"{checked} constructions",
-            "bounds ordered, first-section certificate equivalent to s >= a_lo, "
-            "and both Chern routes agree",
-        ),
-    )
+    problems = [(instance, "construction invariant failed") for instance in failures]
+    out = _settle(name, surface, problems, (
+        f"{checked} constructions",
+        "bounds ordered, first-section certificate equivalent to s >= a_lo, "
+        "and both Chern routes agree",
+    ))
     if sum_mismatches:
         u, v, m, stated, a_lo, b_hi = sum_mismatches[0]
         out.append(Finding(

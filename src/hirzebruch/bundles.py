@@ -6,10 +6,11 @@ A rank-2 bundle E on F_e is presented here by an extension
 
 with Z a length-s general subscheme.  The standard construction takes
 integers (u, v, m, s) with v >= e(u-1)-1, m >= 0 and a_lo <= s <= b_hi;
-its ends (so c1(E) = (u, v)), the range [a_lo, b_hi] and c2 - s come from
-one plain-int kernel, `_construction`.  A datum is built from m and its
-two ends, and derives c1, s and three certificates from them: the chosen
-twist is the first with a section (section_min), the points satisfy the
+its ends (so c1(E) = (u, v)) and the range [a_lo, b_hi] come from one
+plain-int kernel, `_construction`, and c2 - s from another, `_c2_offset`,
+which sums no sections.  A datum is built from m and its two ends, and
+derives c1, s and three certificates from them: the chosen twist is the
+first with a section (section_min), the points satisfy the
 Cayley-Bacharach condition that a locally free extension needs
 (cayley_bacharach), and the extension is forced to split
 (ext_forced_split).  The ends are typed: `DivisorClass` and `PointConfig`
@@ -85,8 +86,8 @@ class ExtensionDatum(Record):
     fields, never passed in: a datum built from changed ends derives it
     afresh, and a derived field passed as an argument is a TypeError.  u, v:
     c1 = sub + quot.  s: the quotient's point count.  s_range: (a_lo, b_hi)
-    of `section_count_bounds`.  section_min: no earlier twist of the
-    would-be bundle has a section (numerically s >= a_lo).
+    of `section_count_bounds` at (u, v, m).  section_min: no earlier twist
+    of the would-be bundle has a section (numerically s >= a_lo).
     cayley_bacharach: the s general points satisfy the Cayley-Bacharach
     condition for |L + K|, L = quot - sub, that a locally free extension
     needs (Griffiths-Harris, Ann. of Math. 1978; Friedman, *Algebraic
@@ -94,8 +95,8 @@ class ExtensionDatum(Record):
     vacuous at s = 0.  ext_forced_split: the
     extension group vanishes and s = 0, so the only extension is the
     direct sum.  The ends' coordinates and point count are plain ints
-    already (their types refuse anything else); m is checked by
-    `section_count_bounds`.
+    already (their types refuse anything else); m is checked here, once,
+    and s_range read off the unchecked kernel `_construction`.
     """
 
     __slots__ = (
@@ -106,9 +107,11 @@ class ExtensionDatum(Record):
     def __init__(
         self, surface: Surface, m: int, sub: DivisorClass, quotient: IdealSheafModel
     ) -> None:
+        if type(m) is not int or m < 0:
+            _refuse_twist(m)
         e, qcls = surface.e, quotient.cls
         u, v, s = sub.a + qcls.a, sub.b + qcls.b, quotient.config.z
-        s_range = section_count_bounds(surface, u, v, m)
+        s_range = _construction(e, u, v, m)[4:]
         # L + K = (quot - sub) + (-2, -e-2)
         cb = s == 0 or sections(e, qcls.a - sub.a - 2, qcls.b - sub.b - e - 2) < s
         split = s == 0 and counts(e, sub.a - qcls.a, sub.b - qcls.b)[1] == 0
@@ -130,7 +133,7 @@ class ExtensionDatum(Record):
 
     def chern(self) -> ChernData:
         c2 = self.s + self.surface.intersect(self.sub, self.quotient.cls)
-        return ChernData(rank=2, c1=self.c1(), c2=c2)
+        return ChernData(2, self.c1(), c2)
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +157,13 @@ def extension_c2_twisted(
     surface: Surface, vanishing: DivisorClass, m: int, c1: DivisorClass, s: int
 ) -> int:
     """c2 of E(mM) when a minimal section of E(mM) vanishes on `vanishing`
-    plus s residual points: D.c1 + 2m(M.D) - D^2 + s."""
+    plus s residual points: D.c1 + 2m(M.D) - D^2 + s, on the coordinates
+    D = (x, y), c1 = (p, q): D.c1 = x(q - ep) + py, M.D = y, D^2 = x(2y - ex)."""
     require_ints(m, s)
     if s < 0:
         raise DomainError(f"point count must be >= 0, got {s}")
-    mm = surface.m_class()
-    return (
-        s
-        + surface.intersect(vanishing, c1)
-        + 2 * m * surface.intersect(mm, vanishing)
-        - surface.intersect(vanishing, vanishing)
-    )
+    x, y, p = vanishing.a, vanishing.b, c1.a
+    return s + x * (c1.b - surface.e * p - 2 * y + surface.e * x) + (p + 2 * m) * y
 
 
 def chern_of_extension(
@@ -172,41 +171,50 @@ def chern_of_extension(
 ) -> ChernData:
     """Chern data of the untwisted E from the minimal-section presentation.
 
-    Undoes the twist: c2(E) = c2(E(mM)) - m(M.c1) - m^2 e.
+    Undoes the twist: c2(E) = c2(E(mM)) - m(M.c1) - m^2 e, where M.c1 = c1.b.
     """
     twisted = extension_c2_twisted(surface, vanishing, m, c1, s)
-    mm = surface.m_class()
-    c2 = twisted - m * surface.intersect(mm, c1) - m * m * surface.e
-    return ChernData(rank=2, c1=c1, c2=c2)
+    return ChernData(2, c1, twisted - m * (c1.b + m * surface.e))
 
 
 def section_count_bounds(surface: Surface, u: int, v: int, m: int) -> tuple[int, int]:
     """(a_lo, b_hi): the construction's admissible point counts (see
     `_construction`); a_lo <= b_hi, as the two classes differ by M."""
-    require_ints(u, v, m)
-    if m < 0:
-        raise DomainError(f"twist parameter must be >= 0, got {m}")
-    _, _, _, _, a_lo, b_hi, _ = _construction(surface.e, u, v, m)
-    return a_lo, b_hi
+    require_ints(u, v)
+    if type(m) is not int or m < 0:
+        _refuse_twist(m)
+    return _construction(surface.e, u, v, m)[4:]
 
 
 def construction_c2(surface: Surface, u: int, v: int, m: int, s: int) -> int:
-    """c2 of the standard construction: s + sub.quot = s - e(u+m-1) + (1-m)(v+em)."""
+    """c2 of the standard construction: s + sub.quot (see `_c2_offset`)."""
     require_ints(u, v, m, s)
-    return s + _construction(surface.e, u, v, m)[6]
+    return s + _c2_offset(surface.e, u, v, m)
 
 
-def _construction(e: int, u: int, v: int, m: int) -> tuple[int, int, int, int, int, int, int]:
+def _refuse_twist(m: object) -> None:
+    # raises for a twist parameter m that its caller found not an int >= 0
+    require_ints(m)
+    raise DomainError(f"twist parameter must be >= 0, got {m}")
+
+
+def _construction(e: int, u: int, v: int, m: int) -> tuple[int, int, int, int, int, int]:
     """The standard construction at (u, v, m) on F_e, unchecked, as plain
-    ints (sub_a, sub_b, quot_a, quot_b, a_lo, b_hi, c2_0): the ends
-    sub = (1-m, -em) and quot = (u+m-1, v+em), the h0 of quot twisted by
-    m - 1 and by m copies of M = (1, e), and c2 at s = 0, sub.quot.  The
-    one place that writes these forms."""
+    ints (sub_a, sub_b, quot_a, quot_b, a_lo, b_hi): the ends sub = (1-m, -em)
+    and quot = (u+m-1, v+em), and the h0 of quot twisted by m - 1 and by m
+    copies of M = (1, e).  The one place that writes these forms; c2 is
+    `_c2_offset`'s, which sums no sections."""
     em = e * m
     qa, qb = u + m - 1, v + em
     a, b = qa + m, qb + em  # quot + mM; quot + (m-1)M is (a - 1, b - e)
-    # c2_0 = sub.quot = -e(1-m)qa + (1-m)qb - em.qa = (1-m)qb - e.qa
-    return 1 - m, -em, qa, qb, sections(e, a - 1, b - e), sections(e, a, b), (1 - m) * qb - e * qa
+    return 1 - m, -em, qa, qb, sections(e, a - 1, b - e), sections(e, a, b)
+
+
+def _c2_offset(e: int, u: int, v: int, m: int) -> int:
+    """c2 of the standard construction at s = 0, unchecked: sub.quot for
+    the ends of `_construction`, -e(1-m)(u+m-1) + (1-m)(v+em) - em(u+m-1)
+    = (1-m)(v+em) - e(u+m-1).  The one place that writes it."""
+    return (1 - m) * (v + e * m) - e * (u + m - 1)
 
 
 def c1_obstructed(surface: Surface, rank: int, u: int, v: int) -> bool:
@@ -246,7 +254,7 @@ def construct_extension(surface: Surface, u: int, v: int, m: int, s: int) -> Ext
         )
     if m < 0:
         raise ConstructionError("hypothesis_m", f"need m >= 0, got m = {m}")
-    sa, sb, qa, qb, a_lo, b_hi, _ = _construction(e, u, v, m)
+    sa, sb, qa, qb, a_lo, b_hi = _construction(e, u, v, m)
     if not a_lo <= s <= b_hi:
         raise ConstructionError("s_out_of_range", f"need {a_lo} <= s <= {b_hi}, got s = {s}")
     quotient = IdealSheafModel(PointConfig(s, Locus.GENERAL), DivisorClass(qa, qb))
@@ -265,7 +273,9 @@ class CohomologyInterval(Record):
     `expected` is the corner where both ranks are maximal.  chi is exact.
     """
 
-    __slots__ = ("h0_min", "h0_max", "h1_min", "h1_max", "h2_min", "h2_max", "chi", "expected")
+    # no slots: each `cohomology_interval` call builds one, read a field or
+    # two, so a build straight into the instance dict beats slot writes
+    _fields = ("h0_min", "h0_max", "h1_min", "h1_max", "h2_min", "h2_max", "chi", "expected")
 
     def __init__(
         self,
@@ -278,15 +288,15 @@ class CohomologyInterval(Record):
         chi: int,
         expected: CohomologyTriple,
     ) -> None:
-        put = object.__setattr__
-        put(self, "h0_min", h0_min)
-        put(self, "h0_max", h0_max)
-        put(self, "h1_min", h1_min)
-        put(self, "h1_max", h1_max)
-        put(self, "h2_min", h2_min)
-        put(self, "h2_max", h2_max)
-        put(self, "chi", chi)
-        put(self, "expected", expected)
+        fields = self.__dict__
+        fields["h0_min"] = h0_min
+        fields["h0_max"] = h0_max
+        fields["h1_min"] = h1_min
+        fields["h1_max"] = h1_max
+        fields["h2_min"] = h2_min
+        fields["h2_max"] = h2_max
+        fields["chi"] = chi
+        fields["expected"] = expected
 
     def exact(self) -> bool:
         return (
@@ -338,16 +348,7 @@ def cohomology_interval(datum: ExtensionDatum, t: int) -> CohomologyInterval:
     expected = CohomologyTriple(lo0, lo1, lo2)
     if expected.chi() != total_chi:
         raise ConsistencyError(f"LES box chi {expected.chi()} != {total_chi} at t={t}")
-    return CohomologyInterval(
-        h0_min=lo0,
-        h0_max=hi0,
-        h1_min=lo1,
-        h1_max=hi1,
-        h2_min=lo2,
-        h2_max=hi2,
-        chi=total_chi,
-        expected=expected,
-    )
+    return CohomologyInterval(lo0, hi0, lo1, hi1, lo2, hi2, total_chi, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +728,8 @@ class RegionCell(Record):
 
 def _merge_intervals(intervals: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     # merge overlapping or adjacent inclusive integer intervals
-    ordered = sorted(intervals)
     merged: list[list[int]] = []
-    for lo, hi in ordered:
+    for lo, hi in sorted(intervals):
         if merged and lo <= merged[-1][1] + 1:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
@@ -741,7 +741,8 @@ def _c2_witness(e: int, u: int, v: int, m_max: int) -> tuple[tuple[int, int], ..
     # c2 = s + c2_0 over a_lo <= s <= b_hi, for each m
     intervals = []
     for m in range(m_max + 1):
-        _, _, _, _, a_lo, b_hi, base = _construction(e, u, v, m)
+        _, _, _, _, a_lo, b_hi = _construction(e, u, v, m)
+        base = _c2_offset(e, u, v, m)
         intervals.append((base + a_lo, base + b_hi))
     return _merge_intervals(intervals)
 
@@ -759,7 +760,8 @@ def classify_region(
     2) or the line-bundle criterion v >= eu-1 (rank 1) applies.  For these
     two ranks the thresholds are adjacent integers, so every cell is
     decided.  Rank-2 witnesses list the c2 values over m = 0..m_max, one
-    `_construction` call per m; rank-1 witnesses are the single point 0.
+    `_construction` and one `_c2_offset` call per m; rank-1 witnesses are
+    the single point 0.
     """
     for bounds in (u_range, v_range):
         if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
@@ -774,17 +776,14 @@ def classify_region(
     if u_lo > u_hi or v_lo > v_hi:
         raise DomainError("empty (u, v) range")
     # every input is checked above, so the cells call the unchecked kernels
-    cells = []
+    e, cells = surface.e, []
     for u in range(u_lo, u_hi + 1):
         for v in range(v_lo, v_hi + 1):
-            if _c1_obstructed(surface.e, rank, u, v):
+            if _c1_obstructed(e, rank, u, v):
                 cells.append(RegionCell(u, v, RegionLabel.NONEXISTENT))
             elif rank == 1:
                 # v >= eu - 1: the line bundle (u, v) itself is natural
-                cells.append(
-                    RegionCell(u, v, RegionLabel.EXISTENT, witness=((0, 0),))
-                )
+                cells.append(RegionCell(u, v, RegionLabel.EXISTENT, ((0, 0),)))
             else:
-                witness = _c2_witness(surface.e, u, v, m_max)
-                cells.append(RegionCell(u, v, RegionLabel.EXISTENT, witness=witness))
+                cells.append(RegionCell(u, v, RegionLabel.EXISTENT, _c2_witness(e, u, v, m_max)))
     return tuple(cells)

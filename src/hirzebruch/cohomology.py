@@ -170,9 +170,10 @@ def _euler(e: int, a: int, b: int) -> int:
 
 
 def counts(e: int, a: int, b: int) -> tuple[int, int, int]:
-    """(h0, h1, h2) of a*h + b*f on F_e: h0 and h2 = h0(K - c) summed once
-    each, h1 forced by chi = h0 - h1 + h2."""
-    v0, v2 = sections(e, a, b), sections(e, -2 - a, -e - 2 - b)
+    """(h0, h1, h2) of a*h + b*f on F_e: h0 or h2 = h0(K - c) summed, the
+    one that can be nonzero (a >= 0 leaves K - c the h-coordinate -2 - a,
+    and a < 0 has no h0), and h1 forced by chi = h0 - h1 + h2."""
+    v0, v2 = (sections(e, a, b), 0) if a >= 0 else (0, sections(e, -2 - a, -e - 2 - b))
     v1 = v0 + v2 - _euler(e, a, b)
     if v1 < 0:
         raise ConsistencyError(f"negative h1 = {v1} at e={e}, c=({a},{b})")

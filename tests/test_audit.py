@@ -1,5 +1,7 @@
 """The claim auditor: agreements and the expected discrepancy findings."""
 
+import random
+
 import pytest
 
 from hirzebruch import (
@@ -25,6 +27,22 @@ ALL_CLAIMS = [
     "stability-exclusion",
     "extension-natural",
 ]
+
+
+def test_the_sum_draw_reads_the_randint_stream():
+    # the claim draws its samples with `getrandbits`, as `randint` does on
+    # this interpreter; the samples and the state they leave must be
+    # those of the plain `randint` draw, seeded per surface as the claim is
+    from hirzebruch.audit import _random_sum
+
+    def by_randint(rng):
+        count = rng.randint(1, 4)
+        return [DivisorClass(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(count)]
+
+    for e in range(1, 9):
+        fast, plain = random.Random(1000 * e + 17), random.Random(1000 * e + 17)
+        assert [_random_sum(fast) for _ in range(120)] == [by_randint(plain) for _ in range(120)]
+        assert fast.getstate() == plain.getstate()
 
 
 def test_registry_is_complete_and_ordered():

@@ -33,7 +33,7 @@ from hirzebruch import (
     section_count_bounds,
     stability_certificate,
 )
-from hirzebruch.bundles import _construction, stability_checks
+from hirzebruch.bundles import _c2_offset, _construction, stability_checks
 from hirzebruch.cohomology import oracle_h0
 from hirzebruch.picard import ceil_div
 from hirzebruch.sheaves import IdealSheafModel, PointConfig, h0_ideal
@@ -139,6 +139,47 @@ def test_presentation_and_construction_c2_agree(surface, u, dv, m, s):
     assert via_presentation == construction_c2(surface, u, v, m, s)
 
 
+@settings(max_examples=300)
+@given(
+    surfaces,
+    st.data(),
+    st.integers(min_value=0, max_value=6),
+    st.tuples(st.integers(min_value=-8, max_value=8), st.integers(min_value=-20, max_value=20)),
+    st.integers(min_value=0, max_value=9),
+)
+def test_chern_formulas_match_their_intersection_forms(surface, data, m, c1, s):
+    # the definitions, through the intersection form and M: the twisted c2
+    # is D.c1 + 2m(M.D) - D^2 + s, and untwisting subtracts m(M.c1) + m^2 e
+    vanishing = data.draw(st.sampled_from(allowed_min_section_divisors(surface)))
+    c1, mm, meet = DivisorClass(*c1), surface.m_class(), surface.intersect
+    twisted = meet(vanishing, c1) + 2 * m * meet(mm, vanishing) - meet(vanishing, vanishing) + s
+    assert extension_c2_twisted(surface, vanishing, m, c1, s) == twisted
+    chern = chern_of_extension(surface, vanishing, m, c1, s)
+    assert (chern.rank, chern.c1) == (2, c1)
+    assert chern.c2 == twisted - m * meet(mm, c1) - m * m * surface.e
+
+
+def test_construction_c2_sums_no_sections(monkeypatch):
+    # c2 needs the ends alone, so it evaluates no h0; the range, which
+    # does, is `section_count_bounds`'s
+    import hirzebruch.bundles as bundles
+
+    summed = []
+    real = bundles.sections
+
+    def counting(*args):
+        summed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bundles, "sections", counting)
+    surface = Surface(3)
+    for u, v, m, s in [(2, 4, 1, 15), (3, 2, 0, 0), (0, -4, 2, 9)]:
+        assert construction_c2(surface, u, v, m, s) == s + _c2_offset(3, u, v, m)
+    assert summed == []
+    section_count_bounds(surface, 2, 4, 1)
+    assert len(summed) == 2
+
+
 # --- admissible point counts
 
 
@@ -173,13 +214,14 @@ def test_section_bounds_reject_negative_m():
     st.integers(min_value=0, max_value=3),
 )
 def test_the_construction_kernel_agrees_with_its_referees(surface, u, dv, m):
-    # referees that share no formula with `_construction`: the sub line is
-    # O(h - mM), the ends add up to c1, the lattice-point oracle counts the
-    # sections of the quotient class at twists m - 1 and m, and c2 at
-    # s = 0 is the intersection of the ends
+    # referees that share no formula with `_construction` and `_c2_offset`:
+    # the sub line is O(h - mM), the ends add up to c1, the lattice-point
+    # oracle counts the sections of the quotient class at twists m - 1 and
+    # m, and c2 at s = 0 is the intersection of the ends
     e, mm = surface.e, surface.m_class()
     v = e * (u - 1) - 1 + dv
-    sa, sb, qa, qb, a_lo, b_hi, c2_0 = _construction(e, u, v, m)
+    sa, sb, qa, qb, a_lo, b_hi = _construction(e, u, v, m)
+    c2_0 = _c2_offset(e, u, v, m)
     sub, quot = DivisorClass(sa, sb), DivisorClass(qa, qb)
     assert sub == DivisorClass(1, 0) - m * mm
     assert sub + quot == DivisorClass(u, v)

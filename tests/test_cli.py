@@ -442,28 +442,34 @@ def test_construct_reads_the_section_bounds_off_the_datum(capsys, monkeypatch):
     from hirzebruch import bundles
 
     calls = []
-    real = bundles._construction
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(name):
+        real = getattr(bundles, name)
 
-    # every evaluation of the construction goes through its one kernel
-    monkeypatch.setattr(bundles, "_construction", counting)
+        def count(*args):
+            calls.append((name, args))
+            return real(*args)
+
+        monkeypatch.setattr(bundles, name, count)
+
+    # every evaluation of the construction goes through its kernels, and
+    # the checked `section_count_bounds` is one way to reach the first
+    for name in ("_construction", "_c2_offset", "section_count_bounds"):
+        counting(name)
     argv = ["construct", "--e", "1", "--u", "3", "--v", "2", "--m", "0", "--s"]
     code, out, _ = run(argv + ["3"], capsys)
     assert code == 0
     assert "admissible s in [3, 6]" in out
     # twice, both in `construct_extension`: its range check, made before
-    # anything is built, and the datum's own s_range through
-    # `section_count_bounds`; the CLI reads the datum's and adds no
-    # evaluation of its own
-    assert calls == [(1, 3, 2, 0)] * 2
+    # anything is built, and the datum's own s_range, read straight off
+    # the kernel; the CLI reads the datum's range and its Chern data and
+    # adds no evaluation of its own
+    assert calls == [("_construction", (1, 3, 2, 0))] * 2
     calls.clear()
     code, _, err = run(argv + ["7"], capsys)
     assert (code, err) == (3, "domain error: need 3 <= s <= 6, got s = 7\n")
     # a refused s is decided by the range check alone
-    assert calls == [(1, 3, 2, 0)]
+    assert calls == [("_construction", (1, 3, 2, 0))]
 
 
 def test_construct_skips_stability_when_twisted(capsys):

@@ -194,6 +194,30 @@ def test_kernel_matches_the_oracle_and_the_wrappers(e, a, b):
     assert v0 - v1 + v2 == chi(surface, c)
 
 
+def _h1_by_local_cohomology(e, a, b):
+    """h1 of a*h + b*f as a lattice count: the monomials of the toric
+    local-cohomology description of H^1 (Eisenbud-Mustata-Stillman, J.
+    Symbolic Comput. 2000), one by one.  It shares no formula with
+    `counts`, which forces h1 through chi."""
+    found = 0
+    for m2 in range(-a, 1):
+        for m1 in range(e * m2 + 1, -b):
+            found += 1
+    for m2 in range(1, -a):
+        for m1 in range(-b, e * m2 + 1):
+            found += 1
+    return found
+
+
+def test_h1_matches_a_local_cohomology_count():
+    # on a grid that covers every regime of the trichotomy, both signs of
+    # a and slacks far past both thresholds
+    grid = [(e, a, b) for e in range(1, 7) for a in range(-15, 16) for b in range(-40, 41)]
+    assert len(grid) == 15066
+    for e, a, b in grid:
+        assert counts(e, a, b)[1] == _h1_by_local_cohomology(e, a, b), (e, a, b)
+
+
 @settings(max_examples=300)
 @given(
     kernel_surfaces,

@@ -185,19 +185,28 @@ def test_the_package_import_loads_no_code_introspection_modules():
 
 
 def test_the_construction_path_checks_each_input_once():
-    # `construct_extension` and `classify_region` check their plain ints
-    # once, on entry, and read the construction from the unchecked kernels
-    # (`_construction`, `_c1_obstructed`); naming a checked function there
-    # would check the same ints again
+    # `construct_extension`, `ExtensionDatum.__init__` and `classify_region`
+    # check their plain ints once, on entry, and read the construction from
+    # the unchecked kernels (`_construction`, `_c2_offset`,
+    # `_c1_obstructed`); naming a checked function there would check the
+    # same ints again
     tree = ast.parse((pathlib.Path(hirzebruch.__file__).parent / "bundles.py").read_text())
     checked = {"section_count_bounds", "construction_c2", "c1_obstructed"}
-    bodies = {"construct_extension", "classify_region", "_c2_witness"}
+    bodies = {"construct_extension", "ExtensionDatum.__init__", "classify_region", "_c2_witness"}
+    functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [
+        (f"{node.name}.{method.name}", method)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, ast.FunctionDef)
+    ]
     seen, found = set(), []
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name in bodies:
-            seen.add(node.name)
+    for qualname, node in functions:
+        if qualname in bodies:
+            seen.add(qualname)
             found += [
-                f"bundles.py:{name.lineno} {node.name} names {name.id}"
+                f"bundles.py:{name.lineno} {qualname} names {name.id}"
                 for name in ast.walk(node)
                 if isinstance(name, ast.Name) and name.id in checked
             ]

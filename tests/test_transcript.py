@@ -14,6 +14,10 @@ it, or a `$` line added to the file, rerun every command line and rewrite
 the file (this never runs under pytest):
 
     PYTHONPATH=src python tests/test_transcript.py
+
+The help and refusal records carry the argparse wording of the Python
+that recorded them, RECORDED_ON, so the rewrite refuses to run on any
+other minor version.
 """
 
 import contextlib
@@ -22,6 +26,9 @@ import io
 import os
 import pathlib
 import shlex
+import sys
+
+import pytest
 
 from hirzebruch import cli
 
@@ -30,6 +37,8 @@ OUTPUT_LIMIT = 4096
 # the help text wraps at the terminal width, read from COLUMNS
 COLUMNS = "80"
 ENV = "HIRZEBRUCH_FORMAT"
+# the Python (major, minor) whose argparse wrote the help and refusal records
+RECORDED_ON = (3, 11)
 
 
 def _command(line):
@@ -115,8 +124,30 @@ def test_the_transcript_runs_every_command_in_every_format():
             assert (command, fmt) in answered
 
 
+def test_the_rewrite_refuses_another_python(monkeypatch):
+    # under another minor version the rewrite stops with one line before
+    # it runs or writes anything
+    before = TRANSCRIPT.read_text()
+    monkeypatch.setitem(globals(), "RECORDED_ON", (2, 7))
+    monkeypatch.setattr(cli, "main", None)  # any record would fail
+    with pytest.raises(SystemExit) as done:
+        _rewrite()
+    message = str(done.value)
+    assert message.startswith(
+        "refusing to rewrite cli_transcript.txt: it was recorded on Python 2.7,"
+    )
+    assert "\n" not in message
+    assert TRANSCRIPT.read_text() == before
+
+
 def _rewrite():
     # a comment block is kept; each `$` line, recorded or not, is run again
+    if sys.version_info[:2] != RECORDED_ON:
+        sys.exit(
+            f"refusing to rewrite {TRANSCRIPT.name}: it was recorded on Python "
+            f"{'.'.join(map(str, RECORDED_ON))}, whose argparse wording its help and "
+            f"refusal records carry; this is Python {sys.version_info[0]}.{sys.version_info[1]}"
+        )
     os.environ["COLUMNS"] = COLUMNS
     blocks = []
     for block in TRANSCRIPT.read_text().rstrip("\n").split("\n\n"):
