@@ -97,11 +97,13 @@ def effective_twist(u: int, v: int, c: int, d: int) -> Optional[int]:
     max(ceil(-u/c), ceil(-v/d)); if c = 0 the h-coordinate is frozen at
     u, so u < 0 means no twist is effective.
     """
+    # ceil(-x / q) is -(x // q), written inline here and in `run_edges`
+    # to spare a `ceil_div` call per bound
     if c >= 1:
-        return max(ceil_div(-u, c), ceil_div(-v, d))
+        return max(-(u // c), -(v // d))
     if u < 0:
         return None
-    return ceil_div(-v, d)
+    return -(v // d)
 
 
 def sections_twist(e: int, k: int, u: int, v: int, c: int, d: int, start: int) -> Optional[int]:
@@ -239,22 +241,23 @@ def run_edges(
     step = d - e * c
     starts: list[int] = []
     stops: list[int] = []
+    # each ceil(-x / q) is written inline as -(x // q), as in `effective_twist`
     for cls in classes:
         a, slack = cls.a, cls.b - e * cls.a
         if not step:
             if slack <= -2:
-                starts.append(ceil_div(-a, c))
+                starts.append(-(a // c))
             elif slack >= e:
-                stops.append(ceil_div(-1 - a, c))
+                stops.append(-((a + 1) // c))
         elif not c:
             if a >= 0:
-                stops.append(ceil_div(-1 - slack, step))
+                stops.append(-((slack + 1) // step))
             elif a <= -2:
-                starts.append(ceil_div(e - slack, step))
+                starts.append(-((slack - e) // step))
         else:
-            start, stop = ceil_div(-a, c), ceil_div(-1 - slack, step)
+            start, stop = -(a // c), -((slack + 1) // step)
             if start >= stop:
-                start, stop = ceil_div(e - slack, step), ceil_div(-1 - a, c)
+                start, stop = -((slack - e) // step), -((a + 1) // c)
             if start < stop:
                 starts.append(start)
                 stops.append(stop)

@@ -86,6 +86,12 @@ class Outcome(str, enum.Enum):
     INDETERMINATE = "INDET"
 
 
+# the members the verdict paths compare against, bound once: reading a
+# member through its enum class costs several plain attribute reads
+_HOLDS = Outcome.HOLDS
+_FAILS = Outcome.FAILS
+
+
 class Verdict(Record):
     """An outcome plus, for FAILS, the twist and cohomology that witness it.
 
@@ -113,7 +119,7 @@ class Verdict(Record):
         fields["witness_h1"] = witness_h1
 
     def holds(self) -> bool:
-        return self.outcome is Outcome.HOLDS
+        return self.outcome is _HOLDS
 
 
 HOLDS_VERDICT = Verdict(Outcome.HOLDS)
@@ -307,16 +313,18 @@ def _decide(
     t = lo
     v0, v1 = _evaluate(e, classes, config, t * c, t * d)
     if v1 == 0:
-        above = [start for start in starts if start > lo]
-        if above:
-            t = min(above)
+        # t becomes the least run start above lo, if there is one
+        for start in starts:
+            if start > lo and (t == lo or start < t):
+                t = start
+        if t != lo:
             v0, v1 = _evaluate(e, classes, config, t * c, t * d)
             if v1 == 0:
                 raise ConsistencyError(
                     f"h1 = 0 at the run start t = {t} of {model} twisted by {by}"
                 )
     if v1 > 0:
-        return ScanEvidence(Verdict(Outcome.FAILS, t, v0, v1), lo, t, surface, model, by)
+        return ScanEvidence(Verdict(_FAILS, t, v0, v1), lo, t, surface, model, by)
     return ScanEvidence(HOLDS_VERDICT, lo, lo, surface, model, by)
 
 

@@ -42,10 +42,11 @@ class Record:
     in `__slots__`; their own `__init__` checks its arguments and then sets
     each field past the frozen `__setattr__`, through `object.__setattr__`.
     A type that is built far more often than read (`natural.Verdict`,
-    `natural.ScanEvidence`, `bundles.CohomologyInterval`, `cli.Report`)
-    names its fields in `_fields` instead, has no slots, and writes them
-    straight into its instance dict: an in-process far-twist A/B measured
-    that build faster than the slotted one.
+    `natural.ScanEvidence`, `bundles.CohomologyInterval`,
+    `bundles.ExtensionAudit`, `cli.Report`) names its fields in `_fields`
+    instead, has no slots, and writes them straight into its instance
+    dict: an in-process far-twist A/B measured that build faster than the
+    slotted one.
 
     The base supplies the rest, as a frozen dataclass would: assigning or
     deleting an attribute raises AttributeError; a record equals a record

@@ -367,6 +367,30 @@ def test_cayley_bacharach_reads_the_datum_ends():
         assert (h0(surface, quot - sub + surface.canonical_class()) < s) is want
 
 
+def test_section_min_reads_the_construction_range():
+    # s_range is the standard construction's at (u, v, m), whatever the
+    # ends, and section_min compares s with it: for hand-built ends that
+    # are not the construction's, it says nothing about their sections
+    surface = Surface(1)
+    quotient = IdealSheafModel(PointConfig(0, Locus.GENERAL), DivisorClass(1, 1))
+    datum = ExtensionDatum(surface, 0, DivisorClass(-2, -3), quotient)
+    assert datum.s_range == section_count_bounds(surface, -1, -2, 0) == (0, 0)
+    assert datum.section_min
+    assert cohomology_interval(datum, -1).h0_max == 1
+    # constructed data: no section at the twist before m, on a grid
+    for e in range(1, 4):
+        surface = Surface(e)
+        for u in range(0, 4):
+            for v in range(e * (u - 1) - 1, e * (u - 1) + 4):
+                for m in range(0, 3):
+                    lo, hi = section_count_bounds(surface, u, v, m)
+                    for s in {lo, (lo + hi) // 2, hi}:
+                        datum = construct_extension(surface, u, v, m, s)
+                        assert datum.s_range == (lo, hi)
+                        assert datum.section_min
+                        assert cohomology_interval(datum, m - 1).h0_max == 0, (e, u, v, m, s)
+
+
 @pytest.mark.parametrize("bad", [1.5, 2.0, True])
 def test_hand_built_datum_takes_integers_only(bad):
     # the point count, m and each end coordinate in turn; each end is built

@@ -372,6 +372,40 @@ def test_run_edges_are_where_a_walk_sees_h1_turn():
             assert run_edges(e, classes, c, d) == (all_starts, all_stops)
 
 
+far_coords = st.integers(min_value=-10**15, max_value=10**15)
+
+
+@settings(max_examples=300)
+@given(kernel_surfaces, st.integers(min_value=0, max_value=8), far_coords, far_coords)
+def test_effective_twist_matches_a_bisection_at_any_size(e, pick, u, v):
+    # h0 > 0 is monotone along a spanned twist, so a bisection up from a
+    # twist far below every answer (|t| <= 10^15 + 1 here) finds the least
+    # effective one; fiber twists (c = 0) freeze a negative u forever
+    c, d = _spanned_twists(e)[pick]
+    far = -(10**16)
+    assert sections(e, u + far * c, v + far * d) == 0
+    want = _searched_twist(lambda t: sections(e, u + t * c, v + t * d) > 0, c, u, far)
+    assert effective_twist(u, v, c, d) == want
+
+
+@settings(max_examples=300)
+@given(kernel_surfaces, st.integers(min_value=0, max_value=8), far_coords, far_coords)
+def test_run_edges_are_h1_turns_at_any_size(e, pick, a, b):
+    # h1 turns positive at a start and back to 0 at a stop, read off
+    # `counts` on either side of each edge
+    c, d = _spanned_twists(e)[pick]
+
+    def positive(t):
+        return counts(e, a + t * c, b + t * d)[1] > 0
+
+    starts, stops = run_edges(e, (DivisorClass(a, b),), c, d)
+    assert len(starts) <= 1 and len(stops) <= 1
+    for t in starts:
+        assert positive(t) and not positive(t - 1), (t, starts, stops)
+    for t in stops:
+        assert not positive(t) and positive(t - 1), (t, starts, stops)
+
+
 # --- inputs typed at the boundary
 
 

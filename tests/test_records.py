@@ -13,6 +13,7 @@ from hirzebruch import (
     IdealSheafModel,
     Line,
     Locus,
+    ExtensionDatum,
     Outcome,
     PointConfig,
     Surface,
@@ -26,6 +27,7 @@ from hirzebruch import (
     triple,
 )
 from hirzebruch.cli import Report
+from hirzebruch.sheaves import ideal_counts
 
 DATUM = (
     "ExtensionDatum(surface=Surface(e=1), m=0, sub=DivisorClass(a=1, b=0), "
@@ -160,3 +162,34 @@ def test_keyword_construction_and_defaults():
     first = Report("coh", {}, {}, [], [], [])
     assert (first.findings, first.exit_code) == ([], 0)
     assert first.findings is not Report("coh", {}, {}, [], [], []).findings
+
+
+@pytest.mark.parametrize(
+    "restore", [copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))], ids=["deepcopy", "pickle"]
+)
+def test_enum_members_keep_their_identity_through_pickle_and_copy(restore):
+    # the kernels compare loci and outcomes by identity with members bound
+    # at import, so a restored record must hold those very members and
+    # get the same answers as the original
+    e2 = Surface(2)
+    for locus in Locus:
+        config = PointConfig(3, locus)
+        twin = restore(config)
+        assert twin.locus is locus
+        for a, b in [(0, 0), (1, 1), (2, 5), (3, -1), (-3, 2)]:
+            assert ideal_counts(2, twin.z, twin.locus, a, b) == ideal_counts(2, 3, locus, a, b)
+        model = IdealSheafModel(config, DivisorClass(1, 1))
+        for by in (e2.m_class(), e2.r_class(), DivisorClass(0, 1)):
+            assert scan_verdict(e2, restore(model), by) == scan_verdict(e2, model, by)
+        # hand-built ends on each locus: each branch of the audit's window end
+        datum = ExtensionDatum(e2, 1, DivisorClass(0, -2), IdealSheafModel(config, DivisorClass(3, 5)))
+        assert audit_extension_natural(restore(datum)) == audit_extension_natural(datum)
+    fails = restore(Verdict(Outcome.FAILS, 0, 1, 1))
+    assert fails.outcome is Outcome.FAILS and not fails.holds()
+    assert restore(Verdict(Outcome.HOLDS)).holds()
+    # a HOLDS, a FAILS and an INDETERMINATE audit
+    for e, u, v, m, s in [(1, 3, 2, 0, 3), (2, 2, 1, 0, 0), (2, 3, 3, 0, 3)]:
+        datum = construct_extension(Surface(e), u, v, m, s)
+        audit = audit_extension_natural(restore(datum))
+        assert audit == audit_extension_natural(datum)
+        assert audit.verdict.outcome is restore(audit).verdict.outcome

@@ -184,6 +184,19 @@ def test_the_package_import_loads_no_code_introspection_modules():
     assert layers.split() == [f"hirzebruch.{layer}" for layer in sorted(seven)]
 
 
+def _functions(tree):
+    """(qualified name, node) of each module-level function and method."""
+    found = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    found += [
+        (f"{node.name}.{method.name}", method)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, ast.FunctionDef)
+    ]
+    return found
+
+
 def test_the_construction_path_checks_each_input_once():
     # `construct_extension`, `ExtensionDatum.__init__` and `classify_region`
     # check their plain ints once, on entry, and read the construction from
@@ -193,16 +206,8 @@ def test_the_construction_path_checks_each_input_once():
     tree = ast.parse((pathlib.Path(hirzebruch.__file__).parent / "bundles.py").read_text())
     checked = {"section_count_bounds", "construction_c2", "c1_obstructed"}
     bodies = {"construct_extension", "ExtensionDatum.__init__", "classify_region", "_c2_witness"}
-    functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
-    functions += [
-        (f"{node.name}.{method.name}", method)
-        for node in tree.body
-        if isinstance(node, ast.ClassDef)
-        for method in node.body
-        if isinstance(method, ast.FunctionDef)
-    ]
     seen, found = set(), []
-    for qualname, node in functions:
+    for qualname, node in _functions(tree):
         if qualname in bodies:
             seen.add(qualname)
             found += [
@@ -211,6 +216,63 @@ def test_the_construction_path_checks_each_input_once():
                 if isinstance(name, ast.Name) and name.id in checked
             ]
     assert seen == bodies
+    assert found == []
+
+
+def test_kernels_compare_enum_members_bound_once():
+    # reading a member through its enum class (`Outcome.FAILS`) runs the
+    # enum's own lookup, and hashing a member for a dict key runs the
+    # Python-level `Enum.__hash__`; the scan and audit kernels compare
+    # against members their module binds once, at import.  An enum value
+    # here is a name bound to a member, a parameter annotated with an enum
+    # type, or a name read off a record's enum field
+    package = pathlib.Path(hirzebruch.__file__).parent
+    enums = {"Outcome", "Locus", "Polarization", "RegionLabel"}
+    fields = {"locus", "outcome", "polarization", "label"}
+    kernels = {
+        "sheaves.py": {"_unseen", "ideal_sections_twist"},
+        "bundles.py": {
+            "_outcome", "audit_extension_natural", "_audit_scan_stop", "construct_extension",
+        },
+        "natural.py": {"_decide", "Verdict.holds"},
+    }
+
+    def enum_valued(expr, names):
+        if isinstance(expr, ast.Name):
+            return expr.id in names
+        return isinstance(expr, ast.Attribute) and (
+            expr.attr in fields or isinstance(expr.value, ast.Name) and expr.value.id in enums
+        )
+
+    def bound_names(nodes):
+        return {
+            target.id
+            for node in nodes
+            if isinstance(node, ast.Assign) and enum_valued(node.value, set())
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+
+    seen, found = set(), []
+    for module, wanted in kernels.items():
+        tree = ast.parse((package / module).read_text(), filename=module)
+        bound = bound_names(tree.body)
+        for qualname, function in _functions(tree):
+            if qualname not in wanted:
+                continue
+            seen.add(qualname)
+            names = bound | bound_names(ast.walk(function)) | {
+                arg.arg
+                for arg in function.args.args
+                if arg.annotation is not None and ast.unparse(arg.annotation) in enums
+            }
+            for node in ast.walk(function):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    if node.value.id in enums:
+                        found.append(f"{module}:{node.lineno} {qualname} reads {ast.unparse(node)}")
+                elif isinstance(node, ast.Subscript) and enum_valued(node.slice, names):
+                    found.append(f"{module}:{node.lineno} {qualname} indexes {ast.unparse(node)}")
+    assert seen == set().union(*kernels.values())
     assert found == []
 
 
@@ -231,6 +293,14 @@ def test_holds_and_indeterminate_verdicts_are_shared():
             and len(node.targets) == 1
             and ast.unparse(node.targets[0]) in shared
         }
+        # a module may bind a member once under its own name (`_HOLDS`)
+        aliases = {
+            target.id: ast.unparse(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
         for node in ast.walk(tree):
             if not (
                 isinstance(node, ast.Call)
@@ -242,7 +312,8 @@ def test_holds_and_indeterminate_verdicts_are_shared():
             outcome = next((k.value for k in node.keywords if k.arg == "outcome"), outcome)
             if outcome is None or id(node) in definitions:
                 continue
-            if ast.unparse(outcome) in ("Outcome.HOLDS", "Outcome.INDETERMINATE"):
+            shown = ast.unparse(outcome)
+            if aliases.get(shown, shown) in ("Outcome.HOLDS", "Outcome.INDETERMINATE"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
