@@ -20,12 +20,12 @@ are checked here, through `require_ints`, once, by the public function
 that takes them.
 
 E is never materialized.  Its cohomology at a twist is reported as a box
-of intervals squeezed out of the long exact sequence, together with the
-point estimate obtained by giving every connecting map maximal rank; the
-box collapses to exact values when the extension is forced to split
-(s = 0 and no ext group).  Everything downstream of the intervals speaks
-the Holds / Fails / Indeterminate trichotomy rather than pretending to
-exact answers it does not have.
+of intervals squeezed out of the long exact sequence, whose lower corner
+is the point estimate obtained by giving every connecting map maximal
+rank; the box collapses to exact values when the extension is forced to
+split (s = 0 and no ext group).  Everything downstream of the intervals
+speaks the Holds / Fails / Indeterminate trichotomy rather than
+pretending to exact answers it does not have.
 
 The natural-cohomology audit of an extension (w.r.t. M) keeps a window of
 twists that grows as m^2, but evaluates boxes only on its *settle prefix*,
@@ -39,9 +39,8 @@ reads each box as plain ints from the box kernel `_box`, which
 `cohomology_interval` wraps, and builds no box and no row; the audit
 rebuilds the rows of the whole window on demand, as a referee.  The
 audit and construction paths compare outcomes and loci by identity
-against members bound once at import: in a CPython 3.11 timeit, reading
-a member through its enum class cost 120-135 ns, against 14-18 ns for a
-plain class attribute.
+against members bound once at import, as `sheaves` does and for the
+reason its docstring gives.
 
 Slope stability is decided likewise on the lower boundary of the region
 of destabilizing candidates (see `stability_certificate`); the report
@@ -53,13 +52,13 @@ from __future__ import annotations
 import enum
 from typing import Callable, Optional
 
-from .cohomology import CohomologyTriple, ConsistencyError, counts, effective_twist, sections
+from .cohomology import ConsistencyError, counts, effective_twist, sections
 from .natural import HOLDS_VERDICT, INDETERMINATE_VERDICT, Outcome, Verdict
 from .picard import DivisorClass, DomainError, Record, Surface, ceil_div, require_ints
 from .sheaves import IdealSheafModel, Locus, PointConfig, ideal_counts, ideal_sections
 
 # the members the audit and construction paths compare against or store,
-# bound once (see the module docstring)
+# bound once (the `sheaves` docstring says why)
 _HOLDS = Outcome.HOLDS
 _FAILS = Outcome.FAILS
 _INDETERMINATE = Outcome.INDETERMINATE
@@ -285,13 +284,14 @@ class CohomologyInterval(Record):
     """Box of possible (h0, h1, h2) for the extension at one twist.
 
     The long exact sequence leaves exactly two free parameters, the ranks
-    of the two connecting maps; the box is their exact projection and
-    `expected` is the corner where both ranks are maximal.  chi is exact.
+    of the two connecting maps; the box is their exact projection, and its
+    lower corner (h0_min, h1_min, h2_min) is where both ranks are maximal.
+    chi is exact.
     """
 
     # no slots: each `cohomology_interval` call builds one, read a field or
     # two, so a build straight into the instance dict beats slot writes
-    _fields = ("h0_min", "h0_max", "h1_min", "h1_max", "h2_min", "h2_max", "chi", "expected")
+    _fields = ("h0_min", "h0_max", "h1_min", "h1_max", "h2_min", "h2_max", "chi")
 
     def __init__(
         self,
@@ -302,7 +302,6 @@ class CohomologyInterval(Record):
         h2_min: int,
         h2_max: int,
         chi: int,
-        expected: CohomologyTriple,
     ) -> None:
         fields = self.__dict__
         fields["h0_min"] = h0_min
@@ -312,14 +311,6 @@ class CohomologyInterval(Record):
         fields["h2_min"] = h2_min
         fields["h2_max"] = h2_max
         fields["chi"] = chi
-        fields["expected"] = expected
-
-    def exact(self) -> bool:
-        return (
-            self.h0_min == self.h0_max
-            and self.h1_min == self.h1_max
-            and self.h2_min == self.h2_max
-        )
 
 
 def _box(datum: ExtensionDatum, t: int) -> tuple[int, int, int, int, int, int, int]:
@@ -330,9 +321,9 @@ def _box(datum: ExtensionDatum, t: int) -> tuple[int, int, int, int, int, int, i
     (both twisted by tM), the connecting-map ranks r0 <= min(q0, a1) and
     r1 <= min(q1, a2) give h0 = a0 + q0 - r0, h1 = (a1 - r0) + (q1 - r1),
     h2 = (a2 - r1) + q2.  The bounds below are those projections: each
-    upper bound takes the ranks 0, each lower bound (the expected triple)
-    takes them at their caps.  A forced split caps both at 0.  The ends
-    are evaluated on coordinates (M = (1, e)), and nothing is built.
+    upper bound takes the ranks 0, each lower bound takes them at their
+    caps.  A forced split caps both at 0.  The ends are evaluated on
+    coordinates (M = (1, e)), and nothing is built.
     """
     e, sub, quot = datum.surface.e, datum.sub, datum.quotient
     a0, a1, a2 = counts(e, sub.a + t, sub.b + t * e)
@@ -355,16 +346,10 @@ def _box(datum: ExtensionDatum, t: int) -> tuple[int, int, int, int, int, int, i
 def cohomology_interval(datum: ExtensionDatum, t: int) -> CohomologyInterval:
     """Cohomology box of the extension twisted by t copies of M (see `_box`).
 
-    t must be a plain int.  Only the box and its expected triple, the
-    corner where both connecting maps have maximal rank, are built; the
-    triple must have the box's chi.
+    t must be a plain int.  Only the box is built.
     """
     require_ints(t)
-    lo0, hi0, lo1, hi1, lo2, hi2, total_chi = _box(datum, t)
-    expected = CohomologyTriple(lo0, lo1, lo2)
-    if expected.chi() != total_chi:
-        raise ConsistencyError(f"LES box chi {expected.chi()} != {total_chi} at t={t}")
-    return CohomologyInterval(lo0, hi0, lo1, hi1, lo2, hi2, total_chi, expected)
+    return CohomologyInterval(*_box(datum, t))
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +466,9 @@ def audit_extension_natural(datum: ExtensionDatum) -> ExtensionAudit:
     worst: if it does not fail no tail twist does, and if it holds every
     tail twist holds, the window end included (which pins the right tail).
     The verdict costs settle - m + 2 calls of the box kernel `_box`
-    (one when the start lies past the settle twist), however long the
-    window, and builds no box and no row: only the audit and, when it
-    fails, its verdict.  The audit rebuilds every row of the window on
+    (one when the start lies past the settle twist; `audit_boxes` counts
+    them), however long the window, and builds no box and no row: only
+    the audit and, when it fails, its verdict.  The audit rebuilds every row of the window on
     demand, as a referee.
     """
     start = datum.m - 1
@@ -498,6 +483,16 @@ def audit_extension_natural(datum: ExtensionDatum) -> ExtensionAudit:
         if outcome is not _HOLDS or (t == start and hi0 > 0):
             verdict = INDETERMINATE_VERDICT
     return ExtensionAudit(verdict, start, _audit_scan_stop(datum, settle), datum)
+
+
+def audit_boxes(datum: ExtensionDatum) -> int:
+    """How many boxes `audit_extension_natural` evaluates at most: the
+    twists from m - 1 through `_settle_twist`, one if none.
+
+    Counted without evaluating any box, so a caller can refuse a long
+    settle prefix, which grows as |u| for u < 0, before it starts.
+    """
+    return max(1, _settle_twist(datum) - datum.m + 2)
 
 
 # ---------------------------------------------------------------------------

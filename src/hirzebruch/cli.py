@@ -51,6 +51,7 @@ except ImportError:  # an interpreter without the C accelerator
 
 from .audit import CLAIMS, run_audit
 from .bundles import (
+    audit_boxes,
     audit_extension_natural,
     classify_region,
     construct_extension,
@@ -346,7 +347,10 @@ def _cmd_check(args: SimpleNamespace) -> Report:
         if args.pp:
             raise UsageError("--pp applies to line, sum, and ideal models only")
         inputs = {"e": args.e, "extension": args.extension, "wrt": "M"}
-        evidence = audit_extension_natural(construct_extension(surface, u, v, m, s))
+        datum = construct_extension(surface, u, v, m, s)
+        # the audit evaluates one box per twist of its settle prefix, O(|u|)
+        _check_budget(audit_boxes(datum), f"--extension {args.extension}", "LES boxes")
+        evidence = audit_extension_natural(datum)
     else:
         model, model_inputs = _check_model(args, given[0])
         by = _parse_wrt(args.wrt, surface)

@@ -23,7 +23,7 @@ the (t, h0, h1) rows of the whole window on demand, as a referee.
 Closed-form criteria exist for lines and sums when T is M = h + e*f or
 R = h + (e+1)*f and are checked against the scans by the test suite; the
 scans are the referees, the closed forms are the fast paths.  Ideal
-models have none: `ideal_natural_wrt_m` is the M scan's boolean form.
+models have none: `scan_verdict` decides them.
 
 All verdicts carry a witness twist and the (h0, h1) evidence so a failed
 check is reproducible by a single cohomology evaluation.
@@ -86,8 +86,8 @@ class Outcome(str, enum.Enum):
     INDETERMINATE = "INDET"
 
 
-# the members the verdict paths compare against, bound once: reading a
-# member through its enum class costs several plain attribute reads
+# the members the verdict paths compare against, bound once (the
+# `sheaves` docstring says why)
 _HOLDS = Outcome.HOLDS
 _FAILS = Outcome.FAILS
 
@@ -444,13 +444,3 @@ def direct_sum_natural_wrt_m(surface: Surface, classes: list[DivisorClass]) -> b
             continue
         return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# the M scan's boolean form (no closed form)
-
-
-def ideal_natural_wrt_m(surface: Surface, model: IdealSheafModel) -> bool:
-    """Natural cohomology for a twisted ideal of generic points w.r.t. M:
-    `scan_verdict(...).verdict.holds()`, the scan itself, not a closed form."""
-    return scan_verdict(surface, model, surface.m_class()).verdict.holds()

@@ -112,9 +112,6 @@ class DivisorClass(Record):
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.a - other.a, self.b - other.b)
 
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.a, -self.b)
-
     def __rmul__(self, k: int) -> "DivisorClass":
         if type(k) is not int:
             return NotImplemented
@@ -122,9 +119,6 @@ class DivisorClass(Record):
 
     def __str__(self) -> str:
         return f"({self.a},{self.b})"
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
 
 class PositivityReport(Record):
@@ -183,12 +177,6 @@ class Surface(Record):
     def r_class(self) -> DivisorClass:
         """R = h + (e+1)*f: the minimal ample class, R.R = e + 2."""
         return DivisorClass(1, self.e + 1)
-
-
-def twist(c: DivisorClass, t: int, by: DivisorClass) -> DivisorClass:
-    """The class c + t*by.  t may be any integer, and only an integer."""
-    require_ints(t)
-    return DivisorClass(c.a + t * by.a, c.b + t * by.b)
 
 
 def require_ints(*values: object) -> None:

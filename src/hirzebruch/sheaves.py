@@ -52,7 +52,7 @@ import enum
 from typing import Optional
 
 from .cohomology import ConsistencyError, counts, effective_twist, sections, sections_twist
-from .picard import DivisorClass, DomainError, Record, Surface, require_ints, twist
+from .picard import DivisorClass, DomainError, Record, Surface, require_ints
 
 
 class Locus(enum.Enum):
@@ -95,9 +95,6 @@ class IdealSheafModel(Record):
         put = object.__setattr__
         put(self, "config", config)
         put(self, "cls", cls)
-
-    def twisted(self, t: int, by: DivisorClass) -> "IdealSheafModel":
-        return IdealSheafModel(self.config, twist(self.cls, t, by))
 
 
 def restriction_degree(surface: Surface, c: DivisorClass, locus: Locus) -> int:

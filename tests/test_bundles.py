@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hirzebruch import (
     ChernData,
-    ConsistencyError,
     ConstructionError,
     DivisorClass,
     DomainError,
@@ -343,7 +342,7 @@ def test_hand_built_datum_derives_its_certificates():
     assert not datum.ext_forced_split
     assert datum.section_min and datum.cayley_bacharach
     box = cohomology_interval(datum, 0)
-    assert not box.exact()
+    assert (box.h0_min, box.h1_min, box.h2_min) != (box.h0_max, box.h1_max, box.h2_max)
     # c1 and s come from the ends, and the certificates from all of them
     with pytest.raises(TypeError):
         ExtensionDatum(surface, 2, 1, 0, 1, DivisorClass(1, 0), quotient)
@@ -445,19 +444,18 @@ def test_exact_box_at_e1():
     # sub (1,0) has no h1 on F_1, so the rows are exact there
     datum = build(1, 2, 1, 0, 2)
     box = cohomology_interval(datum, 0)
-    assert box.exact()
-    assert (box.h0_min, box.h1_min, box.h2_min) == (2, 0, 0)
+    lower, upper = (box.h0_min, box.h1_min, box.h2_min), (box.h0_max, box.h1_max, box.h2_max)
+    assert lower == upper == (2, 0, 0)
     assert box.chi == 2
-    assert box.expected.chi() == 2
 
 
 def test_forced_split_box_is_the_sum():
     datum = build(2, 2, 1, 0, 0)
     assert datum.ext_forced_split
     box = cohomology_interval(datum, 0)
-    assert box.exact()
     # O(1,0) + O(1,1) on F_2: h0 = 1 + 2, h1 = 1 + 0
-    assert (box.h0_min, box.h1_min, box.h2_min) == (3, 1, 0)
+    lower, upper = (box.h0_min, box.h1_min, box.h2_min), (box.h0_max, box.h1_max, box.h2_max)
+    assert lower == upper == (3, 1, 0)
 
 
 def test_unforced_box_is_wide_at_higher_e():
@@ -465,7 +463,6 @@ def test_unforced_box_is_wide_at_higher_e():
     datum = build(3, 2, 2, 0, 0)
     assert not datum.ext_forced_split
     box = cohomology_interval(datum, 0)
-    assert not box.exact()
     assert (box.h0_min, box.h0_max) == (2, 4)
     assert box.h1_min == 0 and box.h1_max == 2
 
@@ -486,22 +483,8 @@ def test_box_consistency(surface, u, dv, m, t):
     assert box.h0_min <= box.h0_max
     assert box.h1_min <= box.h1_max
     assert box.h2_min <= box.h2_max
-    assert box.expected.chi() == box.chi
-    assert (box.h0_min, box.h1_min, box.h2_min) == (
-        box.expected.h0,
-        box.expected.h1,
-        box.expected.h2,
-    )
-
-
-def test_broken_box_chi_is_a_consistency_error(monkeypatch):
-    import hirzebruch.bundles as bundles
-
-    # the box takes chi from the end triples; an off-by-one there must show
-    real = bundles.CohomologyTriple.chi
-    monkeypatch.setattr(bundles.CohomologyTriple, "chi", lambda self: real(self) + 1)
-    with pytest.raises(ConsistencyError, match="LES box chi"):
-        cohomology_interval(build(1, 2, 1, 0, 2), 0)
+    # the lower corner, both connecting maps at maximal rank, has the box's chi
+    assert box.h0_min - box.h1_min + box.h2_min == box.chi
 
 
 def _hand_built_data(rng, count):
@@ -542,8 +525,6 @@ def test_box_kernel_is_the_interval():
             box = cohomology_interval(datum, t)
             bounds = (box.h0_min, box.h0_max, box.h1_min, box.h1_max, box.h2_min, box.h2_max)
             assert _box(datum, t) == (*bounds, box.chi)
-            expected = box.expected
-            assert (expected.h0, expected.h1, expected.h2) == (box.h0_min, box.h1_min, box.h2_min)
 
 
 def _hand_derived_window(datum):
@@ -604,6 +585,8 @@ def test_the_audit_verdict_builds_no_box_and_no_row(monkeypatch):
             assert twists[-1] == audit.verdict.witness_t
         else:
             assert len(twists) == max(1, settle - datum.m + 2)
+        # the count the CLI budgets, read without evaluating a box
+        assert len(twists) <= bundles.audit_boxes(datum) == max(1, settle - datum.m + 2)
         outcomes.add(audit.verdict.outcome)
     assert built == {}
     assert outcomes == set(Outcome)
@@ -611,9 +594,18 @@ def test_the_audit_verdict_builds_no_box_and_no_row(monkeypatch):
     assert len(audit.rows) == built["ExtensionAuditRow"] == built["CohomologyInterval"]
 
 
-def test_box_builds_only_its_expected_triple(built):
-    # the two end classes are evaluated on coordinates: no class and no
-    # triple per box beyond the expected corner
+def test_box_builds_one_record_and_no_triple(built, monkeypatch):
+    # the two end classes are evaluated on coordinates, and the box is the
+    # one record built: no class and no triple
+    import hirzebruch.bundles as bundles
+
+    init = bundles.CohomologyInterval.__init__
+
+    def counting(box, *args):
+        built["CohomologyInterval"] += 1
+        init(box, *args)
+
+    monkeypatch.setattr(bundles.CohomologyInterval, "__init__", counting)
     surface = Surface(2)
     u, v, m = 10_000, 30_000, 3
     far = construct_extension(surface, u, v, m, section_count_bounds(surface, u, v, m)[0])
@@ -623,7 +615,7 @@ def test_box_builds_only_its_expected_triple(built):
         for t in range(-5, 25):
             built.clear()
             cohomology_interval(datum, t)
-            assert built == {"CohomologyTriple": 1}
+            assert built == {"CohomologyInterval": 1}
 
 
 # --- the natural-cohomology audit

@@ -537,6 +537,33 @@ def test_construct_past_the_budget_of_stability_checks_is_refused(fmt, exclusion
     assert exclusion_calls == []
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_check_extension_past_the_budget_of_boxes_is_refused(fmt, capsys, monkeypatch):
+    # e = 1, v = u - 2, m = s = 0: the audit would evaluate settle + 2 =
+    # 4 - u boxes; the count is read off the settle twist before any box
+    import hirzebruch.bundles as bundles
+
+    real, boxes = bundles._box, []
+    monkeypatch.setattr(bundles, "_box", lambda datum, t: boxes.append(t) or real(datum, t))
+    u = -(10**8)
+    argv = ["check", "--e", "1", "--extension", f"{u},{u - 2},0,0", "--wrt", "M", "--format", fmt]
+    started = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        f"domain error: --extension {u},{u - 2},0,0 would produce {4 - u} LES boxes; "
+        f"the limit is {cli.ROW_BUDGET}\n"
+    )
+    assert boxes == []
+    # a datum exactly at the budget still answers, with that many boxes
+    u = 4 - cli.ROW_BUDGET
+    argv[4] = f"{u},{u - 2},0,0"
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert len(boxes) == cli.ROW_BUDGET
+
+
 def test_audit_json_findings(capsys):
     code, out, _ = run(
         ["audit", "--claims", "extension-natural", "--e", "2..2", "--format", "json"],

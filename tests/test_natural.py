@@ -26,7 +26,6 @@ from hirzebruch import (
     Surface,
     Verdict,
     direct_sum_natural_wrt_m,
-    ideal_natural_wrt_m,
     line_natural_wrt_m,
     line_natural_wrt_r,
     line_unconditional_wrt_m,
@@ -311,7 +310,8 @@ def test_ideal_scans_are_stable_and_named(surface, model):
     by = surface.m_class()
     base = scan_verdict(surface, model, by)
     assert base.verdict == _walk_past(surface, model, by, base, 15, False)
-    assert ideal_natural_wrt_m(surface, model) == base.verdict.holds()
+    # the boolean form: a scan verdict holds exactly when it has no witness
+    assert base.verdict.holds() == (base.verdict.witness_t is None)
 
 
 # --- scan evidence invariants
@@ -408,8 +408,8 @@ def test_ideal_min_twist_is_sharp_for_many_points(surface, model, pick):
     except DomainError:
         assert by.a == 0 and model.cls.a < 0
         return
-    assert h0_ideal(surface, model.twisted(t, by)) > 0
-    assert h0_ideal(surface, model.twisted(t - 1, by)) == 0
+    assert h0_ideal(surface, IdealSheafModel(model.config, model.cls + t * by)) > 0
+    assert h0_ideal(surface, IdealSheafModel(model.config, model.cls + (t - 1) * by)) == 0
 
 
 def test_broken_section_bound_is_a_consistency_error(monkeypatch):
@@ -483,8 +483,8 @@ def test_the_ideal_min_twist_makes_a_fixed_number_of_kernel_calls(monkeypatch, l
                 # a probe at the line bundle's first twist with sections;
                 # past it one inverse and two certifying probes
                 assert sum(calls.values()) <= 6
-                assert h0_ideal(surface, model.twisted(t, by)) > 0
-                assert h0_ideal(surface, model.twisted(t - 1, by)) == 0
+                assert h0_ideal(surface, IdealSheafModel(model.config, cls + t * by)) > 0
+                assert h0_ideal(surface, IdealSheafModel(model.config, cls + (t - 1) * by)) == 0
             # the same calls at every point count
             assert len(seen) == 1, (by, cls, seen)
 

@@ -75,13 +75,12 @@ def _samples():
         (
             cohomology_interval(datum, 0),
             "CohomologyInterval(h0_min=4, h0_max=4, h1_min=0, h1_max=0, h2_min=0, h2_max=0, "
-            "chi=4, expected=CohomologyTriple(h0=4, h1=0, h2=0))",
+            "chi=4)",
         ),
         (
             audit.rows[0],
             "ExtensionAuditRow(t=-1, interval=CohomologyInterval(h0_min=0, h0_max=0, "
-            "h1_min=0, h1_max=0, h2_min=0, h2_max=0, chi=0, "
-            "expected=CohomologyTriple(h0=0, h1=0, h2=0)), outcome=<Outcome.HOLDS: 'HOLDS'>)",
+            "h1_min=0, h1_max=0, h2_min=0, h2_max=0, chi=0), outcome=<Outcome.HOLDS: 'HOLDS'>)",
         ),
         (
             audit,

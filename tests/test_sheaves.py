@@ -138,10 +138,14 @@ def test_general_points_are_independent(surface, cls, z):
 
 @given(surfaces, classes, loci, zs, st.integers(min_value=-3, max_value=5))
 def test_twisted_moves_the_class(surface, cls, locus, z, t):
-    sheaf = IdealSheafModel(PointConfig(z=z, locus=locus), cls)
-    shifted = sheaf.twisted(t, surface.m_class())
-    assert shifted.config == sheaf.config
-    assert shifted.cls == cls + t * surface.m_class()
+    # I_Z(c) twisted by t*M is I_Z(c + t*M): the kernels on the moved
+    # coordinates, as the scans and boxes call them
+    config = PointConfig(z=z, locus=locus)
+    shifted = IdealSheafModel(config, cls + t * surface.m_class())
+    moved = (cls.a + t, cls.b + t * surface.e)
+    assert ideal_counts(surface.e, z, locus, *moved) == (
+        h0_ideal(surface, shifted), h1_ideal(surface, shifted), h2_ideal(surface, shifted)
+    )
 
 
 @given(surfaces, classes, loci, zs)

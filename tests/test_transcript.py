@@ -15,9 +15,11 @@ the file (this never runs under pytest):
 
     PYTHONPATH=src python tests/test_transcript.py
 
-The help and refusal records carry the argparse wording of the Python
-that recorded them, RECORDED_ON, so the rewrite refuses to run on any
-other minor version.
+The help and refusal records carry the argparse layout of the Python
+that recorded them, RECORDED_ON.  The records replay unchanged on
+CPython 3.10 and 3.12 as well; on 3.13 the `check --help` usage line
+wraps before `--wrt`.  So the rewrite refuses to run on any minor version
+but RECORDED_ON, where it could rewrite a help record in another layout.
 """
 
 import contextlib
