@@ -42,9 +42,10 @@ audit and construction paths compare outcomes and loci by identity
 against members bound once at import, as `sheaves` does and for the
 reason its docstring gives.
 
-Slope stability is decided likewise on the lower boundary of the region
-of destabilizing candidates (see `stability_certificate`); the report
-lists the whole region on demand and counts it without listing it.
+Slope stability is decided on the lower boundary of the region of
+destabilizing candidates, at most 11 classes of it whatever the size of
+the coefficients (see `stability_certificate`); the report lists the
+whole region on demand and counts it in closed form.
 """
 
 from __future__ import annotations
@@ -530,9 +531,9 @@ class DestabilizerCandidate(Record):
 class StabilityReport(Record):
     """The stability verdict of `datum` for one polarization.
 
-    `certified` is decided on the first classes of the slope region's
-    columns (the boundary rule in `_region`); `candidates` lists the whole
-    region and `candidate_count` counts it.
+    `certified` is decided on a bounded set of classes of the slope
+    region's boundary (see `stability_certificate`); `candidates` lists
+    the whole region and `candidate_count` counts it in closed form.
     """
 
     __slots__ = ("polarization", "certified", "warnings", "datum")
@@ -557,8 +558,8 @@ class StabilityReport(Record):
         Nothing is stored: each access reruns the enumeration, one
         `_exclusion` call per listed class, so it costs O(u^2) calls on
         every read.  The verdict does not read them; they let a caller or
-        a test check it.  `candidate_count` gives their number without
-        building them.
+        a test check it.  `candidate_count` gives their number in closed
+        form.
         """
         candidates = []
         pol = self.polarization
@@ -574,10 +575,38 @@ class StabilityReport(Record):
 
     @property
     def candidate_count(self) -> int:
-        """len(candidates), summed over the columns in O(u + v) with no
-        `_exclusion` call."""
-        deltas, gamma_max, first = _region(self.datum, self.polarization)
-        return sum(gamma_max - first(delta) + 1 for delta in deltas)
+        """len(candidates), in closed form from `_region`'s bounds, with no
+        column walk and no `_exclusion` call.  Under R the columns hold 1,
+        2, ..., len(deltas) classes.  Under M the column of delta holds
+        gamma_max + 1 - first(delta) = gamma_max + 2 - min(low, freeze)
+        classes, low = min(0, sub.a).  freeze grows with delta, so the sum
+        splits where it reaches low (nowhere if quot.a < low), and before
+        that freeze sums to quot.a per column less a sum of floors
+        (`_floor_sum`).
+        """
+        deltas, gamma_max, _ = _region(self.datum, self.polarization)
+        n = len(deltas)
+        if self.polarization is Polarization.R:
+            return n * (n + 1) // 2
+        if n == 0:
+            return 0
+        datum, qcls = self.datum, self.datum.quotient.cls
+        e, qa, qb, low = datum.surface.e, qcls.a, qcls.b, min(0, datum.sub.a)
+        lo, stop = deltas.start, deltas.stop
+        # freeze(delta) >= low iff max(0, quot.b - delta) < e * (quot.a - low + 1)
+        cross = stop if qa < low else min(stop, max(lo, qb + 1 - e * (qa - low + 1)))
+        frozen = (cross - lo) * qa - _floor_sum(e, qb - lo) + _floor_sum(e, qb - cross)
+        return n * (gamma_max + 2) - frozen - (stop - cross) * low
+
+
+def _floor_sum(e: int, k: int) -> int:
+    """The sum of j // e over 0 <= j <= k, zero for k < 0: q full runs of
+    e terms each, j // e = 0 .. q-1, then r terms equal to q, where
+    q, r = divmod(k + 1, e)."""
+    if k < 0:
+        return 0
+    q, r = divmod(k + 1, e)
+    return e * q * (q - 1) // 2 + r * q
 
 
 def _exclusion(datum: ExtensionDatum, n: tuple[int, int]) -> Optional[str]:
@@ -627,8 +656,9 @@ def _region(datum: ExtensionDatum, pol: Polarization) -> tuple[range, int, Calla
     Under M it is min(0, freeze, sub.a) - 1, the tail entry, which stands
     for every class of the column below the freeze point; freeze grows
     with delta, so the first column's tail stands below every class of the
-    region.  The stability verdict checks exactly these first classes
-    (see `stability_certificate`).
+    region.  The stability verdict checks some of these first classes,
+    at most 11 (see `stability_certificate`), and `candidate_count` sums
+    the columns in closed form.
     """
     qcls, sub = datum.quotient.cls, datum.sub
     gamma_max, delta_max = max(sub.a, qcls.a), max(sub.b, qcls.b)
@@ -653,17 +683,6 @@ def _polarization(value: Polarization | str) -> Polarization:
         raise DomainError(f"polarization must be R or M, got {value!r}") from None
 
 
-def stability_checks(datum: ExtensionDatum, polarization: Polarization | str) -> int:
-    """How many classes `stability_certificate` checks at most: the first
-    class of every column under R, the first column's tail alone under M.
-
-    Counted without walking the columns, so a caller can refuse a long R
-    walk, O(u + v) `_exclusion` calls, before it starts.
-    """
-    pol = _polarization(polarization)
-    return len(_region(datum, pol)[0]) if pol is Polarization.R else 1
-
-
 def stability_certificate(datum: ExtensionDatum, polarization: Polarization | str) -> StabilityReport:
     """Try to certify slope stability of the extension for one polarization.
 
@@ -678,10 +697,24 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
     lowering either coordinate of N raises both coordinates of sub - N
     and of quot - N, and effectivity, h0 and h0_ideal are nondecreasing
     in each coordinate.  So a survivor exists iff one of the columns'
-    first classes survives, as `_region` states: under R every column's,
-    O(u + v) `_exclusion` calls; under M the first column's alone, one
-    call (`stability_checks` counts them).  The report lists the same
-    columns whole on access (`StabilityReport.candidates`), as a referee.
+    first classes survives (`_region`): under M the first column's tail
+    alone, one `_exclusion` call; under R a class of the segment gamma +
+    delta = ceil((u+v)/2), found among at most 11 of its classes at any
+    size of the coefficients.  Along the segment quot - N = (A, S - A)
+    with S fixed and A growing with delta, and a class survives when
+      - sub - N is effective: on one delta interval, ending at
+        min(delta_max, sub.b) = sub.b;
+      - h0(A, S - A) >= s + 1: h0 is 0 outside 0 <= A <= S and unimodal
+        inside, the concave quadratic (A + 1)(S + 1 - A - eA/2), with
+        vertex (2S - e)/(2(e + 2)), while B >= eA, that is up to the turn
+        S // (e + 1), and nonincreasing past the turn, where it depends
+        on B alone;
+      - or, on a curve locus, quot - N - C is effective: on one A
+        interval, 1..S for C = h and 0..S - 1 for C = f.
+    So the verdict checks the segment's ends, delta = sub.b, and the
+    deltas of A = vertex, vertex + 1, turn, turn + 1, 0, 1, S - 1 and S,
+    each clamped to the segment and taken once.  The report lists the
+    whole region on access (`StabilityReport.candidates`), as a referee.
 
     Only twist parameter m = 0 is supported; the slope bookkeeping above
     assumes the untwisted presentation.
@@ -703,10 +736,21 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
         )
 
     deltas, _, first = _region(datum, pol)
-    if pol is Polarization.M:
-        # the first column's tail stands below every other class
-        deltas = deltas[:1]
-    certified = all(_exclusion(datum, (first(delta), delta)) is not None for delta in deltas)
+    if pol is Polarization.M or not deltas:
+        # the first column's tail stands below every other class; an
+        # empty region has nothing to check
+        checked = deltas[:1]
+    else:
+        # on the segment first(delta) = threshold - delta, so A = quot.a -
+        # first(delta) = delta + shift, and S = A + B
+        qcls, threshold = datum.quotient.cls, first(0)
+        shift, total = qcls.a - threshold, qcls.a + qcls.b - threshold
+        vertex, turn = (2 * total - e) // (2 * e + 4), total // (e + 1)
+        lo, hi = deltas[0], deltas[-1]
+        picks = [vertex, vertex + 1, turn, turn + 1, 0, 1, total - 1, total]
+        ends = [lo, hi, datum.sub.b, *(a - shift for a in picks)]
+        checked = sorted({min(hi, max(lo, delta)) for delta in ends})
+    certified = all(_exclusion(datum, (first(delta), delta)) is not None for delta in checked)
     return StabilityReport(
         polarization=pol, certified=certified, warnings=tuple(warnings), datum=datum
     )

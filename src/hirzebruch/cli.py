@@ -12,16 +12,24 @@ fields command, inputs, results, findings, in that order, deterministic
 for fixed inputs.  It is laid out as `json.dumps(record, indent=2)` lays
 it out, but written by the package's own writer, `_json_text`.  Exit
 codes: 0 success, 1 oracle mismatch, 2 usage error, 3 domain error, 141
-the reader closed the output pipe early (nothing is printed then).  A
-command whose ranges would produce more than ROW_BUDGET rows, cells,
-classes or claim checks is a domain error, refused before anything is
-computed; for a rank-2 `classify` or `enumerate` the count is cells times
-(m_max + 1), one section-count interval per cell and m.  So is a
-`construct` whose stability verdicts would check more than ROW_BUDGET
-classes, refused before the first check, and a JSON `construct` that
-would list more than ROW_BUDGET stability candidates, refused before any
-is listed, and an `oracle` box whose lattice walk, bounded from its
-corners, passes ORACLE_BUDGET steps.
+the reader closed the output pipe early (nothing is printed then).  The
+top-level help prints a fixed short description, `_DESCRIPTION`, not this
+docstring.
+
+Budgets: a command that would do more work than one of these counts is a
+domain error, refused with one line before that work starts.
+  - ROW_BUDGET caps the rows of `coh --t`, the cells of `classify` and
+    `enumerate` (for rank 2, cells times (m_max + 1): one section-count
+    interval per cell and m), the classes of an `oracle` box, the claim
+    checks of `audit` (surfaces times claims), the LES boxes that `check
+    --extension` evaluates (one per twist of the audit's settle prefix,
+    counted by `bundles.audit_boxes`), and the stability candidates that a
+    JSON `construct` lists.
+  - ORACLE_BUDGET caps the lattice walk of an `oracle` box, bounded from
+    the box's corners.
+The stability verdicts and candidate counts of `construct` take a fixed
+number of operations at any (u, v), so the table and CSV forms have no
+budget.
 
 Each command's options are defined once, in an option table whose rows
 are an option string and its `add_argument` keywords.  A well-formed
@@ -56,7 +64,6 @@ from .bundles import (
     classify_region,
     construct_extension,
     stability_certificate,
-    stability_checks,
 )
 from .cohomology import (
     CohomologyTriple,
@@ -86,8 +93,16 @@ from .sheaves import IdealSheafModel, Locus, PointConfig
 
 FORMATS = ("table", "csv", "json")
 
-# every row is held in memory until the report renders, so the ranges of
-# one command are capped; desk-sized queries stay far below this
+_DESCRIPTION = (
+    "Cohomology of line bundles, ideal sheaves and rank-2 extensions on the "
+    "Hirzebruch surface F_e, and checks of natural cohomology under twisting. "
+    "Exit codes: 0 success, 1 oracle mismatch, 2 usage error, 3 domain error, "
+    "141 output closed early."
+)
+
+# the most rows, cells, classes, claim checks, LES boxes or listed
+# stability candidates one command may produce (the module docstring
+# names each); desk-sized queries stay far below this
 ROW_BUDGET = 10_000
 
 # `oracle_h0` walks lattice points and rows one by one, so an `oracle` box
@@ -422,11 +437,6 @@ def _cmd_construct(args: SimpleNamespace) -> Report:
         results["stability"] = "only computed for m = 0"
         lines.append("stability: only computed for m = 0")
         return Report("construct", inputs, results, _CONSTRUCT_COLUMNS, [row], lines)
-    # the R verdict checks one class per column of its region, O(u + v)
-    _check_budget(
-        sum(stability_checks(datum, pol) for pol in ("R", "M")),
-        f"--u {args.u} --v {args.v}", "stability checks",
-    )
     reports = [stability_certificate(datum, pol) for pol in ("R", "M")]
     for report in reports:
         pol = report.polarization.value
@@ -682,7 +692,7 @@ def _build_parser() -> Any:
             # stock argparse would read "-5..6" or "-1,2" as option strings
             self._negative_number_matcher = _NEGATIVE_NUMBER
 
-    parser = _Parser(prog="hirzebruch", description=__doc__)
+    parser = _Parser(prog="hirzebruch", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = {}
     for name, (help_text, options) in _GRAMMAR.items():

@@ -32,7 +32,7 @@ from hirzebruch import (
     section_count_bounds,
     stability_certificate,
 )
-from hirzebruch.bundles import _c2_offset, _construction, stability_checks
+from hirzebruch.bundles import _c2_offset, _construction
 from hirzebruch.cohomology import oracle_h0
 from hirzebruch.picard import ceil_div
 from hirzebruch.sheaves import IdealSheafModel, PointConfig, h0_ideal
@@ -769,9 +769,8 @@ def test_audit_cost_does_not_grow_with_the_window(monkeypatch):
 @pytest.mark.parametrize("bad", ["X", "r", "", None, 1])
 def test_an_unknown_polarization_is_a_domain_error(bad):
     datum = build(1, 3, 2, 0, 3)
-    for call in (stability_certificate, stability_checks):
-        with pytest.raises(DomainError, match=r"^polarization must be R or M, got "):
-            call(datum, bad)
+    with pytest.raises(DomainError, match=r"^polarization must be R or M, got "):
+        stability_certificate(datum, bad)
 
 
 def test_stability_certificate_frozen_instance():
@@ -945,9 +944,10 @@ def test_stability_verdict_agrees_with_the_full_enumeration(exclusion_calls):
     # candidate list enumerates the whole region, so each referees the
     # other.  Every c1 with u <= 3 (all uncertified data seen lie there)
     # and three seeded v per (e, u) above, each with a seeded s.  The
-    # boundary the verdict reads is pinned as well: under R the least
-    # class of each column, in increasing delta, up to the first
-    # survivor; under M the tail of the first column alone.
+    # classes the verdict checks are pinned as well: under M the tail of
+    # the first column alone; under R at most 11 classes, each on the
+    # segment gamma + delta = ceil((u+v)/2) of the region, ending at the
+    # first survivor when there is one
     rng = random.Random(8)
     uncertified = 0
     for e in range(1, 6):
@@ -971,19 +971,20 @@ def test_stability_verdict_agrees_with_the_full_enumeration(exclusion_calls):
                     least = {}
                     for cand in candidates:  # sorted by (a, b)
                         least.setdefault(cand.cls.b, cand)
-                    boundary = [least[delta] for delta in sorted(least)]
-                    # the most classes the verdict checks, counted without
-                    # a walk: every column's first under R, one under M
-                    most = len(least) if pol == "R" else 1
-                    assert stability_checks(datum, pol) == most, where
+                    boundary = {(c.cls.a, c.cls.b): c for c in least.values()}
                     if pol == "M":
-                        assert boundary[0].tail, where
-                        boundary = boundary[:1]
+                        first = least[min(least)] if least else None
+                        assert first is None or first.tail, where
+                        want = [] if first is None else [(first.cls.a, first.cls.b)]
+                        assert checked == want, where
                     else:
-                        reasons = [c.reason for c in boundary]
-                        if None in reasons:
-                            boundary = boundary[: reasons.index(None) + 1]
-                    assert checked == [(c.cls.a, c.cls.b) for c in boundary], where
+                        threshold = ceil_div(u + v, 2)
+                        assert len(checked) <= 11, where
+                        for n in checked:
+                            assert sum(n) == threshold and n in boundary, (where, n)
+                        reasons = [boundary[n].reason for n in checked]
+                        assert None not in reasons[:-1], where
+                        assert report.certified == (None not in reasons), where
                     assert report.candidate_count == len(candidates), where
                     # a certified report has no survivor at all, so none
                     # with both coordinates positive either
@@ -992,15 +993,51 @@ def test_stability_verdict_agrees_with_the_full_enumeration(exclusion_calls):
     assert uncertified >= 100
 
 
+def _wide_referee_data():
+    # hand-built data of every locus, far from the construction's shape,
+    # with coordinates up to 60 in size and up to 40 points.  Every other
+    # datum has quot.a + quot.b a little above sub.a + sub.b, so that the
+    # R segment is short in A + B and a survivor on it, if any, is rare
+    rng = random.Random(25)
+    for locus in Locus:
+        for i in range(40):
+            surface = Surface(rng.randint(1, 6))
+            sub = DivisorClass(rng.randint(-60, 60), rng.randint(-60, 60))
+            qa = rng.randint(-60, 60)
+            if i % 2:
+                qb = rng.randint(-60, 60)
+            else:
+                qb = max(-60, min(60, sub.a + sub.b - qa + rng.randint(0, 10)))
+            z = rng.choice([0, rng.randint(0, 40)])
+            quot = IdealSheafModel(PointConfig(z, locus), DivisorClass(qa, qb))
+            yield ExtensionDatum(surface, 0, sub, quot)
+
+
+def test_stability_closed_forms_agree_with_the_column_walk():
+    # the verdict's bounded boundary and the closed-form counts against
+    # the full listing of the region, which walks every column
+    outcomes = set()
+    for datum in (*_region_referee_data(), *_wide_referee_data()):
+        for pol in ("R", "M"):
+            report = stability_certificate(datum, pol)
+            candidates = report.candidates
+            where = (datum.surface.e, datum.sub, datum.quotient, pol)
+            assert report.certified == all(c.reason is not None for c in candidates), where
+            assert report.candidate_count == len(candidates), where
+            outcomes.add((pol, report.certified, datum.quotient.config.locus))
+    assert {(pol, certified) for pol, certified, _ in outcomes} == {
+        (pol, certified) for pol in "RM" for certified in (False, True)
+    }
+    for certified in (False, True):
+        assert {locus for _, c, locus in outcomes if c == certified} == set(Locus)
+
+
 @pytest.mark.parametrize("u", [3, 100])
 def test_stability_verdict_cost_does_not_grow_with_the_region(exclusion_calls, u):
     surface = Surface(1)
     datum = construct_extension(surface, u, u, 0, section_count_bounds(surface, u, u, 0)[0])
-    # the antidiagonal gamma + delta = ceil((u+v)/2) inside the R box
-    gamma_max = max(datum.sub.a, datum.quotient.cls.a)
-    delta_max = max(datum.sub.b, datum.quotient.cls.b)
-    antidiagonal = gamma_max + delta_max - (u + u + 1) // 2 + 1
-    cases = [("M", 1, {3: 8, 100: 5151}), ("R", antidiagonal, {3: 6, 100: 5050})]
+    # one class under M, at most 11 under R, whatever the size of the region
+    cases = [("M", 1, {3: 8, 100: 5151}), ("R", 11, {3: 6, 100: 5050})]
     for pol, most, listed in cases:
         exclusion_calls.clear()
         report = stability_certificate(datum, pol)
@@ -1011,6 +1048,35 @@ def test_stability_verdict_cost_does_not_grow_with_the_region(exclusion_calls, u
         assert report.candidate_count == listed[u]
         assert exclusion_calls == []
         assert len(report.candidates) == len(exclusion_calls) == listed[u]
+
+
+def test_stability_answers_do_not_grow_with_the_coefficients(exclusion_calls, monkeypatch):
+    # e = 1, u = v, s = a_lo: the R verdict makes the same number of
+    # `_exclusion` calls, at most 11, at every size, and both counts read
+    # no column (`first`, the region's per-column rule, is never called);
+    # u = 100 ties the counts' pattern to the listing above
+    import hirzebruch.bundles as bundles
+
+    real, columns = bundles._region, []
+
+    def region(datum, pol):
+        deltas, gamma_max, first = real(datum, pol)
+        return deltas, gamma_max, lambda delta: columns.append(delta) or first(delta)
+
+    monkeypatch.setattr(bundles, "_region", region)
+    surface, calls = Surface(1), set()
+    for u in (100, 10**3, 10**6, 10**12):
+        datum = construct_extension(surface, u, u, 0, section_count_bounds(surface, u, u, 0)[0])
+        exclusion_calls.clear()
+        r_report = stability_certificate(datum, "R")
+        calls.add(len(exclusion_calls))
+        m_report = stability_certificate(datum, "M")
+        assert r_report.certified and m_report.certified
+        columns.clear()
+        assert r_report.candidate_count == u * (u + 1) // 2
+        assert m_report.candidate_count == (u + 1) * (u + 2) // 2
+        assert columns == []
+    assert len(calls) == 1 and 1 <= min(calls) <= 11
 
 
 def test_stability_audit_cost_grows_linearly_in_e(exclusion_calls):

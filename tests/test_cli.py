@@ -495,12 +495,10 @@ def test_construct_counts_the_candidates_it_does_not_print(fmt, exclusion_calls,
     argv, datum = _big_construct(fmt)
     code, out, err = run(argv, capsys)
     assert (code, err) == (0, "")
-    # only the verdicts' calls: one under M and the R antidiagonal
-    # gamma + delta = ceil((u+v)/2) inside the box
-    gamma_max = max(datum.sub.a, datum.quotient.cls.a)
-    delta_max = max(datum.sub.b, datum.quotient.cls.b)
-    antidiagonal = gamma_max + delta_max - 1000 + 1
-    assert 1 <= len(exclusion_calls) <= 1 + antidiagonal
+    # only the verdicts' calls: one under M and at most 11 classes of the
+    # R antidiagonal gamma + delta = ceil((u+v)/2) inside the box
+    assert 1 <= len(exclusion_calls) <= 1 + 11
+    assert all(a + b == (datum.u + datum.v + 1) // 2 for a, b in exclusion_calls[:-1])
     if fmt == "table":
         assert "R: certified (500500 candidates)" in out
         assert "M: certified (501501 candidates)" in out
@@ -516,25 +514,38 @@ def test_construct_json_over_the_budget_is_refused_before_listing(exclusion_call
     assert err.startswith("domain error: ") and err.count("\n") == 1
     assert "1002001 stability candidates" in err and f"the limit is {cli.ROW_BUDGET}" in err
     # the verdicts ran; no candidate was listed
-    assert len(exclusion_calls) <= 1 + 1000
+    assert len(exclusion_calls) <= 1 + 11
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-def test_construct_past_the_budget_of_stability_checks_is_refused(fmt, exclusion_calls, capsys):
-    # e = 1, u = v = 10^8: the R verdict would check one class per column,
-    # 10^8 of them; the count is read off the region before the first check
+def test_construct_at_u_of_10_to_the_8_checks_a_bounded_stability_boundary(
+    fmt, exclusion_calls, capsys
+):
+    # e = 1, u = v = 10^8: the verdicts check at most 11 classes under R
+    # and one under M, whatever u is, and the counts are closed forms, so
+    # table and CSV answer at once.  JSON would list (u + 1)^2 candidates,
+    # u(u+1)/2 under R and (u+1)(u+2)/2 under M, and is refused first
     u = 10**8
     s = section_count_bounds(Surface(1), u, u, 0)[0]
     argv = ["construct", "--e", "1", "--u", str(u), "--v", str(u), "--m", "0", "--s", str(s)]
     started = time.perf_counter()
     code, out, err = run(argv + ["--format", fmt], capsys)
     assert time.perf_counter() - started < 1.0
-    assert (code, out) == (3, "")
-    assert err == (
-        f"domain error: --u {u} --v {u} would produce {u + 1} stability checks; "
-        f"the limit is {cli.ROW_BUDGET}\n"
-    )
-    assert exclusion_calls == []
+    assert 2 <= len(exclusion_calls) <= 2 * 11
+    if fmt == "json":
+        assert (code, out) == (3, "")
+        assert err == (
+            f"domain error: --u {u} --v {u} --format json would produce {(u + 1) ** 2} "
+            f"stability candidates; the limit is {cli.ROW_BUDGET}\n"
+        )
+    elif fmt == "table":
+        assert (code, err) == (0, "")
+        assert f"R: certified ({u * (u + 1) // 2} candidates)" in out
+        assert f"M: certified ({(u + 1) * (u + 2) // 2} candidates)" in out
+    else:
+        assert (code, err) == (0, "")
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert (row["stable_R"], row["stable_M"]) == ("True", "True")
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])

@@ -15,6 +15,10 @@ the file (this never runs under pytest):
 
     PYTHONPATH=src python tests/test_transcript.py
 
+It prints the command line of each record it changed, added or dropped,
+one a line (`changed $ hirzebruch ...`), and nothing when the file is
+unchanged, so the list can be pasted into a change log.
+
 The help and refusal records carry the argparse layout of the Python
 that recorded them, RECORDED_ON.  The records replay unchanged on
 CPython 3.10 and 3.12 as well; on 3.13 the `check --help` usage line
@@ -92,10 +96,26 @@ def _record(line):
     return "\n".join(lines + _stream("stderr", err.getvalue()))
 
 
-def _recorded():
+def _recorded(path=TRANSCRIPT):
     """Each record of the file, as its text."""
-    blocks = TRANSCRIPT.read_text().rstrip("\n").split("\n\n")
+    blocks = path.read_text().rstrip("\n").split("\n\n")
     return [block for block in blocks if block.startswith("$ ")]
+
+
+def _changes(before, after):
+    """The command line of each record of `after` that `before` lacks,
+    "changed" if `before` records that line and "added" if not, then
+    "dropped" for each line that `before` records and `after` does not.
+    A `$` line not yet run is no record."""
+    before = [record for record in before if "\nexit " in record]
+    old = [record.partition("\n")[0] for record in before]
+    new = [record.partition("\n")[0] for record in after]
+    report = [
+        f"{'changed' if line in old else 'added'} {line}"
+        for line, record in zip(new, after)
+        if record not in before
+    ]
+    return report + [f"dropped {line}" for line in old if line not in new]
 
 
 def test_every_recorded_command_line_replays_unchanged(monkeypatch):
@@ -142,24 +162,50 @@ def test_the_rewrite_refuses_another_python(monkeypatch):
     assert TRANSCRIPT.read_text() == before
 
 
-def _rewrite():
-    # a comment block is kept; each `$` line, recorded or not, is run again
+def test_the_rewrite_reports_exactly_the_records_it_changed(tmp_path, monkeypatch):
+    # one altered record and one new `$` line in a copy: the rewrite
+    # restores the one, records the other, and names both, nothing else
+    monkeypatch.setitem(globals(), "RECORDED_ON", sys.version_info[:2])
+    monkeypatch.setenv("COLUMNS", COLUMNS)  # restored after the rewrite sets it
+    text = TRANSCRIPT.read_text()
+    line = "$ hirzebruch coh --e 1 --class 1,1 --format csv"
+    record = next(r for r in _recorded() if r.startswith(line + "\n"))
+    added = "$ hirzebruch coh --e 3 --class 2,5"
+    copy = tmp_path / TRANSCRIPT.name
+    copy.write_text(text.replace(record, record.replace("| 3,0,0,3", "| 3,0,0,4")) + f"\n{added}\n")
+    assert _rewrite(copy) == [f"changed {line}", f"added {added}"]
+    assert copy.read_text() == text + "\n" + _record(added) + "\n"
+    # a second rewrite changes nothing and reports nothing
+    assert _rewrite(copy) == []
+    # a record that the other list lacks is reported as dropped
+    assert _changes([record, _record(added)], [record]) == [f"dropped {added}"]
+
+
+def _rewrite(path=TRANSCRIPT):
+    """Rerun every `$` line of the transcript at `path` and rewrite it: a
+    comment block is kept, and each `$` line, recorded or not, is run
+    again.  Returns `_changes` of the records, in file order."""
     if sys.version_info[:2] != RECORDED_ON:
         sys.exit(
-            f"refusing to rewrite {TRANSCRIPT.name}: it was recorded on Python "
+            f"refusing to rewrite {path.name}: it was recorded on Python "
             f"{'.'.join(map(str, RECORDED_ON))}, whose argparse wording its help and "
             f"refusal records carry; this is Python {sys.version_info[0]}.{sys.version_info[1]}"
         )
     os.environ["COLUMNS"] = COLUMNS
-    blocks = []
-    for block in TRANSCRIPT.read_text().rstrip("\n").split("\n\n"):
+    before = _recorded(path)
+    blocks, after = [], []
+    for block in path.read_text().rstrip("\n").split("\n\n"):
         lines = block.splitlines()
         comments = [line for line in lines if line.startswith("#")]
         if comments:
             blocks.append("\n".join(comments))
-        blocks += [_record(line) for line in lines if line.startswith("$ ")]
-    TRANSCRIPT.write_text("\n\n".join(blocks) + "\n")
+        records = [_record(line) for line in lines if line.startswith("$ ")]
+        blocks += records
+        after += records
+    path.write_text("\n\n".join(blocks) + "\n")
+    return _changes(before, after)
 
 
 if __name__ == "__main__":
-    _rewrite()
+    for change in _rewrite():
+        print(change)
