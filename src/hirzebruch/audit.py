@@ -58,12 +58,12 @@ class Finding(Record):
     __slots__ = ("claim", "e", "status", "subject", "detail")
 
     def __init__(self, claim: str, e: int, status: str, subject: str, detail: str) -> None:
-        put = object.__setattr__
-        put(self, "claim", claim)
-        put(self, "e", e)
-        put(self, "status", status)
-        put(self, "subject", subject)
-        put(self, "detail", detail)
+        put_claim, put_e, put_status, put_subject, put_detail = self._put
+        put_claim(self, claim)
+        put_e(self, e)
+        put_status(self, status)
+        put_subject(self, subject)
+        put_detail(self, detail)
 
 
 def _settle(
@@ -94,9 +94,9 @@ def _claim_ample_self_twists(surface: Surface) -> list[Finding]:
     for ample in samples:
         fat = ample + DivisorClass(0, 2)
         for t in powers:
-            power = t * ample
-            good = unconditional_scan(surface, Line(power), ample).verdict
-            bad = unconditional_scan(surface, Line(power), fat).verdict
+            line = Line(t * ample)
+            good = unconditional_scan(surface, line, ample).verdict
+            bad = unconditional_scan(surface, line, fat).verdict
             if not good.holds() or bad.holds():
                 problems.append((
                     f"H={ample}, t={t}",
@@ -129,12 +129,13 @@ def _claim_line_twist_criterion(surface: Surface) -> list[Finding]:
     for u in range(-5, 6):
         for v in range(-5, 6):
             cls = DivisorClass(u, v)
-            by_scan = scan_verdict(surface, Line(cls), mm).verdict.holds()
+            line = Line(cls)
+            by_scan = scan_verdict(surface, line, mm).verdict.holds()
             if line_natural_wrt_m(surface, cls) != by_scan:
                 problems.append(
                     (f"(u,v)=({u},{v})", f"closed form says {not by_scan}, scan says {by_scan}")
                 )
-            two_sided = unconditional_scan(surface, Line(cls), mm).verdict.holds()
+            two_sided = unconditional_scan(surface, line, mm).verdict.holds()
             if line_unconditional_wrt_m(surface, cls) != two_sided:
                 problems.append((
                     f"(u,v)=({u},{v}) two-sided",

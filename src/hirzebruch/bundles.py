@@ -84,10 +84,10 @@ class ChernData(Record):
         if rank == 1 and c2 < 0:
             # rank-1 c2 is an ideal length
             raise DomainError(f"rank-1 c2 is a point count, got {c2}")
-        put = object.__setattr__
-        put(self, "rank", rank)
-        put(self, "c1", c1)
-        put(self, "c2", c2)
+        put_rank, put_c1, put_c2 = self._put
+        put_rank(self, rank)
+        put_c1(self, c1)
+        put_c2(self, c2)
 
 
 class ExtensionDatum(Record):
@@ -131,18 +131,21 @@ class ExtensionDatum(Record):
         # L + K = (quot - sub) + (-2, -e-2)
         cb = s == 0 or sections(e, qcls.a - sub.a - 2, qcls.b - sub.b - e - 2) < s
         split = s == 0 and counts(e, sub.a - qcls.a, sub.b - qcls.b)[1] == 0
-        put = object.__setattr__
-        put(self, "surface", surface)
-        put(self, "m", m)
-        put(self, "sub", sub)
-        put(self, "quotient", quotient)
-        put(self, "u", u)
-        put(self, "v", v)
-        put(self, "s", s)
-        put(self, "s_range", s_range)
-        put(self, "section_min", s_range[0] <= s)
-        put(self, "cayley_bacharach", cb)
-        put(self, "ext_forced_split", split)
+        (
+            put_surface, put_m, put_sub, put_quotient, put_u, put_v, put_s, put_s_range,
+            put_section_min, put_cayley_bacharach, put_ext_forced_split,
+        ) = self._put
+        put_surface(self, surface)
+        put_m(self, m)
+        put_sub(self, sub)
+        put_quotient(self, quotient)
+        put_u(self, u)
+        put_v(self, v)
+        put_s(self, s)
+        put_s_range(self, s_range)
+        put_section_min(self, s_range[0] <= s)
+        put_cayley_bacharach(self, cb)
+        put_ext_forced_split(self, split)
 
     def c1(self) -> DivisorClass:
         return DivisorClass(self.u, self.v)
@@ -291,7 +294,8 @@ class CohomologyInterval(Record):
     """
 
     # no slots: each `cohomology_interval` call builds one, read a field or
-    # two, so a build straight into the instance dict beats slot writes
+    # two, so a build straight into the instance dict beats even one
+    # through slot setters (see `natural.Verdict`)
     _fields = ("h0_min", "h0_max", "h1_min", "h1_max", "h2_min", "h2_max", "chi")
 
     def __init__(
@@ -361,10 +365,10 @@ class ExtensionAuditRow(Record):
     __slots__ = ("t", "interval", "outcome")
 
     def __init__(self, t: int, interval: CohomologyInterval, outcome: Outcome) -> None:
-        put = object.__setattr__
-        put(self, "t", t)
-        put(self, "interval", interval)
-        put(self, "outcome", outcome)
+        put_t, put_interval, put_outcome = self._put
+        put_t(self, t)
+        put_interval(self, interval)
+        put_outcome(self, outcome)
 
 
 def _outcome(h0_min: int, h0_max: int, h1_min: int, h1_max: int) -> Outcome:
@@ -522,10 +526,10 @@ class DestabilizerCandidate(Record):
     __slots__ = ("cls", "reason", "tail")
 
     def __init__(self, cls: DivisorClass, reason: Optional[str], tail: bool = False) -> None:
-        put = object.__setattr__
-        put(self, "cls", cls)
-        put(self, "reason", reason)
-        put(self, "tail", tail)
+        put_cls, put_reason, put_tail = self._put
+        put_cls(self, cls)
+        put_reason(self, reason)
+        put_tail(self, tail)
 
 
 class StabilityReport(Record):
@@ -545,11 +549,11 @@ class StabilityReport(Record):
         warnings: tuple[str, ...],
         datum: ExtensionDatum,
     ) -> None:
-        put = object.__setattr__
-        put(self, "polarization", polarization)
-        put(self, "certified", certified)
-        put(self, "warnings", warnings)
-        put(self, "datum", datum)
+        put_polarization, put_certified, put_warnings, put_datum = self._put
+        put_polarization(self, polarization)
+        put_certified(self, certified)
+        put_warnings(self, warnings)
+        put_datum(self, datum)
 
     @property
     def candidates(self) -> tuple[DestabilizerCandidate, ...]:
@@ -563,7 +567,7 @@ class StabilityReport(Record):
         """
         candidates = []
         pol = self.polarization
-        deltas, gamma_max, first = _region(self.datum, pol)
+        deltas, gamma_max, first, _ = _region(self.datum, pol)
         for delta in deltas:
             start = first(delta)
             for gamma in range(start, gamma_max + 1):
@@ -578,22 +582,23 @@ class StabilityReport(Record):
         """len(candidates), in closed form from `_region`'s bounds, with no
         column walk and no `_exclusion` call.  Under R the columns hold 1,
         2, ..., len(deltas) classes.  Under M the column of delta holds
-        gamma_max + 1 - first(delta) = gamma_max + 2 - min(low, freeze)
-        classes, low = min(0, sub.a).  freeze grows with delta, so the sum
-        splits where it reaches low (nowhere if quot.a < low), and before
-        that freeze sums to quot.a per column less a sum of floors
+        gamma_max + 1 - first(delta) = gamma_max + 2 - min(low, point)
+        classes, where point = qa - floor(max(0, qb - delta)/e) is the
+        freeze point and (e, qa, qb, low) are the freeze parameters that
+        `_region` returns and `first` reads.  The point grows with delta,
+        so the sum splits where it reaches low (nowhere if qa < low), and
+        before that it sums to qa per column less a sum of floors
         (`_floor_sum`).
         """
-        deltas, gamma_max, _ = _region(self.datum, self.polarization)
+        deltas, gamma_max, _, freeze = _region(self.datum, self.polarization)
         n = len(deltas)
-        if self.polarization is Polarization.R:
+        if freeze is None:
             return n * (n + 1) // 2
         if n == 0:
             return 0
-        datum, qcls = self.datum, self.datum.quotient.cls
-        e, qa, qb, low = datum.surface.e, qcls.a, qcls.b, min(0, datum.sub.a)
+        e, qa, qb, low = freeze
         lo, stop = deltas.start, deltas.stop
-        # freeze(delta) >= low iff max(0, quot.b - delta) < e * (quot.a - low + 1)
+        # point(delta) >= low iff max(0, qb - delta) < e * (qa - low + 1)
         cross = stop if qa < low else min(stop, max(lo, qb + 1 - e * (qa - low + 1)))
         frozen = (cross - lo) * qa - _floor_sum(e, qb - lo) + _floor_sum(e, qb - cross)
         return n * (gamma_max + 2) - frozen - (stop - cross) * low
@@ -629,11 +634,16 @@ def _exclusion(datum: ExtensionDatum, n: tuple[int, int]) -> Optional[str]:
     return "no_map"
 
 
-def _region(datum: ExtensionDatum, pol: Polarization) -> tuple[range, int, Callable[[int], int]]:
-    """The slope region of `pol` as (deltas, gamma_max, first): one column
-    per delta in `deltas`, increasing, and the column of delta lists the
-    classes (gamma, delta) with first(delta) <= gamma <= gamma_max.  This
-    is the one place that derives the region's bounds.
+def _region(
+    datum: ExtensionDatum, pol: Polarization
+) -> tuple[range, int, Callable[[int], int], Optional[tuple[int, int, int, int]]]:
+    """The slope region of `pol` as (deltas, gamma_max, first, freeze): one
+    column per delta in `deltas`, increasing, and the column of delta
+    lists the classes (gamma, delta) with first(delta) <= gamma <=
+    gamma_max.  Under M, freeze = (e, qa, qb, low) are the parameters of
+    the freeze point that `first` reads (below), so a caller that sums
+    the columns reads the same derivation; under R it is None.  This is
+    the one place that derives the region's bounds.
 
     A class N = (gamma, delta) is in the region when its slope meets half
     of c1's and it is not excluded wholesale.  The box: a map O(N) -> E
@@ -644,35 +654,34 @@ def _region(datum: ExtensionDatum, pol: Polarization) -> tuple[range, int, Calla
     from threshold - delta to gamma_max, threshold = ceil((u+v)/2), and
     its deltas run from threshold - gamma_max; N.M = delta, so under M the
     deltas start at ceil(v/2) and gamma is unbounded below.  The freeze
-    point: for gamma below 0, below quot.a - floor(max(0, quot.b - delta)/e)
-    and below sub.a, the residual class quot - N keeps a constant h0 (its
-    h-coordinate is past the section count's saturation) and a constant
-    effectivity, and sub - N keeps a constant effectivity, so `_exclusion`
-    is constant there.
+    point: for gamma below low = min(0, sub.a) and below qa - floor(max(0,
+    qb - delta)/e), (qa, qb) = quot, the residual class quot - N keeps a
+    constant h0 (its h-coordinate is past the section count's saturation)
+    and a constant effectivity, and sub - N keeps a constant effectivity,
+    so `_exclusion` is constant there.
 
     The boundary rule: `first` gives a column's first listed class, and
     this is the only code that says where a listing begins.  Under R it is
     threshold - delta, on the antidiagonal gamma + delta = threshold.
-    Under M it is min(0, freeze, sub.a) - 1, the tail entry, which stands
-    for every class of the column below the freeze point; freeze grows
-    with delta, so the first column's tail stands below every class of the
-    region.  The stability verdict checks some of these first classes,
-    at most 11 (see `stability_certificate`), and `candidate_count` sums
-    the columns in closed form.
+    Under M it is min(low, qa - floor(max(0, qb - delta)/e)) - 1, the tail
+    entry, which stands for every class of the column below the freeze
+    point; the freeze point grows with delta, so the first column's tail
+    stands below every class of the region.  The stability verdict checks
+    some of these first classes, at most 11 (see `stability_certificate`),
+    and `candidate_count` sums the columns in closed form.
     """
     qcls, sub = datum.quotient.cls, datum.sub
     gamma_max, delta_max = max(sub.a, qcls.a), max(sub.b, qcls.b)
     if pol is Polarization.R:
         threshold = ceil_div(datum.u + datum.v, 2)
         deltas = range(threshold - gamma_max, delta_max + 1)
-        return deltas, gamma_max, lambda delta: threshold - delta
-    e = datum.surface.e
+        return deltas, gamma_max, lambda delta: threshold - delta, None
+    e, qa, qb, low = datum.surface.e, qcls.a, qcls.b, sub.a if sub.a < 0 else 0
 
     def first(delta: int) -> int:
-        freeze = qcls.a - (max(0, qcls.b - delta) // e)
-        return min(0, freeze, sub.a) - 1
+        return min(low, qa - max(0, qb - delta) // e) - 1
 
-    return range(ceil_div(datum.v, 2), delta_max + 1), gamma_max, first
+    return range(ceil_div(datum.v, 2), delta_max + 1), gamma_max, first, (e, qa, qb, low)
 
 
 def _polarization(value: Polarization | str) -> Polarization:
@@ -735,7 +744,7 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
             f"v = {v} violates the fiber-polarization bound v <= 2eu-3 = {2 * e * u - 3}"
         )
 
-    deltas, _, first = _region(datum, pol)
+    deltas, _, first, _ = _region(datum, pol)
     if pol is Polarization.M or not deltas:
         # the first column's tail stands below every other class; an
         # empty region has nothing to check
@@ -748,8 +757,10 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
         vertex, turn = (2 * total - e) // (2 * e + 4), total // (e + 1)
         lo, hi = deltas[0], deltas[-1]
         picks = [vertex, vertex + 1, turn, turn + 1, 0, 1, total - 1, total]
-        ends = [lo, hi, datum.sub.b, *(a - shift for a in picks)]
-        checked = sorted({min(hi, max(lo, delta)) for delta in ends})
+        ends = [lo, hi, datum.sub.b, *[a - shift for a in picks]]
+        # clamped by comparisons, not `min`/`max` calls and a generator,
+        # which cost about a sixth of an R verdict at small coefficients
+        checked = sorted({lo if d < lo else hi if d > hi else d for d in ends})
     certified = all(_exclusion(datum, (first(delta), delta)) is not None for delta in checked)
     return StabilityReport(
         polarization=pol, certified=certified, warnings=tuple(warnings), datum=datum
@@ -774,11 +785,11 @@ class RegionCell(Record):
     def __init__(
         self, u: int, v: int, label: RegionLabel, witness: tuple[tuple[int, int], ...] = ()
     ) -> None:
-        put = object.__setattr__
-        put(self, "u", u)
-        put(self, "v", v)
-        put(self, "label", label)
-        put(self, "witness", witness)
+        put_u, put_v, put_label, put_witness = self._put
+        put_u(self, u)
+        put_v(self, v)
+        put_label(self, label)
+        put_witness(self, witness)
 
 
 def _merge_intervals(intervals: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

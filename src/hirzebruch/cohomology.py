@@ -66,10 +66,10 @@ class CohomologyTriple(Record):
     __slots__ = ("h0", "h1", "h2")
 
     def __init__(self, h0: int, h1: int, h2: int) -> None:
-        put = object.__setattr__
-        put(self, "h0", h0)
-        put(self, "h1", h1)
-        put(self, "h2", h2)
+        put_h0, put_h1, put_h2 = self._put
+        put_h0(self, h0)
+        put_h1(self, h1)
+        put_h2(self, h2)
 
     def chi(self) -> int:
         return self.h0 - self.h1 + self.h2

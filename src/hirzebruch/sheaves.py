@@ -81,9 +81,9 @@ class PointConfig(Record):
             raise DomainError(f"point count must be >= 0, got {z}")
         if not isinstance(locus, Locus):
             raise DomainError(f"point locus must be a Locus, got {locus!r}")
-        put = object.__setattr__
-        put(self, "z", z)
-        put(self, "locus", locus)
+        put_z, put_locus = self._put
+        put_z(self, z)
+        put_locus(self, locus)
 
 
 class IdealSheafModel(Record):
@@ -92,9 +92,9 @@ class IdealSheafModel(Record):
     __slots__ = ("config", "cls")
 
     def __init__(self, config: PointConfig, cls: DivisorClass) -> None:
-        put = object.__setattr__
-        put(self, "config", config)
-        put(self, "cls", cls)
+        put_config, put_cls = self._put
+        put_config(self, config)
+        put_cls(self, cls)
 
 
 def restriction_degree(surface: Surface, c: DivisorClass, locus: Locus) -> int:

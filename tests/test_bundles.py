@@ -1060,8 +1060,8 @@ def test_stability_answers_do_not_grow_with_the_coefficients(exclusion_calls, mo
     real, columns = bundles._region, []
 
     def region(datum, pol):
-        deltas, gamma_max, first = real(datum, pol)
-        return deltas, gamma_max, lambda delta: columns.append(delta) or first(delta)
+        deltas, gamma_max, first, freeze = real(datum, pol)
+        return deltas, gamma_max, lambda delta: columns.append(delta) or first(delta), freeze
 
     monkeypatch.setattr(bundles, "_region", region)
     surface, calls = Surface(1), set()

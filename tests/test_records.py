@@ -26,7 +26,10 @@ from hirzebruch import (
     stability_certificate,
     triple,
 )
+from hirzebruch.bundles import CohomologyInterval, ExtensionAudit
 from hirzebruch.cli import Report
+from hirzebruch.natural import ScanEvidence
+from hirzebruch.picard import Record
 from hirzebruch.sheaves import ideal_counts
 
 DATUM = (
@@ -153,6 +156,46 @@ def test_records_of_different_types_are_unequal():
     samples = [record for record, _ in _samples()]
     for a in samples:
         assert [b for b in samples if a == b] == [a]
+
+
+def _record_types(root=Record):
+    """Every `Record` subclass the package defines."""
+    for cls in root.__subclasses__():
+        if cls.__module__.startswith("hirzebruch."):
+            yield cls
+        yield from _record_types(cls)
+
+
+def test_each_slotted_type_writes_through_its_own_slot_setters():
+    # `Record.__init_subclass__` binds each slot's own setter, in
+    # `__slots__` order; the dict layouts bind none
+    slotted = [cls for cls in _record_types() if vars(cls).get("__slots__")]
+    assert sorted(cls.__name__ for cls in slotted) == sorted([
+        "DivisorClass", "Surface", "PositivityReport", "CohomologyTriple", "PointConfig",
+        "IdealSheafModel", "Line", "DirectSum", "ChernData", "ExtensionDatum",
+        "ExtensionAuditRow", "DestabilizerCandidate", "StabilityReport", "RegionCell", "Finding",
+    ])
+    for cls in slotted:
+        slots = vars(cls)["__slots__"]
+        assert cls._fields == slots
+        assert [put.__name__ for put in cls._put] == ["__set__"] * len(slots)
+        assert [put.__self__ for put in cls._put] == [vars(cls)[name] for name in slots]
+    for cls in (Verdict, ScanEvidence, CohomologyInterval, ExtensionAudit, Report):
+        assert "__slots__" not in vars(cls) and not hasattr(cls, "_put")
+
+
+def test_a_subclass_builds_through_its_parents_setters():
+    class Shifted(DivisorClass):
+        __slots__ = ()
+
+    shifted = Shifted(1, 2)
+    assert Shifted._put is DivisorClass._put and Shifted._fields == ("a", "b")
+    assert (shifted.a, shifted.b) == (1, 2) and not hasattr(shifted, "__dict__")
+    # slots of its own would hand the parent's `__init__` the wrong setters
+    with pytest.raises(TypeError, match="adds slots"):
+
+        class Wider(DivisorClass):
+            __slots__ = ("c",)
 
 
 def test_keyword_construction_and_defaults():

@@ -144,19 +144,70 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
+def _scoped(node, prefix="", function=""):
+    """(qualified name of the innermost enclosing function, node) of every
+    node under `node`; the name is "" at module and class level."""
+    for child in ast.iter_child_nodes(node):
+        yield function, child
+        if isinstance(child, ast.ClassDef):
+            yield from _scoped(child, f"{prefix}{child.name}.", function)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{prefix}{child.name}"
+            yield from _scoped(child, f"{name}.", name)
+        else:
+            yield from _scoped(child, prefix, function)
+
+
+def _names(node, attr):
+    # a read of `attr` by attribute (`x.attr`) or by name (`getattr(x, "attr")`)
+    return (isinstance(node, ast.Attribute) and node.attr == attr) or (
+        isinstance(node, ast.Constant) and node.value == attr
+    )
+
+
 def test_records_write_their_fields_in_one_way():
-    # a slotted record's `__init__` writes its fields through
-    # `object.__setattr__`; reading a slot descriptor's `__set__`, by
-    # attribute or by name, would be a second write path
+    # a slotted record's `__init__` writes its fields through the slot
+    # setters that `Record.__init_subclass__` binds once per class, read
+    # as `self._put`; only `Record.__setstate__` writes past the frozen
+    # `__setattr__` by name, for pickle and copy.  An `__init__` calling
+    # `object.__setattr__`, a `__set__` read anywhere else, or a setter
+    # table bound by a module or a class would each be a second write path
     package = pathlib.Path(hirzebruch.__file__).parent
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(package.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if (isinstance(node, ast.Attribute) and node.attr == "__set__")
-        or (isinstance(node, ast.Constant) and node.value == "__set__")
-    ]
+    found, slotted, readers = [], set(), set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function, node in _scoped(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')} in {function or '<body>'}"
+            if _names(node, "__setattr__") and function != "Record.__setstate__":
+                found.append(f"__setattr__ at {where}")
+            if _names(node, "__set__") and function != "Record.__init_subclass__":
+                found.append(f"__set__ at {where}")
+            if _names(node, "_put"):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    if function != "Record.__init_subclass__":
+                        found.append(f"_put bound at {where}")
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and function.endswith(".__init__")
+                ):
+                    readers.add(function)
+                else:
+                    found.append(f"_put read at {where}")
+            if isinstance(node, ast.ClassDef):
+                for statement in node.body:
+                    if (
+                        isinstance(statement, ast.Assign)
+                        and [getattr(t, "id", None) for t in statement.targets] == ["__slots__"]
+                        and isinstance(statement.value, ast.Tuple)
+                        and statement.value.elts
+                    ):
+                        slotted.add(f"{node.name}.__init__")
     assert found == []
+    # each of the slotted types, and nothing else, unpacks its setters
+    assert len(slotted) == 15
+    assert readers == slotted
 
 
 def test_the_package_import_loads_no_code_introspection_modules():

@@ -121,6 +121,9 @@ def _changes(before, after):
 def test_every_recorded_command_line_replays_unchanged(monkeypatch):
     monkeypatch.setenv("COLUMNS", COLUMNS)
     records = _recorded()
+    # each command line is recorded once, so none is replayed twice
+    lines = [record.partition("\n")[0] for record in records]
+    assert sorted({line for line in lines if lines.count(line) > 1}) == []
     codes = set()
     for want in records:
         assert _record(want.partition("\n")[0]) == want
