@@ -684,11 +684,16 @@ def _region(
     return range(ceil_div(datum.v, 2), delta_max + 1), gamma_max, first, (e, qa, qb, low)
 
 
+# each polarization by member and by value: a dict lookup costs a fraction
+# of an enum call, and a stability verdict makes one
+_POLARIZATIONS = {key: pol for pol in Polarization for key in (pol, pol.value)}
+
+
 def _polarization(value: Polarization | str) -> Polarization:
     """The polarization named by value; DomainError unless it is R or M."""
     try:
-        return Polarization(value)
-    except ValueError:
+        return _POLARIZATIONS[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
         raise DomainError(f"polarization must be R or M, got {value!r}") from None
 
 

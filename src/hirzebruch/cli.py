@@ -32,23 +32,21 @@ number of operations at any (u, v), so the table and CSV forms have no
 budget.
 
 Each command's options are defined once, in an option table whose rows
-are an option string and its `add_argument` keywords.  A well-formed
-command line (the command, then exact option strings, each with its
-value or as `--opt=value`) is read off those keywords directly.  Any
-other line goes to the argparse parser built by passing each row to
-`add_argument`, which gives every usage error and the help text.
+are an option string and its keywords.  One function, `_parse_line`,
+reads every command line off that table: it returns the namespace of a
+well-formed line and refuses any other with one usage error that names
+the offending token.  The help text is rendered from the same table, at
+a fixed width of 78 columns.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 import os
-import re
 import sys
 from collections import Counter
 from types import SimpleNamespace
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 try:
     # the C escaper that `json.encoder` itself uses, without loading the
@@ -116,11 +114,6 @@ CLOSED_PIPE = 141
 
 class UsageError(Exception):
     pass
-
-
-# ranges and pairs may open with a negative integer ("-5..6", "-1,2"); a
-# token this matches is a value, never an option string
-_NEGATIVE_NUMBER = re.compile(r"^-\d")
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +507,11 @@ def _cmd_audit(args: SimpleNamespace) -> Report:
         claims = [token for token in args.claims.split(",") if token]
         if not claims:
             raise UsageError(f"--claims names no claim: '{args.claims}'")
-        unknown = [c for c in claims if c not in CLAIMS]
-        if unknown:
-            raise UsageError(
-                f"unknown claim '{unknown[0]}'; valid: {', '.join(CLAIMS)}"
-            )
+        for name, count in Counter(claims).items():
+            if name not in CLAIMS:
+                raise UsageError(f"unknown claim '{name}'; valid: {', '.join(CLAIMS)}")
+            if count > 1:
+                raise UsageError(f"--claims names '{name}' more than once")
     _check_budget(
         (e_hi - e_lo + 1) * len(CLAIMS if claims is None else claims),
         f"--e {args.e}", "claim checks",
@@ -591,12 +584,17 @@ def _cmd_oracle(args: SimpleNamespace) -> Report:
 # parser assembly and entry point
 
 
-# one row of a command's option table: an option string and exactly its
-# `add_argument` keywords, which also tell `_parse_line` how to read it
+# one row of a command's option table: an option string and its keywords.
+# `dest` names the namespace field the value goes to; `type` (int)
+# converts the value, `choices` bounds it, `required` refuses a line
+# without the option, `default` fills the field when the option is
+# absent, and `action="store_true"` makes a flag that takes no value.
+# `metavar` (the field's name in capitals by default) and `help` are read
+# only by the help text
 _Row = tuple[str, dict[str, Any]]
 
 _E: _Row = ("--e", dict(dest="e", type=int, required=True))
-_FORMAT: _Row = ("--format", dict(dest="format", choices=FORMATS))
+_FORMAT: _Row = ("--format", dict(dest="format", choices=FORMATS, metavar="{table,csv,json}"))
 _REGION = (
     _E,
     ("--r", dict(dest="r", type=int, required=True)),
@@ -606,17 +604,17 @@ _REGION = (
     _FORMAT,
 )
 
-# each command's help line and options, in `--help` order: the one
-# definition of the grammar, read by `_parse_line` and `_build_parser`
-_GRAMMAR: dict[str, tuple[str, tuple[_Row, ...]]] = {
-    "coh": ("cohomology of a divisor class", (
+# each command's handler, help line and options, in `--help` order: the
+# one definition of the grammar, read by `main`, `_parse_line` and `_help`
+_GRAMMAR: dict[str, tuple[Callable[[SimpleNamespace], Report], str, tuple[_Row, ...]]] = {
+    "coh": (_cmd_coh, "cohomology of a divisor class", (
         _E,
         ("--class", dict(dest="cls", required=True, metavar="A,B")),
         ("--twist-by", dict(dest="twist_by", metavar="A,B")),
         ("--t", dict(dest="t", metavar="FROM..TO")),
         _FORMAT,
     )),
-    "check": ("natural / unconditional vanishing checks", (
+    "check": (_cmd_check, "natural / unconditional vanishing checks", (
         _E,
         ("--line", dict(dest="line", metavar="U,V")),
         ("--sum", dict(dest="sum", metavar="U1,V1;U2,V2;...")),
@@ -629,7 +627,7 @@ _GRAMMAR: dict[str, tuple[str, tuple[_Row, ...]]] = {
         )),
         _FORMAT,
     )),
-    "construct": ("rank-2 extension with certificates", (
+    "construct": (_cmd_construct, "rank-2 extension with certificates", (
         _E,
         ("--u", dict(dest="u", type=int, required=True)),
         ("--v", dict(dest="v", type=int, required=True)),
@@ -637,14 +635,14 @@ _GRAMMAR: dict[str, tuple[str, tuple[_Row, ...]]] = {
         ("--s", dict(dest="s", type=int, required=True)),
         _FORMAT,
     )),
-    "classify": ("label a (u, v) region", _REGION),
-    "enumerate": ("classify with CSV output by default", _REGION),
-    "audit": ("desk-scale claim verification", (
+    "classify": (_cmd_classify, "label a (u, v) region", _REGION),
+    "enumerate": (_cmd_classify, "classify with CSV output by default", _REGION),
+    "audit": (_cmd_audit, "desk-scale claim verification", (
         ("--claims", dict(dest="claims", metavar="NAME,NAME,...")),
         ("--e", dict(dest="e", default="1..4", metavar="FROM..TO")),
         _FORMAT,
     )),
-    "oracle": ("closed form vs brute force", (
+    "oracle": (_cmd_oracle, "closed form vs brute force", (
         ("--e", dict(dest="e", required=True, metavar="FROM..TO")),
         ("--a", dict(dest="a", required=True, metavar="FROM..TO")),
         ("--b", dict(dest="b", required=True, metavar="FROM..TO")),
@@ -652,65 +650,22 @@ _GRAMMAR: dict[str, tuple[str, tuple[_Row, ...]]] = {
     )),
 }
 
-# each command's option keywords by option string, for `_parse_line`
-_FLAGS = {name: dict(options) for name, (_, options) in _GRAMMAR.items()}
+# -h and --help, which the top level and every command take
+_HELP = {"action": "help"}
+_TOP_FLAGS = {"-h": _HELP, "--help": _HELP}
 
-
-@functools.cache
-def _build_parser() -> Any:
-    # built from `_GRAMMAR` on the first line `_parse_line` declines, not
-    # at import, and shared by every later one: parsing keeps no state in
-    # the parser, each call fills its own namespace.  `commands` keeps each
-    # command's sub-parser by name.  argparse, and the gettext it loads, is
-    # imported here, so a line read off the table never loads it.
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        # on the top-level parser: each command's sub-parser
-        commands: dict[str, "_Parser"]
-
-        # argparse's default error handling prints usage plus the message;
-        # the contract here is a single diagnostic line and exit code 2
-        def error(self, message: str) -> None:  # type: ignore[override]
-            raise UsageError(message)
-
-        def parse_known_args(self, args: Any = None, namespace: Any = None) -> Any:
-            try:
-                return super().parse_known_args(args, namespace)
-            except UsageError:
-                # the top-level parser skips a command's option given before
-                # the command and reads the option's value as the command;
-                # name the option instead of that value
-                lead = (args or [""])[0].partition("=")[0]
-                commands = getattr(self, "commands", {}).values()
-                if any(lead in command._option_string_actions for command in commands):
-                    raise UsageError(f"{lead} must follow the command") from None
-                raise
-
-        def __init__(self, *args: Any, **kwargs: Any) -> None:
-            super().__init__(*args, **kwargs)
-            # stock argparse would read "-5..6" or "-1,2" as option strings
-            self._negative_number_matcher = _NEGATIVE_NUMBER
-
-    parser = _Parser(prog="hirzebruch", description=_DESCRIPTION)
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = {}
-    for name, (help_text, options) in _GRAMMAR.items():
-        command = parser.commands[name] = sub.add_parser(name, help=help_text)
-        for flag, kwargs in options:
-            command.add_argument(flag, **kwargs)
-    return parser
-
-
-_COMMANDS = {
-    "coh": _cmd_coh,
-    "check": _cmd_check,
-    "construct": _cmd_construct,
-    "classify": _cmd_classify,
-    "enumerate": _cmd_classify,
-    "audit": _cmd_audit,
-    "oracle": _cmd_oracle,
+# for `_parse_line`: each command's rows by option string, -h and --help
+# first, and its namespace before any option is read
+_FLAGS = {name: {**_TOP_FLAGS, **dict(rows)} for name, (_, _, rows) in _GRAMMAR.items()}
+_DEFAULTS = {
+    name: {"command": name, **{option["dest"]: option.get("default") for _, option in rows}}
+    for name, (_, _, rows) in _GRAMMAR.items()
 }
+
+# help is laid out for this many columns, whatever the terminal's width;
+# an option's help text starts at column _HELP_COLUMN
+_HELP_WIDTH = 78
+_HELP_COLUMN = 24
 
 
 def _default_format(command: str) -> str:
@@ -720,110 +675,139 @@ def _default_format(command: str) -> str:
     return "csv" if command == "enumerate" else "table"
 
 
-def _parse_line(argv: Sequence[str]) -> Optional[SimpleNamespace]:
-    """The namespace that argparse fills for `argv`, read off the option
-    table, if `argv` is well formed; None otherwise.
+def _parse_line(argv: Sequence[str]) -> SimpleNamespace:
+    """The namespace of `argv`: its command, then one field per row of
+    that command's table, in table order.
 
-    Well formed: a command, then exact option strings of that command,
-    each value option followed by its value or written `--opt=value`, every
-    value read as argparse reads it, and every required option given.  A
-    following token that opens with "-" and is not a negative number is
-    not taken as a value.  The last occurrence of an option wins.
-    """
-    flags = _FLAGS.get(argv[0]) if argv else None
-    if flags is None:
-        return None
-    given: dict[str, Any] = {}
+    Options follow the command in any order, each an option string or a
+    unique prefix of one.  A value option takes `=value`, or else the next
+    token unless that opens with "-" and is not a negative number.  The
+    last occurrence wins.  Any other line is refused with one UsageError
+    naming the first offending token, or else the missing options.  -h
+    or --help prints help and exits 0."""
+    command = argv[0] if argv else None
+    flags = _FLAGS.get(command)
     tokens = iter(argv[1:])
+    if flags is None:
+        if command is None:
+            raise UsageError("the following arguments are required: command")
+        flag = command.partition("=")[0]
+        if flag != "-h" and not (len(flag) > 2 and "--help".startswith(flag)):
+            if any(flag in options for options in _FLAGS.values()):
+                raise UsageError(f"{flag} must follow the command")
+            raise _invalid_choice("command", command, _GRAMMAR)
+        # the top-level help: the loop below reads the lead as -h or --help
+        command, flags, tokens = None, _TOP_FLAGS, iter(argv)
+    values = dict(_DEFAULTS.get(command, {}))
     for token in tokens:
         flag, eq, value = token.partition("=")
         option = flags.get(flag)
-        if option is None:
-            return None
-        if "action" in option:  # store_true, the one action in the table
+        if option is None:  # a unique prefix of an option string, or refused
+            matches = [name for name in flags if name.startswith(flag)] if len(flag) > 2 else []
+            if not matches:
+                raise UsageError(f"unrecognized arguments: {token}")
+            if len(matches) > 1:
+                raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+            flag, option = matches[0], flags[matches[0]]
+        if "action" in option:  # help, or store_true
             if eq:
-                return None
-            given[option["dest"]] = True
+                name = "-h/--help" if option is _HELP else flag
+                raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+            if option is _HELP:
+                raise SystemExit(0 if _write(_help(command)) else CLOSED_PIPE)
+            values[option["dest"]] = True
             continue
         if not eq:
             value = next(tokens, None)
-            if value is None:
-                return None
-        if value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
-            return None
+            if value is None or value.startswith("-") and not value[1:2].isdecimal():
+                raise UsageError(f"argument {flag}: expected one argument")
         if "type" in option:
             try:
                 value = option["type"](value)
             except ValueError:
-                return None
+                raise UsageError(f"argument {flag}: invalid int value: {value!r}") from None
         if "choices" in option and value not in option["choices"]:
-            return None
-        given[option["dest"]] = value
-    # argparse sets the command, then every default in table order, then
-    # the values given
-    values = {"command": argv[0]}
-    for option in flags.values():
-        dest = option["dest"]
-        if dest in given:
-            values[dest] = given[dest]
-        elif option.get("required"):
-            return None
-        else:
-            values[dest] = option.get("default")
+            raise _invalid_choice(flag, value, option["choices"])
+        values[option["dest"]] = value
+    rows = _GRAMMAR[command][2]
+    missing = [flag for flag, kw in rows if kw.get("required") and values[kw["dest"]] is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
     return SimpleNamespace(**values)
 
 
-def _parse(argv: Sequence[str]) -> SimpleNamespace:
-    """The SimpleNamespace that the top-level parser fills for `argv`.
+def _invalid_choice(name: str, value: str, choices: Sequence[str]) -> UsageError:
+    listed = ", ".join(map(repr, choices))
+    return UsageError(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
 
-    A well-formed argv is read off the option table by `_parse_line`,
-    without argparse.  Any other argv that opens with a command is parsed
-    by that command's sub-parser alone, in one argparse pass, for its
-    diagnostic or help; the rest (empty, an unknown command, --help, an
-    option before the command) go to the top-level parser.
-    """
-    args = _parse_line(argv)
-    if args is not None:
-        return args
-    parser = _build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
+
+def _help(command: Optional[str]) -> str:
+    """The help text of `command`, or the top level's for None."""
+    entries = [("-h, --help", "show this help message and exit")]
     if command is None:
-        return parser.parse_args(argv, SimpleNamespace())
-    return command.parse_args(argv[1:], SimpleNamespace(command=argv[0]))
+        prog, choices = "hirzebruch", "{" + ",".join(_GRAMMAR) + "}"
+        parts = ["[-h]", choices + " ..."]
+        body = ["", *_wrap(_DESCRIPTION.split(), 0), "", "positional arguments:", "  " + choices]
+        body += [f"    {name:<{_HELP_COLUMN - 4}}{text}" for name, (_, text, _) in _GRAMMAR.items()]
+    else:
+        prog, parts, body = f"hirzebruch {command}", ["[-h]"], []
+        for flag, option in _GRAMMAR[command][2]:
+            metavar = option.get("metavar", option["dest"].upper())
+            usage = flag if "action" in option else f"{flag} {metavar}"
+            parts.append(usage if option.get("required") else f"[{usage}]")
+            entries.append((usage, option.get("help", "")))
+    lines = [*_wrap(["usage:", prog, *parts], len(prog) + 8), *body, "", "options:"]
+    for usage, text in entries:
+        head = f"  {usage:<{_HELP_COLUMN - 3}}" if text else f"  {usage}"
+        lines += _wrap([head, *text.split()], _HELP_COLUMN)
+    return "\n".join(lines)
+
+
+def _wrap(words: Sequence[str], indent: int) -> list[str]:
+    """`words` a space apart, broken before each word that would end past
+    column `_HELP_WIDTH` onto a line indented `indent` columns."""
+    lines = [words[0]]
+    for word in words[1:]:
+        if len(lines[-1]) + 1 + len(word) > _HELP_WIDTH:
+            lines.append(" " * indent + word)
+        else:
+            lines[-1] += " " + word
+    return lines
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
+        args = _parse_line(sys.argv[1:] if argv is None else argv)
         # resolved first: a handler may skip what its format does not print
         args.format = args.format or _default_format(args.command)
-        report = _COMMANDS[args.command](args)
+        report = _GRAMMAR[args.command][0](args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except DomainError as err:
         print(f"domain error: {err}", file=sys.stderr)
         return 3
+    return report.exit_code if _write(report.render(args.format)) else CLOSED_PIPE
+
+
+def _write(text: str) -> bool:
+    """Print `text`; False if the reader closed stdout first.  Then stdout's
+    descriptor is pointed at the null device, so that the interpreter's
+    flush of the unwritten rest at exit meets no closed pipe and prints
+    nothing; a stdout without a descriptor is left alone."""
     try:
-        print(report.render(args.format))
+        print(text)
         sys.stdout.flush()
+        return True
     except BrokenPipeError:
-        _silence_stdout()
-        return CLOSED_PIPE
-    return report.exit_code
-
-
-def _silence_stdout() -> None:
-    """Point stdout's descriptor at the null device, so that the
-    interpreter's flush of the unwritten rest at exit meets no closed pipe
-    and prints nothing.  A stdout without a descriptor is left alone."""
-    try:
-        fd = sys.stdout.fileno()
-    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
-        return
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+            return False
     null = os.open(os.devnull, os.O_WRONLY)
     os.dup2(null, fd)
     os.close(null)
+    return False
 
 
 if __name__ == "__main__":

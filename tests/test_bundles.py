@@ -1,6 +1,7 @@
 """Rank-2 construction, cohomology boxes, stability, and the region map."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -15,6 +16,7 @@ from hirzebruch import (
     ExtensionDatum,
     Locus,
     Outcome,
+    Polarization,
     RegionLabel,
     Surface,
     Verdict,
@@ -766,11 +768,19 @@ def test_audit_cost_does_not_grow_with_the_window(monkeypatch):
 # --- stability certificates
 
 
-@pytest.mark.parametrize("bad", ["X", "r", "", None, 1])
+@pytest.mark.parametrize("bad", ["X", "r", "", None, 1, ["R"]])
 def test_an_unknown_polarization_is_a_domain_error(bad):
     datum = build(1, 3, 2, 0, 3)
-    with pytest.raises(DomainError, match=r"^polarization must be R or M, got "):
+    message = f"polarization must be R or M, got {bad!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         stability_certificate(datum, bad)
+
+
+def test_a_polarization_is_named_by_its_member_or_its_value():
+    datum = build(1, 3, 2, 0, 3)
+    for pol in Polarization:
+        assert stability_certificate(datum, pol).polarization is pol
+        assert stability_certificate(datum, pol.value).polarization is pol
 
 
 def test_stability_certificate_frozen_instance():

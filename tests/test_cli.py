@@ -1,6 +1,5 @@
 """The command-line contract: formats, exit codes, diagnostics."""
 
-import argparse
 import ast
 import contextlib
 import csv
@@ -125,7 +124,7 @@ def test_usage_error_names_the_token(capsys):
 
 
 def test_an_option_before_the_command_is_named(capsys):
-    # argparse would read the option's value as the command
+    # named as the option, not by its value taken for the command
     code, out, err = run(["--format", "json", "coh", "--e", "1", "--class", "1,1"], capsys)
     assert (code, out) == (2, "")
     assert err == "error: --format must follow the command\n"
@@ -265,7 +264,7 @@ def test_json_round_trip(capsys, monkeypatch):
         assert code == 0, argv
         assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
         commands.add(argv[0])
-    assert commands == set(cli._COMMANDS)
+    assert commands == set(cli._GRAMMAR)
     # the README construct lists stability candidates under both polarizations
     construct = next(argv for argv in readme if argv[0] == "construct")
     code, out, _ = run(construct + ["--format", "json"], capsys)
@@ -597,6 +596,13 @@ def test_an_empty_claim_list_is_a_usage_error(claims, capsys, monkeypatch):
         assert err == f"error: --claims names no claim: '{claims}'\n"
 
 
+def test_a_claim_named_twice_is_a_usage_error(capsys, monkeypatch):
+    # it would be checked, printed and counted against the budget twice
+    monkeypatch.setattr(cli, "run_audit", lambda *args: pytest.fail("audited a claim twice"))
+    argv = ["audit", "--e", "1", "--claims", "sum-criterion,rank1-points,sum-criterion"]
+    assert run(argv, capsys) == (2, "", "error: --claims names 'sum-criterion' more than once\n")
+
+
 def test_audit_json_and_csv_list_the_run_audit_findings(capsys):
     expected = [
         {"claim": f.claim, "e": str(f.e), "status": f.status, "subject": f.subject,
@@ -683,7 +689,8 @@ def test_readme_examples_print_the_same_under_python_O():
 
 
 @pytest.mark.parametrize(
-    "line", [COLD_CLI_EXAMPLES[0], "classify --e 2 --r 2 --u -3..6 --v -10..14 --format json"]
+    "line",
+    [COLD_CLI_EXAMPLES[0], "classify --e 2 --r 2 --u -3..6 --v -10..14 --format json", "--help"],
 )
 def test_a_closed_pipe_ends_the_process_quietly(line):
     # the read end is closed before the process starts; a report that fits
@@ -709,6 +716,9 @@ class _ClosedPipe:
 def test_a_closed_pipe_in_process_is_exit_141(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
     assert cli.main(COLD_CLI_EXAMPLES[2].split()) == 141
+    with pytest.raises(SystemExit) as done:
+        cli.main(["coh", "--help"])
+    assert done.value.code == 141
     assert capsys.readouterr().err == ""
 
 
@@ -742,7 +752,7 @@ def test_failing_window_ends_at_the_witness(capsys):
     assert results["scanned_t"] == [2, 2]
 
 
-# --- one parser per process
+# --- one parser, and no state between lines
 
 
 # (HIRZEBRUCH_FORMAT or None, sabotage the h0 closed form, argv); the order
@@ -839,32 +849,153 @@ def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
         assert got == want, case
 
 
+# lines that print help: the top level's, and a command's, given first or
+# after other options
+HELP_LINES = (
+    "--help", "-h", "--he", "coh --help", "check -h", "construct --e 1 --help",
+    "audit --claims bogus --help",
+)
+
+
+def _main_outcome(argv, capsys):
+    # as `run`, with help's SystemExit read as its exit code
+    try:
+        code = cli.main(argv)
+    except SystemExit as done:
+        code = done.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def test_warm_calls_add_no_argparse_actions(capsys, monkeypatch):
-    run(["coh", "--e", "1", "--class", "1,1"], capsys)
-    added = []
-    real = argparse.ArgumentParser.add_argument
-
-    def counting(self, *args, **kwargs):
-        added.append(args)
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
-    for _ in range(3):
-        for _, _, line in REUSE_CASES[:12]:
-            run(line.split(), capsys)
-    assert added == []
+    # with argparse and gettext unimportable, every line, read, refused or
+    # explained, answers again as it did first: no line builds an argparse
+    # parser, cold or warm
+    monkeypatch.delenv("HIRZEBRUCH_FORMAT", raising=False)
+    lines = [line.split() for _, _, line in REUSE_CASES] + [line.split() for line in HELP_LINES]
+    want = [_main_outcome(argv, capsys) for argv in lines]
+    assert {code for code, _, _ in want} == {0, 2, 3}
+    monkeypatch.setitem(sys.modules, "argparse", None)
+    monkeypatch.setitem(sys.modules, "gettext", None)
+    for _ in range(2):
+        assert [_main_outcome(argv, capsys) for argv in lines] == want
 
 
-def _parse_outcome(parse, argv):
-    # the namespace, the UsageError text, or the exit code and stdout of --help
+# runs each help line through `cli.main` and prints the repr of its stdout
+_HELP_PROBE = """\
+import contextlib, io, sys
+from hirzebruch import cli
+for line in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
+        cli.main(line.split())
+    print(repr(out.getvalue()))
+"""
+
+
+def test_help_does_not_read_the_terminal_width(capsys):
+    # fresh interpreters, so a width read once at import shows as well
+    outputs = []
+    for columns in ("40", "200"):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": columns}
+        done = subprocess.run(
+            [sys.executable, "-c", _HELP_PROBE, *HELP_LINES],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == len(HELP_LINES)
+    for line, shown in zip(HELP_LINES, outputs[0].splitlines()):
+        code, out, err = _main_outcome(line.split(), capsys)
+        assert (code, err, repr(out)) == (0, "", shown), line
+        assert out.startswith("usage: hirzebruch"), line
+        assert max(len(text) for text in out.splitlines()) <= 78, line
+
+
+def _parse_outcome(argv):
+    # the namespace, the UsageError text, or the exit code and stdout of help
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
-            return parse(argv)
+            return cli._parse_line(argv)
     except cli.UsageError as err:
         return f"usage error: {err}"
     except SystemExit as done:
         return done.code, out.getvalue()
+
+
+def _spells(token, flag):
+    # `token` is `flag`, whole or a prefix of it, with or without "=value"
+    spelled = token.partition("=")[0]
+    return spelled == flag or (len(spelled) > 2 and flag.startswith(spelled))
+
+
+def _assert_reads(argv, namespace):
+    # one field per row of the command, in table order; each value given
+    # is a token of the line, and the line written out with exact option
+    # strings, each once, reads to the same namespace
+    rows = cli._GRAMMAR[argv[0]][2]
+    assert list(vars(namespace)) == ["command", *(option["dest"] for _, option in rows)]
+    parts = {part for token in argv for part in (token, token.partition("=")[2])}
+    spelled = [argv[0]]
+    for flag, option in rows:
+        value = getattr(namespace, option["dest"])
+        if value == option.get("default"):
+            assert not option.get("required"), flag
+        elif "action" in option:
+            assert value is True
+            spelled.append(flag)
+        else:
+            assert (type(value) is int) if "type" in option else (value in parts), flag
+            assert value in option.get("choices", (value,)), flag
+            spelled.append(f"{flag}={value}")
+    assert cli._parse_line(spelled) == namespace
+
+
+def _assert_names_its_token(argv, message):
+    # one line that names a token of the line, or the missing command or
+    # options
+    assert "\n" not in message
+    parts = {part for token in argv for part in (token, token.partition("=")[2])}
+    head, _, rest = message.partition(": ")
+    if head == "the following arguments are required":
+        if not argv:
+            assert rest == "command"
+            return
+        rows = dict(cli._GRAMMAR[argv[0]][2])
+        for flag in rest.split(", "):
+            assert rows[flag].get("required") and not any(_spells(t, flag) for t in argv), flag
+    elif head in ("unrecognized arguments", "ambiguous option"):
+        assert rest.split(" ")[0] in argv
+    elif head == "argument command":
+        assert rest.startswith(f"invalid choice: {argv[0]!r} (choose from ")
+    elif head.startswith("argument "):
+        flag = head.removeprefix("argument ")
+        flags = ["-h", "--help"] if flag == "-h/--help" else [flag]
+        assert any(_spells(t, f) for t in argv for f in flags), message
+        if rest != "expected one argument":
+            assert re.search(r"'([^']*)'", rest)[1] in parts, message
+    else:
+        assert message == f"{argv[0].partition('=')[0]} must follow the command"
+
+
+def _assert_explains(argv, outcome):
+    # the help of the command the line opens with, or the top level's
+    code, out = outcome
+    assert any(t == "-h" or _spells(t, "--help") for t in argv)
+    command = argv[0] if argv[0] in cli._GRAMMAR else None
+    assert (code, out) == (0, cli._help(command) + "\n")
+
+
+def _assert_read_refused_or_explained(argv):
+    outcome = _parse_outcome(argv)
+    if isinstance(outcome, SimpleNamespace):
+        _assert_reads(argv, outcome)
+    elif isinstance(outcome, str):
+        _assert_names_its_token(argv, outcome.removeprefix("usage error: "))
+    else:
+        _assert_explains(argv, outcome)
+    return type(outcome).__name__
 
 
 def _parse_corpus():
@@ -890,117 +1021,149 @@ def _parse_corpus():
             elif token.startswith("--"):
                 corpus.append(argv[:i + 1] + ["x"] + argv[i + 2:])
                 corpus.append(argv[:i] + argv[i + 2:] + [token])
-    corpus += [
-        [], ["bogus", "--e", "1"], ["--format", "json", "coh", "--e", "1", "--class", "1,1"],
-        ["coh", "--e", "1", "--cl", "1,1"], ["coh", "--e", "1", "--c", "1,1"],
-        ["check", "--e", "2", "--l", "1,0", "--w", "M", "--p"],
-        ["coh", "--", "--e", "1"], ["coh", "--e", "1", "--class", "--", "1,1"],
-        ["-h"], ["--help"], ["coh", "-h"], ["construct", "--e", "1", "--help"],
-        ["coh", "--e", "1", "--class", "1,1", "coh"], ["COH", "--e", "1"],
-    ]
-    return corpus
+    return corpus + [line.split() for line in (*_SPELLED, *HELP_LINES)] + [[]]
 
 
-def _parse_path(argv):
-    return "table" if cli._parse_line(argv) is not None else "argparse"
+_COMMAND_CHOICES = "'coh', 'check', 'construct', 'classify', 'enumerate', 'audit', 'oracle'"
+
+# odd spellings and the line each reads as, or the refusal it gets
+_SPELLED = {
+    "coh --e 1 --cl 1,1": "coh --e 1 --class 1,1",
+    "coh --e=1 --c=1,1": "coh --e 1 --class 1,1",
+    "check --e 2 --l 1,0 --w M --p": "check --e 2 --line 1,0 --wrt M --pp",
+    "check --e 2 --ex 2,1,0,0 --wrt M --form json":
+        "check --e 2 --extension 2,1,0,0 --wrt M --format json",
+    "bogus --e 1": f"argument command: invalid choice: 'bogus' (choose from {_COMMAND_CHOICES})",
+    "COH --e 1": f"argument command: invalid choice: 'COH' (choose from {_COMMAND_CHOICES})",
+    "--format json coh --e 1 --class 1,1": "--format must follow the command",
+    "--e=1 coh --class 1,1": "--e must follow the command",
+    "coh -- --e 1": "unrecognized arguments: --",
+    "coh --e 1 --class 1,1 coh": "unrecognized arguments: coh",
+    "coh --e 1 -1 --class 1,1": "unrecognized arguments: -1",
+    "coh --e 1 --class -- 1,1": "argument --class: expected one argument",
+    "coh --e 1 --class -x": "argument --class: expected one argument",
+    "coh --e 1 --class --help": "argument --class: expected one argument",
+    "coh --help=x": "argument -h/--help: ignored explicit argument 'x'",
+    "coh --class 1,1 --twist-by 0,1": "the following arguments are required: --e",
+    "oracle --a 0": "the following arguments are required: --e, --b",
+}
 
 
-def _top_level_outcome(argv):
-    # the top-level parser filling a SimpleNamespace, the type every
-    # `cli._parse` path returns; filling its own Namespace it must give
-    # the same fields, or the same refusal or help
-    parser = cli._build_parser()
-    want = _parse_outcome(lambda line: parser.parse_args(line, SimpleNamespace()), argv)
-    own = _parse_outcome(parser.parse_args, argv)
-    if isinstance(own, argparse.Namespace):
-        assert type(want) is SimpleNamespace and vars(own) == vars(want), argv
-    else:
-        assert own == want, argv
-    return want
+def test_every_corpus_line_is_read_refused_or_explained():
+    # the README and benchmark lines, each with one token broken, odd
+    # spellings and help: each is read to a namespace, refused in one line
+    # that names its token, or explained
+    kinds = {_assert_read_refused_or_explained(argv) for argv in _parse_corpus()}
+    assert kinds == {"SimpleNamespace", "str", "tuple"}
+    for line, want in _SPELLED.items():
+        got = _parse_outcome(line.split())
+        if isinstance(got, SimpleNamespace):
+            assert got == cli._parse_line(want.split()), line
+        else:
+            assert got == f"usage error: {want}", line
 
 
-def test_dispatch_parses_like_the_top_level_parser():
-    outcomes, paths = set(), set()
-    for argv in _parse_corpus():
-        want = _top_level_outcome(argv)
-        got = _parse_outcome(cli._parse, argv)
-        assert type(got) is type(want) and got == want, argv
-        outcomes.add(type(want).__name__)
-        paths.add(_parse_path(argv))
-    assert outcomes == {"SimpleNamespace", "str", "tuple"}
-    assert paths == {"table", "argparse"}
+def test_an_ambiguous_prefix_is_refused_by_name(monkeypatch):
+    # no two option strings of one command share a prefix today; one that
+    # did would be refused, and an exact option string still read
+    rows = cli._FLAGS["coh"]
+    monkeypatch.setitem(cli._FLAGS, "coh", {**rows, "--classic": rows["--class"]})
+    assert _parse_outcome(["coh", "--e", "1", "--clas=1,1"]) == (
+        "usage error: ambiguous option: --clas=1,1 could match --class, --classic"
+    )
+    assert cli._parse_line(["coh", "--e", "1", "--class", "1,1"]).cls == "1,1"
 
 
-def test_a_command_line_is_parsed_in_one_pass(monkeypatch):
-    passes = []
-    real = argparse.ArgumentParser.parse_known_args
+# the namespace each line reads to, written out by hand: for each command,
+# one line with only its required options and one with every option
+_READS = {
+    "coh --e 1 --class 1,1": dict(
+        command="coh", e=1, cls="1,1", twist_by=None, t=None, format=None
+    ),
+    "coh --e -2 --class 0,-1 --twist-by 1,2 --t -3..6 --format json": dict(
+        command="coh", e=-2, cls="0,-1", twist_by="1,2", t="-3..6", format="json"
+    ),
+    "check --e 1 --wrt M": dict(
+        command="check", e=1, line=None, sum=None, ideal=None, extension=None, wrt="M",
+        pp=False, format=None,
+    ),
+    "check --e 2 --line 1,0 --sum 0,0;1,1 --ideal fiber:2:1,4 --extension 2,1,0,0 --wrt 0,1 "
+    "--pp --format csv": dict(
+        command="check", e=2, line="1,0", sum="0,0;1,1", ideal="fiber:2:1,4",
+        extension="2,1,0,0", wrt="0,1", pp=True, format="csv",
+    ),
+    "construct --e 1 --u 3 --v 2 --m 0 --s 3": dict(
+        command="construct", e=1, u=3, v=2, m=0, s=3, format=None
+    ),
+    "construct --e 2 --u -3 --v 2 --m 1 --s 0 --format table": dict(
+        command="construct", e=2, u=-3, v=2, m=1, s=0, format="table"
+    ),
+    "classify --e 1 --r 2 --u 0..1 --v -1..1": dict(
+        command="classify", e=1, r=2, u="0..1", v="-1..1", m_max=0, format=None
+    ),
+    "classify --e 1 --r 2 --u 0..1 --v -1..1 --m-max 3 --format json": dict(
+        command="classify", e=1, r=2, u="0..1", v="-1..1", m_max=3, format="json"
+    ),
+    "enumerate --e 2 --r 1 --u 0 --v 0": dict(
+        command="enumerate", e=2, r=1, u="0", v="0", m_max=0, format=None
+    ),
+    "enumerate --e 2 --r 1 --u 0 --v 0 --m-max -1 --format csv": dict(
+        command="enumerate", e=2, r=1, u="0", v="0", m_max=-1, format="csv"
+    ),
+    "audit": dict(command="audit", claims=None, e="1..4", format=None),
+    "audit --claims sum-criterion --e 2..3 --format json": dict(
+        command="audit", claims="sum-criterion", e="2..3", format="json"
+    ),
+    "oracle --e 1 --a 0..1 --b -1..1": dict(
+        command="oracle", e="1", a="0..1", b="-1..1", format=None
+    ),
+    "oracle --e 1 --a 0..1 --b -1..1 --format csv": dict(
+        command="oracle", e="1", a="0..1", b="-1..1", format="csv"
+    ),
+}
 
-    def counting(self, *args, **kwargs):
-        passes.append(self.prog)
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
-    # a well-formed line is read off the option table: no argparse pass,
-    # and no parser built
-    cli._build_parser.cache_clear()
-    cli._parse(["coh", "--e", "1", "--class", "1,1"])
-    cli._parse(["check", "--e=2", "--line", "-1,3", "--wrt", "0,1", "--pp", "--pp"])
-    assert passes == [] and cli._build_parser.cache_info().misses == 0
-    # a line the table declines, refused or abbreviated, makes one pass:
-    # through its command's sub-parser when it opens with a command,
-    # through the top-level parser otherwise
-    for argv, prog in (
-        (["coh", "--e", "x", "--class", "1,1"], "hirzebruch coh"),
-        (["coh", "--e", "1"], "hirzebruch coh"),
-        (["coh", "--e", "1", "--cl", "1,1"], "hirzebruch coh"),
-        (["--format", "json", "coh", "--e", "1", "--class", "1,1"], "hirzebruch"),
-        (["bogus", "--e", "1"], "hirzebruch"),
-        ([], "hirzebruch"),
-    ):
-        passes.clear()
-        with contextlib.suppress(cli.UsageError):
-            cli._parse(argv)
-        assert passes == [prog], argv
-
-
-# the `add_argument` keywords that `_parse_line` interprets; "action" only
-# as "store_true"
-_TABLE_KEYWORDS = {"dest", "type", "required", "default", "choices", "metavar", "help", "action"}
+# the row keywords that `_parse_line` and `_help` read
+_ROW_KEYWORDS = {"dest", "type", "required", "default", "choices", "metavar", "help", "action"}
 
 
 def test_every_sub_parser_matches_the_option_table():
-    # `_build_parser` passes each row's keywords to `add_argument`, and
-    # `_parse_line` reads the same keywords; a keyword that `_parse_line`
-    # would not interpret, or an option that only one side knows or reads
-    # differently, fails here
-    parser = cli._build_parser()
-    assert list(parser.commands) == list(cli._GRAMMAR)
-    for name, (_, options) in cli._GRAMMAR.items():
-        for flag, kwargs in options:
-            assert "dest" in kwargs and set(kwargs) <= _TABLE_KEYWORDS, (name, flag)
-            if "action" in kwargs:
-                # `_parse_line` fills an absent option with the row's default
-                assert kwargs["action"] == "store_true", (name, flag)
-                assert "default" in kwargs and kwargs["default"] is False, (name, flag)
-        built = [
-            (
-                action.option_strings, action.dest, action.default,
-                bool if isinstance(action, argparse._StoreTrueAction) else action.type,
-                action.choices, action.required, action.metavar, action.help,
-            )
-            for action in parser.commands[name]._actions
-            if action.option_strings != ["-h", "--help"]
-        ]
-        table = [
-            (
-                [flag], kwargs["dest"], kwargs.get("default"),
-                bool if kwargs.get("action") == "store_true" else kwargs.get("type"),
-                kwargs.get("choices"), kwargs.get("required", False),
-                kwargs.get("metavar"), kwargs.get("help"),
-            )
-            for flag, kwargs in options
-        ]
-        assert built == table, name
+    # each command reads the lines above to the namespaces written out
+    # there: field names and order, and each row's type, default and flag;
+    # and each row refuses its line in the way its keywords say
+    for line, want in _READS.items():
+        assert list(vars(cli._parse_line(line.split())).items()) == list(want.items()), line
+    for name, (_, _, rows) in cli._GRAMMAR.items():
+        lines = [line.split() for line in _READS if line.split()[0] == name]
+        bare = min(lines, key=len)
+        for flag, option in rows:
+            assert set(option) <= _ROW_KEYWORDS and "dest" in option, (name, flag)
+            assert option.get("type", int) is int, (name, flag)
+            assert option.get("action", "store_true") == "store_true", (name, flag)
+            assert any(flag in argv for argv in lines), (name, flag)
+            if option.get("required"):
+                i = bare.index(flag)
+                assert _parse_outcome(bare[:i] + bare[i + 2:]) == (
+                    f"usage error: the following arguments are required: {flag}"
+                )
+            else:
+                assert flag not in bare, (name, flag)
+            if "type" in option:
+                assert _parse_outcome(bare + [flag, "1.5"]) == (
+                    f"usage error: argument {flag}: invalid int value: '1.5'"
+                )
+            if "choices" in option:
+                assert _parse_outcome(bare + [f"{flag}=yaml"]) == (
+                    f"usage error: argument {flag}: invalid choice: 'yaml' "
+                    "(choose from 'table', 'csv', 'json')"
+                )
+            if "action" in option:
+                assert _parse_outcome(bare + [f"{flag}=x"]) == (
+                    f"usage error: argument {flag}: ignored explicit argument 'x'"
+                )
+            else:
+                assert _parse_outcome(bare + [flag]) == (
+                    f"usage error: argument {flag}: expected one argument"
+                )
 
 
 _COMMAND_OPTIONS = {
@@ -1081,7 +1244,7 @@ def _argvs(draw):
     return argv
 
 
-# tokens that the table parser declines or must read as argparse does
+# tokens that open with "-" or are empty, read as values, options or strays
 _ODD = ["-", "--", "-h", "--help", "-3..6", "-1,2", "-1", "-x", ""]
 
 
@@ -1115,11 +1278,8 @@ def _respelled_argvs(draw):
 @example(["check", "--e", "1", "--line", "1,1", "--wrt", "M", "--pp=x"])
 @example(["coh", "--e", "1", "--class", "1,1", "--format=yaml"])
 @example(["coh", "--e", "1", "--e", "2", "--class", "1,1", "--class", "2,2"])
-def test_fuzzed_argv_parses_like_the_top_level_parser(argv):
-    event(f"path {_parse_path(argv)}")
-    want = _top_level_outcome(argv)
-    got = _parse_outcome(cli._parse, argv)
-    assert type(got) is type(want) and got == want
+def test_fuzzed_argv_is_read_refused_or_explained(argv):
+    event(f"outcome {_assert_read_refused_or_explained(argv)}")
 
 
 @settings(max_examples=150, deadline=None)

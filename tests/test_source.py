@@ -213,24 +213,35 @@ def test_records_write_their_fields_in_one_way():
 def test_the_package_import_loads_no_code_introspection_modules():
     # a fresh interpreter, so modules that pytest or another test loaded
     # do not hide one the package loads; modules that interpreter start-up
-    # loaded are not the package's doing.  `cli` loads argparse (and the
-    # gettext it imports) only to explain a declined command line, and
-    # csv only to write CSV.  The import still loads all seven layers,
-    # which the benchmark's per-layer import probe reads
-    probe = (
-        "import sys; before = set(sys.modules); import hirzebruch, hirzebruch.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize',"
-        " 'argparse', 'gettext', 'csv') if m in sys.modules and m not in before)); "
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('hirzebruch.'))))"
-    )
+    # loaded are not the package's doing.  Besides the import, the probe
+    # runs a refused command line and a help line: no line loads argparse
+    # or the gettext it imports, and `cli` loads csv only to write CSV.
+    # The import still loads all seven layers, which the benchmark's
+    # per-layer import probe reads
+    probe = """\
+import contextlib, io, sys
+before = set(sys.modules)
+import hirzebruch, hirzebruch.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+    code = hirzebruch.cli.main(["coh", "--e", "x", "--class", "1,1"])
+    code += hirzebruch.cli.main(["coh", "--", "--e", "1"])
+    with contextlib.suppress(SystemExit):
+        hirzebruch.cli.main(["construct", "--e", "1", "--help"])
+print(" ".join(m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize",
+               "argparse", "gettext", "csv") if m in sys.modules and m not in before))
+print(" ".join(sorted(m for m in sys.modules if m.startswith("hirzebruch."))))
+print(code, out.getvalue().count("usage: hirzebruch construct"))
+"""
     src = pathlib.Path(hirzebruch.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    loaded, layers = done.stdout.split("\n")[:2]
+    loaded, layers, ran = done.stdout.split("\n")[:3]
     assert loaded.split() == []
+    assert ran == "4 1"  # two refusals, exit 2 each, and the help
     seven = ("picard", "cohomology", "sheaves", "natural", "bundles", "audit", "cli")
     assert layers.split() == [f"hirzebruch.{layer}" for layer in sorted(seven)]
 
