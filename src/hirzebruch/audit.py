@@ -237,32 +237,41 @@ def _claim_rank1_points(surface: Surface) -> list[Finding]:
 def _random_sum(rng: random.Random) -> list[DivisorClass]:
     """randint(1, 4) summands of coordinates randint(-8, 8), drawn inline as
     `randint` draws (a test compares them): n.bit_length() bits until < n."""
-    bits, coords = rng.getrandbits, []
+    bits, summands = rng.getrandbits, []
     count = bits(3)
     while count >= 4:
         count = bits(3)
-    while len(coords) < 2 * count + 2:
-        r = bits(5)
-        if r < 17:
-            coords.append(r - 8)
-    return [DivisorClass(coords[i], coords[i + 1]) for i in range(0, len(coords), 2)]
+    for _ in range(count + 1):
+        a = bits(5)
+        while a >= 17:
+            a = bits(5)
+        b = bits(5)
+        while b >= 17:
+            b = bits(5)
+        summands.append(DivisorClass(a - 8, b - 8))
+    return summands
 
 
 def _variant_sum_criterion(surface: Surface, classes: Sequence[DivisorClass]) -> bool:
     # same shape as the closed form, except the per-summand twist bound
-    # reads u_i - m >= -1 instead of u_i + m >= -1
+    # reads u_i - m >= -1 instead of u_i + m >= -1.  The greatest summand
+    # may fail that bound, and the variant exempts one copy of it: the
+    # sorted form it transcribes checked every summand but the first
     e = surface.e
-    ordered = sorted(classes, key=lambda c: (-c.a, -c.b))
-    if any(c.b < e * c.a - 1 for c in ordered):
-        return False
-    top = ordered[0]
-    m = -top.a if top.b >= e * top.a else -top.a + 1
-    for c in ordered[1:]:
-        if c.a - m >= -1:
-            continue
-        if -1 <= c.b - e * c.a <= e - 1:
-            continue
-        return False
+    ta, tb = classes[0].a, classes[0].b
+    for c in classes:
+        a, b = c.a, c.b
+        if b < e * a - 1:
+            return False
+        if a > ta or a == ta and b > tb:
+            ta, tb = a, b
+    m = -ta if tb >= e * ta else -ta + 1
+    exempt = True
+    for c in classes:
+        if c.a - m < -1 and not -1 <= c.b - e * c.a <= e - 1:
+            if not (exempt and c.a == ta and c.b == tb):
+                return False
+            exempt = False
     return True
 
 
@@ -336,9 +345,14 @@ def _claim_nonexistence_region(surface: Surface) -> list[Finding]:
 
 def _stated_section_sums(e: int, u: int, v: int, m: int) -> tuple[int, int]:
     # bare arithmetic sums sometimes quoted for the construction bounds;
-    # they lack the +1 per section-count term and the e-offset in the first
-    a_sum = sum(v + 2 * m - 1 - i * e for i in range(u + 2 * m - 1))
-    b_sum = sum(v + 2 * m - i * e for i in range(u + 2 * m))
+    # they lack the +1 per section-count term and the e-offset in the
+    # first.  Each sums first - i*e over 0 <= i < n, in closed form
+    # n*first - e*n(n-1)/2, and a term count n <= 0 sums nothing; the
+    # second has one term more than the first
+    n = u + 2 * m - 1
+    a_sum = n * (v + 2 * m - 1) - e * n * (n - 1) // 2 if n > 0 else 0
+    n += 1
+    b_sum = n * (v + 2 * m) - e * n * (n - 1) // 2 if n > 0 else 0
     return a_sum, b_sum
 
 

@@ -336,8 +336,13 @@ def _box(datum: ExtensionDatum, t: int) -> tuple[int, int, int, int, int, int, i
     q0, q1, q2 = ideal_counts(e, z, locus, quot.cls.a + t, quot.cls.b + t * e)
     total_chi = a0 - a1 + a2 + q0 - q1 + q2
 
-    # the caps on r0 and r1; a forced split pins both ranks at 0
-    cap0, cap1 = (0, 0) if datum.ext_forced_split else (min(q0, a1), min(q1, a2))
+    # the caps on r0 and r1, min(q0, a1) and min(q1, a2); a forced split
+    # pins both ranks at 0
+    if datum.ext_forced_split:
+        cap0 = cap1 = 0
+    else:
+        cap0 = q0 if q0 < a1 else a1
+        cap1 = q1 if q1 < a2 else a2
     hi0, hi1, hi2 = a0 + q0, a1 + q1, a2 + q2
     lo0, lo1, lo2 = hi0 - cap0, hi1 - cap0 - cap1, hi2 - cap1
 
@@ -424,7 +429,9 @@ def _settle_twist(datum: ExtensionDatum) -> int:
     quotient's points is nondecreasing.
     """
     e, sub, qcls = datum.surface.e, datum.sub, datum.quotient.cls
-    return max(effective_twist(sub.a - 1, sub.b, 1, e), effective_twist(qcls.a - 1, qcls.b, 1, e))
+    sub_t = effective_twist(sub.a - 1, sub.b, 1, e)
+    quot_t = effective_twist(qcls.a - 1, qcls.b, 1, e)
+    return sub_t if sub_t > quot_t else quot_t
 
 
 def _audit_scan_stop(datum: ExtensionDatum, settle: int) -> int:
@@ -438,12 +445,14 @@ def _audit_scan_stop(datum: ExtensionDatum, settle: int) -> int:
     constant under M.  Construction data have capacity b_hi >= s at m.
     """
     e, qcls, n = datum.surface.e, datum.quotient.cls, datum.s - 1
-    cuts = [datum.m, settle]
+    stop = datum.m if datum.m > settle else settle
     locus = datum.quotient.config.locus
     if locus is not _ON_SECTION:
         da, db = (0, 1) if locus is _GENERAL else (1, e)
-        cuts.append(effective_twist(qcls.a - n * da, qcls.b - n * db, 1, e))
-    return max(cuts) + 1
+        reach = effective_twist(qcls.a - n * da, qcls.b - n * db, 1, e)
+        if reach > stop:
+            stop = reach
+    return stop + 1
 
 
 def audit_extension_natural(datum: ExtensionDatum) -> ExtensionAudit:

@@ -116,6 +116,11 @@ class UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """A line that asks for help: `main` prints the text this carries and
+    returns 0, like any other line that succeeds."""
+
+
 # ---------------------------------------------------------------------------
 # token parsing; every failure names the offending token
 
@@ -684,7 +689,7 @@ def _parse_line(argv: Sequence[str]) -> SimpleNamespace:
     token unless that opens with "-" and is not a negative number.  The
     last occurrence wins.  Any other line is refused with one UsageError
     naming the first offending token, or else the missing options.  -h
-    or --help prints help and exits 0."""
+    or --help raises `_Help` with the help text."""
     command = argv[0] if argv else None
     flags = _FLAGS.get(command)
     tokens = iter(argv[1:])
@@ -714,7 +719,7 @@ def _parse_line(argv: Sequence[str]) -> SimpleNamespace:
                 name = "-h/--help" if option is _HELP else flag
                 raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
             if option is _HELP:
-                raise SystemExit(0 if _write(_help(command)) else CLOSED_PIPE)
+                raise _Help(_help(command))
             values[option["dest"]] = True
             continue
         if not eq:
@@ -787,6 +792,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as err:
         print(f"domain error: {err}", file=sys.stderr)
         return 3
+    except _Help as shown:
+        return 0 if _write(str(shown)) else CLOSED_PIPE
     return report.exit_code if _write(report.render(args.format)) else CLOSED_PIPE
 
 

@@ -424,26 +424,29 @@ def line_natural_wrt_r(surface: Surface, cls: DivisorClass) -> bool:
 def direct_sum_natural_wrt_m(surface: Surface, classes: list[DivisorClass]) -> bool:
     """Closed-form criterion for a direct sum of line bundles w.r.t. M.
 
-    Sort the summands by u descending, ties by v descending.  Each summand
-    must individually satisfy v_i >= e*u_i - 1.  The sum first has sections
-    at m = -u_1 (or -u_1 + 1 when v_1 = e*u_1 - 1 exactly), and from that
-    twist on, summand i stays clean iff its h-coordinate never dips below
-    -1 on the scanned ray (u_i + m >= -1) or its constant slack sits in the
-    band [-1, e-1] where both outer trichotomy branches vanish.
+    Each summand must individually satisfy v_i >= e*u_i - 1.  The
+    greatest summand (u_1, v_1), by u and then by v, is found in the same
+    pass: the sum first has sections at m = -u_1 (or -u_1 + 1 when
+    v_1 = e*u_1 - 1 exactly).  A second pass checks that from that twist
+    on every summand stays clean: its h-coordinate never dips below -1 on
+    the scanned ray (u_i + m >= -1) or its constant slack sits in the band
+    [-1, e-1] where both outer trichotomy branches vanish.  The greatest
+    summand, and any equal to it, has u_i + m >= 0, so the second pass
+    need not skip it.
     """
     e = surface.e
     if not classes:
         raise DomainError("direct sum needs at least one summand")
-    ordered = sorted(classes, key=lambda c: (-c.a, -c.b))
-    if any(c.b < e * c.a - 1 for c in ordered):
-        return False
-    top = ordered[0]
-    # the sorted head realizes the minimal twist with sections
-    m = -top.a if top.b >= e * top.a else -top.a + 1
-    for c in ordered[1:]:
-        if c.a + m >= -1:
-            continue
-        if -1 <= c.b - e * c.a <= e - 1:
-            continue
-        return False
+    ta, tb = classes[0].a, classes[0].b
+    for c in classes:
+        a, b = c.a, c.b
+        if b < e * a - 1:
+            return False
+        if a > ta or a == ta and b > tb:
+            ta, tb = a, b
+    # the greatest summand realizes the minimal twist with sections
+    m = -ta if tb >= e * ta else -ta + 1
+    for c in classes:
+        if c.a + m < -1 and not -1 <= c.b - e * c.a <= e - 1:
+            return False
     return True

@@ -119,15 +119,22 @@ def _unseen(e: int, locus: Locus, a: int, b: int) -> int:
     return sections(e, a - curve.a, b - curve.b)
 
 
-def _ideal_h0(e: int, z: int, locus: Locus, a: int, b: int, full: int) -> int:
-    """h0(c) - min(z, capacity) for c = (a, b), given full = h0(c): each
-    point imposes one condition until the capacity runs out."""
-    return full - min(z, full - _unseen(e, locus, a, b))
+def _curve_h0(e: int, z: int, locus: Locus, a: int, b: int, full: int) -> int:
+    """h0 of I_Z(c), c = (a, b), for points on a curve C, given full =
+    h0(c): max(full - z, h0(c - C)), as each point imposes one condition
+    until the capacity full - h0(c - C) runs out.  General position, the
+    locus of every construction's quotient, has no C: the callers answer
+    it inline, max(full - z, 0)."""
+    v0, unseen = full - z, _unseen(e, locus, a, b)
+    return v0 if v0 > unseen else unseen
 
 
 def ideal_sections(e: int, z: int, locus: Locus, a: int, b: int) -> int:
     """h0 of I_Z(a, b), with h0(c) evaluated once."""
-    return _ideal_h0(e, z, locus, a, b, sections(e, a, b))
+    full = sections(e, a, b)
+    if locus is _GENERAL:
+        return full - z if full > z else 0
+    return _curve_h0(e, z, locus, a, b, full)
 
 
 def ideal_sections_twist(
@@ -146,14 +153,21 @@ def ideal_sections_twist(
     curve = _SECTION_CURVE if locus is _ON_SECTION else _FIBER_CURVE
     unseen = effective_twist(u - curve.a, v - curve.b, c, d)
     # c - C effective makes c effective, so unseen is None whenever t is
-    return t if unseen is None else min(t, max(start, unseen))
+    if unseen is None:
+        return t
+    if unseen < start:
+        unseen = start
+    return t if t <= unseen else unseen
 
 
 def ideal_counts(e: int, z: int, locus: Locus, a: int, b: int) -> tuple[int, int, int]:
     """(h0, h1, h2) of I_Z(a, b): h2 is the line bundle's, and h1 is
     forced by chi(I_Z(c)) = chi(c) - z.  h0 reads the h0(c) of `counts`."""
     full, line1, v2 = counts(e, a, b)
-    v0 = _ideal_h0(e, z, locus, a, b, full)
+    if locus is _GENERAL:
+        v0 = full - z if full > z else 0
+    else:
+        v0 = _curve_h0(e, z, locus, a, b, full)
     v1 = v0 + v2 - (full - line1 + v2 - z)
     if v1 < 0:
         raise ConsistencyError(

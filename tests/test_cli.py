@@ -716,9 +716,7 @@ class _ClosedPipe:
 def test_a_closed_pipe_in_process_is_exit_141(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
     assert cli.main(COLD_CLI_EXAMPLES[2].split()) == 141
-    with pytest.raises(SystemExit) as done:
-        cli.main(["coh", "--help"])
-    assert done.value.code == 141
+    assert cli.main(["coh", "--help"]) == 141
     assert capsys.readouterr().err == ""
 
 
@@ -857,39 +855,30 @@ HELP_LINES = (
 )
 
 
-def _main_outcome(argv, capsys):
-    # as `run`, with help's SystemExit read as its exit code
-    try:
-        code = cli.main(argv)
-    except SystemExit as done:
-        code = done.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def test_warm_calls_add_no_argparse_actions(capsys, monkeypatch):
     # with argparse and gettext unimportable, every line, read, refused or
     # explained, answers again as it did first: no line builds an argparse
     # parser, cold or warm
     monkeypatch.delenv("HIRZEBRUCH_FORMAT", raising=False)
     lines = [line.split() for _, _, line in REUSE_CASES] + [line.split() for line in HELP_LINES]
-    want = [_main_outcome(argv, capsys) for argv in lines]
+    want = [run(argv, capsys) for argv in lines]
     assert {code for code, _, _ in want} == {0, 2, 3}
     monkeypatch.setitem(sys.modules, "argparse", None)
     monkeypatch.setitem(sys.modules, "gettext", None)
     for _ in range(2):
-        assert [_main_outcome(argv, capsys) for argv in lines] == want
+        assert [run(argv, capsys) for argv in lines] == want
 
 
-# runs each help line through `cli.main` and prints the repr of its stdout
+# runs each help line through `cli.main` and prints the repr of its stdout,
+# or its exit code when that is not 0
 _HELP_PROBE = """\
 import contextlib, io, sys
 from hirzebruch import cli
 for line in sys.argv[1:]:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
-        cli.main(line.split())
-    print(repr(out.getvalue()))
+    with contextlib.redirect_stdout(out):
+        code = cli.main(line.split())
+    print(repr(out.getvalue()) if code == 0 else f"exit {code}")
 """
 
 
@@ -906,22 +895,20 @@ def test_help_does_not_read_the_terminal_width(capsys):
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == len(HELP_LINES)
     for line, shown in zip(HELP_LINES, outputs[0].splitlines()):
-        code, out, err = _main_outcome(line.split(), capsys)
+        code, out, err = run(line.split(), capsys)
         assert (code, err, repr(out)) == (0, "", shown), line
         assert out.startswith("usage: hirzebruch"), line
         assert max(len(text) for text in out.splitlines()) <= 78, line
 
 
 def _parse_outcome(argv):
-    # the namespace, the UsageError text, or the exit code and stdout of help
-    out = io.StringIO()
+    # the namespace, the UsageError text, or ("help", the help text)
     try:
-        with contextlib.redirect_stdout(out):
-            return cli._parse_line(argv)
+        return cli._parse_line(argv)
     except cli.UsageError as err:
         return f"usage error: {err}"
-    except SystemExit as done:
-        return done.code, out.getvalue()
+    except cli._Help as shown:
+        return "help", str(shown)
 
 
 def _spells(token, flag):
@@ -981,10 +968,9 @@ def _assert_names_its_token(argv, message):
 
 def _assert_explains(argv, outcome):
     # the help of the command the line opens with, or the top level's
-    code, out = outcome
     assert any(t == "-h" or _spells(t, "--help") for t in argv)
     command = argv[0] if argv[0] in cli._GRAMMAR else None
-    assert (code, out) == (0, cli._help(command) + "\n")
+    assert outcome == ("help", cli._help(command))
 
 
 def _assert_read_refused_or_explained(argv):

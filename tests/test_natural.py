@@ -445,8 +445,9 @@ def test_a_run_start_with_no_h1_is_a_consistency_error(monkeypatch):
 @settings(max_examples=300)
 @given(surfaces, st.lists(classes, min_size=1, max_size=5))
 def test_sum_head_realizes_min_twist(surface, cs):
-    # the sum criterion reads the minimal twist off the sorted head; it is
-    # only used once every summand has v_i >= e*u_i - 1
+    # the sum criterion reads the minimal twist off the greatest summand by
+    # (u, v), the head of the sorted sum; it is only used once every
+    # summand has v_i >= e*u_i - 1
     e = surface.e
     cs = [DivisorClass(c.a, max(c.b, e * c.a - 1)) for c in cs]
     top = sorted(cs, key=lambda c: (-c.a, -c.b))[0]

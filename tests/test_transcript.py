@@ -65,17 +65,14 @@ def _stream(name, text):
 
 def _record(line):
     """The record of one `$` line: run it through `cli.main`, in the
-    environment it names; help's SystemExit is read as its exit code."""
+    environment it names, and record what it returns as the exit code."""
     env, argv = _command(line)
     saved = os.environ.pop(ENV, None)
     os.environ.update(env)
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as done:
-                code = done.code
+            code = cli.main(argv)
     finally:
         os.environ.pop(ENV, None)
         if saved is not None:
