@@ -15,9 +15,10 @@ Cayley-Bacharach condition that a locally free extension needs
 (cayley_bacharach), and the extension is forced to split
 (ext_forced_split).  The ends are typed: `DivisorClass` and `PointConfig`
 refuse non-integer coordinates and point counts when they are built, so
-only the plain-int parameters (u, v, m, s, rank, the classifier's bounds)
-are checked here, through `require_ints`, once, by the public function
-that takes them.
+only the plain-int parameters (u, v, m, s, t, rank, the classifier's
+bounds) are checked here, once, by the public function that takes them.
+The construction's entry points test them inline and call `require_ints`
+only to refuse one (see its docstring).
 
 E is never materialized.  Its cohomology at a twist is reported as a box
 of intervals squeezed out of the long exact sequence, whose lower corner
@@ -68,11 +69,21 @@ _ON_SECTION = Locus.ON_SECTION
 
 
 class ConstructionError(DomainError):
-    """A construction hypothesis failed; `reason` names which one."""
+    """A construction hypothesis failed; `reason` names which one.
 
-    def __init__(self, reason: str, message: str) -> None:
-        super().__init__(message)
-        self.reason = reason
+    Raised as ConstructionError(reason, message).  Both values live in
+    `args`, and there is no `__init__`: pickle and copy rebuild an
+    exception from its `args`, so the error round-trips (a worker process
+    can send it back), and building one costs no Python-level call.
+    `reason` reads args[0] and `str()` gives the message, args[1].
+    """
+
+    @property
+    def reason(self) -> str:
+        return self.args[0]
+
+    def __str__(self) -> str:
+        return self.args[1]
 
 
 class ChernData(Record):
@@ -178,7 +189,8 @@ def extension_c2_twisted(
     """c2 of E(mM) when a minimal section of E(mM) vanishes on `vanishing`
     plus s residual points: D.c1 + 2m(M.D) - D^2 + s, on the coordinates
     D = (x, y), c1 = (p, q): D.c1 = x(q - ep) + py, M.D = y, D^2 = x(2y - ex)."""
-    require_ints(m, s)
+    if type(m) is not int or type(s) is not int:
+        require_ints(m, s)
     if s < 0:
         raise DomainError(f"point count must be >= 0, got {s}")
     x, y, p = vanishing.a, vanishing.b, c1.a
@@ -199,7 +211,8 @@ def chern_of_extension(
 def section_count_bounds(surface: Surface, u: int, v: int, m: int) -> tuple[int, int]:
     """(a_lo, b_hi): the construction's admissible point counts (see
     `_construction`); a_lo <= b_hi, as the two classes differ by M."""
-    require_ints(u, v)
+    if type(u) is not int or type(v) is not int:
+        require_ints(u, v)
     if type(m) is not int or m < 0:
         _refuse_twist(m)
     return _construction(surface.e, u, v, m)[4:]
@@ -207,7 +220,8 @@ def section_count_bounds(surface: Surface, u: int, v: int, m: int) -> tuple[int,
 
 def construction_c2(surface: Surface, u: int, v: int, m: int, s: int) -> int:
     """c2 of the standard construction: s + sub.quot (see `_c2_offset`)."""
-    require_ints(u, v, m, s)
+    if type(u) is not int or type(v) is not int or type(m) is not int or type(s) is not int:
+        require_ints(u, v, m, s)
     return s + _c2_offset(surface.e, u, v, m)
 
 
@@ -265,7 +279,8 @@ def construct_extension(surface: Surface, u: int, v: int, m: int, s: int) -> Ext
     Each input is checked once, here.  The ends and the range come from
     `_construction`, before anything is built, so a refusal builds nothing.
     """
-    require_ints(u, v, m, s)
+    if type(u) is not int or type(v) is not int or type(m) is not int or type(s) is not int:
+        require_ints(u, v, m, s)
     e = surface.e
     if v < e * (u - 1) - 1:
         raise ConstructionError(
@@ -358,7 +373,8 @@ def cohomology_interval(datum: ExtensionDatum, t: int) -> CohomologyInterval:
 
     t must be a plain int.  Only the box is built.
     """
-    require_ints(t)
+    if type(t) is not int:
+        require_ints(t)
     return CohomologyInterval(*_box(datum, t))
 
 
@@ -790,6 +806,11 @@ class RegionLabel(str, enum.Enum):
     EXISTENT = "Existent"
 
 
+# the labels `classify_region` stores, bound once, like the members above
+_NONEXISTENT = RegionLabel.NONEXISTENT
+_EXISTENT = RegionLabel.EXISTENT
+
+
 class RegionCell(Record):
     """One (u, v) cell: the label and, when existent, the c2 values
     realized by the construction as merged inclusive intervals."""
@@ -807,14 +828,25 @@ class RegionCell(Record):
 
 
 def _merge_intervals(intervals: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    # merge overlapping or adjacent inclusive integer intervals
-    merged: list[list[int]] = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1] + 1:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in merged)
+    """Merge nonempty inclusive integer intervals that overlap or touch, in
+    one pass over the list sorted in place (the caller's fresh list).  It
+    is sorted because the witness intervals are not ordered in m: at
+    e = 1, (u, v) = (-5, -4) gives (2,2), (5,5), (6,6), (5,8) for m = 0..3.
+    A single interval, the m_max = 0 case, is returned as it is."""
+    if len(intervals) == 1:
+        return tuple(intervals)
+    intervals.sort()
+    merged = []
+    lo, hi = intervals[0]
+    for start, stop in intervals:
+        if start > hi + 1:
+            merged.append((lo, hi))
+            lo = start
+        # sorted by start, so a new run's stop passes the old hi too
+        if stop > hi:
+            hi = stop
+    merged.append((lo, hi))
+    return tuple(merged)
 
 
 def _c2_witness(e: int, u: int, v: int, m_max: int) -> tuple[tuple[int, int], ...]:
@@ -860,10 +892,10 @@ def classify_region(
     for u in range(u_lo, u_hi + 1):
         for v in range(v_lo, v_hi + 1):
             if _c1_obstructed(e, rank, u, v):
-                cells.append(RegionCell(u, v, RegionLabel.NONEXISTENT))
+                cells.append(RegionCell(u, v, _NONEXISTENT))
             elif rank == 1:
                 # v >= eu - 1: the line bundle (u, v) itself is natural
-                cells.append(RegionCell(u, v, RegionLabel.EXISTENT, ((0, 0),)))
+                cells.append(RegionCell(u, v, _EXISTENT, ((0, 0),)))
             else:
-                cells.append(RegionCell(u, v, RegionLabel.EXISTENT, _c2_witness(e, u, v, m_max)))
+                cells.append(RegionCell(u, v, _EXISTENT, _c2_witness(e, u, v, m_max)))
     return tuple(cells)

@@ -202,6 +202,15 @@ def require_ints(*values: object) -> None:
     ``type(x) is int`` refuses bool and every float, 2.0 included.  The
     types check their fields here, and the public entry points their
     plain-int parameters; the integer kernels they call do not.
+
+    Where every call passes, the check is written inline, as
+    ``if type(a) is not int or type(b) is not int: require_ints(a, b)``,
+    with the same names in the same order, so only a refusal pays for this
+    call and its message is this function's, naming the first bad value.
+    `DivisorClass` and `PointConfig` build this way, and so do the
+    construction's entry points `construct_extension`,
+    `section_count_bounds`, `construction_c2`, `cohomology_interval` and
+    `extension_c2_twisted`.
     """
     for x in values:
         if type(x) is not int:

@@ -34,7 +34,7 @@ from hirzebruch import (
     section_count_bounds,
     stability_certificate,
 )
-from hirzebruch.bundles import _c2_offset, _construction
+from hirzebruch.bundles import _c2_offset, _construction, _merge_intervals
 from hirzebruch.cohomology import oracle_h0
 from hirzebruch.picard import ceil_div
 from hirzebruch.sheaves import IdealSheafModel, PointConfig, h0_ideal
@@ -111,6 +111,48 @@ def test_chern_formulas_take_integers_only(bad):
             for swap in swaps:
                 with pytest.raises(DomainError):
                     call(fn, (*args[:i], swap, *args[i + 1:]))
+
+
+# the entry points that test their plain ints inline: each as a call
+# taking those ints by name, and a valid value for each
+_INT_ENTRY_POINTS = {
+    "construct_extension": (
+        lambda u, v, m, s: construct_extension(Surface(2), u, v, m, s),
+        {"u": 2, "v": 3, "m": 1, "s": 12},
+    ),
+    "section_count_bounds": (
+        lambda u, v, m: section_count_bounds(Surface(2), u, v, m),
+        {"u": 2, "v": 3, "m": 1},
+    ),
+    "construction_c2": (
+        lambda u, v, m, s: construction_c2(Surface(2), u, v, m, s),
+        {"u": 2, "v": 3, "m": 1, "s": 12},
+    ),
+    "cohomology_interval": (lambda t: cohomology_interval(build(1, 3, 2, 0, 3), t), {"t": 0}),
+    "extension_c2_twisted": (
+        lambda m, s: extension_c2_twisted(Surface(2), DivisorClass(1, 0), m, DivisorClass(2, 3), s),
+        {"m": 1, "s": 0},
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "1"], ids=repr)
+@pytest.mark.parametrize(
+    "entry, name",
+    [(entry, name) for entry, (_, ints) in _INT_ENTRY_POINTS.items() for name in ints],
+)
+def test_inline_int_guards_refuse_as_require_ints_does(entry, name, bad):
+    # each inline guard falls back to `require_ints`, so a refusal is its
+    # DomainError, word for word, and names the first bad value even when
+    # every later int is bad too
+    call, ints = _INT_ENTRY_POINTS[entry]
+    call(**ints)
+    later = list(ints)[list(ints).index(name) + 1:]
+    message = f"^{re.escape(f'expected an integer, got {bad!r}')}$"
+    for others in ({}, dict.fromkeys(later, None)):
+        with pytest.raises(DomainError, match=message) as info:
+            call(**{**ints, name: bad, **others})
+        assert type(info.value) is DomainError
 
 
 def test_untwisting_undoes_the_shift():
@@ -1189,3 +1231,58 @@ def test_partition_is_exact(surface, rank, u, v):
     else:
         assert cell.label is RegionLabel.EXISTENT
         assert cell.witness != ()
+
+
+def _runs(intervals):
+    """The union of inclusive integer intervals as its maximal runs of
+    consecutive integers, read off the point set itself."""
+    runs = []
+    for p in sorted({p for lo, hi in intervals for p in range(lo, hi + 1)}):
+        if runs and runs[-1][1] == p - 1:
+            runs[-1] = (runs[-1][0], p)
+        else:
+            runs.append((p, p))
+    return tuple(runs)
+
+
+_intervals = st.lists(
+    st.tuples(st.integers(-30, 30), st.integers(0, 8)).map(lambda p: (p[0], p[0] + p[1])),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=300)
+@given(_intervals)
+def test_merged_intervals_are_the_runs_of_their_union(intervals):
+    assert _merge_intervals(list(intervals)) == _runs(intervals)
+
+
+@pytest.mark.parametrize(
+    "intervals",
+    [
+        [(5, 8), (2, 2), (6, 6), (5, 5)],
+        [(1, 10), (3, 4), (2, 9), (10, 10)],
+        [(4, 6), (1, 3), (7, 7), (8, 9)],
+        [(9, 9), (0, 1), (4, 5), (-3, -2)],
+        [(7, 7), (7, 7), (-1, 1)],
+        [(3, 5)],
+        [(-4, -4)],
+    ],
+    ids=["out-of-order", "nested", "adjacent", "disjoint", "repeated", "single", "point"],
+)
+def test_interval_merging_cases(intervals):
+    assert _merge_intervals(list(intervals)) == _runs(intervals)
+
+
+def test_witness_intervals_out_of_order_in_m():
+    # at e = 1, (u, v) = (-5, -4) the c2 intervals of m = 0..3 are not
+    # ordered by their starts: m = 3's starts inside m = 1's
+    intervals = []
+    for m in range(4):
+        _, _, _, _, a_lo, b_hi = _construction(1, -5, -4, m)
+        base = _c2_offset(1, -5, -4, m)
+        intervals.append((base + a_lo, base + b_hi))
+    assert intervals == [(2, 2), (5, 5), (6, 6), (5, 8)]
+    assert _merge_intervals(intervals) == ((2, 2), (5, 8))
+    assert classify_region(Surface(1), 2, (-5, -5), (-4, -4), 3)[0].witness == ((2, 2), (5, 8))

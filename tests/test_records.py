@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from hirzebruch import (
+    ConstructionError,
     DirectSum,
     DivisorClass,
     Finding,
@@ -141,6 +142,28 @@ def test_a_record_is_a_frozen_value(index):
     assert tuple(getattr(record, name) for name in names) == values
     assert copy.deepcopy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize(
+    "restore",
+    [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_construction_error_survives_pickle_and_copy(restore):
+    # a worker process that refuses a datum sends its ConstructionError
+    # back by pickling it; each refusal keeps its type, reason and message
+    surface = Surface(2)
+    refusals = [
+        ((3, 1, 0, 0), "hypothesis_v", "need v >= e(u-1)-1 = 3, got v = 1"),
+        ((2, 3, -1, 0), "hypothesis_m", "need m >= 0, got m = -1"),
+        ((2, 3, 0, 99), "s_out_of_range", "need 2 <= s <= 6, got s = 99"),
+    ]
+    for args, reason, message in refusals:
+        with pytest.raises(ConstructionError) as info:
+            construct_extension(surface, *args)
+        twin = restore(info.value)
+        assert type(twin) is ConstructionError
+        assert (twin.reason, str(twin)) == (info.value.reason, str(info.value)) == (reason, message)
 
 
 def test_records_of_different_types_are_unequal():

@@ -280,6 +280,55 @@ def test_the_construction_path_checks_each_input_once():
     assert found == []
 
 
+def _int_type_tests(test):
+    """The names x of `type(x) is not int or ...`, when the test is made of
+    such comparisons alone; otherwise None."""
+    terms = test.values if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or) else [test]
+    names = []
+    for term in terms:
+        if not (
+            isinstance(term, ast.Compare)
+            and len(term.ops) == 1
+            and isinstance(term.ops[0], ast.IsNot)
+            and ast.unparse(term.comparators[0]) == "int"
+            and isinstance(term.left, ast.Call)
+            and ast.unparse(term.left.func) == "type"
+            and len(term.left.args) == 1
+            and isinstance(term.left.args[0], ast.Name)
+        ):
+            return None
+        names.append(term.left.args[0].id)
+    return names
+
+
+def test_inline_int_guards_fall_back_to_require_ints_with_the_names_they_test():
+    # a type or entry point that every call passes tests its plain ints
+    # inline and calls `require_ints` only to refuse one, with exactly the
+    # names it tested, in order: a name missing there would let a bad value
+    # through untested, and another order would name the wrong value.
+    # Exempt: `require_ints` itself, which raises, and an operator that
+    # declines a non-int operand with NotImplemented
+    package = pathlib.Path(hirzebruch.__file__).parent
+    guarded, found = set(), []
+    for path in sorted(package.rglob("*.py")):
+        for qualname, function in _functions(ast.parse(path.read_text(), filename=str(path))):
+            for node in ast.walk(function):
+                names = isinstance(node, ast.If) and _int_type_tests(node.test)
+                if not names:
+                    continue
+                body = [ast.unparse(statement) for statement in node.body]
+                if body == ["return NotImplemented"] or qualname == "require_ints":
+                    continue
+                guarded.add(qualname)
+                if body != [f"require_ints({', '.join(names)})"] or node.orelse:
+                    found.append(f"{path.name}:{node.lineno} {qualname}: {' / '.join(body)}")
+    assert guarded == {
+        "DivisorClass.__init__", "PointConfig.__init__", "construct_extension",
+        "section_count_bounds", "construction_c2", "cohomology_interval", "extension_c2_twisted",
+    }
+    assert found == []
+
+
 def test_kernels_compare_enum_members_bound_once():
     # reading a member through its enum class (`Outcome.FAILS`) runs the
     # enum's own lookup, and hashing a member for a dict key runs the
@@ -294,6 +343,7 @@ def test_kernels_compare_enum_members_bound_once():
         "sheaves.py": {"_unseen", "ideal_sections", "ideal_counts", "ideal_sections_twist"},
         "bundles.py": {
             "_outcome", "audit_extension_natural", "_audit_scan_stop", "construct_extension",
+            "classify_region",
         },
         "natural.py": {"_decide", "Verdict.holds"},
     }
@@ -446,7 +496,7 @@ def test_hot_kernels_call_no_min_max_sorted_or_sum():
         "sheaves.py": {
             "_unseen", "_curve_h0", "ideal_sections", "ideal_sections_twist", "ideal_counts",
         },
-        "bundles.py": {"_box", "_settle_twist", "_audit_scan_stop"},
+        "bundles.py": {"_box", "_settle_twist", "_audit_scan_stop", "_merge_intervals"},
         "natural.py": {"direct_sum_natural_wrt_m"},
         "audit.py": {"_variant_sum_criterion", "_stated_section_sums"},
     }
