@@ -343,7 +343,9 @@ def _box(datum: ExtensionDatum, t: int) -> tuple[int, int, int, int, int, int, i
     h2 = (a2 - r1) + q2.  The bounds below are those projections: each
     upper bound takes the ranks 0, each lower bound takes them at their
     caps.  A forced split caps both at 0.  The ends are evaluated on
-    coordinates (M = (1, e)), and nothing is built.
+    coordinates (M = (1, e)), and nothing is built.  No input is known to
+    fire the chi identity or the inverted-interval check below; they stay as
+    guards of this projection algebra until an independent chi oracle exists.
     """
     e, sub, quot = datum.surface.e, datum.sub, datum.quotient
     a0, a1, a2 = counts(e, sub.a + t, sub.b + t * e)

@@ -10,11 +10,13 @@ Output formats: table (default), csv, json; the HIRZEBRUCH_FORMAT
 environment variable changes the default.  JSON output is one object with
 fields command, inputs, results, findings, in that order, deterministic
 for fixed inputs.  It is laid out as `json.dumps(record, indent=2)` lays
-it out, but written by the package's own writer, `_json_text`.  Exit
-codes: 0 success, 1 oracle mismatch, 2 usage error, 3 domain error, 141
-the reader closed the output pipe early (nothing is printed then).  The
-top-level help prints a fixed short description, `_DESCRIPTION`, not this
-docstring.
+it out, but written by the package's own writer, `_json_text`.  `main`
+resolves the format before the command's handler runs, and a handler
+formats table lines only for the table format: a JSON or CSV report's
+`table_lines` is empty.  Exit codes: 0 success, 1 oracle mismatch, 2
+usage error, 3 domain error, 141 the reader closed the output pipe early
+(nothing is printed then).  The top-level help prints a fixed short
+description, `_DESCRIPTION`, not this docstring.
 
 Budgets: a command that would do more work than one of these counts is a
 domain error, refused with one line before that work starts.
@@ -205,7 +207,8 @@ class Report(Record):
     JSON carries `results` and `findings`.  CSV writes `rows` under the
     header `columns`: a key a row lacks is an empty cell, and a list cell
     is a run of inclusive intervals, written `lo..hi;lo..hi`.  The table
-    format prints `table_lines`.
+    format prints `table_lines`, which is empty unless the format is
+    `table`: no handler formats a line that its format does not print.
     """
 
     # built once per call and read once, by `render`: a dict layout, like
@@ -260,27 +263,55 @@ def _json_text(value: Any, indent: str = "\n") -> str:
     """`value` in the layout of `json.dumps(value, indent=2)`.
 
     `json` turns its C encoder off when asked to indent, so the record is
-    written here, with the same C string escaper.  Exact types are tried
-    first; str and int subclasses are written as `json` writes them, and
-    any other type, a non-str key included, raises TypeError.
+    written here, with the same C string escaper.  A member of a dict,
+    list or tuple whose type is exactly str, int, bool or None is written
+    inline, in the loop that joins its container; only nested containers
+    and other types are written by a recursive call.  Either way, str and
+    int subclasses are written as `json` writes them, and any other type,
+    a non-str key included, raises TypeError.
     """
     kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
     if kind is dict:
         if not value:
             return "{}"
         inner = indent + "  "
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        items = []
+        for key, member in value.items():
+            kind = type(member)
+            if kind is str:
+                text = encode_basestring_ascii(member)
+            elif kind is int:
+                text = int.__repr__(member)
+            elif kind is bool:
+                text = "true" if member else "false"
+            elif member is None:
+                text = "null"
+            else:
+                text = _json_text(member, inner)
+            items.append(encode_basestring_ascii(key) + ": " + text)
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = indent + "  "
-        items = [_json_text(v, inner) for v in value]
+        items = []
+        for member in value:
+            kind = type(member)
+            if kind is str:
+                items.append(encode_basestring_ascii(member))
+            elif kind is int:
+                items.append(int.__repr__(member))
+            elif kind is bool:
+                items.append("true" if member else "false")
+            elif member is None:
+                items.append("null")
+            else:
+                items.append(_json_text(member, inner))
         return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
     if value is None:
         return "null"
     if value is True:
@@ -317,9 +348,11 @@ def _cmd_coh(args: SimpleNamespace) -> Report:
         raise UsageError("--twist-by and --t must be given together")
     if args.twist_by is None:
         results = _triple_dict(triple(surface, cls))
-        line = f"h0={results['h0']} h1={results['h1']} h2={results['h2']}"
+        lines = []
+        if args.format == "table":
+            lines.append(f"h0={results['h0']} h1={results['h1']} h2={results['h2']}")
         inputs = {"e": args.e, "class": args.cls}
-        return Report("coh", inputs, results, ["h0", "h1", "h2", "chi"], [results], [line])
+        return Report("coh", inputs, results, ["h0", "h1", "h2", "chi"], [results], lines)
 
     by = _parse_pair(args.twist_by)
     t_lo, t_hi = _parse_range(args.t)
@@ -330,7 +363,7 @@ def _cmd_coh(args: SimpleNamespace) -> Report:
     ]
     lines = [
         f"t={r['t']:>3}  h0={r['h0']} h1={r['h1']} h2={r['h2']} chi={r['chi']}" for r in rows
-    ]
+    ] if args.format == "table" else []
     inputs = {"e": args.e, "class": args.cls, "twist_by": args.twist_by, "t": args.t}
     return Report("coh", inputs, {"rows": rows}, ["t", "h0", "h1", "h2", "chi"], rows, lines)
 
@@ -374,17 +407,21 @@ def _cmd_check(args: SimpleNamespace) -> Report:
 
     verdict = evidence.verdict
     results: dict[str, Any] = {"outcome": verdict.outcome.value, "holds": verdict.holds()}
-    line = f"{str(verdict.holds()).lower()} ({verdict.outcome.value})"
     if verdict.witness_t is not None:
         results["witness_t"] = verdict.witness_t
         results["witness_h0"] = verdict.witness_h0
         results["witness_h1"] = verdict.witness_h1
-        line += f" witness t={verdict.witness_t} (h0,h1)=({verdict.witness_h0},{verdict.witness_h1})"
+    lines = []
+    if args.format == "table":
+        line = f"{str(results['holds']).lower()} ({results['outcome']})"
+        if verdict.witness_t is not None:
+            line += f" witness t={verdict.witness_t} (h0,h1)=({verdict.witness_h0},{verdict.witness_h1})"
+        lines.append(line)
     results["scanned_t"] = [evidence.scan_start, evidence.scan_stop]
     if closed is not None:
         results["closed_form"] = closed
     columns = ["outcome", "holds", "witness_t", "witness_h0", "witness_h1"]
-    return Report("check", inputs, results, columns, [results], [line])
+    return Report("check", inputs, results, columns, [results], lines)
 
 
 def _closed_form(surface: Surface, model: SheafModel, wrt: str, two_sided: bool) -> Optional[bool]:
@@ -425,26 +462,30 @@ def _cmd_construct(args: SimpleNamespace) -> Report:
         "ext_forced_split": datum.ext_forced_split,
     }
     row = {**inputs, **results, "s_lo": a_lo, "s_hi": b_hi}
+    table = args.format == "table"
     lines = [
         f"extension 0 -> O{datum.sub} -> E -> I_Z{datum.quotient.cls} -> 0, |Z| = {datum.s}",
         f"c1 = {chern.c1}, c2 = {chern.c2}, admissible s in [{a_lo}, {b_hi}]",
         f"section_min={datum.section_min} cayley_bacharach={datum.cayley_bacharach} "
         f"ext_forced_split={datum.ext_forced_split}",
-    ]
+    ] if table else []
     if args.m != 0:
         results["stability"] = "only computed for m = 0"
-        lines.append("stability: only computed for m = 0")
+        if table:
+            lines.append("stability: only computed for m = 0")
         return Report("construct", inputs, results, _CONSTRUCT_COLUMNS, [row], lines)
     reports = [stability_certificate(datum, pol) for pol in ("R", "M")]
     for report in reports:
         pol = report.polarization.value
         row[f"stable_{pol}"] = report.certified
-        status = "certified" if report.certified else "NOT certified"
-        lines.append(
-            f"stability w.r.t. {pol}: {status} ({report.candidate_count} candidates)"
-            + (f" warnings: {'; '.join(report.warnings)}" if report.warnings else "")
-        )
-    # only JSON lists the candidates; the table and CSV read their counts
+        if table:
+            status = "certified" if report.certified else "NOT certified"
+            lines.append(
+                f"stability w.r.t. {pol}: {status} ({report.candidate_count} candidates)"
+                + (f" warnings: {'; '.join(report.warnings)}" if report.warnings else "")
+            )
+    # only JSON lists the candidates, and only the table prints their
+    # counts, so each format reads each count at most once
     if args.format == "json":
         _check_budget(
             sum(report.candidate_count for report in reports),
@@ -496,7 +537,7 @@ def _cmd_classify(args: SimpleNamespace) -> Report:
     lines = [
         f"u={c['u']:>3} v={c['v']:>3}  {c['label']:<12} {_intervals_str(c['witness'])}"
         for c in cells
-    ]
+    ] if args.format == "table" else []
     columns = ["u", "v", "label", "witness"]
     return Report(args.command, inputs, {"cells": cells}, columns, cells, lines)
 
@@ -531,7 +572,7 @@ def _cmd_audit(args: SimpleNamespace) -> Report:
     lines = [
         f"[{f['status']:^13}] {f['claim']} (e={f['e']}): {f['subject']} -- {f['detail']}"
         for f in findings
-    ]
+    ] if args.format == "table" else []
     return Report("audit", inputs, results, _FINDING_COLUMNS, findings, lines, findings)
 
 
@@ -577,8 +618,10 @@ def _cmd_oracle(args: SimpleNamespace) -> Report:
                         {"e": e, "a": a, "b": b, "problems": "; ".join(problems)}
                     )
     results = {"classes_checked": checked, "mismatches": len(mismatches)}
-    lines = [f"checked {checked} classes, {len(mismatches)} mismatches"]
-    lines += [f"  e={m['e']} ({m['a']},{m['b']}): {m['problems']}" for m in mismatches[:20]]
+    lines = []
+    if args.format == "table":
+        lines.append(f"checked {checked} classes, {len(mismatches)} mismatches")
+        lines += [f"  e={m['e']} ({m['a']},{m['b']}): {m['problems']}" for m in mismatches[:20]]
     return Report(
         "oracle", inputs, results, ["classes_checked", "mismatches"], [results], lines,
         mismatches, exit_code=1 if mismatches else 0,

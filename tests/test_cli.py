@@ -13,6 +13,7 @@ import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -294,6 +295,8 @@ _json_values = st.recursive(
 @example(["", [], {}, (), {"a": {}}, [[]]])
 @example({'"quoted"': "back\\slash \"q\"", "\x00\x1f\n\t\x7f": "\u00e9\u2603\U0001f600\ud800"})
 @example([10**399, -(10**399), 0, True, False, None])
+@example([{"class": "(0,1)", "reason": None, "tail": False}])
+@example({"witness": [[0, 0], [2, 5]], "cells": [], "x": {}})
 def test_json_writer_matches_json_dumps(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
 
@@ -302,7 +305,14 @@ def test_json_writer_treats_str_and_int_subclasses_as_json_does():
     class Tag(str, enum.Enum):
         A = "a\u00e9"
 
-    value = {Tag.A: [Tag.A, enum.IntEnum("N", "ONE TWO").TWO, True]}
+    two = enum.IntEnum("N", "ONE TWO").TWO
+    # subclass members sit next to plain ints and True, as list members
+    # and as dict values, so a bool written as 1 or an enum written by
+    # name would show; a str-Enum key sits inside a nested dict
+    value = {
+        Tag.A: [Tag.A, two, 2, True, 1],
+        "members": {"tag": Tag.A, "n": two, "int": 2, "bool": True, "nested": {Tag.A: two}},
+    }
     assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
@@ -469,6 +479,49 @@ def test_construct_reads_the_section_bounds_off_the_datum(capsys, monkeypatch):
     assert (code, err) == (3, "domain error: need 3 <= s <= 6, got s = 7\n")
     # a refused s is decided by the range check alone
     assert calls == [("_construction", (1, 3, 2, 0))]
+
+
+_ONE_OF_EACH_HANDLER = [
+    ["coh", "--e", "1", "--class", "1,1"],
+    ["coh", "--e", "2", "--class", "1,0", "--twist-by", "1,2", "--t", "0..2"],
+    ["check", "--e", "1", "--line", "2,5", "--wrt", "M", "--pp"],
+    ["construct", "--e", "1", "--u", "3", "--v", "2", "--m", "0", "--s", "3"],
+    ["construct", "--e", "1", "--u", "2", "--v", "1", "--m", "1", "--s", "6"],
+    ["classify", "--e", "1", "--r", "2", "--u", "0..2", "--v", "-3..1"],
+    ["enumerate", "--e", "1", "--r", "1", "--u", "0..2", "--v", "-3..1"],
+    ["audit", "--e", "1..2", "--claims", "sum-criterion,extension-natural"],
+    ["oracle", "--e", "1", "--a", "-1..1", "--b", "-2..2"],
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_OF_EACH_HANDLER, ids=" ".join)
+def test_only_the_table_format_formats_table_lines(argv):
+    # the transcript pins the table bytes; a JSON or CSV line prints no
+    # table line, so its handler formats none
+    for fmt in ("table", "json", "csv"):
+        args = cli._parse_line(argv + ["--format", fmt])
+        report = cli._GRAMMAR[args.command][0](args)
+        assert (report.table_lines != []) == (fmt == "table"), fmt
+
+
+@pytest.mark.parametrize("fmt, reads", [("table", 1), ("csv", 0), ("json", 1)])
+def test_construct_reads_each_candidate_count_at_most_once(fmt, reads, capsys, monkeypatch):
+    from hirzebruch import bundles
+
+    real = bundles.StabilityReport.candidate_count
+    counted = Counter()
+
+    def count(report):
+        counted[report.polarization.value] += 1
+        return real.fget(report)
+
+    monkeypatch.setattr(bundles.StabilityReport, "candidate_count", property(count))
+    argv = ["construct", "--e", "1", "--u", "3", "--v", "2", "--m", "0", "--s", "3"]
+    code, _, _ = run(argv + ["--format", fmt], capsys)
+    assert code == 0
+    # the table prints each count and JSON budgets the listing by it;
+    # CSV prints only the verdicts
+    assert counted == Counter({"R": reads, "M": reads})
 
 
 def test_construct_skips_stability_when_twisted(capsys):
