@@ -4,16 +4,17 @@ A rank-2 bundle E on F_e is presented here by an extension
 
     0 -> O(sub) -> E -> I_Z(quot) -> 0
 
-with Z a length-s general subscheme.  The standard construction takes
-integers (u, v, m, s) with v >= e(u-1)-1, m >= 0 and a_lo <= s <= b_hi;
-its ends (so c1(E) = (u, v)) and the range [a_lo, b_hi] come from one
-plain-int kernel, `_construction`, and c2 - s from another, `_c2_offset`,
-which sums no sections.  A datum is built from m and its two ends, and
-derives c1, s and three certificates from them: the chosen twist is the
-first with a section (section_min), the points satisfy the
-Cayley-Bacharach condition that a locally free extension needs
-(cayley_bacharach), and the extension is forced to split
-(ext_forced_split).  The ends are typed: `DivisorClass` and `PointConfig`
+with Z a length-s general subscheme.  The family of a vanishing class D
+is written once, in two plain-int kernels that every construction route
+reads: `_family`, the ends and c2 at s = 0, which sums no sections, and
+`_range`, the admissible point counts [a_lo, b_hi] of a quotient end.
+The standard construction is the family of D = h: integers (u, v, m, s)
+with v >= e(u-1)-1, m >= 0 and a_lo <= s <= b_hi.  A datum is built from
+m and its two ends, and derives c1, s, its own range and three
+certificates from them: the chosen twist is the first with a section
+(section_min), the points satisfy the Cayley-Bacharach condition that a
+locally free extension needs (cayley_bacharach), and the extension is
+forced to split (ext_forced_split).  The ends are typed: `DivisorClass` and `PointConfig`
 refuse non-integer coordinates and point counts when they are built, so
 only the plain-int parameters (u, v, m, s, t, rank, the classifier's
 bounds) are checked here, once, by the public function that takes them.
@@ -108,22 +109,17 @@ class ExtensionDatum(Record):
     the quotient ideal model.  Everything else is derived from those
     fields, never passed in: a datum built from changed ends derives it
     afresh, and a derived field passed as an argument is a TypeError.  u, v:
-    c1 = sub + quot.  s: the quotient's point count.  s_range: the standard
-    construction's (a_lo, b_hi) at (u, v, m), as `section_count_bounds`
-    gives it, whatever the ends are.  section_min: s >= a_lo against that
-    range.  For a datum of `construct_extension` it means no earlier twist
-    of the would-be bundle has a section (h0_max = 0 at twist m - 1); for
-    ends that are not the construction's at (u, v, m) it is that
-    comparison alone, and says nothing about the datum's own sections.
+    c1 = sub + quot.  s: the quotient's point count.  s_range: `_range` of
+    its quotient end at m.  section_min: s >= a_lo, for a family datum of
+    general points exactly "no section at twist m - 1" (see `_range`).
     cayley_bacharach: the s general points satisfy the Cayley-Bacharach
     condition for |L + K|, L = quot - sub, that a locally free extension
     needs (Griffiths-Harris, Ann. of Math. 1978; Friedman, *Algebraic
     Surfaces and Holomorphic Vector Bundles*, 1998): h0(L + K) < s,
-    vacuous at s = 0.  ext_forced_split: the
-    extension group vanishes and s = 0, so the only extension is the
-    direct sum.  The ends' coordinates and point count are plain ints
-    already (their types refuse anything else); m is checked here, once,
-    and s_range read off the unchecked kernel `_construction`.
+    vacuous at s = 0.  ext_forced_split: the extension group vanishes and
+    s = 0, so the only extension is the direct sum.  The ends' coordinates
+    and point count are plain ints already (their types refuse anything
+    else); m is checked here, once.
     """
 
     __slots__ = (
@@ -138,7 +134,7 @@ class ExtensionDatum(Record):
             _refuse_twist(m)
         e, qcls = surface.e, quotient.cls
         u, v, s = sub.a + qcls.a, sub.b + qcls.b, quotient.config.z
-        s_range = _construction(e, u, v, m)[4:]
+        s_range = _range(e, qcls.a, qcls.b, m)
         # L + K = (quot - sub) + (-2, -e-2)
         cb = s == 0 or sections(e, qcls.a - sub.a - 2, qcls.b - sub.b - e - 2) < s
         split = s == 0 and counts(e, sub.a - qcls.a, sub.b - qcls.b)[1] == 0
@@ -187,42 +183,46 @@ def extension_c2_twisted(
     surface: Surface, vanishing: DivisorClass, m: int, c1: DivisorClass, s: int
 ) -> int:
     """c2 of E(mM) when a minimal section of E(mM) vanishes on `vanishing`
-    plus s residual points: D.c1 + 2m(M.D) - D^2 + s, on the coordinates
-    D = (x, y), c1 = (p, q): D.c1 = x(q - ep) + py, M.D = y, D^2 = x(2y - ex)."""
+    plus s residual points: c2(E) + m(M.c1) + m^2 e, M.c1 = c1.b, with
+    c2(E) = c2_0 + s read off `_family`."""
     if type(m) is not int or type(s) is not int:
         require_ints(m, s)
     if s < 0:
         raise DomainError(f"point count must be >= 0, got {s}")
-    x, y, p = vanishing.a, vanishing.b, c1.a
-    return s + x * (c1.b - surface.e * p - 2 * y + surface.e * x) + (p + 2 * m) * y
+    e, q = surface.e, c1.b
+    return _family(e, vanishing.a, vanishing.b, c1.a, q, m)[4] + s + m * (q + m * e)
 
 
 def chern_of_extension(
     surface: Surface, vanishing: DivisorClass, m: int, c1: DivisorClass, s: int
 ) -> ChernData:
-    """Chern data of the untwisted E from the minimal-section presentation.
-
-    Undoes the twist: c2(E) = c2(E(mM)) - m(M.c1) - m^2 e, where M.c1 = c1.b.
-    """
-    twisted = extension_c2_twisted(surface, vanishing, m, c1, s)
-    return ChernData(2, c1, twisted - m * (c1.b + m * surface.e))
+    """Chern data of the untwisted E from the minimal-section presentation:
+    c2(E) = c2_0 + s, read off `_family`."""
+    if type(m) is not int or type(s) is not int:
+        require_ints(m, s)
+    if s < 0:
+        raise DomainError(f"point count must be >= 0, got {s}")
+    c2 = _family(surface.e, vanishing.a, vanishing.b, c1.a, c1.b, m)[4] + s
+    return ChernData(2, c1, c2)
 
 
 def section_count_bounds(surface: Surface, u: int, v: int, m: int) -> tuple[int, int]:
-    """(a_lo, b_hi): the construction's admissible point counts (see
-    `_construction`); a_lo <= b_hi, as the two classes differ by M."""
+    """(a_lo, b_hi): the standard construction's admissible point counts,
+    `_range` of its quotient end."""
     if type(u) is not int or type(v) is not int:
         require_ints(u, v)
     if type(m) is not int or m < 0:
         _refuse_twist(m)
-    return _construction(surface.e, u, v, m)[4:]
+    e = surface.e
+    _, _, qa, qb, _ = _family(e, 1, 0, u, v, m)
+    return _range(e, qa, qb, m)
 
 
 def construction_c2(surface: Surface, u: int, v: int, m: int, s: int) -> int:
-    """c2 of the standard construction: s + sub.quot (see `_c2_offset`)."""
+    """c2 of the standard construction: s + c2_0, read off `_family`."""
     if type(u) is not int or type(v) is not int or type(m) is not int or type(s) is not int:
         require_ints(u, v, m, s)
-    return s + _c2_offset(surface.e, u, v, m)
+    return s + _family(surface.e, 1, 0, u, v, m)[4]
 
 
 def _refuse_twist(m: object) -> None:
@@ -231,23 +231,29 @@ def _refuse_twist(m: object) -> None:
     raise DomainError(f"twist parameter must be >= 0, got {m}")
 
 
-def _construction(e: int, u: int, v: int, m: int) -> tuple[int, int, int, int, int, int]:
-    """The standard construction at (u, v, m) on F_e, unchecked, as plain
-    ints (sub_a, sub_b, quot_a, quot_b, a_lo, b_hi): the ends sub = (1-m, -em)
-    and quot = (u+m-1, v+em), and the h0 of quot twisted by m - 1 and by m
-    copies of M = (1, e).  The one place that writes these forms; c2 is
-    `_c2_offset`'s, which sums no sections."""
-    em = e * m
-    qa, qb = u + m - 1, v + em
-    a, b = qa + m, qb + em  # quot + mM; quot + (m-1)M is (a - 1, b - e)
-    return 1 - m, -em, qa, qb, sections(e, a - 1, b - e), sections(e, a, b)
+def _family(e: int, x: int, y: int, u: int, v: int, m: int) -> tuple[int, int, int, int, int]:
+    """The family of the vanishing class D = (x, y) at c1 = (u, v) and
+    twist m on F_e, unchecked, as plain ints (sub_a, sub_b, quot_a, quot_b,
+    c2_0): the ends sub = D - mM and quot = c1 - sub, and c2 at s = 0,
+    sub.quot.  The one place that writes them; it sums no sections."""
+    sa, sb = x - m, y - e * m
+    qa, qb = u - sa, v - sb
+    return sa, sb, qa, qb, sa * qb + sb * qa - e * sa * qa
 
 
-def _c2_offset(e: int, u: int, v: int, m: int) -> int:
-    """c2 of the standard construction at s = 0, unchecked: sub.quot for
-    the ends of `_construction`, -e(1-m)(u+m-1) + (1-m)(v+em) - em(u+m-1)
-    = (1-m)(v+em) - e(u+m-1).  The one place that writes it."""
-    return (1 - m) * (v + e * m) - e * (u + m - 1)
+def _range(e: int, qa: int, qb: int, m: int) -> tuple[int, int]:
+    """(a_lo, b_hi) of the quotient end quot = (qa, qb) at twist m on F_e,
+    unchecked: h0(quot + (m-1)M) <= h0(quot + mM), M = (1, e).  The one
+    place that writes the range.
+
+    Why s >= a_lo: D - M = (x - 1, y - e) is not effective for any
+    D = (x, y) of `allowed_min_section_divisors`, so the sub end D - mM has
+    no section at twist m - 1, where `_box` gives h0_max = max(0, a_lo - s)
+    for s general points: s >= a_lo is exactly "no section of E at twist
+    m - 1".
+    """
+    a, b = qa + m, qb + e * m  # quot + mM; quot + (m-1)M is (a - 1, b - e)
+    return sections(e, a - 1, b - e), sections(e, a, b)
 
 
 def c1_obstructed(surface: Surface, rank: int, u: int, v: int) -> bool:
@@ -277,7 +283,7 @@ def construct_extension(surface: Surface, u: int, v: int, m: int, s: int) -> Ext
       s_out_of_range: a_lo <= s <= b_hi
 
     Each input is checked once, here.  The ends and the range come from
-    `_construction`, before anything is built, so a refusal builds nothing.
+    the kernels before anything is built, so a refusal builds nothing.
     """
     if type(u) is not int or type(v) is not int or type(m) is not int or type(s) is not int:
         require_ints(u, v, m, s)
@@ -288,7 +294,8 @@ def construct_extension(surface: Surface, u: int, v: int, m: int, s: int) -> Ext
         )
     if m < 0:
         raise ConstructionError("hypothesis_m", f"need m >= 0, got m = {m}")
-    sa, sb, qa, qb, a_lo, b_hi = _construction(e, u, v, m)
+    sa, sb, qa, qb, _ = _family(e, 1, 0, u, v, m)
+    a_lo, b_hi = _range(e, qa, qb, m)
     if not a_lo <= s <= b_hi:
         raise ConstructionError("s_out_of_range", f"need {a_lo} <= s <= {b_hi}, got s = {s}")
     quotient = IdealSheafModel(PointConfig(s, _GENERAL), DivisorClass(qa, qb))
@@ -460,7 +467,8 @@ def _audit_scan_stop(datum: ExtensionDatum, settle: int) -> int:
     reaches the twist where the capacity reaches s: once quot - (s-1)*f is
     effective under GENERAL (capacity h0 >= b + 1), once quot - (s-1)*M is
     under ON_FIBER (capacity min(a, b // e) + 1).  ON_SECTION's capacity is
-    constant under M.  Construction data have capacity b_hi >= s at m.
+    constant under M.  A GENERAL datum with s <= b_hi of its own s_range
+    has capacity b_hi >= s at m.
     """
     e, qcls, n = datum.surface.e, datum.quotient.cls, datum.s - 1
     stop = datum.m if datum.m > settle else settle
@@ -855,9 +863,9 @@ def _c2_witness(e: int, u: int, v: int, m_max: int) -> tuple[tuple[int, int], ..
     # c2 = s + c2_0 over a_lo <= s <= b_hi, for each m
     intervals = []
     for m in range(m_max + 1):
-        _, _, _, _, a_lo, b_hi = _construction(e, u, v, m)
-        base = _c2_offset(e, u, v, m)
-        intervals.append((base + a_lo, base + b_hi))
+        _, _, qa, qb, c2_0 = _family(e, 1, 0, u, v, m)
+        a_lo, b_hi = _range(e, qa, qb, m)
+        intervals.append((c2_0 + a_lo, c2_0 + b_hi))
     return _merge_intervals(intervals)
 
 
@@ -874,8 +882,8 @@ def classify_region(
     2) or the line-bundle criterion v >= eu-1 (rank 1) applies.  For these
     two ranks the thresholds are adjacent integers, so every cell is
     decided.  Rank-2 witnesses list the c2 values over m = 0..m_max, one
-    `_construction` and one `_c2_offset` call per m; rank-1 witnesses are
-    the single point 0.
+    `_family` and one `_range` call per m; rank-1 witnesses are the single
+    point 0.
     """
     for bounds in (u_range, v_range):
         if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:

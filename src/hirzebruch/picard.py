@@ -208,9 +208,10 @@ def require_ints(*values: object) -> None:
     with the same names in the same order, so only a refusal pays for this
     call and its message is this function's, naming the first bad value.
     `DivisorClass` and `PointConfig` build this way, and so do the
-    construction's entry points `construct_extension`,
-    `section_count_bounds`, `construction_c2`, `cohomology_interval` and
-    `extension_c2_twisted`.
+    construction's entry points, each a reading of the family kernels
+    `bundles._family` and `bundles._range`: `construct_extension`,
+    `section_count_bounds`, `construction_c2`, `extension_c2_twisted` and
+    `chern_of_extension`; and `cohomology_interval`.
     """
     for x in values:
         if type(x) is not int:

@@ -21,7 +21,8 @@ chi(I_Z(c)) = chi(c) - z.  In every case
 
     h0_ideal(c) = h0(c) - min(z, rho(c)),  h1_ideal(c) = h1(c) + max(0, z - rho(c))
 
-with rho the capacity returned by ``max_conditions``; the scan windows in
+with rho = h0(c) - h0(c - C) the capacity (all of h0(c) in general
+position), the most conditions the points impose; the scan windows in
 :mod:`hirzebruch.natural` lean on that shape, and the test suite checks it.
 Equivalently h0_ideal(c) = max(h0(c) - z, h0(c - C)), with h0(c - C) = 0
 in general position, so I_Z(c) has a section exactly when O(c) has z + 1
@@ -97,19 +98,6 @@ class IdealSheafModel(Record):
         put_cls(self, cls)
 
 
-def restriction_degree(surface: Surface, c: DivisorClass, locus: Locus) -> int:
-    """Degree of O(c) restricted to the supporting curve.
-
-    On the section h this is c.h = b - e*a; on a fiber it is c.f = a.
-    Undefined for GENERAL position.
-    """
-    if not isinstance(locus, Locus):
-        raise DomainError(f"point locus must be a Locus, got {locus!r}")
-    if locus is _GENERAL:
-        raise DomainError("restriction degree needs a curve locus, not GENERAL")
-    return surface.intersect(c, _SECTION_CURVE if locus is _ON_SECTION else _FIBER_CURVE)
-
-
 def _unseen(e: int, locus: Locus, a: int, b: int) -> int:
     """The sections of O(c) that vanish on the whole supporting curve,
     h0(c - C); none in general position."""
@@ -181,24 +169,9 @@ def _kernel_args(model: IdealSheafModel) -> tuple[int, Locus, int, int]:
     return model.config.z, model.config.locus, model.cls.a, model.cls.b
 
 
-def max_conditions(surface: Surface, model: IdealSheafModel) -> int:
-    """How many independent conditions this configuration can impose.
-
-    GENERAL position: all of h0(c).  On a curve C: the part of h0(c) that
-    the restriction to C sees, r = h0(c) - h0(c - C).
-    """
-    _, locus, a, b = _kernel_args(model)
-    return sections(surface.e, a, b) - _unseen(surface.e, locus, a, b)
-
-
 def h0_ideal(surface: Surface, model: IdealSheafModel) -> int:
-    """h0(c) - min(z, max_conditions)."""
+    """h0(c) - min(z, rho), rho the capacity of the module docstring."""
     return ideal_sections(surface.e, *_kernel_args(model))
-
-
-def h2_ideal(surface: Surface, model: IdealSheafModel) -> int:
-    # a length-z subscheme cannot change h^2
-    return ideal_counts(surface.e, *_kernel_args(model))[2]
 
 
 def h1_ideal(surface: Surface, model: IdealSheafModel) -> int:

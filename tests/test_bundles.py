@@ -34,7 +34,7 @@ from hirzebruch import (
     section_count_bounds,
     stability_certificate,
 )
-from hirzebruch.bundles import _c2_offset, _construction, _merge_intervals
+from hirzebruch.bundles import _family, _merge_intervals, _range
 from hirzebruch.cohomology import oracle_h0
 from hirzebruch.picard import ceil_div
 from hirzebruch.sheaves import IdealSheafModel, PointConfig, h0_ideal
@@ -133,6 +133,10 @@ _INT_ENTRY_POINTS = {
         lambda m, s: extension_c2_twisted(Surface(2), DivisorClass(1, 0), m, DivisorClass(2, 3), s),
         {"m": 1, "s": 0},
     ),
+    "chern_of_extension": (
+        lambda m, s: chern_of_extension(Surface(2), DivisorClass(1, 0), m, DivisorClass(2, 3), s),
+        {"m": 1, "s": 0},
+    ),
 }
 
 
@@ -203,8 +207,8 @@ def test_chern_formulas_match_their_intersection_forms(surface, data, m, c1, s):
 
 
 def test_construction_c2_sums_no_sections(monkeypatch):
-    # c2 needs the ends alone, so it evaluates no h0; the range, which
-    # does, is `section_count_bounds`'s
+    # c2 needs the ends alone, so no c2 route evaluates an h0; the range,
+    # which does, is `section_count_bounds`'s
     import hirzebruch.bundles as bundles
 
     summed = []
@@ -217,7 +221,12 @@ def test_construction_c2_sums_no_sections(monkeypatch):
     monkeypatch.setattr(bundles, "sections", counting)
     surface = Surface(3)
     for u, v, m, s in [(2, 4, 1, 15), (3, 2, 0, 0), (0, -4, 2, 9)]:
-        assert construction_c2(surface, u, v, m, s) == s + _c2_offset(3, u, v, m)
+        c2 = s + _family(3, 1, 0, u, v, m)[4]
+        assert construction_c2(surface, u, v, m, s) == c2
+        for vanishing in allowed_min_section_divisors(surface):
+            chern = chern_of_extension(surface, vanishing, m, DivisorClass(u, v), s)
+            twisted = extension_c2_twisted(surface, vanishing, m, DivisorClass(u, v), s)
+            assert twisted == chern.c2 + m * (v + 3 * m)
     assert summed == []
     section_count_bounds(surface, 2, 4, 1)
     assert len(summed) == 2
@@ -249,25 +258,28 @@ def test_section_bounds_reject_negative_m():
         section_count_bounds(Surface(1), 2, 1, -1)
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(
-    surfaces,
+    st.integers(min_value=1, max_value=6).map(Surface),
+    st.data(),
     st.integers(min_value=-3, max_value=6),
     st.integers(min_value=-3, max_value=8),
     st.integers(min_value=0, max_value=3),
 )
-def test_the_construction_kernel_agrees_with_its_referees(surface, u, dv, m):
-    # referees that share no formula with `_construction` and `_c2_offset`:
-    # the sub line is O(h - mM), the ends add up to c1, the lattice-point
-    # oracle counts the sections of the quotient class at twists m - 1 and
-    # m, and c2 at s = 0 is the intersection of the ends
+def test_the_construction_kernel_agrees_with_its_referees(surface, data, u, dv, m):
+    # referees that share no formula with `_family` and `_range`, for every
+    # vanishing class D: class arithmetic gives the sub line O(D - mM) and
+    # the quotient c1 - sub, the lattice-point oracle counts the sections
+    # of the quotient class at twists m - 1 and m, and c2 at s = 0 is the
+    # intersection of the ends
     e, mm = surface.e, surface.m_class()
+    vanishing = data.draw(st.sampled_from(allowed_min_section_divisors(surface)))
     v = e * (u - 1) - 1 + dv
-    sa, sb, qa, qb, a_lo, b_hi = _construction(e, u, v, m)
-    c2_0 = _c2_offset(e, u, v, m)
+    sa, sb, qa, qb, c2_0 = _family(e, vanishing.a, vanishing.b, u, v, m)
+    a_lo, b_hi = _range(e, qa, qb, m)
     sub, quot = DivisorClass(sa, sb), DivisorClass(qa, qb)
-    assert sub == DivisorClass(1, 0) - m * mm
-    assert sub + quot == DivisorClass(u, v)
+    assert sub == vanishing - m * mm
+    assert quot == DivisorClass(u, v) - sub
     assert a_lo == oracle_h0(surface, quot + (m - 1) * mm)
     assert b_hi == oracle_h0(surface, quot + m * mm)
     assert c2_0 == surface.intersect(sub, quot)
@@ -411,15 +423,35 @@ def test_cayley_bacharach_reads_the_datum_ends():
 
 
 def test_section_min_reads_the_construction_range():
-    # s_range is the standard construction's at (u, v, m), whatever the
-    # ends, and section_min compares s with it: for hand-built ends that
-    # are not the construction's, it says nothing about their sections
+    # s_range is the datum's own, read off its quotient end at m, and
+    # section_min compares s with it: hand-built ends that are not the
+    # standard construction's at (u, v, m) have a range of their own, and
+    # section_min speaks about their sections
     surface = Surface(1)
     quotient = IdealSheafModel(PointConfig(0, Locus.GENERAL), DivisorClass(1, 1))
     datum = ExtensionDatum(surface, 0, DivisorClass(-2, -3), quotient)
-    assert datum.s_range == section_count_bounds(surface, -1, -2, 0) == (0, 0)
-    assert datum.section_min
+    assert section_count_bounds(surface, -1, -2, 0) == (0, 0)
+    assert datum.s_range == (1, 3)
+    assert not datum.section_min
     assert cohomology_interval(datum, -1).h0_max == 1
+    # hand-built data of every vanishing class D: with the sub end
+    # O(D - mM), section_min is exactly no section at the twist before m
+    for e in range(1, 4):
+        surface = Surface(e)
+        mm = surface.m_class()
+        for vanishing in allowed_min_section_divisors(surface):
+            for u in range(-2, 4):
+                for v in range(e * (u - 1) - 2, e * (u - 1) + 3):
+                    for m in range(0, 3):
+                        sub = vanishing - m * mm
+                        quot = DivisorClass(u, v) - sub
+                        lo, hi = _range(e, quot.a, quot.b, m)
+                        for s in {0, lo - 1, lo, hi, hi + 1} - {-1}:
+                            model = IdealSheafModel(PointConfig(s, Locus.GENERAL), quot)
+                            datum = ExtensionDatum(surface, m, sub, model)
+                            assert datum.s_range == (lo, hi)
+                            no_section = cohomology_interval(datum, m - 1).h0_max == 0
+                            assert datum.section_min is no_section, (e, vanishing, u, v, m, s)
     # constructed data: no section at the twist before m, on a grid
     for e in range(1, 4):
         surface = Surface(e)
@@ -1280,9 +1312,9 @@ def test_witness_intervals_out_of_order_in_m():
     # ordered by their starts: m = 3's starts inside m = 1's
     intervals = []
     for m in range(4):
-        _, _, _, _, a_lo, b_hi = _construction(1, -5, -4, m)
-        base = _c2_offset(1, -5, -4, m)
-        intervals.append((base + a_lo, base + b_hi))
+        _, _, qa, qb, c2_0 = _family(1, 1, 0, -5, -4, m)
+        a_lo, b_hi = _range(1, qa, qb, m)
+        intervals.append((c2_0 + a_lo, c2_0 + b_hi))
     assert intervals == [(2, 2), (5, 5), (6, 6), (5, 8)]
     assert _merge_intervals(intervals) == ((2, 2), (5, 8))
     assert classify_region(Surface(1), 2, (-5, -5), (-4, -4), 3)[0].witness == ((2, 2), (5, 8))

@@ -462,23 +462,24 @@ def test_construct_reads_the_section_bounds_off_the_datum(capsys, monkeypatch):
         monkeypatch.setattr(bundles, name, count)
 
     # every evaluation of the construction goes through its kernels, and
-    # the checked `section_count_bounds` is one way to reach the first
-    for name in ("_construction", "_c2_offset", "section_count_bounds"):
+    # the checked `section_count_bounds` is one way to reach both
+    for name in ("_family", "_range", "section_count_bounds"):
         counting(name)
     argv = ["construct", "--e", "1", "--u", "3", "--v", "2", "--m", "0", "--s"]
     code, out, _ = run(argv + ["3"], capsys)
     assert code == 0
     assert "admissible s in [3, 6]" in out
-    # twice, both in `construct_extension`: its range check, made before
-    # anything is built, and the datum's own s_range, read straight off
-    # the kernel; the CLI reads the datum's range and its Chern data and
-    # adds no evaluation of its own
-    assert calls == [("_construction", (1, 3, 2, 0))] * 2
+    # the ends once and the range twice, all in `construct_extension`: its
+    # range check, made before anything is built, and the datum's own
+    # s_range, read straight off its quotient end; the CLI reads the
+    # datum's range and its Chern data and adds no evaluation of its own
+    family, quotient_range = ("_family", (1, 1, 0, 3, 2, 0)), ("_range", (1, 2, 2, 0))
+    assert calls == [family, quotient_range, quotient_range]
     calls.clear()
     code, _, err = run(argv + ["7"], capsys)
     assert (code, err) == (3, "domain error: need 3 <= s <= 6, got s = 7\n")
     # a refused s is decided by the range check alone
-    assert calls == [("_construction", (1, 3, 2, 0))]
+    assert calls == [family, quotient_range]
 
 
 _ONE_OF_EACH_HANDLER = [
@@ -1400,13 +1401,14 @@ def test_oracle_boxes_inside_the_walk_budget_answer(box, capsys):
 
 def test_rank_two_sweeps_budget_m_max_before_any_section_bounds(capsys, monkeypatch):
     # a rank-2 cell merges one section-count interval per m = 0..m_max,
-    # each read from the construction kernel
+    # each read from the family kernels
     import hirzebruch.bundles as bundles
 
     def refuse(*args, **kwargs):
         raise AssertionError("computed past the budget check")
 
-    monkeypatch.setattr(bundles, "_construction", refuse)
+    for kernel in ("_family", "_range"):
+        monkeypatch.setattr(bundles, kernel, refuse)
     for command in ("classify", "enumerate"):
         argv = [command, "--e", "1", "--r", "2", "--u", "0..0", "--v", "0..0", "--m-max", "100000000"]
         started = time.perf_counter()

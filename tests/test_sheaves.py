@@ -22,12 +22,9 @@ from hirzebruch.cohomology import counts
 from hirzebruch.sheaves import (
     h0_ideal,
     h1_ideal,
-    h2_ideal,
     ideal_counts,
     ideal_sections,
     ideal_sections_twist,
-    max_conditions,
-    restriction_degree,
 )
 
 surfaces = st.integers(min_value=1, max_value=4).map(Surface)
@@ -41,12 +38,31 @@ def model(locus, z, a, b):
     return IdealSheafModel(PointConfig(z=z, locus=locus), DivisorClass(a, b))
 
 
+def sheaf_counts(surface, sheaf):
+    """(h0, h1, h2) of the model, from the kernel on its fields."""
+    cls = sheaf.cls
+    return ideal_counts(surface.e, sheaf.config.z, sheaf.config.locus, cls.a, cls.b)
+
+
+# the supporting curves of the curve loci: h and f
+CURVES = {Locus.ON_SECTION: DivisorClass(1, 0), Locus.ON_FIBER: DivisorClass(0, 1)}
+
+
+def capacity(surface, sheaf):
+    """The most conditions the points can impose, from the line bundle's
+    h0 alone: all of h0(c) in general position, else what the supporting
+    curve C sees, h0(c) - h0(c - C)."""
+    locus, cls = sheaf.config.locus, sheaf.cls
+    unseen = h0(surface, cls - CURVES[locus]) if locus in CURVES else 0
+    return h0(surface, cls) - unseen
+
+
 def test_point_config_rejects_negative_count():
     with pytest.raises(DomainError):
         PointConfig(z=-1, locus=Locus.GENERAL)
 
 
-@pytest.mark.parametrize("bad", ["general", None, 0])
+@pytest.mark.parametrize("bad", ["general", "section", "fiber", None, 0])
 def test_point_config_rejects_a_locus_that_is_not_a_locus(bad):
     # refused where it is stored, with the value named, not as a KeyError
     # from a lookup deep in the ideal count
@@ -59,18 +75,8 @@ def test_restriction_degrees():
     surface = Surface(2)
     cls = DivisorClass(3, 4)
     # degree on the negative section is b - e*a, on a fiber it is a
-    assert restriction_degree(surface, cls, Locus.ON_SECTION) == -2
-    assert restriction_degree(surface, cls, Locus.ON_FIBER) == 3
-    with pytest.raises(DomainError):
-        restriction_degree(surface, cls, Locus.GENERAL)
-
-
-@pytest.mark.parametrize("bad", ["fiber", "section", "general", None, 0])
-def test_restriction_degree_rejects_a_locus_that_is_not_a_locus(bad):
-    # worded like `PointConfig`'s refusal, not a KeyError from the curve lookup
-    match = rf"^point locus must be a Locus, got {bad!r}$"
-    with pytest.raises(DomainError, match=match):
-        restriction_degree(Surface(1), DivisorClass(1, 1), bad)
+    assert surface.intersect(cls, CURVES[Locus.ON_SECTION]) == -2
+    assert surface.intersect(cls, CURVES[Locus.ON_FIBER]) == 3
 
 
 # frozen (e, locus, z, a, b, h0_ideal, h1_ideal), hand-computed:
@@ -98,11 +104,14 @@ def test_frozen_ideal_values(e, locus, z, a, b, v0, v1):
 
 
 def test_max_conditions():
+    # as many points as h0(c) impose every condition they can, so the
+    # sections left over are h0(c) less the capacity
     surface = Surface(1)
-    cls = DivisorClass(2, 2)
-    assert max_conditions(surface, model(Locus.GENERAL, 2, 2, 2)) == h0(surface, cls) == 6
-    assert max_conditions(surface, model(Locus.ON_SECTION, 2, 2, 2)) == 1
-    assert max_conditions(surface, model(Locus.ON_FIBER, 2, 2, 2)) == 3
+    full = h0(surface, DivisorClass(2, 2))
+    assert full == 6
+    for locus, rho in [(Locus.GENERAL, 6), (Locus.ON_SECTION, 1), (Locus.ON_FIBER, 3)]:
+        assert capacity(surface, model(locus, 2, 2, 2)) == rho
+        assert full - ideal_sections(1, full, locus, 2, 2) == rho
 
 
 @given(surfaces, classes, loci)
@@ -110,13 +119,13 @@ def test_zero_points_is_the_line_bundle(surface, cls, locus):
     sheaf = IdealSheafModel(PointConfig(z=0, locus=locus), cls)
     assert h0_ideal(surface, sheaf) == h0(surface, cls)
     assert h1_ideal(surface, sheaf) == h1(surface, cls)
-    assert h2_ideal(surface, sheaf) == h2(surface, cls)
+    assert sheaf_counts(surface, sheaf)[2] == h2(surface, cls)
 
 
 @given(surfaces, classes, loci, zs)
 def test_chi_drops_by_point_count(surface, cls, locus, z):
     sheaf = IdealSheafModel(PointConfig(z=z, locus=locus), cls)
-    total = h0_ideal(surface, sheaf) - h1_ideal(surface, sheaf) + h2_ideal(surface, sheaf)
+    total = h0_ideal(surface, sheaf) - h1_ideal(surface, sheaf) + sheaf_counts(surface, sheaf)[2]
     assert total == chi(surface, cls) - z
 
 
@@ -126,7 +135,7 @@ def test_monotone_in_point_count(surface, cls, locus, z):
     more = IdealSheafModel(PointConfig(z=z + 1, locus=locus), cls)
     assert h0_ideal(surface, more) <= h0_ideal(surface, fewer)
     assert h1_ideal(surface, more) >= h1_ideal(surface, fewer)
-    assert h2_ideal(surface, more) == h2_ideal(surface, fewer)
+    assert sheaf_counts(surface, more)[2] == sheaf_counts(surface, fewer)[2]
 
 
 @given(surfaces, classes, zs)
@@ -144,7 +153,7 @@ def test_twisted_moves_the_class(surface, cls, locus, z, t):
     shifted = IdealSheafModel(config, cls + t * surface.m_class())
     moved = (cls.a + t, cls.b + t * surface.e)
     assert ideal_counts(surface.e, z, locus, *moved) == (
-        h0_ideal(surface, shifted), h1_ideal(surface, shifted), h2_ideal(surface, shifted)
+        h0_ideal(surface, shifted), h1_ideal(surface, shifted), h2(surface, shifted.cls)
     )
 
 
@@ -160,7 +169,7 @@ def test_curve_points_never_beat_general_ones(surface, cls, locus, z):
 def test_h1_ideal_is_line_h1_plus_capacity_shortfall(surface, cls, locus, z):
     # the shape the twist-scan bounds and piece starts in `natural` rely on
     sheaf = IdealSheafModel(PointConfig(z=z, locus=locus), cls)
-    shortfall = max(0, z - max_conditions(surface, sheaf))
+    shortfall = max(0, z - capacity(surface, sheaf))
     assert h1_ideal(surface, sheaf) == h1(surface, cls) + shortfall
 
 

@@ -261,11 +261,13 @@ def _functions(tree):
 def test_the_construction_path_checks_each_input_once():
     # `construct_extension`, `ExtensionDatum.__init__` and `classify_region`
     # check their plain ints once, on entry, and read the construction from
-    # the unchecked kernels (`_construction`, `_c2_offset`,
-    # `_c1_obstructed`); naming a checked function there would check the
-    # same ints again
+    # the unchecked kernels (`_family`, `_range`, `_c1_obstructed`);
+    # naming a checked function there would check the same ints again
     tree = ast.parse((pathlib.Path(hirzebruch.__file__).parent / "bundles.py").read_text())
-    checked = {"section_count_bounds", "construction_c2", "c1_obstructed"}
+    checked = {
+        "section_count_bounds", "construction_c2", "extension_c2_twisted", "chern_of_extension",
+        "c1_obstructed",
+    }
     bodies = {"construct_extension", "ExtensionDatum.__init__", "classify_region", "_c2_witness"}
     seen, found = set(), []
     for qualname, node in _functions(tree):
@@ -325,6 +327,7 @@ def test_inline_int_guards_fall_back_to_require_ints_with_the_names_they_test():
     assert guarded == {
         "DivisorClass.__init__", "PointConfig.__init__", "construct_extension",
         "section_count_bounds", "construction_c2", "cohomology_interval", "extension_c2_twisted",
+        "chern_of_extension",
     }
     assert found == []
 
