@@ -4,9 +4,10 @@ A rank-2 bundle E on F_e is presented here by an extension
 
     0 -> O(sub) -> E -> I_Z(quot) -> 0
 
-with Z a length-s general subscheme.  The family of a vanishing class D
-is written once, in two plain-int kernels that every construction route
-reads: `_family`, the ends and c2 at s = 0, which sums no sections, and
+with Z a length-s general subscheme: s general points, the only locus an
+`ExtensionDatum` accepts.  The family of a vanishing class D is written
+once, in two plain-int kernels that every construction route reads:
+`_family`, the ends and c2 at s = 0, which sums no sections, and
 `_range`, the admissible point counts [a_lo, b_hi] of a quotient end.
 The standard construction is the family of D = h: integers (u, v, m, s)
 with v >= e(u-1)-1, m >= 0 and a_lo <= s <= b_hi.  A datum is built from
@@ -45,7 +46,7 @@ against members bound once at import, as `sheaves` does and for the
 reason its docstring gives.
 
 Slope stability is decided on the lower boundary of the region of
-destabilizing candidates, at most 11 classes of it whatever the size of
+destabilizing candidates, at most 8 classes of it whatever the size of
 the coefficients (see `stability_certificate`); the report lists the
 whole region on demand and counts it in closed form.
 """
@@ -58,7 +59,7 @@ from typing import Callable, Optional
 from .cohomology import ConsistencyError, counts, effective_twist, sections
 from .natural import HOLDS_VERDICT, INDETERMINATE_VERDICT, Outcome, Verdict
 from .picard import DivisorClass, DomainError, Record, Surface, ceil_div, require_ints
-from .sheaves import IdealSheafModel, Locus, PointConfig, ideal_counts, ideal_sections
+from .sheaves import IdealSheafModel, Locus, PointConfig, ideal_counts
 
 # the members the audit and construction paths compare against or store,
 # bound once (the `sheaves` docstring says why)
@@ -66,7 +67,6 @@ _HOLDS = Outcome.HOLDS
 _FAILS = Outcome.FAILS
 _INDETERMINATE = Outcome.INDETERMINATE
 _GENERAL = Locus.GENERAL
-_ON_SECTION = Locus.ON_SECTION
 
 
 class ConstructionError(DomainError):
@@ -91,6 +91,8 @@ class ChernData(Record):
     __slots__ = ("rank", "c1", "c2")
 
     def __init__(self, rank: int, c1: DivisorClass, c2: int) -> None:
+        if type(rank) is not int or type(c2) is not int:
+            require_ints(rank, c2)
         if rank < 1:
             raise DomainError(f"rank must be >= 1, got {rank}")
         if rank == 1 and c2 < 0:
@@ -106,12 +108,15 @@ class ExtensionDatum(Record):
     """One extension presentation of a rank-2 sheaf, plus its certificates.
 
     Built from the twist parameter m and the two ends: the sub class and
-    the quotient ideal model.  Everything else is derived from those
-    fields, never passed in: a datum built from changed ends derives it
-    afresh, and a derived field passed as an argument is a TypeError.  u, v:
+    the quotient ideal model, whose points must be general, as Serre's
+    correspondence takes them (a quotient on a curve locus is a
+    DomainError: the range and the certificates below hold for general
+    points only).  Everything else is derived from those fields, never
+    passed in: a datum built from changed ends derives it afresh, and a
+    derived field passed as an argument is a TypeError.  u, v:
     c1 = sub + quot.  s: the quotient's point count.  s_range: `_range` of
-    its quotient end at m.  section_min: s >= a_lo, for a family datum of
-    general points exactly "no section at twist m - 1" (see `_range`).
+    its quotient end at m.  section_min: s >= a_lo, for a family datum
+    exactly "no section at twist m - 1" (see `_range`).
     cayley_bacharach: the s general points satisfy the Cayley-Bacharach
     condition for |L + K|, L = quot - sub, that a locally free extension
     needs (Griffiths-Harris, Ann. of Math. 1978; Friedman, *Algebraic
@@ -119,7 +124,7 @@ class ExtensionDatum(Record):
     vacuous at s = 0.  ext_forced_split: the extension group vanishes and
     s = 0, so the only extension is the direct sum.  The ends' coordinates
     and point count are plain ints already (their types refuse anything
-    else); m is checked here, once.
+    else); m and the locus are checked here, once.
     """
 
     __slots__ = (
@@ -132,8 +137,11 @@ class ExtensionDatum(Record):
     ) -> None:
         if type(m) is not int or m < 0:
             _refuse_twist(m)
+        config = quotient.config
+        if config.locus is not _GENERAL:
+            raise DomainError(f"an extension datum needs general points, got {config.locus.name}")
         e, qcls = surface.e, quotient.cls
-        u, v, s = sub.a + qcls.a, sub.b + qcls.b, quotient.config.z
+        u, v, s = sub.a + qcls.a, sub.b + qcls.b, config.z
         s_range = _range(e, qcls.a, qcls.b, m)
         # L + K = (quot - sub) + (-2, -e-2)
         cb = s == 0 or sections(e, qcls.a - sub.a - 2, qcls.b - sub.b - e - 2) < s
@@ -179,25 +187,13 @@ def allowed_min_section_divisors(surface: Surface) -> list[DivisorClass]:
     return out
 
 
-def extension_c2_twisted(
-    surface: Surface, vanishing: DivisorClass, m: int, c1: DivisorClass, s: int
-) -> int:
-    """c2 of E(mM) when a minimal section of E(mM) vanishes on `vanishing`
-    plus s residual points: c2(E) + m(M.c1) + m^2 e, M.c1 = c1.b, with
-    c2(E) = c2_0 + s read off `_family`."""
-    if type(m) is not int or type(s) is not int:
-        require_ints(m, s)
-    if s < 0:
-        raise DomainError(f"point count must be >= 0, got {s}")
-    e, q = surface.e, c1.b
-    return _family(e, vanishing.a, vanishing.b, c1.a, q, m)[4] + s + m * (q + m * e)
-
-
 def chern_of_extension(
     surface: Surface, vanishing: DivisorClass, m: int, c1: DivisorClass, s: int
 ) -> ChernData:
     """Chern data of the untwisted E from the minimal-section presentation:
-    c2(E) = c2_0 + s, read off `_family`."""
+    c2(E) = c2_0 + s, read off `_family`.  The standard construction's c2
+    is this c2 at vanishing = h = (1, 0), and the twisted bundle E(mM) has
+    c2(E) + m(M.c1) + m^2 e, M.c1 = c1.b."""
     if type(m) is not int or type(s) is not int:
         require_ints(m, s)
     if s < 0:
@@ -216,13 +212,6 @@ def section_count_bounds(surface: Surface, u: int, v: int, m: int) -> tuple[int,
     e = surface.e
     _, _, qa, qb, _ = _family(e, 1, 0, u, v, m)
     return _range(e, qa, qb, m)
-
-
-def construction_c2(surface: Surface, u: int, v: int, m: int, s: int) -> int:
-    """c2 of the standard construction: s + c2_0, read off `_family`."""
-    if type(u) is not int or type(v) is not int or type(m) is not int or type(s) is not int:
-        require_ints(u, v, m, s)
-    return s + _family(surface.e, 1, 0, u, v, m)[4]
 
 
 def _refuse_twist(m: object) -> None:
@@ -356,8 +345,7 @@ def _box(datum: ExtensionDatum, t: int) -> tuple[int, int, int, int, int, int, i
     """
     e, sub, quot = datum.surface.e, datum.sub, datum.quotient
     a0, a1, a2 = counts(e, sub.a + t, sub.b + t * e)
-    z, locus = quot.config.z, quot.config.locus
-    q0, q1, q2 = ideal_counts(e, z, locus, quot.cls.a + t, quot.cls.b + t * e)
+    q0, q1, q2 = ideal_counts(e, quot.config.z, _GENERAL, quot.cls.a + t, quot.cls.b + t * e)
     total_chi = a0 - a1 + a2 + q0 - q1 + q2
 
     # the caps on r0 and r1, min(q0, a1) and min(q1, a2); a forced split
@@ -463,22 +451,16 @@ def _audit_scan_stop(datum: ExtensionDatum, settle: int) -> int:
     """Twist past which the h1 upper bound a1 + q1 is monotone nonincreasing.
 
     From `settle` (`_settle_twist(datum)`) on, the end classes' h1 is
-    constant and the quotient's capacity nondecreasing; the window also
-    reaches the twist where the capacity reaches s: once quot - (s-1)*f is
-    effective under GENERAL (capacity h0 >= b + 1), once quot - (s-1)*M is
-    under ON_FIBER (capacity min(a, b // e) + 1).  ON_SECTION's capacity is
-    constant under M.  A GENERAL datum with s <= b_hi of its own s_range
-    has capacity b_hi >= s at m.
+    constant and the capacity of the quotient's general points, h0 of its
+    class, nondecreasing; the window also reaches the twist where the
+    capacity reaches s, once quot - (s-1)*f is effective (capacity
+    h0 >= b + 1).  A datum with s <= b_hi of its own s_range has capacity
+    b_hi >= s at m.  The end is max(m, settle, that twist) + 1.
     """
-    e, qcls, n = datum.surface.e, datum.quotient.cls, datum.s - 1
-    stop = datum.m if datum.m > settle else settle
-    locus = datum.quotient.config.locus
-    if locus is not _ON_SECTION:
-        da, db = (0, 1) if locus is _GENERAL else (1, e)
-        reach = effective_twist(qcls.a - n * da, qcls.b - n * db, 1, e)
-        if reach > stop:
-            stop = reach
-    return stop + 1
+    e, qcls, m = datum.surface.e, datum.quotient.cls, datum.m
+    reach = effective_twist(qcls.a, qcls.b - (datum.s - 1), 1, e)
+    stop = m if m > settle else settle
+    return (stop if stop > reach else reach) + 1
 
 
 def audit_extension_natural(datum: ExtensionDatum) -> ExtensionAudit:
@@ -655,16 +637,16 @@ def _exclusion(datum: ExtensionDatum, n: tuple[int, int]) -> Optional[str]:
 
     A nonzero map lands in the sub (needs sub - N effective) or, after
     composing with the quotient map, in the ideal piece (needs a section
-    of the ideal model twisted to class quot - N; for general points that
-    is h0(quot - N) >= s + 1).
+    of the ideal model twisted to class quot - N; for the s general points
+    that is h0(quot - N) >= s + 1).  h0(quot - N) is read once.
     """
-    (gamma, delta), sub, quot, e = n, datum.sub, datum.quotient, datum.surface.e
+    (gamma, delta), sub, qcls = n, datum.sub, datum.quotient.cls
     if sub.a >= gamma and sub.b >= delta:
         return None
-    ra, rb = quot.cls.a - gamma, quot.cls.b - delta
-    if ideal_sections(e, quot.config.z, quot.config.locus, ra, rb) > 0:
+    h = sections(datum.surface.e, qcls.a - gamma, qcls.b - delta)
+    if h > datum.s:
         return None
-    if sections(e, ra, rb) > 0:
+    if h > 0:
         return "genericity"
     return "no_map"
 
@@ -702,7 +684,7 @@ def _region(
     entry, which stands for every class of the column below the freeze
     point; the freeze point grows with delta, so the first column's tail
     stands below every class of the region.  The stability verdict checks
-    some of these first classes, at most 11 (see `stability_certificate`),
+    some of these first classes, at most 8 (see `stability_certificate`),
     and `candidate_count` sums the columns in closed form.
     """
     qcls, sub = datum.quotient.cls, datum.sub
@@ -748,22 +730,23 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
     in each coordinate.  So a survivor exists iff one of the columns'
     first classes survives (`_region`): under M the first column's tail
     alone, one `_exclusion` call; under R a class of the segment gamma +
-    delta = ceil((u+v)/2), found among at most 11 of its classes at any
+    delta = ceil((u+v)/2), found among at most 8 of its classes at any
     size of the coefficients.  Along the segment quot - N = (A, S - A)
     with S fixed and A growing with delta, and a class survives when
       - sub - N is effective: on one delta interval, ending at
         min(delta_max, sub.b) = sub.b;
-      - h0(A, S - A) >= s + 1: h0 is 0 outside 0 <= A <= S and unimodal
+      - or h0(A, S - A) >= s + 1: h0 is 0 outside 0 <= A <= S and unimodal
         inside, the concave quadratic (A + 1)(S + 1 - A - eA/2), with
         vertex (2S - e)/(2(e + 2)), while B >= eA, that is up to the turn
         S // (e + 1), and nonincreasing past the turn, where it depends
-        on B alone;
-      - or, on a curve locus, quot - N - C is effective: on one A
-        interval, 1..S for C = h and 0..S - 1 for C = f.
+        on B alone.  h0 is thus unimodal on the integers and 0 outside
+        [0, S], so its peak is at 0 (when the vertex lies below it), at
+        the turn, or next to the vertex, and the classes where it reaches
+        s + 1 form one A interval around that peak.
     So the verdict checks the segment's ends, delta = sub.b, and the
-    deltas of A = vertex, vertex + 1, turn, turn + 1, 0, 1, S - 1 and S,
-    each clamped to the segment and taken once.  The report lists the
-    whole region on access (`StabilityReport.candidates`), as a referee.
+    deltas of A = vertex, vertex + 1, turn, turn + 1 and 0, each clamped
+    to the segment and taken once.  The report lists the whole region on
+    access (`StabilityReport.candidates`), as a referee.
 
     Only twist parameter m = 0 is supported; the slope bookkeeping above
     assumes the untwisted presentation.
@@ -796,7 +779,7 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
         shift, total = qcls.a - threshold, qcls.a + qcls.b - threshold
         vertex, turn = (2 * total - e) // (2 * e + 4), total // (e + 1)
         lo, hi = deltas[0], deltas[-1]
-        picks = [vertex, vertex + 1, turn, turn + 1, 0, 1, total - 1, total]
+        picks = [vertex, vertex + 1, turn, turn + 1, 0]
         ends = [lo, hi, datum.sub.b, *[a - shift for a in picks]]
         # clamped by comparisons, not `min`/`max` calls and a generator,
         # which cost about a sixth of an R verdict at small coefficients

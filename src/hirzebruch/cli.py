@@ -372,7 +372,7 @@ def _check_model(args: SimpleNamespace, kind: str) -> tuple[SheafModel, dict[str
     if kind == "line":
         return Line(_parse_pair(args.line)), {"line": args.line}
     if kind == "sum":
-        return DirectSum(tuple(_parse_sum(args.sum))), {"sum": args.sum}
+        return DirectSum(_parse_sum(args.sum)), {"sum": args.sum}
     locus, z, cls = _parse_ideal(args.ideal)
     return (
         IdealSheafModel(PointConfig(z=z, locus=locus), cls),

@@ -48,7 +48,7 @@ constants `HOLDS_VERDICT` and `INDETERMINATE_VERDICT`.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .cohomology import ConsistencyError, counts, effective_twist, run_edges
 from .picard import DivisorClass, DomainError, Record, Surface, ceil_div
@@ -70,10 +70,14 @@ class Line(Record):
 
 
 class DirectSum(Record):
+    """The sum of the line bundles of `classes`, stored as a tuple, so that
+    a sum built from a list equals and hashes as one built from a tuple."""
+
     __slots__ = ("classes",)
 
-    def __init__(self, classes: tuple[DivisorClass, ...]) -> None:
-        if len(classes) == 0:
+    def __init__(self, classes: Iterable[DivisorClass]) -> None:
+        classes = tuple(classes)
+        if not classes:
             raise DomainError("direct sum needs at least one summand")
         (put_classes,) = self._put
         put_classes(self, classes)

@@ -207,10 +207,10 @@ def require_ints(*values: object) -> None:
     ``if type(a) is not int or type(b) is not int: require_ints(a, b)``,
     with the same names in the same order, so only a refusal pays for this
     call and its message is this function's, naming the first bad value.
-    `DivisorClass` and `PointConfig` build this way, and so do the
-    construction's entry points, each a reading of the family kernels
-    `bundles._family` and `bundles._range`: `construct_extension`,
-    `section_count_bounds`, `construction_c2`, `extension_c2_twisted` and
+    `DivisorClass`, `PointConfig` and `bundles.ChernData` build this way,
+    and so do the construction's entry points, each a reading of the
+    family kernels `bundles._family` and `bundles._range`:
+    `construct_extension`, `section_count_bounds` and
     `chern_of_extension`; and `cohomology_interval`.
     """
     for x in values:

@@ -28,8 +28,6 @@ from hirzebruch import (
     classify_region,
     cohomology_interval,
     construct_extension,
-    construction_c2,
-    extension_c2_twisted,
     h0,
     section_count_bounds,
     stability_certificate,
@@ -44,6 +42,17 @@ surfaces = st.integers(min_value=1, max_value=4).map(Surface)
 
 def build(e, u, v, m, s):
     return construct_extension(Surface(e), u, v, m, s)
+
+
+def construction_c2(surface, u, v, m, s):
+    """c2 of the standard construction at (u, v, m, s): `chern_of_extension`
+    of the vanishing class h = (1, 0)."""
+    return chern_of_extension(surface, DivisorClass(1, 0), m, DivisorClass(u, v), s).c2
+
+
+def extension_c2_twisted(surface, vanishing, m, c1, s):
+    """c2 of the twisted bundle E(mM): c2(E) + m(M.c1) + m^2 e, M.c1 = c1.b."""
+    return chern_of_extension(surface, vanishing, m, c1, s).c2 + m * (c1.b + m * surface.e)
 
 
 # --- Chern bookkeeping
@@ -76,9 +85,21 @@ def test_chern_data_validation():
     assert ChernData(rank=2, c1=DivisorClass(1, 1), c2=-3).c2 == -3
 
 
+@pytest.mark.parametrize("bad", [2.0, True, "2"], ids=repr)
+def test_chern_data_takes_integers_only(bad):
+    # rank and c2 are plain ints, refused as `require_ints` refuses them,
+    # naming the first bad value
+    c1 = DivisorClass(1, 1)
+    message = f"^{re.escape(f'expected an integer, got {bad!r}')}$"
+    for rank, c2 in ((bad, 1), (2, bad), (bad, None)):
+        with pytest.raises(DomainError, match=message):
+            ChernData(rank, c1, c2)
+
+
 def test_twisted_c2_frozen():
     # e=2, vanishing class (1,0), c1=(2,3), m=1: D.c1 = -1, M.D = 0,
-    # D^2 = -2, so c2 of the twisted bundle is s + 1
+    # D^2 = -2, so c2 of the twisted bundle is s + 1, read off
+    # `chern_of_extension`, which refuses a negative point count
     surface = Surface(2)
     d = DivisorClass(1, 0)
     c1 = DivisorClass(2, 3)
@@ -113,8 +134,9 @@ def test_chern_formulas_take_integers_only(bad):
                     call(fn, (*args[:i], swap, *args[i + 1:]))
 
 
-# the entry points that test their plain ints inline: each as a call
-# taking those ints by name, and a valid value for each
+# the entry points that test their plain ints inline, and the two c2
+# quantities read off `chern_of_extension` and its class arguments: each as
+# a call taking those ints by name, and a valid value for each
 _INT_ENTRY_POINTS = {
     "construct_extension": (
         lambda u, v, m, s: construct_extension(Surface(2), u, v, m, s),
@@ -179,11 +201,14 @@ def test_untwisting_undoes_the_shift():
 )
 def test_presentation_and_construction_c2_agree(surface, u, dv, m, s):
     # the twisted bundle's sub-line is always (1,0), so the minimal-section
-    # route with that vanishing divisor must land on the construction's c2
+    # route with that vanishing divisor must land on the c2 of the datum
+    # with the construction's ends, sub = h - mM and quot = c1 - sub
     v = surface.e * (u - 1) - 1 + dv
     d = DivisorClass(1, 0)
     via_presentation = chern_of_extension(surface, d, m, DivisorClass(u, v), s).c2
-    assert via_presentation == construction_c2(surface, u, v, m, s)
+    sub = d - m * surface.m_class()
+    quotient = IdealSheafModel(PointConfig(s, Locus.GENERAL), DivisorClass(u, v) - sub)
+    assert via_presentation == ExtensionDatum(surface, m, sub, quotient).chern().c2
 
 
 @settings(max_examples=300)
@@ -207,8 +232,9 @@ def test_chern_formulas_match_their_intersection_forms(surface, data, m, c1, s):
 
 
 def test_construction_c2_sums_no_sections(monkeypatch):
-    # c2 needs the ends alone, so no c2 route evaluates an h0; the range,
-    # which does, is `section_count_bounds`'s
+    # c2 needs the ends alone, so `chern_of_extension` evaluates no h0, for
+    # the construction's class h or any other; the range, which does, is
+    # `section_count_bounds`'s
     import hirzebruch.bundles as bundles
 
     summed = []
@@ -488,6 +514,23 @@ def test_hand_built_datum_takes_integers_only(bad):
             build_datum(z=0, coords=coords)
 
 
+def test_points_on_a_curve_are_refused():
+    # the range and the certificates of a datum hold for general points
+    # only: three points on the section h of F_1 with the flagship's ends
+    # would read s_range (3, 6) and section_min True, yet have sections at
+    # twist m - 1, where the quotient class is (1, 1) and h0(I_Z(1, 1)) = 2
+    for e, m, sub, quot, z in [(1, 0, (1, 0), (2, 2), 3), (2, 1, (0, -2), (3, 5), 0)]:
+        for locus in (Locus.ON_SECTION, Locus.ON_FIBER):
+            quotient = IdealSheafModel(PointConfig(z, locus), DivisorClass(*quot))
+            message = f"^an extension datum needs general points, got {locus.name}$"
+            with pytest.raises(DomainError, match=message):
+                ExtensionDatum(Surface(e), m, DivisorClass(*sub), quotient)
+        general = IdealSheafModel(PointConfig(z, Locus.GENERAL), DivisorClass(*quot))
+        assert ExtensionDatum(Surface(e), m, DivisorClass(*sub), general).s == z
+    flagship = IdealSheafModel(PointConfig(3, Locus.GENERAL), DivisorClass(2, 2))
+    assert ExtensionDatum(Surface(1), 0, DivisorClass(1, 0), flagship) == build(1, 3, 2, 0, 3)
+
+
 def test_replace_re_derives_the_certificates():
     surface = Surface(2)
     split = construct_extension(surface, 2, 1, 0, 0)
@@ -564,17 +607,15 @@ def test_box_consistency(surface, u, dv, m, t):
 
 
 def _hand_built_data(rng, count):
-    """Extension data of every locus from random ends, forced splits among them."""
+    """Extension data of general points from random ends, forced splits among them."""
     data = []
     for _ in range(count):
         surface = Surface(rng.randint(1, 5))
         sub = DivisorClass(rng.randint(-8, 5), rng.randint(-25, 15))
         quot = DivisorClass(rng.randint(-8, 8), rng.randint(-25, 30))
         s = rng.choice([0, rng.randint(0, 4), rng.randint(0, 40)])
-        locus = rng.choice(list(Locus))
-        data.append(
-            ExtensionDatum(surface, rng.randint(0, 8), sub, IdealSheafModel(PointConfig(s, locus), quot))
-        )
+        quotient = IdealSheafModel(PointConfig(s, Locus.GENERAL), quot)
+        data.append(ExtensionDatum(surface, rng.randint(0, 8), sub, quotient))
     return data
 
 
@@ -605,18 +646,13 @@ def test_box_kernel_is_the_interval():
 
 def _hand_derived_window(datum):
     """(settle twist, audit window end) from the hand-derived cuts that
-    `bundles` once wrote out per end class and per locus: the referee for
-    the kernel-built `_settle_twist` and `_audit_scan_stop`."""
+    `bundles` once wrote out per end class: the referee for the
+    kernel-built `_settle_twist` and `_audit_scan_stop`."""
     e, qcls, s = datum.surface.e, datum.quotient.cls, datum.s
     settle = max(max(1 - cls.a, ceil_div(-cls.b, e)) for cls in (datum.sub, qcls))
     cuts = [datum.m, settle]
     if s > 0:
-        locus = datum.quotient.config.locus
-        if locus is Locus.GENERAL:
-            cuts.append(ceil_div(s - 1 - qcls.b, e))
-        elif locus is Locus.ON_FIBER:
-            cuts.append(s - 1 - qcls.a)
-            cuts.append(ceil_div(e * (s - 1) - qcls.b, e))
+        cuts.append(ceil_div(s - 1 - qcls.b, e))
     return settle, max(cuts) + 1
 
 
@@ -624,7 +660,6 @@ def test_audit_window_is_the_hand_derived_one():
     import hirzebruch.bundles as bundles
 
     data = _constructed_data() + _hand_built_data(random.Random(17), 3000)
-    assert {datum.quotient.config.locus for datum in data} == set(Locus)
     for datum in data:
         settle, stop = _hand_derived_window(datum)
         assert bundles._settle_twist(datum) == settle
@@ -799,19 +834,18 @@ def test_audit_verdict_is_the_verdict_of_its_rows():
     assert {outcome for _, outcome in seen} == set(Outcome)
 
 
-@pytest.mark.parametrize("locus", list(Locus))
-def test_hand_built_audit_verdict_is_the_verdict_of_its_rows(locus):
-    rng = random.Random(locus.value)
+def test_hand_built_audit_verdict_is_the_verdict_of_its_rows():
+    rng = random.Random("general")
     seen = set()
     # a forced split needs s = 0 and h1(sub - quot) = 0; one that holds
-    # turns up only 3 to 9 times in 600 draws, by locus
-    for _ in range(600):
+    # turns up only a few times in 600 draws
+    for _ in range(1800):
         surface = Surface(rng.randint(1, 5))
         sub = DivisorClass(rng.randint(-8, 5), rng.randint(-25, 15))
         quot = DivisorClass(rng.randint(-8, 8), rng.randint(-25, 30))
         s = rng.choice([0, rng.randint(0, 4), rng.randint(0, 40)])
         datum = ExtensionDatum(
-            surface, rng.randint(0, 8), sub, IdealSheafModel(PointConfig(s, locus), quot)
+            surface, rng.randint(0, 8), sub, IdealSheafModel(PointConfig(s, Locus.GENERAL), quot)
         )
         audit = audit_extension_natural(datum)
         assert audit.verdict == _verdict_of_rows(audit)
@@ -897,18 +931,17 @@ def _region_referee_data():
                 yield construct_extension(surface, u, v, 0, s)
     # hand-built: two in three with arbitrary ends, the rest shaped like
     # a construction (a small sub class)
-    for locus in Locus:
-        for i in range(60):
-            surface = Surface(rng.randint(1, 4))
-            if i % 3:
-                sub = DivisorClass(rng.randint(-4, 4), rng.randint(-6, 6))
-                quot = DivisorClass(rng.randint(-4, 5), rng.randint(-6, 8))
-            else:
-                u = rng.randint(2, 5)
-                sub = DivisorClass(rng.randint(-1, 1), rng.randint(-2, 0))
-                quot = DivisorClass(u - sub.a, rng.randint(surface.e * (u - 1), 2 * surface.e * u))
-            s = rng.choice([0, rng.randint(0, 3), rng.randint(0, 15)])
-            yield ExtensionDatum(surface, 0, sub, IdealSheafModel(PointConfig(s, locus), quot))
+    for i in range(180):
+        surface = Surface(rng.randint(1, 4))
+        if i % 3:
+            sub = DivisorClass(rng.randint(-4, 4), rng.randint(-6, 6))
+            quot = DivisorClass(rng.randint(-4, 5), rng.randint(-6, 8))
+        else:
+            u = rng.randint(2, 5)
+            sub = DivisorClass(rng.randint(-1, 1), rng.randint(-2, 0))
+            quot = DivisorClass(u - sub.a, rng.randint(surface.e * (u - 1), 2 * surface.e * u))
+        s = rng.choice([0, rng.randint(0, 3), rng.randint(0, 15)])
+        yield ExtensionDatum(surface, 0, sub, IdealSheafModel(PointConfig(s, Locus.GENERAL), quot))
 
 
 def test_stability_region_is_complete():
@@ -956,14 +989,8 @@ def test_stability_region_is_complete():
                     assert maps[n] == (tails[n[1]].reason is None), (where, n)
                 else:
                     assert not maps[n], (where, n)
-            seen.add((pol, report.certified, datum.quotient.config.locus))
-    assert {(pol, certified) for pol, certified, _ in seen} == {
-        (pol, certified) for pol in ("R", "M") for certified in (False, True)
-    }
-    # every locus certifies somewhere, though points confined to a section
-    # never do under M: down the first column the residual's h0 grows
-    # without bound and their capacity does not
-    assert {locus for _, certified, locus in seen if certified} == set(Locus)
+            seen.add((pol, report.certified))
+    assert seen == {(pol, certified) for pol in ("R", "M") for certified in (False, True)}
 
 
 def test_m_tail_entries_are_really_frozen():
@@ -1029,7 +1056,7 @@ def test_stability_verdict_agrees_with_the_full_enumeration(exclusion_calls):
     # other.  Every c1 with u <= 3 (all uncertified data seen lie there)
     # and three seeded v per (e, u) above, each with a seeded s.  The
     # classes the verdict checks are pinned as well: under M the tail of
-    # the first column alone; under R at most 11 classes, each on the
+    # the first column alone; under R at most 8 classes, each on the
     # segment gamma + delta = ceil((u+v)/2) of the region, ending at the
     # first survivor when there is one
     rng = random.Random(8)
@@ -1063,7 +1090,7 @@ def test_stability_verdict_agrees_with_the_full_enumeration(exclusion_calls):
                         assert checked == want, where
                     else:
                         threshold = ceil_div(u + v, 2)
-                        assert len(checked) <= 11, where
+                        assert len(checked) <= 8, where
                         for n in checked:
                             assert sum(n) == threshold and n in boundary, (where, n)
                         reasons = [boundary[n].reason for n in checked]
@@ -1078,23 +1105,22 @@ def test_stability_verdict_agrees_with_the_full_enumeration(exclusion_calls):
 
 
 def _wide_referee_data():
-    # hand-built data of every locus, far from the construction's shape,
-    # with coordinates up to 60 in size and up to 40 points.  Every other
-    # datum has quot.a + quot.b a little above sub.a + sub.b, so that the
-    # R segment is short in A + B and a survivor on it, if any, is rare
+    # hand-built data of general points, far from the construction's
+    # shape, with coordinates up to 60 in size and up to 40 points.  Every
+    # other datum has quot.a + quot.b a little above sub.a + sub.b, so that
+    # the R segment is short in A + B and a survivor on it, if any, is rare
     rng = random.Random(25)
-    for locus in Locus:
-        for i in range(40):
-            surface = Surface(rng.randint(1, 6))
-            sub = DivisorClass(rng.randint(-60, 60), rng.randint(-60, 60))
-            qa = rng.randint(-60, 60)
-            if i % 2:
-                qb = rng.randint(-60, 60)
-            else:
-                qb = max(-60, min(60, sub.a + sub.b - qa + rng.randint(0, 10)))
-            z = rng.choice([0, rng.randint(0, 40)])
-            quot = IdealSheafModel(PointConfig(z, locus), DivisorClass(qa, qb))
-            yield ExtensionDatum(surface, 0, sub, quot)
+    for i in range(120):
+        surface = Surface(rng.randint(1, 6))
+        sub = DivisorClass(rng.randint(-60, 60), rng.randint(-60, 60))
+        qa = rng.randint(-60, 60)
+        if i % 2:
+            qb = rng.randint(-60, 60)
+        else:
+            qb = max(-60, min(60, sub.a + sub.b - qa + rng.randint(0, 10)))
+        z = rng.choice([0, rng.randint(0, 40)])
+        quot = IdealSheafModel(PointConfig(z, Locus.GENERAL), DivisorClass(qa, qb))
+        yield ExtensionDatum(surface, 0, sub, quot)
 
 
 def test_stability_closed_forms_agree_with_the_column_walk():
@@ -1108,20 +1134,16 @@ def test_stability_closed_forms_agree_with_the_column_walk():
             where = (datum.surface.e, datum.sub, datum.quotient, pol)
             assert report.certified == all(c.reason is not None for c in candidates), where
             assert report.candidate_count == len(candidates), where
-            outcomes.add((pol, report.certified, datum.quotient.config.locus))
-    assert {(pol, certified) for pol, certified, _ in outcomes} == {
-        (pol, certified) for pol in "RM" for certified in (False, True)
-    }
-    for certified in (False, True):
-        assert {locus for _, c, locus in outcomes if c == certified} == set(Locus)
+            outcomes.add((pol, report.certified))
+    assert outcomes == {(pol, certified) for pol in "RM" for certified in (False, True)}
 
 
 @pytest.mark.parametrize("u", [3, 100])
 def test_stability_verdict_cost_does_not_grow_with_the_region(exclusion_calls, u):
     surface = Surface(1)
     datum = construct_extension(surface, u, u, 0, section_count_bounds(surface, u, u, 0)[0])
-    # one class under M, at most 11 under R, whatever the size of the region
-    cases = [("M", 1, {3: 8, 100: 5151}), ("R", 11, {3: 6, 100: 5050})]
+    # one class under M, at most 8 under R, whatever the size of the region
+    cases = [("M", 1, {3: 8, 100: 5151}), ("R", 8, {3: 6, 100: 5050})]
     for pol, most, listed in cases:
         exclusion_calls.clear()
         report = stability_certificate(datum, pol)
@@ -1136,7 +1158,7 @@ def test_stability_verdict_cost_does_not_grow_with_the_region(exclusion_calls, u
 
 def test_stability_answers_do_not_grow_with_the_coefficients(exclusion_calls, monkeypatch):
     # e = 1, u = v, s = a_lo: the R verdict makes the same number of
-    # `_exclusion` calls, at most 11, at every size, and both counts read
+    # `_exclusion` calls, at most 8, at every size, and both counts read
     # no column (`first`, the region's per-column rule, is never called);
     # u = 100 ties the counts' pattern to the listing above
     import hirzebruch.bundles as bundles
@@ -1160,7 +1182,7 @@ def test_stability_answers_do_not_grow_with_the_coefficients(exclusion_calls, mo
         assert r_report.candidate_count == u * (u + 1) // 2
         assert m_report.candidate_count == (u + 1) * (u + 2) // 2
         assert columns == []
-    assert len(calls) == 1 and 1 <= min(calls) <= 11
+    assert len(calls) == 1 and 1 <= min(calls) <= 8
 
 
 def test_stability_audit_cost_grows_linearly_in_e(exclusion_calls):

@@ -123,13 +123,9 @@ def _settle_twist_by_max(datum):
 
 
 def _audit_scan_stop_by_max(datum, settle):
-    e, qcls, n = datum.surface.e, datum.quotient.cls, datum.s - 1
-    cuts = [datum.m, settle]
-    locus = datum.quotient.config.locus
-    if locus is not Locus.ON_SECTION:
-        da, db = (0, 1) if locus is Locus.GENERAL else (1, e)
-        cuts.append(_effective_twist_by_max(qcls.a - n * da, qcls.b - n * db, 1, e))
-    return max(cuts) + 1
+    e, qcls = datum.surface.e, datum.quotient.cls
+    reach = _effective_twist_by_max(qcls.a, qcls.b - (datum.s - 1), 1, e)
+    return max(datum.m, settle, reach) + 1
 
 
 def _key(c):
@@ -213,18 +209,18 @@ def test_ideal_sections_twist_matches_the_plain_form(e, pick, z, locus, u, v, of
     assert got == _ideal_sections_twist_by_min(e, z, locus, u, v, c, d, start)
 
 
-# --- the extension box and the audit window
+# --- the extension box and the audit window, on general points
 
 
 @settings(max_examples=400)
 @given(
-    surfaces, coords, coords, coords, coords, counts_z, loci,
+    surfaces, coords, coords, coords, coords, counts_z,
     st.integers(min_value=0, max_value=6), st.one_of(st.integers(-12, 12), big),
 )
-@example(1, 0, 0, 0, 0, 0, Locus.GENERAL, 0, 0)  # a forced split
-@example(2, 0, -2, 2, 5, 3, Locus.GENERAL, 1, 0)
-def test_box_and_audit_window_match_the_plain_forms(e, sa, sb, qa, qb, z, locus, m, t):
-    quotient = IdealSheafModel(PointConfig(z, locus), DivisorClass(qa, qb))
+@example(1, 0, 0, 0, 0, 0, 0, 0)  # a forced split
+@example(2, 0, -2, 2, 5, 3, 1, 0)
+def test_box_and_audit_window_match_the_plain_forms(e, sa, sb, qa, qb, z, m, t):
+    quotient = IdealSheafModel(PointConfig(z, Locus.GENERAL), DivisorClass(qa, qb))
     datum = ExtensionDatum(Surface(e), m, DivisorClass(sa, sb), quotient)
     assert _outcome(_box, datum, t) == _outcome(_box_by_min, datum, t)
     settle = _settle_twist(datum)

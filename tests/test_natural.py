@@ -63,6 +63,19 @@ def test_direct_sum_must_be_nonempty():
         DirectSum(())
     with pytest.raises(DomainError):
         direct_sum_natural_wrt_m(Surface(1), [])
+    with pytest.raises(DomainError):
+        DirectSum([])
+
+
+def test_a_direct_sum_holds_its_summands_as_a_tuple():
+    # built from a list or from a generator, a sum is the one built from
+    # the tuple of its summands: equal, hashable, with the same hash
+    first, second = DivisorClass(1, 0), DivisorClass(0, -2)
+    made = DirectSum((first, second))
+    for built in (DirectSum([first, second]), DirectSum(c for c in (first, second))):
+        assert type(built.classes) is tuple
+        assert built == made and hash(built) == hash(made)
+    assert DirectSum([first]) == DirectSum((first,))
 
 
 # --- first twist with sections

@@ -246,8 +246,11 @@ def test_enum_members_keep_their_identity_through_pickle_and_copy(restore):
         model = IdealSheafModel(config, DivisorClass(1, 1))
         for by in (e2.m_class(), e2.r_class(), DivisorClass(0, 1)):
             assert scan_verdict(e2, restore(model), by) == scan_verdict(e2, model, by)
-        # hand-built ends on each locus: each branch of the audit's window end
-        datum = ExtensionDatum(e2, 1, DivisorClass(0, -2), IdealSheafModel(config, DivisorClass(3, 5)))
+    # hand-built ends on general points, one datum per point count: the
+    # audit's window end with and without its reach past the settle twist
+    for z in (0, 3, 9):
+        general = IdealSheafModel(PointConfig(z, Locus.GENERAL), DivisorClass(3, 5))
+        datum = ExtensionDatum(e2, 1, DivisorClass(0, -2), general)
         assert audit_extension_natural(restore(datum)) == audit_extension_natural(datum)
     fails = restore(Verdict(Outcome.FAILS, 0, 1, 1))
     assert fails.outcome is Outcome.FAILS and not fails.holds()

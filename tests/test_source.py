@@ -264,10 +264,7 @@ def test_the_construction_path_checks_each_input_once():
     # the unchecked kernels (`_family`, `_range`, `_c1_obstructed`);
     # naming a checked function there would check the same ints again
     tree = ast.parse((pathlib.Path(hirzebruch.__file__).parent / "bundles.py").read_text())
-    checked = {
-        "section_count_bounds", "construction_c2", "extension_c2_twisted", "chern_of_extension",
-        "c1_obstructed",
-    }
+    checked = {"section_count_bounds", "chern_of_extension", "c1_obstructed"}
     bodies = {"construct_extension", "ExtensionDatum.__init__", "classify_region", "_c2_witness"}
     seen, found = set(), []
     for qualname, node in _functions(tree):
@@ -325,9 +322,8 @@ def test_inline_int_guards_fall_back_to_require_ints_with_the_names_they_test():
                 if body != [f"require_ints({', '.join(names)})"] or node.orelse:
                     found.append(f"{path.name}:{node.lineno} {qualname}: {' / '.join(body)}")
     assert guarded == {
-        "DivisorClass.__init__", "PointConfig.__init__", "construct_extension",
-        "section_count_bounds", "construction_c2", "cohomology_interval", "extension_c2_twisted",
-        "chern_of_extension",
+        "DivisorClass.__init__", "PointConfig.__init__", "ChernData.__init__",
+        "construct_extension", "section_count_bounds", "cohomology_interval", "chern_of_extension",
     }
     assert found == []
 
@@ -345,8 +341,8 @@ def test_kernels_compare_enum_members_bound_once():
     kernels = {
         "sheaves.py": {"_unseen", "ideal_sections", "ideal_counts", "ideal_sections_twist"},
         "bundles.py": {
-            "_outcome", "audit_extension_natural", "_audit_scan_stop", "construct_extension",
-            "classify_region",
+            "_outcome", "audit_extension_natural", "ExtensionDatum.__init__",
+            "construct_extension", "classify_region",
         },
         "natural.py": {"_decide", "Verdict.holds"},
     }
@@ -388,6 +384,21 @@ def test_kernels_compare_enum_members_bound_once():
                     found.append(f"{module}:{node.lineno} {qualname} indexes {ast.unparse(node)}")
     assert seen == set().union(*kernels.values())
     assert found == []
+
+
+def test_the_rank_2_layer_names_no_curve_locus():
+    # an extension datum holds general points only, and refuses the other
+    # loci when it is built, so `bundles` names no other member of `Locus`:
+    # the rank-1 models of points on a curve live in `sheaves` and `natural`
+    tree = ast.parse((pathlib.Path(hirzebruch.__file__).parent / "bundles.py").read_text())
+    named = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "Locus"
+    }
+    assert named == {"GENERAL"}
 
 
 def test_holds_and_indeterminate_verdicts_are_shared():
