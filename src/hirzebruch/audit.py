@@ -515,21 +515,20 @@ def run_audit(
 ) -> tuple[Finding, ...]:
     """Run the selected claims over the selected surfaces, in stable order.
 
-    Both arguments are collections; a bare string is refused, since it
-    would be read one character at a time.
+    Both arguments are collections: a bare string (it would be read one
+    character at a time) or a non-iterable is refused, and a claim name
+    that is not a string is unknown.
     """
-    for name, value in (("e_values", e_values), ("claims", claims)):
+    selected = CLAIMS if claims is None else claims
+    for name, value in (("e_values", e_values), ("claims", selected)):
         if isinstance(value, str):
             raise DomainError(f"{name} must be a collection, not the string {value!r}")
-    if claims is None:
-        selected = list(CLAIMS)
-    else:
-        selected = list(claims)
-        unknown = [c for c in selected if c not in CLAIMS]
-        if unknown:
-            raise DomainError(
-                f"unknown claim(s) {unknown}; valid: {', '.join(CLAIMS)}"
-            )
+        if not isinstance(value, Iterable):
+            raise DomainError(f"{name} must be a collection, got {value!r}")
+    selected = list(selected)
+    unknown = [c for c in selected if not isinstance(c, str) or c not in CLAIMS]
+    if unknown:
+        raise DomainError(f"unknown claim(s) {unknown}; valid: {', '.join(CLAIMS)}")
     surfaces = [Surface(e) for e in e_values]
     findings = []
     for claim in selected:

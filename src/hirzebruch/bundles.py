@@ -45,10 +45,10 @@ audit and construction paths compare outcomes and loci by identity
 against members bound once at import, as `sheaves` does and for the
 reason its docstring gives.
 
-Slope stability is decided on the lower boundary of the region of
-destabilizing candidates, at most 8 classes of it whatever the size of
-the coefficients (see `stability_certificate`); the report lists the
-whole region on demand and counts it in closed form.
+Slope stability is decided on a few classes of the lower boundary of the
+region of destabilizing candidates, whatever the size of the coefficients
+(`stability_certificate` says which, and why); the report lists the whole
+region on demand and counts it in closed form.
 """
 
 from __future__ import annotations
@@ -552,9 +552,9 @@ class DestabilizerCandidate(Record):
 class StabilityReport(Record):
     """The stability verdict of `datum` for one polarization.
 
-    `certified` is decided on a bounded set of classes of the slope
-    region's boundary (see `stability_certificate`); `candidates` lists
-    the whole region and `candidate_count` counts it in closed form.
+    `certified` is decided on the classes of the slope region's boundary
+    that `stability_certificate` names; `candidates` lists the whole
+    region and `candidate_count` counts it in closed form.
     """
 
     __slots__ = ("polarization", "certified", "warnings", "datum")
@@ -684,8 +684,8 @@ def _region(
     entry, which stands for every class of the column below the freeze
     point; the freeze point grows with delta, so the first column's tail
     stands below every class of the region.  The stability verdict checks
-    some of these first classes, at most 8 (see `stability_certificate`),
-    and `candidate_count` sums the columns in closed form.
+    some of these first classes (`stability_certificate` says which), and
+    `candidate_count` sums the columns in closed form.
     """
     qcls, sub = datum.quotient.cls, datum.sub
     gamma_max, delta_max = max(sub.a, qcls.a), max(sub.b, qcls.b)
@@ -723,30 +723,30 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
     fully excluded candidate region is a genuine stability proof given
     general points; a surviving candidate is reported, not judged.
 
-    The verdict is read off the region's boundary.  The classes that
-    `_exclusion` does not exclude form a down-set in (gamma, delta):
-    lowering either coordinate of N raises both coordinates of sub - N
-    and of quot - N, and effectivity, h0 and h0_ideal are nondecreasing
-    in each coordinate.  So a survivor exists iff one of the columns'
-    first classes survives (`_region`): under M the first column's tail
-    alone, one `_exclusion` call; under R a class of the segment gamma +
-    delta = ceil((u+v)/2), found among at most 8 of its classes at any
-    size of the coefficients.  Along the segment quot - N = (A, S - A)
-    with S fixed and A growing with delta, and a class survives when
-      - sub - N is effective: on one delta interval, ending at
-        min(delta_max, sub.b) = sub.b;
-      - or h0(A, S - A) >= s + 1: h0 is 0 outside 0 <= A <= S and unimodal
-        inside, the concave quadratic (A + 1)(S + 1 - A - eA/2), with
-        vertex (2S - e)/(2(e + 2)), while B >= eA, that is up to the turn
-        S // (e + 1), and nonincreasing past the turn, where it depends
-        on B alone.  h0 is thus unimodal on the integers and 0 outside
-        [0, S], so its peak is at 0 (when the vertex lies below it), at
-        the turn, or next to the vertex, and the classes where it reaches
-        s + 1 form one A interval around that peak.
-    So the verdict checks the segment's ends, delta = sub.b, and the
-    deltas of A = vertex, vertex + 1, turn, turn + 1 and 0, each clamped
-    to the segment and taken once.  The report lists the whole region on
-    access (`StabilityReport.candidates`), as a referee.
+    The verdict is read off the region's boundary; this is the one place
+    that says which of its classes are checked.  The classes `_exclusion`
+    does not exclude form a down-set in (gamma, delta): lowering either
+    coordinate of N raises both coordinates of sub - N and of quot - N,
+    and effectivity and h0 are nondecreasing in each.  So a survivor
+    exists iff a column's first class survives (`_region`): under M the
+    first column's tail, one `_exclusion` call; under R a class of the
+    segment gamma + delta = ceil((u+v)/2), delta in [lo, hi], along which
+    quot - N = (A, S - A) with S fixed and A = delta + shift.  There a
+    class survives when
+      - sub - N is effective: on a delta interval that ends at sub.b <= hi,
+        so it meets the segment iff it holds clamp(sub.b);
+      - or h0(A, S - A) >= s + 1.  That h0 is 0 if S < 0.  If S >= 0 it is
+        0 for A < 0, the concave quadratic (A + 1)(S + 1 - A - eA/2) on
+        [0, turn], turn = S // (e + 1), and nonincreasing past the turn.
+        The real vertex (2S - e)/(2e + 4) lies in (-1/2, S/(e + 1)), so
+        h0 peaks at its floor `vertex` or at vertex + 1 (at 0 = vertex + 1
+        when vertex = -1, at the turn when vertex is the turn), and its
+        maximum on the segment is at one of the two, clamped.
+    So, at any size of the coefficients, the verdict checks at most three
+    classes, clamp(sub.b), clamp(vertex - shift) and clamp(vertex + 1 -
+    shift), each clamped to [lo, hi] and taken once, and stops at the
+    first survivor.  `StabilityReport.candidates` lists the whole region,
+    as a referee.
 
     Only twist parameter m = 0 is supported; the slope bookkeeping above
     assumes the untwisted presentation.
@@ -754,8 +754,7 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
     pol = _polarization(polarization)
     if datum.m != 0:
         raise DomainError(f"stability certification needs m = 0, got m = {datum.m}")
-    surface = datum.surface
-    e, u, v = surface.e, datum.u, datum.v
+    e, u, v = datum.surface.e, datum.u, datum.v
 
     warnings = []
     if u < 3:
@@ -768,26 +767,21 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
         )
 
     deltas, _, first, _ = _region(datum, pol)
-    if pol is Polarization.M or not deltas:
-        # the first column's tail stands below every other class; an
-        # empty region has nothing to check
-        checked = deltas[:1]
-    else:
+    # under M the first column's tail stands below every other class; an
+    # empty region has nothing to check
+    checked = deltas[:1]
+    if pol is Polarization.R and deltas:
         # on the segment first(delta) = threshold - delta, so A = quot.a -
-        # first(delta) = delta + shift, and S = A + B
+        # first(delta) = delta + shift, and S = A + B = shift + quot.b
         qcls, threshold = datum.quotient.cls, first(0)
-        shift, total = qcls.a - threshold, qcls.a + qcls.b - threshold
-        vertex, turn = (2 * total - e) // (2 * e + 4), total // (e + 1)
+        shift = qcls.a - threshold
+        peak = (2 * (shift + qcls.b) - e) // (2 * e + 4) - shift  # the delta of A = vertex
         lo, hi = deltas[0], deltas[-1]
-        picks = [vertex, vertex + 1, turn, turn + 1, 0]
-        ends = [lo, hi, datum.sub.b, *[a - shift for a in picks]]
         # clamped by comparisons, not `min`/`max` calls and a generator,
         # which cost about a sixth of an R verdict at small coefficients
-        checked = sorted({lo if d < lo else hi if d > hi else d for d in ends})
+        checked = {lo if d < lo else hi if d > hi else d for d in (datum.sub.b, peak, peak + 1)}
     certified = all(_exclusion(datum, (first(delta), delta)) is not None for delta in checked)
-    return StabilityReport(
-        polarization=pol, certified=certified, warnings=tuple(warnings), datum=datum
-    )
+    return StabilityReport(pol, certified, tuple(warnings), datum)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,10 @@ class IdealSheafModel(Record):
     __slots__ = ("config", "cls")
 
     def __init__(self, config: PointConfig, cls: DivisorClass) -> None:
+        if not isinstance(config, PointConfig):
+            raise DomainError(f"point configuration must be a PointConfig, got {config!r}")
+        if not isinstance(cls, DivisorClass):
+            raise DomainError(f"ideal sheaf class must be a DivisorClass, got {cls!r}")
         put_config, put_cls = self._put
         put_config(self, config)
         put_cls(self, cls)

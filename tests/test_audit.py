@@ -1,6 +1,7 @@
 """The claim auditor: agreements and the expected discrepancy findings."""
 
 import random
+import re
 
 import pytest
 
@@ -74,6 +75,25 @@ def test_a_bare_string_is_not_a_collection():
         run_audit([1], "direct-sum-splitting")
     with pytest.raises(DomainError, match=r"^e_values must be a collection"):
         run_audit("12", ["rank1-points"])
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((5,), "e_values must be a collection, got 5"),
+        (([1], 5), "claims must be a collection, got 5"),
+        ((None,), "e_values must be a collection, got None"),
+        (([1], [["x"]]), "unknown claim(s) [['x']]"),
+        (([1], [{}, "rank1-points"]), "unknown claim(s) [{}]"),
+    ],
+    ids=["int-e-values", "int-claims", "none-e-values", "list-claim", "dict-claim"],
+)
+def test_a_non_collection_or_an_unhashable_claim_is_a_domain_error(args, message):
+    # one DomainError line each, not a bare TypeError ("not iterable",
+    # "unhashable") from the loops below the checks
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}") as raised:
+        run_audit(*args)
+    assert "\n" not in str(raised.value)
 
 
 def test_claim_filter():

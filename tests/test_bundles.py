@@ -5,7 +5,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hirzebruch import (
@@ -1056,7 +1056,7 @@ def test_stability_verdict_agrees_with_the_full_enumeration(exclusion_calls):
     # other.  Every c1 with u <= 3 (all uncertified data seen lie there)
     # and three seeded v per (e, u) above, each with a seeded s.  The
     # classes the verdict checks are pinned as well: under M the tail of
-    # the first column alone; under R at most 8 classes, each on the
+    # the first column alone; under R at most 3 classes, each on the
     # segment gamma + delta = ceil((u+v)/2) of the region, ending at the
     # first survivor when there is one
     rng = random.Random(8)
@@ -1090,7 +1090,7 @@ def test_stability_verdict_agrees_with_the_full_enumeration(exclusion_calls):
                         assert checked == want, where
                     else:
                         threshold = ceil_div(u + v, 2)
-                        assert len(checked) <= 8, where
+                        assert len(checked) <= 3, where
                         for n in checked:
                             assert sum(n) == threshold and n in boundary, (where, n)
                         reasons = [boundary[n].reason for n in checked]
@@ -1138,12 +1138,52 @@ def test_stability_closed_forms_agree_with_the_column_walk():
     assert outcomes == {(pol, certified) for pol in "RM" for certified in (False, True)}
 
 
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.tuples(*[st.integers(min_value=-12, max_value=12)] * 4),
+    st.integers(min_value=0, max_value=20),
+)
+# S = quot.a + quot.b - ceil((u+v)/2) < 0, so h0(quot - N) = 0 on the
+# segment: the only survivor is sub.b = lo, and vertex + 1 lies above hi
+@example(1, (9, 0, 2, 6), 1)
+# vertex = -1: h0 peaks at A = 0, the vertex + 1 class, the only survivor
+@example(3, (7, -9, -6, 6), 1)
+# vertex = turn = 1: h0 peaks at the turn, the vertex class, the only survivor
+@example(4, (6, -8, 6, 10), 12)
+# sub.b below lo: the sub takes no map, and every survivor is on h0's side
+@example(1, (-2, -1, 4, 8), 2)
+# sub.b = hi, and the vertex above hi (S < 0): sub.b is at most hi =
+# max(sub.b, quot.b), so it is never clamped down
+@example(2, (8, 7, -6, 1), 3)
+def test_hand_built_r_verdict_is_the_verdict_of_its_candidates(e, ends, s):
+    # data built from their ends, far from the construction's shape: the R
+    # verdict checks at most three classes of the segment gamma + delta =
+    # ceil((u+v)/2), each once, stops at the first survivor, and agrees
+    # with the whole candidate list
+    import hirzebruch.bundles as bundles
+
+    sa, sb, qa, qb = ends
+    quotient = IdealSheafModel(PointConfig(s, Locus.GENERAL), DivisorClass(qa, qb))
+    datum = ExtensionDatum(Surface(e), 0, DivisorClass(sa, sb), quotient)
+    real, checked = bundles._exclusion, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bundles, "_exclusion", lambda d, n: checked.append(n) or real(d, n))
+        report = stability_certificate(datum, "R")
+    listed = {(c.cls.a, c.cls.b): c.reason for c in report.candidates}
+    assert report.certified == (None not in listed.values())
+    threshold = ceil_div(datum.u + datum.v, 2)
+    assert len(checked) == len(set(checked)) <= 3
+    assert all(n in listed and sum(n) == threshold for n in checked)
+    assert None not in [listed[n] for n in checked][:-1]
+
+
 @pytest.mark.parametrize("u", [3, 100])
 def test_stability_verdict_cost_does_not_grow_with_the_region(exclusion_calls, u):
     surface = Surface(1)
     datum = construct_extension(surface, u, u, 0, section_count_bounds(surface, u, u, 0)[0])
-    # one class under M, at most 8 under R, whatever the size of the region
-    cases = [("M", 1, {3: 8, 100: 5151}), ("R", 8, {3: 6, 100: 5050})]
+    # one class under M, at most 3 under R, whatever the size of the region
+    cases = [("M", 1, {3: 8, 100: 5151}), ("R", 3, {3: 6, 100: 5050})]
     for pol, most, listed in cases:
         exclusion_calls.clear()
         report = stability_certificate(datum, pol)
@@ -1158,7 +1198,7 @@ def test_stability_verdict_cost_does_not_grow_with_the_region(exclusion_calls, u
 
 def test_stability_answers_do_not_grow_with_the_coefficients(exclusion_calls, monkeypatch):
     # e = 1, u = v, s = a_lo: the R verdict makes the same number of
-    # `_exclusion` calls, at most 8, at every size, and both counts read
+    # `_exclusion` calls, at most 3, at every size, and both counts read
     # no column (`first`, the region's per-column rule, is never called);
     # u = 100 ties the counts' pattern to the listing above
     import hirzebruch.bundles as bundles
@@ -1182,7 +1222,7 @@ def test_stability_answers_do_not_grow_with_the_coefficients(exclusion_calls, mo
         assert r_report.candidate_count == u * (u + 1) // 2
         assert m_report.candidate_count == (u + 1) * (u + 2) // 2
         assert columns == []
-    assert len(calls) == 1 and 1 <= min(calls) <= 8
+    assert len(calls) == 1 and 1 <= min(calls) <= 3
 
 
 def test_stability_audit_cost_grows_linearly_in_e(exclusion_calls):

@@ -548,9 +548,9 @@ def test_construct_counts_the_candidates_it_does_not_print(fmt, exclusion_calls,
     argv, datum = _big_construct(fmt)
     code, out, err = run(argv, capsys)
     assert (code, err) == (0, "")
-    # only the verdicts' calls: one under M and at most 8 classes of the
+    # only the verdicts' calls: one under M and at most 3 classes of the
     # R antidiagonal gamma + delta = ceil((u+v)/2) inside the box
-    assert 1 <= len(exclusion_calls) <= 1 + 8
+    assert 1 <= len(exclusion_calls) <= 1 + 3
     assert all(a + b == (datum.u + datum.v + 1) // 2 for a, b in exclusion_calls[:-1])
     if fmt == "table":
         assert "R: certified (500500 candidates)" in out
@@ -567,14 +567,14 @@ def test_construct_json_over_the_budget_is_refused_before_listing(exclusion_call
     assert err.startswith("domain error: ") and err.count("\n") == 1
     assert "1002001 stability candidates" in err and f"the limit is {cli.ROW_BUDGET}" in err
     # the verdicts ran; no candidate was listed
-    assert len(exclusion_calls) <= 1 + 8
+    assert len(exclusion_calls) <= 1 + 3
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_construct_at_u_of_10_to_the_8_checks_a_bounded_stability_boundary(
     fmt, exclusion_calls, capsys
 ):
-    # e = 1, u = v = 10^8: the verdicts check at most 8 classes under R
+    # e = 1, u = v = 10^8: the verdicts check at most 3 classes under R
     # and one under M, whatever u is, and the counts are closed forms, so
     # table and CSV answer at once.  JSON would list (u + 1)^2 candidates,
     # u(u+1)/2 under R and (u+1)(u+2)/2 under M, and is refused first
@@ -584,7 +584,7 @@ def test_construct_at_u_of_10_to_the_8_checks_a_bounded_stability_boundary(
     started = time.perf_counter()
     code, out, err = run(argv + ["--format", fmt], capsys)
     assert time.perf_counter() - started < 1.0
-    assert 2 <= len(exclusion_calls) <= 2 * 8
+    assert 2 <= len(exclusion_calls) <= 2 * 3
     if fmt == "json":
         assert (code, out) == (3, "")
         assert err == (

@@ -1,6 +1,7 @@
 """Ideal sheaf models: section counts with point conditions."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from hirzebruch import (
     h0,
     h1,
     h2,
+    scan_verdict,
 )
 from hirzebruch.cohomology import counts
 from hirzebruch.sheaves import (
@@ -69,6 +71,28 @@ def test_point_config_rejects_a_locus_that_is_not_a_locus(bad):
     match = rf"^point locus must be a Locus, got {bad!r}$"
     with pytest.raises(DomainError, match=match):
         h0_ideal(Surface(1), IdealSheafModel(PointConfig(2, bad), DivisorClass(1, 1)))
+
+
+@pytest.mark.parametrize(
+    "config, cls",
+    [
+        (None, DivisorClass(1, 1)),
+        (2, DivisorClass(1, 1)),
+        (PointConfig(2, Locus.GENERAL), (1, 1)),
+        (PointConfig(2, Locus.GENERAL), None),
+    ],
+    ids=["none-config", "int-config", "tuple-class", "none-class"],
+)
+def test_an_ideal_sheaf_model_rejects_fields_of_the_wrong_type(config, cls):
+    # refused where they are stored, with the value named: the scans read a
+    # None config as "no points", so IdealSheafModel(None, (1, 1)) would
+    # pass for the line bundle O(1, 1) and scan as HOLDS
+    if isinstance(config, PointConfig):
+        message = f"ideal sheaf class must be a DivisorClass, got {cls!r}"
+    else:
+        message = f"point configuration must be a PointConfig, got {config!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        scan_verdict(Surface(1), IdealSheafModel(config, cls), DivisorClass(1, 1))
 
 
 def test_restriction_degrees():

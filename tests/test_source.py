@@ -497,9 +497,10 @@ def test_closed_forms_call_no_kernel():
 
 
 def test_hot_kernels_call_no_min_max_sorted_or_sum():
-    # the integer kernels under every scan, box and claim audit take
-    # minima and maxima by comparisons and find a greatest summand in one
-    # pass, and sum arithmetic series in closed form: on a shared 2-vCPU
+    # the integer kernels under every scan, box, stability verdict and
+    # claim audit take minima and maxima by comparisons and find a greatest
+    # summand in one pass, and sum arithmetic series in closed form (the
+    # stability verdict clamps its classes and sorts none): on a shared 2-vCPU
     # host a builtin `min` call cost more than the rest of `sections`, and
     # the two sum criteria of one `sum-criterion` audit took about 520 us
     # sorting each sum, 110 us not
@@ -510,7 +511,10 @@ def test_hot_kernels_call_no_min_max_sorted_or_sum():
         "sheaves.py": {
             "_unseen", "_curve_h0", "ideal_sections", "ideal_sections_twist", "ideal_counts",
         },
-        "bundles.py": {"_box", "_settle_twist", "_audit_scan_stop", "_merge_intervals"},
+        "bundles.py": {
+            "_box", "_settle_twist", "_audit_scan_stop", "_merge_intervals",
+            "stability_certificate",
+        },
         "natural.py": {"direct_sum_natural_wrt_m"},
         "audit.py": {"_variant_sum_criterion", "_stated_section_sums"},
     }
