@@ -31,19 +31,17 @@ speaks the Holds / Fails / Indeterminate trichotomy rather than
 pretending to exact answers it does not have.
 
 The natural-cohomology audit of an extension (w.r.t. M) keeps a window of
-twists that grows as m^2, but evaluates boxes only on its *settle prefix*,
-the twists before both end classes reach a >= 1 and b >= 0, and at the
-first twist of the *monotone tail* that follows.  The settle twist and
-the window's end are first effective twists along M of classes read off
-the ends (`cohomology.effective_twist`).  On the tail the sub class is
-effective and the box's h1 bounds are nonincreasing, so that first twist
-decides every later one (see `audit_extension_natural`).  The verdict
-reads each box as plain ints from the box kernel `_box`, which
-`cohomology_interval` wraps, and builds no box and no row; the audit
-rebuilds the rows of the whole window on demand, as a referee.  The
-audit and construction paths compare outcomes and loci by identity
-against members bound once at import, as `sheaves` does and for the
-reason its docstring gives.
+twists that grows as m^2, but evaluates boxes only from m - 1 to the
+first twist where the sub class is effective, which decides every later
+one (`audit_extension_natural` says why, and when the walk goes on):
+two boxes for a constructed datum, at any coefficients.  These twists
+and the window's end are first effective twists along M of classes read
+off the ends (`cohomology.effective_twist`).  The verdict reads each box
+as plain ints from the box kernel `_box`, which `cohomology_interval`
+wraps, and builds no box and no row; the audit rebuilds the rows of the
+whole window on demand, as a referee.  The audit and construction paths
+compare outcomes and loci by identity against members bound once at
+import, as `sheaves` does and for the reason its docstring gives.
 
 Slope stability is decided on a few classes of the lower boundary of the
 region of destabilizing candidates, whatever the size of the coefficients
@@ -196,6 +194,8 @@ def chern_of_extension(
     c2(E) + m(M.c1) + m^2 e, M.c1 = c1.b."""
     if type(m) is not int or type(s) is not int:
         require_ints(m, s)
+    if m < 0:
+        _refuse_twist(m)
     if s < 0:
         raise DomainError(f"point count must be >= 0, got {s}")
     c2 = _family(surface.e, vanishing.a, vanishing.b, c1.a, c1.b, m)[4] + s
@@ -434,28 +434,30 @@ class ExtensionAudit(Record):
         return _audit_rows(self.datum, self.scan_start, self.scan_stop)
 
 
-def _settle_twist(datum: ExtensionDatum) -> int:
-    """Least twist at which both end classes have a >= 1 and b >= 0.
-
-    Every later twist keeps both; there h1 and h2 of the end classes are
-    constant under M, which keeps their slack, and the capacity of the
-    quotient's points is nondecreasing.
-    """
+def _audit_twists(datum: ExtensionDatum) -> tuple[int, int]:
+    """(stop, settle): the last twist the audit verdict reads (see
+    `audit_extension_natural`), and the least twist at which both end
+    classes have a >= 1 and b >= 0, the sub's at max(T, 1 - sub.a), T
+    the first twist where the sub class is effective."""
     e, sub, qcls = datum.surface.e, datum.sub, datum.quotient.cls
-    sub_t = effective_twist(sub.a - 1, sub.b, 1, e)
-    quot_t = effective_twist(qcls.a - 1, qcls.b, 1, e)
-    return sub_t if sub_t > quot_t else quot_t
+    effective = effective_twist(sub.a, sub.b, 1, e)
+    stop = -qcls.a if qcls.b - e * qcls.a <= -2 and -qcls.a > effective else effective
+    settle = effective_twist(qcls.a - 1, qcls.b, 1, e)
+    if settle < 1 - sub.a:
+        settle = 1 - sub.a
+    return stop, (settle if settle > effective else effective)
 
 
 def _audit_scan_stop(datum: ExtensionDatum, settle: int) -> int:
     """Twist past which the h1 upper bound a1 + q1 is monotone nonincreasing.
 
-    From `settle` (`_settle_twist(datum)`) on, the end classes' h1 is
-    constant and the capacity of the quotient's general points, h0 of its
-    class, nondecreasing; the window also reaches the twist where the
-    capacity reaches s, once quot - (s-1)*f is effective (capacity
-    h0 >= b + 1).  A datum with s <= b_hi of its own s_range has capacity
-    b_hi >= s at m.  The end is max(m, settle, that twist) + 1.
+    From `settle` (`_audit_twists`) on, both end classes have a >= 1 and
+    b >= 0, so their h1 is constant under M, and the capacity of the
+    quotient's general points, h0 of its class, nondecreasing; the window
+    also reaches the twist where the capacity reaches s, once
+    quot - (s-1)*f is effective (capacity h0 >= b + 1).  A datum with
+    s <= b_hi of its own s_range has capacity b_hi >= s at m.  The end is
+    max(m, settle, that twist) + 1.
     """
     e, qcls, m = datum.surface.e, datum.quotient.cls, datum.m
     reach = effective_twist(qcls.a, qcls.b - (datum.s - 1), 1, e)
@@ -475,28 +477,29 @@ def audit_extension_natural(datum: ExtensionDatum) -> ExtensionAudit:
     window end, which lies past the monotone threshold of
     `_audit_scan_stop`); otherwise Indeterminate.
 
-    Only the twists from the window start through `_settle_twist` are
-    evaluated (the start alone, if it lies past that twist): the *settle
-    prefix* and the first twist of the *monotone tail*.  From the settle
-    twist on, both end classes have a >= 1 and b >= 0.  There a1, h1 of
-    the quotient class and a2 = q2 = 0 are constant, a0 and q0 are
-    nondecreasing and the point correction max(0, s - capacity) is
-    nonincreasing, so in the box (forced split or not) h1_min and h1_max
-    are nonincreasing; and the sub class is effective, so
-    h0_min >= a0 >= 1.  A tail twist thus fails exactly when h1_min > 0
-    and holds exactly when h1_max = 0, and the tail's first twist is its
-    worst: if it does not fail no tail twist does, and if it holds every
-    tail twist holds, the window end included (which pins the right tail).
-    The verdict costs settle - m + 2 calls of the box kernel `_box`
-    (one when the start lies past the settle twist; `audit_boxes` counts
-    them), however long the window, and builds no box and no row: only
-    the audit and, when it fails, its verdict.  The audit rebuilds every row of the window on
+    The verdict calls the box kernel `_box` only at the twists m - 1 ..
+    max(m - 1, stop), and stops at a failure.  Let T be the first twist
+    where the sub class is effective, and a_i, q_i the h^i of the sub
+    class and the quotient ideal.  From T on, a0 >= 1, a2 = 0, a1 is
+    constant (a twist adds to the sub's pushforward a summand O(b + e),
+    b >= 0) and q0 is nondecreasing: so h0_min >= 1, a twist fails exactly
+    when h1_min > 0, and h1_min >= q1, as r1 <= a2 = 0.  Along M the
+    quotient (qa, qb) keeps its slack qb - e*qa.  At slack >= -1 its line
+    bundle's h1 is positive only while its h-coordinate is <= -2, and
+    nonincreasing there (the trichotomy of `cohomology`), as is the
+    points' shortfall max(0, s - h0); so from T on q1, h1_min and h1_max
+    are nonincreasing, split or not, and T decides every later twist, the
+    window end (the right tail) included: stop = T.  At slack <= -2 that h1 is positive
+    from the twist -qa on, so every twist from max(T, -qa) on fails:
+    stop = max(T, -qa).  A datum of `construct_extension` has sub + mM =
+    h, so T = m, and slack v - eu + e >= -1 (hypothesis_v): its verdict
+    reads the boxes m - 1 and m, at any (u, v, m, s).  The verdict builds
+    no box and no row; the audit rebuilds every row of the window on
     demand, as a referee.
     """
-    start = datum.m - 1
-    settle = _settle_twist(datum)
+    start, (stop, settle) = datum.m - 1, _audit_twists(datum)
     verdict = HOLDS_VERDICT
-    for t in range(start, max(start, settle) + 1):
+    for t in range(start, (stop if stop > start else start) + 1):
         lo0, hi0, lo1, hi1, _, _, _ = _box(datum, t)
         outcome = _outcome(lo0, hi0, lo1, hi1)
         if outcome is _FAILS:
@@ -505,16 +508,6 @@ def audit_extension_natural(datum: ExtensionDatum) -> ExtensionAudit:
         if outcome is not _HOLDS or (t == start and hi0 > 0):
             verdict = INDETERMINATE_VERDICT
     return ExtensionAudit(verdict, start, _audit_scan_stop(datum, settle), datum)
-
-
-def audit_boxes(datum: ExtensionDatum) -> int:
-    """How many boxes `audit_extension_natural` evaluates at most: the
-    twists from m - 1 through `_settle_twist`, one if none.
-
-    Counted without evaluating any box, so a caller can refuse a long
-    settle prefix, which grows as |u| for u < 0, before it starts.
-    """
-    return max(1, _settle_twist(datum) - datum.m + 2)
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,13 @@ domain error, refused with one line before that work starts.
   - ROW_BUDGET caps the rows of `coh --t`, the cells of `classify` and
     `enumerate` (for rank 2, cells times (m_max + 1): one section-count
     interval per cell and m), the classes of an `oracle` box, the claim
-    checks of `audit` (surfaces times claims), the LES boxes that `check
-    --extension` evaluates (one per twist of the audit's settle prefix,
-    counted by `bundles.audit_boxes`), and the stability candidates that a
-    JSON `construct` lists.
+    checks of `audit` (surfaces times claims), and the stability
+    candidates that a JSON `construct` lists.
   - ORACLE_BUDGET caps the lattice walk of an `oracle` box, bounded from
     the box's corners.
-The stability verdicts and candidate counts of `construct` take a fixed
-number of operations at any (u, v), so the table and CSV forms have no
-budget.
+The stability verdicts and candidate counts of `construct` and the audit
+verdict of `check --extension` take a fixed number of operations at any
+(u, v), so they have no budget (`construct`'s table and CSV forms).
 
 Each command's options are defined once, in an option table whose rows
 are an option string and its keywords.  One function, `_parse_line`,
@@ -59,7 +57,6 @@ except ImportError:  # an interpreter without the C accelerator
 
 from .audit import CLAIMS, run_audit
 from .bundles import (
-    audit_boxes,
     audit_extension_natural,
     classify_region,
     construct_extension,
@@ -100,9 +97,9 @@ _DESCRIPTION = (
     "141 output closed early."
 )
 
-# the most rows, cells, classes, claim checks, LES boxes or listed
-# stability candidates one command may produce (the module docstring
-# names each); desk-sized queries stay far below this
+# the most rows, cells, classes, claim checks or listed stability
+# candidates one command may produce (the module docstring names each);
+# desk-sized queries stay far below this
 ROW_BUDGET = 10_000
 
 # `oracle_h0` walks lattice points and rows one by one, so an `oracle` box
@@ -393,10 +390,7 @@ def _cmd_check(args: SimpleNamespace) -> Report:
         if args.pp:
             raise UsageError("--pp applies to line, sum, and ideal models only")
         inputs = {"e": args.e, "extension": args.extension, "wrt": "M"}
-        datum = construct_extension(surface, u, v, m, s)
-        # the audit evaluates one box per twist of its settle prefix, O(|u|)
-        _check_budget(audit_boxes(datum), f"--extension {args.extension}", "LES boxes")
-        evidence = audit_extension_natural(datum)
+        evidence = audit_extension_natural(construct_extension(surface, u, v, m, s))
     else:
         model, model_inputs = _check_model(args, given[0])
         by = _parse_wrt(args.wrt, surface)

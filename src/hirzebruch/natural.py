@@ -65,6 +65,8 @@ class Line(Record):
     __slots__ = ("cls",)
 
     def __init__(self, cls: DivisorClass) -> None:
+        if not isinstance(cls, DivisorClass):
+            raise DomainError(f"line bundle class must be a DivisorClass, got {cls!r}")
         (put_cls,) = self._put
         put_cls(self, cls)
 
@@ -79,6 +81,9 @@ class DirectSum(Record):
         classes = tuple(classes)
         if not classes:
             raise DomainError("direct sum needs at least one summand")
+        for cls in classes:
+            if not isinstance(cls, DivisorClass):
+                raise DomainError(f"direct sum summand must be a DivisorClass, got {cls!r}")
         (put_classes,) = self._put
         put_classes(self, classes)
 

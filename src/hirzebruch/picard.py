@@ -123,9 +123,13 @@ class DivisorClass(Record):
         put_b(self, b)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
+        if not isinstance(other, DivisorClass):
+            return NotImplemented
         return DivisorClass(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
+        if not isinstance(other, DivisorClass):
+            return NotImplemented
         return DivisorClass(self.a - other.a, self.b - other.b)
 
     def __rmul__(self, k: int) -> "DivisorClass":

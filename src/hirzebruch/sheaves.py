@@ -102,22 +102,14 @@ class IdealSheafModel(Record):
         put_cls(self, cls)
 
 
-def _unseen(e: int, locus: Locus, a: int, b: int) -> int:
-    """The sections of O(c) that vanish on the whole supporting curve,
-    h0(c - C); none in general position."""
-    if locus is _GENERAL:
-        return 0
-    curve = _SECTION_CURVE if locus is _ON_SECTION else _FIBER_CURVE
-    return sections(e, a - curve.a, b - curve.b)
-
-
 def _curve_h0(e: int, z: int, locus: Locus, a: int, b: int, full: int) -> int:
     """h0 of I_Z(c), c = (a, b), for points on a curve C, given full =
     h0(c): max(full - z, h0(c - C)), as each point imposes one condition
     until the capacity full - h0(c - C) runs out.  General position, the
     locus of every construction's quotient, has no C: the callers answer
     it inline, max(full - z, 0)."""
-    v0, unseen = full - z, _unseen(e, locus, a, b)
+    curve = _SECTION_CURVE if locus is _ON_SECTION else _FIBER_CURVE
+    v0, unseen = full - z, sections(e, a - curve.a, b - curve.b)
     return v0 if v0 > unseen else unseen
 
 

@@ -284,6 +284,20 @@ def test_section_bounds_reject_negative_m():
         section_count_bounds(Surface(1), 2, 1, -1)
 
 
+def test_a_negative_twist_is_refused_alike_by_the_chern_formula():
+    # `chern_of_extension` refuses m = -1 as `section_count_bounds` and
+    # `ExtensionDatum` do, rather than returning a c2 for it
+    surface, message = Surface(1), "^twist parameter must be >= 0, got -1$"
+    quotient = IdealSheafModel(PointConfig(0, Locus.GENERAL), DivisorClass(2, 2))
+    for refused in (
+        lambda: chern_of_extension(surface, DivisorClass(1, 0), -1, DivisorClass(3, 2), 0),
+        lambda: section_count_bounds(surface, 3, 2, -1),
+        lambda: ExtensionDatum(surface, -1, DivisorClass(1, 0), quotient),
+    ):
+        with pytest.raises(DomainError, match=message):
+            refused()
+
+
 @settings(max_examples=300)
 @given(
     st.integers(min_value=1, max_value=6).map(Surface),
@@ -647,7 +661,7 @@ def test_box_kernel_is_the_interval():
 def _hand_derived_window(datum):
     """(settle twist, audit window end) from the hand-derived cuts that
     `bundles` once wrote out per end class: the referee for the
-    kernel-built `_settle_twist` and `_audit_scan_stop`."""
+    kernel-built `_audit_twists` and `_audit_scan_stop`."""
     e, qcls, s = datum.surface.e, datum.quotient.cls, datum.s
     settle = max(max(1 - cls.a, ceil_div(-cls.b, e)) for cls in (datum.sub, qcls))
     cuts = [datum.m, settle]
@@ -656,13 +670,24 @@ def _hand_derived_window(datum):
     return settle, max(cuts) + 1
 
 
+def _hand_derived_walk_end(datum):
+    """The last twist the audit verdict reads: T, the first twist where
+    the sub end is effective, or, when the quotient's slack is <= -2, the
+    twist -quot.a if that is later."""
+    e, sub, qcls = datum.surface.e, datum.sub, datum.quotient.cls
+    effective = max(-sub.a, ceil_div(-sub.b, e))
+    if qcls.b - e * qcls.a <= -2:
+        return max(effective, -qcls.a)
+    return effective
+
+
 def test_audit_window_is_the_hand_derived_one():
     import hirzebruch.bundles as bundles
 
     data = _constructed_data() + _hand_built_data(random.Random(17), 3000)
     for datum in data:
         settle, stop = _hand_derived_window(datum)
-        assert bundles._settle_twist(datum) == settle
+        assert bundles._audit_twists(datum) == (_hand_derived_walk_end(datum), settle)
         assert bundles._audit_scan_stop(datum, settle) == stop
         if datum.m < 4:
             audit = audit_extension_natural(datum)
@@ -683,21 +708,24 @@ def test_the_audit_verdict_builds_no_box_and_no_row(monkeypatch):
     real = bundles._box
     twists = []
     monkeypatch.setattr(bundles, "_box", lambda datum, t: twists.append(t) or real(datum, t))
-    data = _constructed_data() + _hand_built_data(random.Random(16), 200)
+    constructed = _constructed_data()
+    data = constructed + _hand_built_data(random.Random(16), 200)
     outcomes = set()
-    for datum in data:
+    for index, datum in enumerate(data):
         twists.clear()
         audit = audit_extension_natural(datum)
-        start, settle = datum.m - 1, bundles._settle_twist(datum)
-        # the settle prefix and the tail's first twist, in order, stopping
-        # at a failure
+        start, stop = datum.m - 1, _hand_derived_walk_end(datum)
+        # the twists m - 1 .. max(m - 1, stop), in order, stopping at a
+        # failure, which the walk always meets when the slack is <= -2
         assert twists == list(range(start, start + len(twists)))
         if audit.verdict.outcome is Outcome.FAILS:
             assert twists[-1] == audit.verdict.witness_t
+            assert len(twists) <= max(1, stop - datum.m + 2)
         else:
-            assert len(twists) == max(1, settle - datum.m + 2)
-        # the count the CLI budgets, read without evaluating a box
-        assert len(twists) <= bundles.audit_boxes(datum) == max(1, settle - datum.m + 2)
+            assert len(twists) == max(1, stop - datum.m + 2)
+        # a construction datum has sub + mM = h, so it reads m - 1 and m
+        if index < len(constructed):
+            assert len(twists) <= 2
         outcomes.add(audit.verdict.outcome)
     assert built == {}
     assert outcomes == set(Outcome)
@@ -855,6 +883,55 @@ def test_hand_built_audit_verdict_is_the_verdict_of_its_rows():
     assert seen == {(split, outcome) for split in (False, True) for outcome in Outcome}
 
 
+@settings(max_examples=400)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=12),
+    st.tuples(*[st.integers(min_value=-30, max_value=30)] * 3),
+    st.integers(min_value=-3, max_value=9),
+    st.one_of(st.just(0), st.integers(min_value=0, max_value=60)),
+)
+# slack -2, with -quot.a before T: the sub end is effective at the start,
+# which fails
+@example(2, 1, (1, 0, 2), -2, 4)
+# slack -1: T = 3 holds, and every later twist with it
+@example(1, 2, (-3, 1, 1), -1, 3)
+# slack e - 1: the walk ends at T = 2, its first failure
+@example(3, 0, (2, -4, -4), 2, 5)
+# slack e, a forced split: h1 of the quotient falls until its h-coordinate
+# reaches -1, so T = 2 fails and the twists past -quot.a = 5 hold
+@example(2, 1, (-2, 3, -5), 2, 0)
+# forced splits at s = 0, slack 0 and slack -2
+@example(1, 0, (0, 0, 2), 0, 0)
+@example(1, 0, (1, 0, 2), -2, 0)
+# the sub end is effective before m - 1 = 4: the start alone decides
+@example(2, 5, (1, 2, 3), 1, 2)
+# slack -2 with -quot.a = 3 past T = 0: the twists 0..2 hold and 3 fails,
+# so a walk that ended at T would read HOLDS
+@example(1, 0, (0, 0, -3), -2, 0)
+def test_hand_built_audit_verdict_is_the_walk_of_its_window(e, m, ends, slack, s):
+    # data built from their ends around the slack boundaries: the verdict
+    # reads the twists m - 1 .. max(m - 1, stop) in order, stops at a
+    # failure, and agrees with the walk over the whole window
+    import hirzebruch.bundles as bundles
+
+    sa, sb, qa = ends
+    quotient = IdealSheafModel(PointConfig(s, Locus.GENERAL), DivisorClass(qa, e * qa + slack))
+    datum = ExtensionDatum(Surface(e), m, DivisorClass(sa, sb), quotient)
+    real, twists = bundles._box, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bundles, "_box", lambda d, t: twists.append(t) or real(d, t))
+        audit = audit_extension_natural(datum)
+    assert audit.scan_stop - audit.scan_start < 5000
+    assert audit.verdict == _walked_audit_verdict(datum, audit.scan_start, audit.scan_stop)
+    start, stop = m - 1, _hand_derived_walk_end(datum)
+    walk = list(range(start, max(start, stop) + 1))
+    if audit.verdict.outcome is Outcome.FAILS:
+        assert twists == walk[: walk.index(audit.verdict.witness_t) + 1]
+    else:
+        assert twists == walk
+
+
 def test_audit_cost_does_not_grow_with_the_window(monkeypatch):
     import hirzebruch.bundles as bundles
 
@@ -868,7 +945,7 @@ def test_audit_cost_does_not_grow_with_the_window(monkeypatch):
             twists.clear()
             audit = audit_extension_natural(construct_extension(surface, u, v, 30, s))
             assert audit.scan_stop - audit.scan_start + 1 > 1000
-            assert len(twists) < 100
+            assert len(twists) <= 2
             outcomes.add(audit.verdict.outcome)
     assert outcomes == set(Outcome)
 

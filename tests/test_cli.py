@@ -602,30 +602,29 @@ def test_construct_at_u_of_10_to_the_8_checks_a_bounded_stability_boundary(
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-def test_check_extension_past_the_budget_of_boxes_is_refused(fmt, capsys, monkeypatch):
-    # e = 1, v = u - 2, m = s = 0: the audit would evaluate settle + 2 =
-    # 4 - u boxes; the count is read off the settle twist before any box
+def test_check_extension_far_below_zero_answers_from_two_boxes(fmt, capsys, monkeypatch):
+    # e = 1, v = u - 2, m = s = 0: a construction datum, so the verdict
+    # reads the boxes of the twists m - 1 and m at any u, while the window
+    # it reports runs to max(m, settle, reach) + 1 = 3 - u
     import hirzebruch.bundles as bundles
 
     real, boxes = bundles._box, []
     monkeypatch.setattr(bundles, "_box", lambda datum, t: boxes.append(t) or real(datum, t))
-    u = -(10**8)
-    argv = ["check", "--e", "1", "--extension", f"{u},{u - 2},0,0", "--wrt", "M", "--format", fmt]
-    started = time.perf_counter()
-    code, out, err = run(argv, capsys)
-    assert time.perf_counter() - started < 1.0
-    assert (code, out) == (3, "")
-    assert err == (
-        f"domain error: --extension {u},{u - 2},0,0 would produce {4 - u} LES boxes; "
-        f"the limit is {cli.ROW_BUDGET}\n"
-    )
-    assert boxes == []
-    # a datum exactly at the budget still answers, with that many boxes
-    u = 4 - cli.ROW_BUDGET
-    argv[4] = f"{u},{u - 2},0,0"
-    code, out, err = run(argv, capsys)
-    assert (code, err) == (0, "")
-    assert len(boxes) == cli.ROW_BUDGET
+    for u in (-(10**8), -(10**12)):
+        boxes.clear()
+        line = ["--extension", f"{u},{u - 2},0,0", "--wrt", "M", "--format", fmt]
+        started = time.perf_counter()
+        code, out, err = run(["check", "--e", "1", *line], capsys)
+        assert time.perf_counter() - started < 1.0
+        assert (code, err) == (0, "")
+        assert boxes == [-1, 0]
+        if fmt == "table":
+            assert out == "true (HOLDS)\n"
+        elif fmt == "csv":
+            assert out == "outcome,holds,witness_t,witness_h0,witness_h1\nHOLDS,True,,,\n"
+        else:
+            results = json.loads(out)["results"]
+            assert results == {"outcome": "HOLDS", "holds": True, "scanned_t": [-1, 3 - u]}
 
 
 def test_audit_json_findings(capsys):

@@ -25,7 +25,7 @@ from hirzebruch import (
     scan_verdict,
 )
 from hirzebruch.audit import _stated_section_sums, _variant_sum_criterion
-from hirzebruch.bundles import _audit_scan_stop, _box, _settle_twist
+from hirzebruch.bundles import _audit_scan_stop, _audit_twists, _box
 from hirzebruch.cohomology import (
     ConsistencyError,
     counts,
@@ -112,6 +112,12 @@ def _box_by_min(datum, t):
     hi0, hi1, hi2 = a0 + q0, a1 + q1, a2 + q2
     lo0, lo1, lo2 = hi0 - cap0, hi1 - cap0 - cap1, hi2 - cap1
     return lo0, hi0, lo1, hi1, lo2, hi2, a0 - a1 + a2 + q0 - q1 + q2
+
+
+def _walk_end_by_max(datum):
+    e, sub, qcls = datum.surface.e, datum.sub, datum.quotient.cls
+    effective = _effective_twist_by_max(sub.a, sub.b, 1, e)
+    return max(effective, -qcls.a) if qcls.b - e * qcls.a <= -2 else effective
 
 
 def _settle_twist_by_max(datum):
@@ -219,12 +225,13 @@ def test_ideal_sections_twist_matches_the_plain_form(e, pick, z, locus, u, v, of
 )
 @example(1, 0, 0, 0, 0, 0, 0, 0)  # a forced split
 @example(2, 0, -2, 2, 5, 3, 1, 0)
+@example(1, 0, 0, -3, -5, 0, 0, 3)  # slack -2: the walk goes on past T = 0 to -qa = 3
 def test_box_and_audit_window_match_the_plain_forms(e, sa, sb, qa, qb, z, m, t):
     quotient = IdealSheafModel(PointConfig(z, Locus.GENERAL), DivisorClass(qa, qb))
     datum = ExtensionDatum(Surface(e), m, DivisorClass(sa, sb), quotient)
     assert _outcome(_box, datum, t) == _outcome(_box_by_min, datum, t)
-    settle = _settle_twist(datum)
-    assert settle == _settle_twist_by_max(datum)
+    stop, settle = _audit_twists(datum)
+    assert (stop, settle) == (_walk_end_by_max(datum), _settle_twist_by_max(datum))
     assert _audit_scan_stop(datum, settle) == _audit_scan_stop_by_max(datum, settle)
 
 

@@ -6,6 +6,7 @@ walking a wider window twist by twist.
 """
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -65,6 +66,16 @@ def test_direct_sum_must_be_nonempty():
         direct_sum_natural_wrt_m(Surface(1), [])
     with pytest.raises(DomainError):
         DirectSum([])
+
+
+@pytest.mark.parametrize("bad", [None, (1, 1), 1])
+def test_a_line_or_a_sum_refuses_a_summand_that_is_not_a_class(bad):
+    # refused with one line when built, not as an AttributeError in a scan
+    got = re.escape(f", got {bad!r}")
+    with pytest.raises(DomainError, match=f"^line bundle class must be a DivisorClass{got}$"):
+        Line(bad)
+    with pytest.raises(DomainError, match=f"^direct sum summand must be a DivisorClass{got}$"):
+        DirectSum([DivisorClass(1, 1), bad])
 
 
 def test_a_direct_sum_holds_its_summands_as_a_tuple():

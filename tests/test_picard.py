@@ -162,6 +162,16 @@ def test_class_arithmetic():
     assert x - x == 0 * x == DivisorClass(0, 0) != x
 
 
+@pytest.mark.parametrize("other", [(0, 1), 1, None])
+def test_class_arithmetic_refuses_an_operand_that_is_not_a_class(other):
+    # NotImplemented, so Python raises its own TypeError, not an AttributeError
+    x = DivisorClass(1, 1)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        x + other
+    with pytest.raises(TypeError, match="unsupported operand"):
+        x - other
+
+
 @given(ints, st.integers(min_value=1, max_value=50))
 def test_ceil_div_is_exact_ceiling(p, q):
     assert ceil_div(p, q) == math.ceil(Fraction(p, q))

@@ -167,8 +167,12 @@ def test_a_construction_error_survives_pickle_and_copy(restore):
 
 
 def test_records_of_different_types_are_unequal():
-    # equal field values, different classes: unequal, though the hashes agree
-    assert Surface(1) != Line(1) and hash(Surface(1)) == hash(Line(1))
+    # equal field values (1 == True, 0 == False), different classes:
+    # unequal, though the hashes agree
+    values = triple(Surface(1), DivisorClass(0, 0))
+    cones = Surface(1).positivity(DivisorClass(1, 0))
+    assert (values.h0, values.h1, values.h2) == (cones.effective, cones.spanned, cones.ample)
+    assert values != cones and hash(values) == hash(cones)
 
     class Shifted(DivisorClass):
         __slots__ = ()

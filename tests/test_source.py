@@ -339,7 +339,7 @@ def test_kernels_compare_enum_members_bound_once():
     enums = {"Outcome", "Locus", "Polarization", "RegionLabel"}
     fields = {"locus", "outcome", "polarization", "label"}
     kernels = {
-        "sheaves.py": {"_unseen", "ideal_sections", "ideal_counts", "ideal_sections_twist"},
+        "sheaves.py": {"_curve_h0", "ideal_sections", "ideal_counts", "ideal_sections_twist"},
         "bundles.py": {
             "_outcome", "audit_extension_natural", "ExtensionDatum.__init__",
             "construct_extension", "classify_region",
@@ -508,12 +508,10 @@ def test_hot_kernels_call_no_min_max_sorted_or_sum():
     builtins = {"min", "max", "sorted", "sum"}
     kernels = {
         "cohomology.py": {"sections", "effective_twist", "sections_twist", "_euler", "counts"},
-        "sheaves.py": {
-            "_unseen", "_curve_h0", "ideal_sections", "ideal_sections_twist", "ideal_counts",
-        },
+        "sheaves.py": {"_curve_h0", "ideal_sections", "ideal_sections_twist", "ideal_counts"},
         "bundles.py": {
-            "_box", "_settle_twist", "_audit_scan_stop", "_merge_intervals",
-            "stability_certificate",
+            "_box", "_audit_twists", "_audit_scan_stop", "audit_extension_natural",
+            "_merge_intervals", "stability_certificate",
         },
         "natural.py": {"direct_sum_natural_wrt_m"},
         "audit.py": {"_variant_sum_criterion", "_stated_section_sums"},
