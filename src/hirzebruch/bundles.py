@@ -34,12 +34,12 @@ The natural-cohomology audit of an extension (w.r.t. M) keeps a window of
 twists that grows as m^2, but evaluates boxes only from m - 1 to the
 first twist where the sub class is effective, which decides every later
 one (`audit_extension_natural` says why, and when the walk goes on):
-two boxes for a constructed datum, at any coefficients.  These twists
-and the window's end are first effective twists along M of classes read
-off the ends (`cohomology.effective_twist`).  The verdict reads each box
-as plain ints from the box kernel `_box`, which `cohomology_interval`
-wraps, and builds no box and no row; the audit rebuilds the rows of the
-whole window on demand, as a referee.  The audit and construction paths
+two boxes for a constructed datum, at any coefficients.  That twist and
+the window's end are read in one place, `_audit_twists`, from first
+effective twists along M (`cohomology.effective_twist`).  The verdict
+reads each box as plain ints from the box kernel `_box`, which
+`cohomology_interval` wraps, and builds no box and no row; the audit
+rebuilds the rows of the whole window on demand, as a referee.  The audit and construction paths
 compare outcomes and loci by identity against members bound once at
 import, as `sheaves` does and for the reason its docstring gives.
 
@@ -114,7 +114,7 @@ class ExtensionDatum(Record):
     derived field passed as an argument is a TypeError.  u, v:
     c1 = sub + quot.  s: the quotient's point count.  s_range: `_range` of
     its quotient end at m.  section_min: s >= a_lo, for a family datum
-    exactly "no section at twist m - 1" (see `_range`).
+    with D - M not effective exactly "no section at twist m - 1" (`_range`).
     cayley_bacharach: the s general points satisfy the Cayley-Bacharach
     condition for |L + K|, L = quot - sub, that a locally free extension
     needs (Griffiths-Harris, Ann. of Math. 1978; Friedman, *Algebraic
@@ -122,7 +122,7 @@ class ExtensionDatum(Record):
     vacuous at s = 0.  ext_forced_split: the extension group vanishes and
     s = 0, so the only extension is the direct sum.  The ends' coordinates
     and point count are plain ints already (their types refuse anything
-    else); m and the locus are checked here, once.
+    else); the ends' own types, m and the locus are checked here, once.
     """
 
     __slots__ = (
@@ -135,6 +135,10 @@ class ExtensionDatum(Record):
     ) -> None:
         if type(m) is not int or m < 0:
             _refuse_twist(m)
+        if not isinstance(sub, DivisorClass):
+            raise DomainError(f"extension sub class must be a DivisorClass, got {sub!r}")
+        if not isinstance(quotient, IdealSheafModel):
+            raise DomainError(f"extension quotient must be an IdealSheafModel, got {quotient!r}")
         config = quotient.config
         if config.locus is not _GENERAL:
             raise DomainError(f"an extension datum needs general points, got {config.locus.name}")
@@ -170,19 +174,6 @@ class ExtensionDatum(Record):
 
 # ---------------------------------------------------------------------------
 # Chern formulas
-
-
-def allowed_min_section_divisors(surface: Surface) -> list[DivisorClass]:
-    """Possible vanishing classes of a minimal section, for ranks <= 2.
-
-    Exactly 2e+1 classes: (0,0), (1,0), the fiber multiples (0,1)..(0,e),
-    and for e >= 2 the mixed classes (1,1)..(1,e-1).
-    """
-    e = surface.e
-    out = [DivisorClass(0, 0), DivisorClass(1, 0)]
-    out.extend(DivisorClass(0, y) for y in range(1, e + 1))
-    out.extend(DivisorClass(1, y) for y in range(1, e))
-    return out
 
 
 def chern_of_extension(
@@ -235,11 +226,11 @@ def _range(e: int, qa: int, qb: int, m: int) -> tuple[int, int]:
     unchecked: h0(quot + (m-1)M) <= h0(quot + mM), M = (1, e).  The one
     place that writes the range.
 
-    Why s >= a_lo: D - M = (x - 1, y - e) is not effective for any
-    D = (x, y) of `allowed_min_section_divisors`, so the sub end D - mM has
-    no section at twist m - 1, where `_box` gives h0_max = max(0, a_lo - s)
-    for s general points: s >= a_lo is exactly "no section of E at twist
-    m - 1".
+    Why s >= a_lo: the one hypothesis is that D = (x, y), x, y >= 0, has
+    D - M = (x - 1, y - e) not effective, that is x = 0 or y <= e - 1.
+    Then the sub end D - mM has no section at twist m - 1, where `_box`
+    gives h0_max = max(0, a_lo - s) for s general points: s >= a_lo is
+    exactly "no section of E at twist m - 1".
     """
     a, b = qa + m, qb + e * m  # quot + mM; quot + (m-1)M is (a - 1, b - e)
     return sections(e, a - 1, b - e), sections(e, a, b)
@@ -410,7 +401,9 @@ def _audit_rows(datum: ExtensionDatum, lo: int, hi: int) -> tuple[ExtensionAudit
 
 
 class ExtensionAudit(Record):
-    """The verdict of an audit over the twists scan_start..scan_stop of `datum`."""
+    """The verdict of an audit of `datum`, read off the twists m - 1 ..
+    stop of `_audit_twists`, and the window scan_start..scan_stop over
+    whose `rows` a referee checks it."""
 
     # each audit builds one and its caller reads the verdict: a dict
     # layout, like `natural.ScanEvidence`'s
@@ -435,47 +428,42 @@ class ExtensionAudit(Record):
 
 
 def _audit_twists(datum: ExtensionDatum) -> tuple[int, int]:
-    """(stop, settle): the last twist the audit verdict reads (see
-    `audit_extension_natural`), and the least twist at which both end
-    classes have a >= 1 and b >= 0, the sub's at max(T, 1 - sub.a), T
-    the first twist where the sub class is effective."""
-    e, sub, qcls = datum.surface.e, datum.sub, datum.quotient.cls
+    """(stop, end): the last twist the audit verdict reads, and the end of
+    its window.  stop is T, the first twist where the sub class is
+    effective, or max(T, -quot.a) at quotient slack <= -2
+    (`audit_extension_natural` says why).  Past end the h1 upper bound
+    a1 + q1 is monotone nonincreasing: from the settle twist max(T,
+    1 - sub.a, the first effective twist of quot - h) on, both end classes
+    have a >= 1 and b >= 0, so their h1 is constant under M, and the
+    capacity of the quotient's general points, h0 of its class,
+    nondecreasing; from reach on, quot - (s-1)*f is effective and the
+    capacity (h0 >= b + 1) is at least s (a datum with s <= b_hi has
+    capacity b_hi >= s at m already).  end = max(m, settle, reach) + 1,
+    and only a referee reads it.
+    """
+    e, sub, qcls, m = datum.surface.e, datum.sub, datum.quotient.cls, datum.m
     effective = effective_twist(sub.a, sub.b, 1, e)
     stop = -qcls.a if qcls.b - e * qcls.a <= -2 and -qcls.a > effective else effective
     settle = effective_twist(qcls.a - 1, qcls.b, 1, e)
     if settle < 1 - sub.a:
         settle = 1 - sub.a
-    return stop, (settle if settle > effective else effective)
-
-
-def _audit_scan_stop(datum: ExtensionDatum, settle: int) -> int:
-    """Twist past which the h1 upper bound a1 + q1 is monotone nonincreasing.
-
-    From `settle` (`_audit_twists`) on, both end classes have a >= 1 and
-    b >= 0, so their h1 is constant under M, and the capacity of the
-    quotient's general points, h0 of its class, nondecreasing; the window
-    also reaches the twist where the capacity reaches s, once
-    quot - (s-1)*f is effective (capacity h0 >= b + 1).  A datum with
-    s <= b_hi of its own s_range has capacity b_hi >= s at m.  The end is
-    max(m, settle, that twist) + 1.
-    """
-    e, qcls, m = datum.surface.e, datum.quotient.cls, datum.m
+    end = settle if settle > effective else effective
+    end = m if m > end else end
     reach = effective_twist(qcls.a, qcls.b - (datum.s - 1), 1, e)
-    stop = m if m > settle else settle
-    return (stop if stop > reach else reach) + 1
+    return stop, (end if end > reach else reach) + 1
 
 
 def audit_extension_natural(datum: ExtensionDatum) -> ExtensionAudit:
     """Decide the natural-cohomology property of the extension's twists by M.
 
-    The window runs from m - 1 to `_audit_scan_stop`, and the `_outcome`
-    of each twist's box says whether it Fails, Holds or is Indeterminate.
+    The window runs from m - 1 to the end `_audit_twists` gives, and the
+    `_outcome` of each twist's box says whether it Fails, Holds or is Indeterminate.
     Aggregate verdict: Fails at the first failing twist; Holds when every
     twist holds and both tails are pinned (left: h0_max = 0 at the window
     start, and h0_max is monotone under twisting by the spanned class M,
     so every earlier twist has no sections; right: h1_max = 0 at the
-    window end, which lies past the monotone threshold of
-    `_audit_scan_stop`); otherwise Indeterminate.
+    window end, which lies past the monotone threshold of `_audit_twists`);
+    otherwise Indeterminate.
 
     The verdict calls the box kernel `_box` only at the twists m - 1 ..
     max(m - 1, stop), and stops at a failure.  Let T be the first twist
@@ -497,7 +485,7 @@ def audit_extension_natural(datum: ExtensionDatum) -> ExtensionAudit:
     no box and no row; the audit rebuilds every row of the window on
     demand, as a referee.
     """
-    start, (stop, settle) = datum.m - 1, _audit_twists(datum)
+    start, (stop, end) = datum.m - 1, _audit_twists(datum)
     verdict = HOLDS_VERDICT
     for t in range(start, (stop if stop > start else start) + 1):
         lo0, hi0, lo1, hi1, _, _, _ = _box(datum, t)
@@ -507,7 +495,7 @@ def audit_extension_natural(datum: ExtensionDatum) -> ExtensionAudit:
             break
         if outcome is not _HOLDS or (t == start and hi0 > 0):
             verdict = INDETERMINATE_VERDICT
-    return ExtensionAudit(verdict, start, _audit_scan_stop(datum, settle), datum)
+    return ExtensionAudit(verdict, start, end, datum)
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +592,6 @@ class StabilityReport(Record):
         n = len(deltas)
         if freeze is None:
             return n * (n + 1) // 2
-        if n == 0:
-            return 0
         e, qa, qb, low = freeze
         lo, stop = deltas.start, deltas.stop
         # point(delta) >= low iff max(0, qb - delta) < e * (qa - low + 1)
@@ -663,9 +649,11 @@ def _region(
     N.R = gamma + delta for every e, so under R a column holds the gammas
     from threshold - delta to gamma_max, threshold = ceil((u+v)/2), and
     its deltas run from threshold - gamma_max; N.M = delta, so under M the
-    deltas start at ceil(v/2) and gamma is unbounded below.  The freeze
-    point: for gamma below low = min(0, sub.a) and below qa - floor(max(0,
-    qb - delta)/e), (qa, qb) = quot, the residual class quot - N keeps a
+    deltas start at ceil(v/2) and gamma is unbounded below.  Neither range
+    of deltas is empty: u = sub.a + quot.a <= 2 gamma_max and v <= 2
+    delta_max, so each starts at most at delta_max.  The freeze point: for
+    gamma below low = min(0, sub.a) and below qa - floor(max(0, qb -
+    delta)/e), (qa, qb) = quot, the residual class quot - N keeps a
     constant h0 (its h-coordinate is past the section count's saturation)
     and a constant effectivity, and sub - N keeps a constant effectivity,
     so `_exclusion` is constant there.
@@ -760,10 +748,9 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
         )
 
     deltas, _, first, _ = _region(datum, pol)
-    # under M the first column's tail stands below every other class; an
-    # empty region has nothing to check
+    # under M the first column's tail stands below every other class
     checked = deltas[:1]
-    if pol is Polarization.R and deltas:
+    if pol is Polarization.R:
         # on the segment first(delta) = threshold - delta, so A = quot.a -
         # first(delta) = delta + shift, and S = A + B = shift + quot.b
         qcls, threshold = datum.quotient.cls, first(0)

@@ -20,7 +20,6 @@ from hirzebruch import (
     RegionLabel,
     Surface,
     Verdict,
-    allowed_min_section_divisors,
     audit_extension_natural,
     c1_obstructed,
     chern_of_extension,
@@ -32,7 +31,7 @@ from hirzebruch import (
     section_count_bounds,
     stability_certificate,
 )
-from hirzebruch.bundles import _family, _merge_intervals, _range
+from hirzebruch.bundles import _family, _merge_intervals, _range, _region
 from hirzebruch.cohomology import oracle_h0
 from hirzebruch.picard import ceil_div
 from hirzebruch.sheaves import IdealSheafModel, PointConfig, h0_ideal
@@ -58,23 +57,27 @@ def extension_c2_twisted(surface, vanishing, m, c1, s):
 # --- Chern bookkeeping
 
 
-def test_allowed_min_section_divisors():
-    assert allowed_min_section_divisors(Surface(1)) == [
-        DivisorClass(0, 0),
-        DivisorClass(1, 0),
-        DivisorClass(0, 1),
+def vanishing_classes(surface):
+    """The vanishing classes D = (x, y), 0 <= x <= 3 and 0 <= y <= e + 1,
+    with D - M not effective: the one hypothesis of `_range`'s argument,
+    read off the surface's own positivity test."""
+    e, mm = surface.e, surface.m_class()
+    box = [DivisorClass(x, y) for x in range(4) for y in range(e + 2)]
+    return [d for d in box if not surface.positivity(d - mm).effective]
+
+
+@pytest.mark.parametrize("e", range(1, 5))
+def test_the_vanishing_rule_is_x_zero_or_y_below_e(e):
+    # D - M = (x - 1, y - e) is not effective exactly when x = 0 or
+    # y <= e - 1; the box holds classes beyond the 2e + 1 that a minimal
+    # section was once said to take, such as (0, e + 1), (2, 0) and
+    # (3, e - 1)
+    classes = vanishing_classes(Surface(e))
+    assert classes == [
+        DivisorClass(x, y) for x in range(4) for y in range(e + 2) if x == 0 or y <= e - 1
     ]
-    e3 = allowed_min_section_divisors(Surface(3))
-    assert len(e3) == 7
-    assert e3 == [
-        DivisorClass(0, 0),
-        DivisorClass(1, 0),
-        DivisorClass(0, 1),
-        DivisorClass(0, 2),
-        DivisorClass(0, 3),
-        DivisorClass(1, 1),
-        DivisorClass(1, 2),
-    ]
+    assert {DivisorClass(0, e + 1), DivisorClass(2, 0), DivisorClass(3, e - 1)} <= set(classes)
+    assert len(classes) == 4 * e + 2
 
 
 def test_chern_data_validation():
@@ -222,7 +225,7 @@ def test_presentation_and_construction_c2_agree(surface, u, dv, m, s):
 def test_chern_formulas_match_their_intersection_forms(surface, data, m, c1, s):
     # the definitions, through the intersection form and M: the twisted c2
     # is D.c1 + 2m(M.D) - D^2 + s, and untwisting subtracts m(M.c1) + m^2 e
-    vanishing = data.draw(st.sampled_from(allowed_min_section_divisors(surface)))
+    vanishing = data.draw(st.sampled_from(vanishing_classes(surface)))
     c1, mm, meet = DivisorClass(*c1), surface.m_class(), surface.intersect
     twisted = meet(vanishing, c1) + 2 * m * meet(mm, vanishing) - meet(vanishing, vanishing) + s
     assert extension_c2_twisted(surface, vanishing, m, c1, s) == twisted
@@ -249,7 +252,7 @@ def test_construction_c2_sums_no_sections(monkeypatch):
     for u, v, m, s in [(2, 4, 1, 15), (3, 2, 0, 0), (0, -4, 2, 9)]:
         c2 = s + _family(3, 1, 0, u, v, m)[4]
         assert construction_c2(surface, u, v, m, s) == c2
-        for vanishing in allowed_min_section_divisors(surface):
+        for vanishing in vanishing_classes(surface):
             chern = chern_of_extension(surface, vanishing, m, DivisorClass(u, v), s)
             twisted = extension_c2_twisted(surface, vanishing, m, DivisorClass(u, v), s)
             assert twisted == chern.c2 + m * (v + 3 * m)
@@ -313,7 +316,7 @@ def test_the_construction_kernel_agrees_with_its_referees(surface, data, u, dv, 
     # of the quotient class at twists m - 1 and m, and c2 at s = 0 is the
     # intersection of the ends
     e, mm = surface.e, surface.m_class()
-    vanishing = data.draw(st.sampled_from(allowed_min_section_divisors(surface)))
+    vanishing = data.draw(st.sampled_from(vanishing_classes(surface)))
     v = e * (u - 1) - 1 + dv
     sa, sb, qa, qb, c2_0 = _family(e, vanishing.a, vanishing.b, u, v, m)
     a_lo, b_hi = _range(e, qa, qb, m)
@@ -479,7 +482,7 @@ def test_section_min_reads_the_construction_range():
     for e in range(1, 4):
         surface = Surface(e)
         mm = surface.m_class()
-        for vanishing in allowed_min_section_divisors(surface):
+        for vanishing in vanishing_classes(surface):
             for u in range(-2, 4):
                 for v in range(e * (u - 1) - 2, e * (u - 1) + 3):
                     for m in range(0, 3):
@@ -504,6 +507,45 @@ def test_section_min_reads_the_construction_range():
                         assert datum.s_range == (lo, hi)
                         assert datum.section_min
                         assert cohomology_interval(datum, m - 1).h0_max == 0, (e, u, v, m, s)
+
+
+def test_section_min_is_no_section_before_m_only_under_the_vanishing_rule():
+    # D = M = (1, 1) at e = 1 breaks the rule, as D - M = 0 is effective:
+    # with c1 = (3, 2), m = 0 and s = 1 = a_lo the datum is section_min,
+    # yet its sub end O(M) has a section at the twist -1
+    surface = Surface(1)
+    assert surface.m_class() not in vanishing_classes(surface)
+    sa, sb, qa, qb, _ = _family(1, 1, 1, 3, 2, 0)
+    assert (sa, sb, qa, qb) == (1, 1, 2, 1)
+    assert _range(1, qa, qb, 0)[0] == 1
+    quotient = IdealSheafModel(PointConfig(1, Locus.GENERAL), DivisorClass(qa, qb))
+    datum = ExtensionDatum(surface, 0, DivisorClass(sa, sb), quotient)
+    assert datum.section_min
+    assert cohomology_interval(datum, -1).h0_max == 1
+
+
+@pytest.mark.parametrize(
+    "sub,quotient,message",
+    [
+        (
+            (1, 0),
+            IdealSheafModel(PointConfig(0, Locus.GENERAL), DivisorClass(2, 2)),
+            r"^extension sub class must be a DivisorClass, got \(1, 0\)$",
+        ),
+        (
+            DivisorClass(1, 0),
+            DivisorClass(2, 2),
+            r"^extension quotient must be an IdealSheafModel, got DivisorClass\(a=2, b=2\)$",
+        ),
+        (DivisorClass(1, 0), None, "^extension quotient must be an IdealSheafModel, got None$"),
+    ],
+    ids=["tuple-sub", "class-quotient", "none-quotient"],
+)
+def test_a_datum_refuses_ends_of_the_wrong_type(sub, quotient, message):
+    # each end is typed when the datum is built, with one DomainError line
+    # rather than an AttributeError from reading a field it lacks
+    with pytest.raises(DomainError, match=message):
+        ExtensionDatum(Surface(1), 0, sub, quotient)
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True])
@@ -658,16 +700,16 @@ def test_box_kernel_is_the_interval():
             assert _box(datum, t) == (*bounds, box.chi)
 
 
-def _hand_derived_window(datum):
-    """(settle twist, audit window end) from the hand-derived cuts that
-    `bundles` once wrote out per end class: the referee for the
-    kernel-built `_audit_twists` and `_audit_scan_stop`."""
+def _hand_derived_window_end(datum):
+    """The audit window's end from the hand-derived cuts that `bundles`
+    once wrote out per end class: the referee for the window end of the
+    kernel-built `_audit_twists`."""
     e, qcls, s = datum.surface.e, datum.quotient.cls, datum.s
     settle = max(max(1 - cls.a, ceil_div(-cls.b, e)) for cls in (datum.sub, qcls))
     cuts = [datum.m, settle]
     if s > 0:
         cuts.append(ceil_div(s - 1 - qcls.b, e))
-    return settle, max(cuts) + 1
+    return max(cuts) + 1
 
 
 def _hand_derived_walk_end(datum):
@@ -681,17 +723,22 @@ def _hand_derived_walk_end(datum):
     return effective
 
 
-def test_audit_window_is_the_hand_derived_one():
+def test_audit_window_is_the_hand_derived_one(monkeypatch):
+    # `_audit_twists` reads the walk's end and the window's end in one
+    # place, and an audit makes exactly three `effective_twist` calls
     import hirzebruch.bundles as bundles
 
+    real, calls = bundles.effective_twist, []
+    monkeypatch.setattr(bundles, "effective_twist", lambda *a: calls.append(a) or real(*a))
     data = _constructed_data() + _hand_built_data(random.Random(17), 3000)
     for datum in data:
-        settle, stop = _hand_derived_window(datum)
-        assert bundles._audit_twists(datum) == (_hand_derived_walk_end(datum), settle)
-        assert bundles._audit_scan_stop(datum, settle) == stop
+        stop = _hand_derived_window_end(datum)
+        assert bundles._audit_twists(datum) == (_hand_derived_walk_end(datum), stop)
         if datum.m < 4:
+            calls.clear()
             audit = audit_extension_natural(datum)
             assert (audit.scan_start, audit.scan_stop) == (datum.m - 1, stop)
+            assert len(calls) == 3
 
 
 def test_the_audit_verdict_builds_no_box_and_no_row(monkeypatch):
@@ -1253,6 +1300,34 @@ def test_hand_built_r_verdict_is_the_verdict_of_its_candidates(e, ends, s):
     assert len(checked) == len(set(checked)) <= 3
     assert all(n in listed and sum(n) == threshold for n in checked)
     assert None not in [listed[n] for n in checked][:-1]
+
+
+@settings(max_examples=400)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.tuples(*[st.integers(min_value=-60, max_value=60)] * 4),
+    st.integers(min_value=0, max_value=40),
+)
+# sub equal to quot: u = 2 gamma_max and v = 2 delta_max, so each
+# polarization's region is the one delta delta_max
+@example(1, (3, -5, 3, -5), 0)
+@example(8, (-60, 60, -60, 60), 40)
+# u + v = 3 odd: the R deltas start at ceil(3/2) - gamma_max = 1 = delta_max
+@example(1, (1, 0, 1, 1), 1)
+def test_the_slope_region_is_never_empty(e, ends, s):
+    # u <= 2 gamma_max and v <= 2 delta_max, so under R and under M the
+    # region holds at least one delta, and its first column a class
+    sa, sb, qa, qb = ends
+    quotient = IdealSheafModel(PointConfig(s, Locus.GENERAL), DivisorClass(qa, qb))
+    datum = ExtensionDatum(Surface(e), 0, DivisorClass(sa, sb), quotient)
+    gamma_max, delta_max = max(sa, qa), max(sb, qb)
+    for pol in Polarization:
+        deltas, top, first, _ = _region(datum, pol)
+        assert len(deltas) >= 1 and deltas[-1] == delta_max and top == gamma_max
+        assert first(deltas[0]) <= gamma_max
+        assert stability_certificate(datum, pol).candidate_count >= 1
+        if (sa, sb) == (qa, qb):
+            assert len(deltas) == 1
 
 
 @pytest.mark.parametrize("u", [3, 100])

@@ -25,7 +25,7 @@ from hirzebruch import (
     scan_verdict,
 )
 from hirzebruch.audit import _stated_section_sums, _variant_sum_criterion
-from hirzebruch.bundles import _audit_scan_stop, _audit_twists, _box
+from hirzebruch.bundles import _audit_twists, _box
 from hirzebruch.cohomology import (
     ConsistencyError,
     counts,
@@ -120,16 +120,12 @@ def _walk_end_by_max(datum):
     return max(effective, -qcls.a) if qcls.b - e * qcls.a <= -2 else effective
 
 
-def _settle_twist_by_max(datum):
+def _window_end_by_max(datum):
     e, sub, qcls = datum.surface.e, datum.sub, datum.quotient.cls
-    return max(
+    settle = max(
         _effective_twist_by_max(sub.a - 1, sub.b, 1, e),
         _effective_twist_by_max(qcls.a - 1, qcls.b, 1, e),
     )
-
-
-def _audit_scan_stop_by_max(datum, settle):
-    e, qcls = datum.surface.e, datum.quotient.cls
     reach = _effective_twist_by_max(qcls.a, qcls.b - (datum.s - 1), 1, e)
     return max(datum.m, settle, reach) + 1
 
@@ -230,9 +226,7 @@ def test_box_and_audit_window_match_the_plain_forms(e, sa, sb, qa, qb, z, m, t):
     quotient = IdealSheafModel(PointConfig(z, Locus.GENERAL), DivisorClass(qa, qb))
     datum = ExtensionDatum(Surface(e), m, DivisorClass(sa, sb), quotient)
     assert _outcome(_box, datum, t) == _outcome(_box_by_min, datum, t)
-    stop, settle = _audit_twists(datum)
-    assert (stop, settle) == (_walk_end_by_max(datum), _settle_twist_by_max(datum))
-    assert _audit_scan_stop(datum, settle) == _audit_scan_stop_by_max(datum, settle)
+    assert _audit_twists(datum) == (_walk_end_by_max(datum), _window_end_by_max(datum))
 
 
 # --- the direct-sum criterion and the audit's variant

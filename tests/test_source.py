@@ -510,8 +510,8 @@ def test_hot_kernels_call_no_min_max_sorted_or_sum():
         "cohomology.py": {"sections", "effective_twist", "sections_twist", "_euler", "counts"},
         "sheaves.py": {"_curve_h0", "ideal_sections", "ideal_sections_twist", "ideal_counts"},
         "bundles.py": {
-            "_box", "_audit_twists", "_audit_scan_stop", "audit_extension_natural",
-            "_merge_intervals", "stability_certificate",
+            "_box", "_audit_twists", "audit_extension_natural", "_merge_intervals",
+            "stability_certificate",
         },
         "natural.py": {"direct_sum_natural_wrt_m"},
         "audit.py": {"_variant_sum_criterion", "_stated_section_sums"},
