@@ -54,7 +54,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Optional
 
-from .cohomology import ConsistencyError, counts, effective_twist, sections
+from .cohomology import counts, effective_twist, sections
 from .natural import HOLDS_VERDICT, INDETERMINATE_VERDICT, Outcome, Verdict
 from .picard import DivisorClass, DomainError, Record, Surface, ceil_div, require_ints
 from .sheaves import IdealSheafModel, Locus, PointConfig, ideal_counts
@@ -122,7 +122,7 @@ class ExtensionDatum(Record):
     vacuous at s = 0.  ext_forced_split: the extension group vanishes and
     s = 0, so the only extension is the direct sum.  The ends' coordinates
     and point count are plain ints already (their types refuse anything
-    else); the ends' own types, m and the locus are checked here, once.
+    else); the surface's and ends' types, m and the locus are checked here.
     """
 
     __slots__ = (
@@ -133,6 +133,8 @@ class ExtensionDatum(Record):
     def __init__(
         self, surface: Surface, m: int, sub: DivisorClass, quotient: IdealSheafModel
     ) -> None:
+        if not isinstance(surface, Surface):
+            raise DomainError(f"extension surface must be a Surface, got {surface!r}")
         if type(m) is not int or m < 0:
             _refuse_twist(m)
         if not isinstance(sub, DivisorClass):
@@ -183,6 +185,12 @@ def chern_of_extension(
     c2(E) = c2_0 + s, read off `_family`.  The standard construction's c2
     is this c2 at vanishing = h = (1, 0), and the twisted bundle E(mM) has
     c2(E) + m(M.c1) + m^2 e, M.c1 = c1.b."""
+    if not isinstance(surface, Surface):
+        raise DomainError(f"surface must be a Surface, got {surface!r}")
+    if not isinstance(vanishing, DivisorClass):
+        raise DomainError(f"vanishing class must be a DivisorClass, got {vanishing!r}")
+    if not isinstance(c1, DivisorClass):
+        raise DomainError(f"c1 must be a DivisorClass, got {c1!r}")
     if type(m) is not int or type(s) is not int:
         require_ints(m, s)
     if m < 0:
@@ -196,6 +204,8 @@ def chern_of_extension(
 def section_count_bounds(surface: Surface, u: int, v: int, m: int) -> tuple[int, int]:
     """(a_lo, b_hi): the standard construction's admissible point counts,
     `_range` of its quotient end."""
+    if not isinstance(surface, Surface):
+        raise DomainError(f"surface must be a Surface, got {surface!r}")
     if type(u) is not int or type(v) is not int:
         require_ints(u, v)
     if type(m) is not int or m < 0:
@@ -265,6 +275,8 @@ def construct_extension(surface: Surface, u: int, v: int, m: int, s: int) -> Ext
     Each input is checked once, here.  The ends and the range come from
     the kernels before anything is built, so a refusal builds nothing.
     """
+    if not isinstance(surface, Surface):
+        raise DomainError(f"surface must be a Surface, got {surface!r}")
     if type(u) is not int or type(v) is not int or type(m) is not int or type(s) is not int:
         require_ints(u, v, m, s)
     e = surface.e
@@ -330,9 +342,10 @@ def _box(datum: ExtensionDatum, t: int) -> tuple[int, int, int, int, int, int, i
     h2 = (a2 - r1) + q2.  The bounds below are those projections: each
     upper bound takes the ranks 0, each lower bound takes them at their
     caps.  A forced split caps both at 0.  The ends are evaluated on
-    coordinates (M = (1, e)), and nothing is built.  No input is known to
-    fire the chi identity or the inverted-interval check below; they stay as
-    guards of this projection algebra until an independent chi oracle exists.
+    coordinates (M = (1, e)), and nothing is built.  Nothing checks two
+    identities that hold for any kernel values: the caps cancel in
+    lo0 - lo1 + lo2 = hi0 - hi1 + hi2 = chi, and each lo is its hi less
+    caps that are 0 or minima of counts, all >= 0, so no interval is inverted.
     """
     e, sub, quot = datum.surface.e, datum.sub, datum.quotient
     a0, a1, a2 = counts(e, sub.a + t, sub.b + t * e)
@@ -348,11 +361,6 @@ def _box(datum: ExtensionDatum, t: int) -> tuple[int, int, int, int, int, int, i
         cap1 = q1 if q1 < a2 else a2
     hi0, hi1, hi2 = a0 + q0, a1 + q1, a2 + q2
     lo0, lo1, lo2 = hi0 - cap0, hi1 - cap0 - cap1, hi2 - cap1
-
-    if lo0 - lo1 + lo2 != total_chi:
-        raise ConsistencyError(f"LES box chi {lo0 - lo1 + lo2} != {total_chi} at t={t}")
-    if lo0 > hi0 or lo1 > hi1 or lo2 > hi2:
-        raise ConsistencyError(f"LES box has an inverted interval at t={t}")
     return lo0, hi0, lo1, hi1, lo2, hi2, total_chi
 
 
@@ -361,6 +369,8 @@ def cohomology_interval(datum: ExtensionDatum, t: int) -> CohomologyInterval:
 
     t must be a plain int.  Only the box is built.
     """
+    if not isinstance(datum, ExtensionDatum):
+        raise DomainError(f"extension datum must be an ExtensionDatum, got {datum!r}")
     if type(t) is not int:
         require_ints(t)
     return CohomologyInterval(*_box(datum, t))
@@ -485,6 +495,8 @@ def audit_extension_natural(datum: ExtensionDatum) -> ExtensionAudit:
     no box and no row; the audit rebuilds every row of the window on
     demand, as a referee.
     """
+    if not isinstance(datum, ExtensionDatum):
+        raise DomainError(f"extension datum must be an ExtensionDatum, got {datum!r}")
     start, (stop, end) = datum.m - 1, _audit_twists(datum)
     verdict = HOLDS_VERDICT
     for t in range(start, (stop if stop > start else start) + 1):
@@ -732,6 +744,8 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
     Only twist parameter m = 0 is supported; the slope bookkeeping above
     assumes the untwisted presentation.
     """
+    if not isinstance(datum, ExtensionDatum):
+        raise DomainError(f"extension datum must be an ExtensionDatum, got {datum!r}")
     pol = _polarization(polarization)
     if datum.m != 0:
         raise DomainError(f"stability certification needs m = 0, got m = {datum.m}")

@@ -18,9 +18,8 @@ from Riemann-Roch:
 
     chi(a, b) = 1 + a*b + a + b - e*a*(a+1)/2,
 
-where e*a*(a+1) is always even, and h^1 is defined by chi = h0 - h1 + h2.
-A negative h^1 would mean this module is internally broken, so it raises
-``ConsistencyError`` rather than returning.
+where a*(a+1) is even, and h^1 is defined by chi = h0 - h1 + h2, so a
+negative h^1 is a ``ConsistencyError`` (``counts`` says why).
 
 h^1 vanishes exactly on three regimes ("the trichotomy"):
 
@@ -38,7 +37,7 @@ class has at most one *run* of h^1 > 0 along a twist line, from where
 one form reaches its threshold to where the other reaches -1.
 
 Kernels and wrappers: ``sections(e, a, b)`` (the h^0 sum) and
-``counts(e, a, b)`` (the triple, with both consistency checks) take plain
+``counts(e, a, b)`` (the triple, with its consistency check) take plain
 integers and build no object.  The hot loops of :mod:`hirzebruch.natural`
 and :mod:`hirzebruch.bundles` call them on twisted coordinates.  The
 twist-line kernels ``effective_twist``, ``sections_twist`` (k sections)
@@ -62,7 +61,7 @@ from .picard import DivisorClass, DomainError, Record, Surface, ceil_div, requir
 
 
 class ConsistencyError(RuntimeError):
-    """An internal identity failed; indicates a bug, not bad input."""
+    """Two independent computations disagreed: a bug, never bad input."""
 
 
 class CohomologyTriple(Record):
@@ -172,18 +171,16 @@ def sections_twist(e: int, k: int, u: int, v: int, c: int, d: int, start: int) -
 
 
 def _euler(e: int, a: int, b: int) -> int:
-    """Riemann-Roch; exact integer division, by a shift once the low bit
-    of the numerator is checked clear."""
-    num = e * a * (a + 1)
-    if num & 1:
-        raise ConsistencyError(f"e*a*(a+1) = {num} is odd; impossible")
-    return 1 + a * b + a + b - (num >> 1)
+    """Riemann-Roch; the halving is exact, by a shift, as a*(a+1) is a
+    product of consecutive integers and so even."""
+    return 1 + a * b + a + b - (e * a * (a + 1) >> 1)
 
 
 def counts(e: int, a: int, b: int) -> tuple[int, int, int]:
     """(h0, h1, h2) of a*h + b*f on F_e: h0 or h2 = h0(K - c) summed, the
     one that can be nonzero (a >= 0 leaves K - c the h-coordinate -2 - a,
-    and a < 0 has no h0), and h1 forced by chi = h0 - h1 + h2."""
+    and a < 0 has no h0), and h1 forced by chi = h0 - h1 + h2.  A negative
+    h1 is a ConsistencyError: the h0/h2 closed forms and Riemann-Roch disagree."""
     v0, v2 = (sections(e, a, b), 0) if a >= 0 else (0, sections(e, -2 - a, -e - 2 - b))
     v1 = v0 + v2 - _euler(e, a, b)
     if v1 < 0:

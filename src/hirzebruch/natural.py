@@ -261,7 +261,9 @@ def _min_twist(
     config: Optional[PointConfig],
     by: DivisorClass,
 ) -> int:
-    """`min_twist_with_sections` of a checked model, given its `_components`."""
+    """`min_twist_with_sections` of a checked model, given its `_components`;
+    a ConsistencyError says that the closed-form inverse of an ideal's
+    section count (`ideal_sections_twist`) and probes of that count disagree."""
     c, d = by.a, by.b
     if config is None:
         # a direct sum has sections exactly when some summand does, and a
@@ -319,7 +321,8 @@ def _decide(
     twist where one component has h^1 > 0, and the model's h^1 is at
     least that (a sum's is the sum of its summands', an ideal's adds the
     shortfall to the line bundle's), so h^1 = 0 there is a
-    ConsistencyError.  With no run start above lo, the window is lo alone.
+    ConsistencyError: the runs of `run_edges` and the h^1 of `counts` (or
+    `ideal_counts`) disagree.  With no run start above lo, the window is lo alone.
     """
     e, c, d = surface.e, by.a, by.b
     t = lo

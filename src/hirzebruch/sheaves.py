@@ -52,7 +52,7 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from .cohomology import ConsistencyError, counts, effective_twist, sections, sections_twist
+from .cohomology import counts, effective_twist, sections, sections_twist
 from .picard import DivisorClass, DomainError, Record, Surface, require_ints
 
 
@@ -146,18 +146,15 @@ def ideal_sections_twist(
 
 def ideal_counts(e: int, z: int, locus: Locus, a: int, b: int) -> tuple[int, int, int]:
     """(h0, h1, h2) of I_Z(a, b): h2 is the line bundle's, and h1 is
-    forced by chi(I_Z(c)) = chi(c) - z.  h0 reads the h0(c) of `counts`."""
+    forced by chi(I_Z(c)) = chi(c) - z.  h0 reads the h0(c) of `counts`.
+    h1 = h1(c) + h0 - (h0(c) - z) is never negative: `counts` refuses a
+    negative h1(c), and h0 >= h0(c) - z on every locus."""
     full, line1, v2 = counts(e, a, b)
     if locus is _GENERAL:
         v0 = full - z if full > z else 0
     else:
         v0 = _curve_h0(e, z, locus, a, b, full)
-    v1 = v0 + v2 - (full - line1 + v2 - z)
-    if v1 < 0:
-        raise ConsistencyError(
-            f"negative ideal h1 = {v1} at e={e}, z={z}, locus={locus.value}, c=({a},{b})"
-        )
-    return v0, v1, v2
+    return v0, line1 + v0 - (full - z), v2
 
 
 def _kernel_args(model: IdealSheafModel) -> tuple[int, Locus, int, int]:

@@ -39,10 +39,13 @@ from hirzebruch import (
     stability_certificate,
     unconditional_scan,
 )
+from local_cohomology import h1_by_local_cohomology
 
 
 def test_c01_oracle_grid_exact_under_5s():
-    # closed forms against the lattice count on the full grid
+    # closed forms against the lattice counts on the full grid: h0 and h2
+    # against the monomials of each, and h1 against the local-cohomology
+    # count, which shares no formula with chi
     started = time.monotonic()
     checked = 0
     for e in range(1, 6):
@@ -55,6 +58,7 @@ def test_c01_oracle_grid_exact_under_5s():
                 assert v0 == oracle_h0(surface, c)
                 assert v2 == oracle_h0(surface, k - c)
                 assert v0 - v1 + v2 == chi(surface, c)
+                assert v1 == h1_by_local_cohomology(e, a, b)
                 assert h1_vanishes(surface, c) == (v1 == 0)
                 checked += 1
     elapsed = time.monotonic() - started

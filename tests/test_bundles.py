@@ -548,6 +548,56 @@ def test_a_datum_refuses_ends_of_the_wrong_type(sub, quotient, message):
         ExtensionDatum(Surface(1), 0, sub, quotient)
 
 
+_QUOTIENT = IdealSheafModel(PointConfig(3, Locus.GENERAL), DivisorClass(2, 2))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda: ExtensionDatum(None, 0, DivisorClass(1, 0), _QUOTIENT),
+            "extension surface must be a Surface, got None",
+        ),
+        (lambda: construct_extension(None, 3, 2, 0, 3), "surface must be a Surface, got None"),
+        (lambda: section_count_bounds(None, 3, 2, 0), "surface must be a Surface, got None"),
+        (
+            lambda: audit_extension_natural(None),
+            "extension datum must be an ExtensionDatum, got None",
+        ),
+        (
+            lambda: stability_certificate(None, "R"),
+            "extension datum must be an ExtensionDatum, got None",
+        ),
+        (
+            lambda: cohomology_interval(None, 0),
+            "extension datum must be an ExtensionDatum, got None",
+        ),
+        (
+            lambda: chern_of_extension(Surface(1), (1, 0), 0, DivisorClass(3, 2), 0),
+            "vanishing class must be a DivisorClass, got (1, 0)",
+        ),
+        (
+            lambda: chern_of_extension(None, DivisorClass(1, 0), 0, DivisorClass(3, 2), 0),
+            "surface must be a Surface, got None",
+        ),
+        (
+            lambda: chern_of_extension(Surface(1), DivisorClass(1, 0), 0, (3, 2), 0),
+            "c1 must be a DivisorClass, got (3, 2)",
+        ),
+    ],
+    ids=[
+        "datum", "construct", "bounds", "audit", "stability", "interval",
+        "chern-vanishing", "chern-surface", "chern-c1",
+    ],
+)
+def test_rank_2_entry_points_refuse_untyped_arguments(call, message):
+    # a surface or datum argument of the wrong type is one DomainError
+    # line, not an AttributeError from reading a field it lacks
+    with pytest.raises(DomainError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("bad", [1.5, 2.0, True])
 def test_hand_built_datum_takes_integers_only(bad):
     # the point count, m and each end coordinate in turn; each end is built

@@ -14,7 +14,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
@@ -857,32 +856,53 @@ REUSE_CASES = [
     (None, False, "coh --e 1 --class 1,1"),
 ]
 
-# the oracle's exit 1 needs a wrong closed form: h0 of (1,1) off by one
-_SABOTAGE = (
-    "import sys\n"
-    "from hirzebruch import cli\n"
-    "real = cli.h0\n"
-    "cli.h0 = lambda surface, c: real(surface, c) + (c.a == 1 and c.b == 1)\n"
-    "sys.exit(cli.main(sys.argv[1:]))\n"
-)
+# one child interpreter imports the package, runs no line, and forks one
+# process per case, so each line runs once in a process where no other
+# line ran before it, with its format setting; the oracle's exit 1 needs a
+# wrong closed form, h0 of (1,1) off by one.  A fork writes what it prints
+# to two files that the child reads back after it exits
+_FORKS = """\
+import json, os, sys, tempfile
+from hirzebruch import cli
+
+real_h0 = cli.h0
+results = []
+for fmt, sabotage, line in json.loads(sys.argv[1]):
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        pid = os.fork()
+        if not pid:
+            os.dup2(out.fileno(), 1)
+            os.dup2(err.fileno(), 2)
+            if fmt is not None:
+                os.environ["HIRZEBRUCH_FORMAT"] = fmt
+            if sabotage:
+                cli.h0 = lambda surface, c: real_h0(surface, c) + (c.a == 1 and c.b == 1)
+            code = cli.main(line.split())
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        out.seek(0)
+        err.seek(0)
+        results.append((code, out.read().decode(sys.stdout.encoding),
+                        err.read().decode(sys.stderr.encoding)))
+print(json.dumps(results))
+"""
 
 
-def _fresh_process(case):
-    fmt, sabotage, line = case
+def _fresh_processes(cases):
+    """(exit code, stdout, stderr) of each case, each from its own fork."""
     env = {k: v for k, v in os.environ.items() if k != "HIRZEBRUCH_FORMAT"}
-    if fmt is not None:
-        env["HIRZEBRUCH_FORMAT"] = fmt
-    entry = ["-c", _SABOTAGE] if sabotage else ["-m", "hirzebruch"]
     proc = subprocess.run(
-        [sys.executable, *entry, *line.split()],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-c", _FORKS, json.dumps(cases)],
+        capture_output=True, text=True, env=env, timeout=120,
     )
-    return proc.returncode, proc.stdout, proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(result) for result in json.loads(proc.stdout)]
 
 
 def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        expected = list(pool.map(_fresh_process, REUSE_CASES))
+    expected = _fresh_processes(REUSE_CASES)
     assert {code for code, _, _ in expected} == {0, 1, 2, 3}
     real_h0 = cli.h0
     for case, want in zip(REUSE_CASES, expected):

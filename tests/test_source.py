@@ -532,3 +532,28 @@ def test_hot_kernels_call_no_min_max_sorted_or_sum():
             ]
     assert seen == set().union(*kernels.values())
     assert found == []
+
+
+def test_consistency_errors_compare_independent_computations():
+    # a ConsistencyError says that two independent computations disagreed;
+    # a check of an identity of the lines just above it can never fire, so
+    # exactly these three raise one, and each docstring names its pair:
+    # `counts` (the h0/h2 closed forms against Riemann-Roch), `_min_twist`
+    # (the closed-form inverse against probes) and `_decide` (the runs
+    # against `counts`)
+    package = pathlib.Path(hirzebruch.__file__).parent
+    raisers, docs = set(), {}
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        docs.update(
+            (f"{path.stem}.{qualname}", ast.get_docstring(node) or "")
+            for qualname, node in _functions(tree)
+        )
+        for function, node in _scoped(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ConsistencyError":
+                raisers.add(f"{path.stem}.{function}")
+    assert raisers == {"cohomology.counts", "natural._min_twist", "natural._decide"}
+    assert all("ConsistencyError" in docs[name] for name in raisers)
