@@ -1,8 +1,8 @@
 """Desk-scale verification of the library's closed-form claims.
 
-Every fast path in this package (twist criteria, direct-sum criterion,
+Every closed form in this package (twist criteria, direct-sum criterion,
 construction bounds, stability exclusions, extension audits) rests on a
-closed-form claim.  Each claim here re-derives its statement against the
+claim.  Each claim here re-derives its statement against the
 exact scan oracles on a small grid and records the result as findings:
 
     agrees         the statement matched the computation on every instance

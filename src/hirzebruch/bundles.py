@@ -56,7 +56,15 @@ from typing import Callable, Optional
 
 from .cohomology import counts, effective_twist, sections
 from .natural import HOLDS_VERDICT, INDETERMINATE_VERDICT, Outcome, Verdict
-from .picard import DivisorClass, DomainError, Record, Surface, ceil_div, require_ints
+from .picard import (
+    DivisorClass,
+    DomainError,
+    Record,
+    Surface,
+    ceil_div,
+    require_ints,
+    require_types,
+)
 from .sheaves import IdealSheafModel, Locus, PointConfig, ideal_counts
 
 # the members the audit and construction paths compare against or store,
@@ -134,13 +142,13 @@ class ExtensionDatum(Record):
         self, surface: Surface, m: int, sub: DivisorClass, quotient: IdealSheafModel
     ) -> None:
         if not isinstance(surface, Surface):
-            raise DomainError(f"extension surface must be a Surface, got {surface!r}")
+            require_types(("extension surface", surface, Surface))
         if type(m) is not int or m < 0:
             _refuse_twist(m)
         if not isinstance(sub, DivisorClass):
-            raise DomainError(f"extension sub class must be a DivisorClass, got {sub!r}")
+            require_types(("extension sub class", sub, DivisorClass))
         if not isinstance(quotient, IdealSheafModel):
-            raise DomainError(f"extension quotient must be an IdealSheafModel, got {quotient!r}")
+            require_types(("extension quotient", quotient, IdealSheafModel))
         config = quotient.config
         if config.locus is not _GENERAL:
             raise DomainError(f"an extension datum needs general points, got {config.locus.name}")
@@ -185,12 +193,10 @@ def chern_of_extension(
     c2(E) = c2_0 + s, read off `_family`.  The standard construction's c2
     is this c2 at vanishing = h = (1, 0), and the twisted bundle E(mM) has
     c2(E) + m(M.c1) + m^2 e, M.c1 = c1.b."""
-    if not isinstance(surface, Surface):
-        raise DomainError(f"surface must be a Surface, got {surface!r}")
-    if not isinstance(vanishing, DivisorClass):
-        raise DomainError(f"vanishing class must be a DivisorClass, got {vanishing!r}")
+    if not isinstance(surface, Surface) or not isinstance(vanishing, DivisorClass):
+        require_types(("surface", surface, Surface), ("vanishing class", vanishing, DivisorClass))
     if not isinstance(c1, DivisorClass):
-        raise DomainError(f"c1 must be a DivisorClass, got {c1!r}")
+        require_types(("c1", c1, DivisorClass))
     if type(m) is not int or type(s) is not int:
         require_ints(m, s)
     if m < 0:
@@ -205,7 +211,7 @@ def section_count_bounds(surface: Surface, u: int, v: int, m: int) -> tuple[int,
     """(a_lo, b_hi): the standard construction's admissible point counts,
     `_range` of its quotient end."""
     if not isinstance(surface, Surface):
-        raise DomainError(f"surface must be a Surface, got {surface!r}")
+        require_types(("surface", surface, Surface))
     if type(u) is not int or type(v) is not int:
         require_ints(u, v)
     if type(m) is not int or m < 0:
@@ -250,6 +256,8 @@ def c1_obstructed(surface: Surface, rank: int, u: int, v: int) -> bool:
     """True when no rank-`rank` bundle with c1 = (u, v) has natural
     cohomology w.r.t. M: the criterion is v <= e(u - rank + 1) - 2.
     False only means "not decided by this criterion"."""
+    if not isinstance(surface, Surface):
+        require_types(("surface", surface, Surface))
     require_ints(rank, u, v)
     if rank < 1:
         raise DomainError(f"rank must be >= 1, got {rank}")
@@ -276,7 +284,7 @@ def construct_extension(surface: Surface, u: int, v: int, m: int, s: int) -> Ext
     the kernels before anything is built, so a refusal builds nothing.
     """
     if not isinstance(surface, Surface):
-        raise DomainError(f"surface must be a Surface, got {surface!r}")
+        require_types(("surface", surface, Surface))
     if type(u) is not int or type(v) is not int or type(m) is not int or type(s) is not int:
         require_ints(u, v, m, s)
     e = surface.e
@@ -370,7 +378,7 @@ def cohomology_interval(datum: ExtensionDatum, t: int) -> CohomologyInterval:
     t must be a plain int.  Only the box is built.
     """
     if not isinstance(datum, ExtensionDatum):
-        raise DomainError(f"extension datum must be an ExtensionDatum, got {datum!r}")
+        require_types(("extension datum", datum, ExtensionDatum))
     if type(t) is not int:
         require_ints(t)
     return CohomologyInterval(*_box(datum, t))
@@ -496,7 +504,7 @@ def audit_extension_natural(datum: ExtensionDatum) -> ExtensionAudit:
     demand, as a referee.
     """
     if not isinstance(datum, ExtensionDatum):
-        raise DomainError(f"extension datum must be an ExtensionDatum, got {datum!r}")
+        require_types(("extension datum", datum, ExtensionDatum))
     start, (stop, end) = datum.m - 1, _audit_twists(datum)
     verdict = HOLDS_VERDICT
     for t in range(start, (stop if stop > start else start) + 1):
@@ -745,7 +753,7 @@ def stability_certificate(datum: ExtensionDatum, polarization: Polarization | st
     assumes the untwisted presentation.
     """
     if not isinstance(datum, ExtensionDatum):
-        raise DomainError(f"extension datum must be an ExtensionDatum, got {datum!r}")
+        require_types(("extension datum", datum, ExtensionDatum))
     pol = _polarization(polarization)
     if datum.m != 0:
         raise DomainError(f"stability certification needs m = 0, got m = {datum.m}")
@@ -856,6 +864,8 @@ def classify_region(
     `_family` and one `_range` call per m; rank-1 witnesses are the single
     point 0.
     """
+    if not isinstance(surface, Surface):
+        require_types(("surface", surface, Surface))
     for bounds in (u_range, v_range):
         if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
             raise DomainError(f"a range is a pair (lo, hi), got {bounds!r}")

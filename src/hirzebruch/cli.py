@@ -9,14 +9,14 @@ oracle (closed form vs brute force).
 Output formats: table (default), csv, json; the HIRZEBRUCH_FORMAT
 environment variable changes the default.  JSON output is one object with
 fields command, inputs, results, findings, in that order, deterministic
-for fixed inputs.  It is laid out as `json.dumps(record, indent=2)` lays
-it out, but written by the package's own writer, `_json_text`.  `main`
-resolves the format before the command's handler runs, and a handler
-formats table lines only for the table format: a JSON or CSV report's
-`table_lines` is empty.  Exit codes: 0 success, 1 oracle mismatch, 2
-usage error, 3 domain error, 141 the reader closed the output pipe early
-(nothing is printed then).  The top-level help prints a fixed short
-description, `_DESCRIPTION`, not this docstring.
+for fixed inputs, in the layout of `json.dumps(record, indent=2)`.  The
+package's own writer, `_json_text`, writes it, and spells each str, int,
+bool and None by one type table, `_SCALARS`.  `main` resolves the format
+before the command's handler runs, and a handler formats table lines only
+for the table format: a JSON or CSV report's `table_lines` is empty.
+Exit codes: 0 success, 1 oracle mismatch, 2 usage error, 3 domain error,
+141 the reader closed the output pipe early (nothing is printed then).
+The top-level help prints `_DESCRIPTION`, not this docstring.
 
 Budgets: a command that would do more work than one of these counts is a
 domain error, refused with one line before that work starts.
@@ -255,14 +255,23 @@ class Report(Record):
         return "\n".join(self.table_lines)
 
 
+# how `_json_text` writes a value whose type is exactly one of these: the
+# one place that says how each JSON scalar is spelt, each by a C-level call
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _json_text(value: Any, indent: str = "\n") -> str:
     """`value` in the layout of `json.dumps(value, indent=2)`.
 
     `json` turns its C encoder off when asked to indent, so the record is
-    written here, with the same C string escaper.  A member of a dict,
-    list or tuple whose type is exactly str, int, bool or None is written
-    inline, in the loop that joins its container; only nested containers
-    and other types are written by a recursive call.  Either way, str and
+    written here, with the same C string escaper.  The value, and each
+    member of a dict, list or tuple, is looked up once in `_SCALARS` by its
+    exact type; only nested containers and other types recurse.  str and
     int subclasses are written as `json` writes them, and any other type,
     a non-str key included, raises TypeError.
     """
@@ -273,17 +282,8 @@ def _json_text(value: Any, indent: str = "\n") -> str:
         inner = indent + "  "
         items = []
         for key, member in value.items():
-            kind = type(member)
-            if kind is str:
-                text = encode_basestring_ascii(member)
-            elif kind is int:
-                text = int.__repr__(member)
-            elif kind is bool:
-                text = "true" if member else "false"
-            elif member is None:
-                text = "null"
-            else:
-                text = _json_text(member, inner)
+            write = _SCALARS.get(type(member))
+            text = write(member) if write else _json_text(member, inner)
             items.append(encode_basestring_ascii(key) + ": " + text)
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if kind is list or kind is tuple:
@@ -292,28 +292,11 @@ def _json_text(value: Any, indent: str = "\n") -> str:
         inner = indent + "  "
         items = []
         for member in value:
-            kind = type(member)
-            if kind is str:
-                items.append(encode_basestring_ascii(member))
-            elif kind is int:
-                items.append(int.__repr__(member))
-            elif kind is bool:
-                items.append("true" if member else "false")
-            elif member is None:
-                items.append("null")
-            else:
-                items.append(_json_text(member, inner))
+            write = _SCALARS.get(type(member))
+            items.append(write(member) if write else _json_text(member, inner))
         return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if write := _SCALARS.get(kind):
+        return write(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, int):

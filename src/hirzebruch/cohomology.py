@@ -47,9 +47,10 @@ kernels take minima and maxima by comparisons, not builtin `min` and
 `max` calls: in a CPython 3.11 timeit on a shared 2-vCPU host, `sections`
 took 453 ns with its `min` call and 193 ns with the comparison.  The
 public functions on (Surface, DivisorClass) are thin wrappers that call a
-kernel on the class's coordinates, so each quantity has one formula; they
-check nothing themselves, since `DivisorClass` refuses non-integer
-coordinates when it is built.
+kernel on the class's coordinates, so each quantity has one formula.
+They test only their arguments' types, inline (`picard.require_types`
+words a refusal), since `DivisorClass` refuses non-integer coordinates
+when it is built.
 """
 
 from __future__ import annotations
@@ -57,7 +58,15 @@ from __future__ import annotations
 from math import isqrt
 from typing import Optional
 
-from .picard import DivisorClass, DomainError, Record, Surface, ceil_div, require_ints
+from .picard import (
+    DivisorClass,
+    DomainError,
+    Record,
+    Surface,
+    ceil_div,
+    require_ints,
+    require_types,
+)
 
 
 class ConsistencyError(RuntimeError):
@@ -190,6 +199,8 @@ def counts(e: int, a: int, b: int) -> tuple[int, int, int]:
 
 def h0(surface: Surface, c: DivisorClass) -> int:
     """Global sections of O(c)."""
+    if not isinstance(surface, Surface) or not isinstance(c, DivisorClass):
+        require_types(("surface", surface, Surface), ("class", c, DivisorClass))
     return sections(surface.e, c.a, c.b)
 
 
@@ -199,6 +210,8 @@ def oracle_h0(surface: Surface, c: DivisorClass) -> int:
 
     Deliberately naive. Kept independent of ``h0`` so each checks the other.
     """
+    if not isinstance(surface, Surface) or not isinstance(c, DivisorClass):
+        require_types(("surface", surface, Surface), ("class", c, DivisorClass))
     a, b, e = c.a, c.b, surface.e
     count = 0
     for i in range(0, a + 1):
@@ -209,21 +222,29 @@ def oracle_h0(surface: Surface, c: DivisorClass) -> int:
 
 def chi(surface: Surface, c: DivisorClass) -> int:
     """Euler characteristic via Riemann-Roch."""
+    if not isinstance(surface, Surface) or not isinstance(c, DivisorClass):
+        require_types(("surface", surface, Surface), ("class", c, DivisorClass))
     return _euler(surface.e, c.a, c.b)
 
 
 def h2(surface: Surface, c: DivisorClass) -> int:
     """Serre duality: h^2(c) = h^0(K - c)."""
+    if not isinstance(surface, Surface) or not isinstance(c, DivisorClass):
+        require_types(("surface", surface, Surface), ("class", c, DivisorClass))
     return counts(surface.e, c.a, c.b)[2]
 
 
 def h1(surface: Surface, c: DivisorClass) -> int:
     """h^1 forced by chi = h0 - h1 + h2."""
+    if not isinstance(surface, Surface) or not isinstance(c, DivisorClass):
+        require_types(("surface", surface, Surface), ("class", c, DivisorClass))
     return counts(surface.e, c.a, c.b)[1]
 
 
 def h1_vanishes(surface: Surface, c: DivisorClass) -> bool:
     """Closed-form h^1 = 0 test (the trichotomy); no cohomology computed."""
+    if not isinstance(surface, Surface) or not isinstance(c, DivisorClass):
+        require_types(("surface", surface, Surface), ("class", c, DivisorClass))
     a, b, e = c.a, c.b, surface.e
     if a >= 0:
         return b >= e * a - 1
@@ -272,6 +293,8 @@ def run_edges(
 
 def triple(surface: Surface, c: DivisorClass) -> CohomologyTriple:
     """(h0, h1, h2) from one evaluation each of h0, h2 and chi."""
+    if not isinstance(surface, Surface) or not isinstance(c, DivisorClass):
+        require_types(("surface", surface, Surface), ("class", c, DivisorClass))
     return CohomologyTriple(*counts(surface.e, c.a, c.b))
 
 
@@ -283,6 +306,10 @@ def cohomology_profile(
     t_to: int,
 ) -> list[tuple[int, CohomologyTriple]]:
     """Triples of c + t*by for t in the inclusive range [t_from, t_to]."""
+    if not isinstance(surface, Surface) or not isinstance(c, DivisorClass):
+        require_types(("surface", surface, Surface), ("class", c, DivisorClass))
+    if not isinstance(by, DivisorClass):
+        require_types(("twisting class", by, DivisorClass))
     require_ints(t_from, t_to)
     if t_from > t_to:
         raise DomainError(f"inverted twist range {t_from}..{t_to}")

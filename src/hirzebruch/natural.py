@@ -21,9 +21,10 @@ nothing fails: no run begins past it then.  The scan evidence rebuilds
 the (t, h0, h1) rows of the whole window on demand, as a referee.
 
 Closed-form criteria exist for lines and sums when T is M = h + e*f or
-R = h + (e+1)*f and are checked against the scans by the test suite; the
-scans are the referees, the closed forms are the fast paths.  Ideal
-models have none: `scan_verdict` decides them.
+R = h + (e+1)*f, but no verdict reads them: the scans decide every
+model.  `check` prints a closed form beside the scan's verdict, and the
+claim audit and the test suite compare the two.  Ideal models have no
+closed form.
 
 All verdicts carry a witness twist and the (h0, h1) evidence so a failed
 check is reproducible by a single cohomology evaluation.
@@ -51,7 +52,7 @@ import enum
 from typing import Iterable, Optional, Union
 
 from .cohomology import ConsistencyError, counts, effective_twist, run_edges
-from .picard import DivisorClass, DomainError, Record, Surface, ceil_div
+from .picard import DivisorClass, DomainError, Record, Surface, ceil_div, require_types
 from .sheaves import (
     IdealSheafModel,
     PointConfig,
@@ -66,7 +67,7 @@ class Line(Record):
 
     def __init__(self, cls: DivisorClass) -> None:
         if not isinstance(cls, DivisorClass):
-            raise DomainError(f"line bundle class must be a DivisorClass, got {cls!r}")
+            require_types(("line bundle class", cls, DivisorClass))
         (put_cls,) = self._put
         put_cls(self, cls)
 
@@ -83,7 +84,7 @@ class DirectSum(Record):
             raise DomainError("direct sum needs at least one summand")
         for cls in classes:
             if not isinstance(cls, DivisorClass):
-                raise DomainError(f"direct sum summand must be a DivisorClass, got {cls!r}")
+                require_types(("direct sum summand", cls, DivisorClass))
         (put_classes,) = self._put
         put_classes(self, classes)
 
@@ -195,11 +196,15 @@ def _components(model: SheafModel) -> tuple[tuple[DivisorClass, ...], Optional[P
 def _checked(
     surface: Surface, model: SheafModel, by: DivisorClass
 ) -> tuple[tuple[DivisorClass, ...], Optional[PointConfig]]:
-    """`_components` of the model, after rejecting a non-model and a
-    twisting class that is not spanned and nonzero.  Coordinates and point
-    counts need no check: the types refuse non-integers when they are
-    built."""
+    """`_components` of the model, after rejecting a surface that is not a
+    `Surface`, a non-model and a twisting class that is not a spanned and
+    nonzero `DivisorClass`, in that order.  Coordinates and point counts
+    need no check: the types refuse non-integers when they are built."""
+    if not isinstance(surface, Surface):
+        require_types(("surface", surface, Surface))
     parts = _components(model)  # DomainError for a non-model
+    if not isinstance(by, DivisorClass):
+        require_types(("twisting class", by, DivisorClass))
     # spanned: c >= 0 and d >= e*c, where d = 0 leaves only c = 0
     c, d = by.a, by.b
     if c < 0 or d < surface.e * c or d == 0:
@@ -251,7 +256,8 @@ def min_twist_with_sections(surface: Surface, model: SheafModel, by: DivisorClas
     which inverts the section count with `math.isqrt`); two more probes
     certify that answer, and a miss is a ConsistencyError.
     """
-    return _min_twist(surface.e, model, *_checked(surface, model, by), by)
+    classes, config = _checked(surface, model, by)
+    return _min_twist(surface.e, model, classes, config, by)
 
 
 def _min_twist(
@@ -395,7 +401,8 @@ def unconditional_scan(surface: Surface, model: SheafModel, by: DivisorClass) ->
 
 
 # ---------------------------------------------------------------------------
-# closed forms (fast paths; the scans referee them)
+# closed forms (no verdict reads them; `check`, the audit and the tests
+# compare them with the scans)
 
 
 def line_natural_wrt_m(surface: Surface, cls: DivisorClass) -> bool:
@@ -404,6 +411,8 @@ def line_natural_wrt_m(surface: Surface, cls: DivisorClass) -> bool:
     Twisting by M leaves the slack v - e*u alone, the scanned ray only
     meets nonnegative h-coordinates, and there h^1 = 0 iff slack >= -1.
     """
+    if not isinstance(surface, Surface) or not isinstance(cls, DivisorClass):
+        require_types(("surface", surface, Surface), ("class", cls, DivisorClass))
     return cls.b >= surface.e * cls.a - 1
 
 
@@ -413,6 +422,8 @@ def line_unconditional_wrt_m(surface: Surface, cls: DivisorClass) -> bool:
     Both tails of the twist line are pinned by the constant slack: the
     right one needs slack >= -1, the left one slack <= e - 1.
     """
+    if not isinstance(surface, Surface) or not isinstance(cls, DivisorClass):
+        require_types(("surface", surface, Surface), ("class", cls, DivisorClass))
     e, u, v = surface.e, cls.a, cls.b
     return e * u - 1 <= v <= e * u + e - 1
 
@@ -426,6 +437,8 @@ def line_natural_wrt_r(surface: Surface, cls: DivisorClass) -> bool:
     >= -1 at the first section).  The criterion is v + x >= e*u - 1 with
     that x; each unit of x buys one unit of slack.
     """
+    if not isinstance(surface, Surface) or not isinstance(cls, DivisorClass):
+        require_types(("surface", surface, Surface), ("class", cls, DivisorClass))
     e, u, v = surface.e, cls.a, cls.b
     if v >= (e + 1) * u:
         return True
@@ -446,11 +459,15 @@ def direct_sum_natural_wrt_m(surface: Surface, classes: list[DivisorClass]) -> b
     summand, and any equal to it, has u_i + m >= 0, so the second pass
     need not skip it.
     """
+    if not isinstance(surface, Surface):
+        require_types(("surface", surface, Surface))
     e = surface.e
     if not classes:
         raise DomainError("direct sum needs at least one summand")
     ta, tb = classes[0].a, classes[0].b
     for c in classes:
+        if not isinstance(c, DivisorClass):
+            require_types(("direct sum summand", c, DivisorClass))
         a, b = c.a, c.b
         if b < e * a - 1:
             return False

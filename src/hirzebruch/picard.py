@@ -222,6 +222,22 @@ def require_ints(*values: object) -> None:
             raise DomainError(f"expected an integer, got {x!r}")
 
 
+def require_types(*checks: tuple[str, object, type]) -> None:
+    """DomainError naming the first (name, value, kind) check whose value
+    is not a `kind`, in one line: "surface must be a Surface, got None".
+
+    Called as `require_ints` is, only once an inline test has failed:
+    ``if not isinstance(surface, Surface) or not isinstance(c,
+    DivisorClass): require_types(("surface", surface, Surface), ("class",
+    c, DivisorClass))``, so a passing call pays one `isinstance` per
+    argument and no call.
+    """
+    for name, value, kind in checks:
+        if not isinstance(value, kind):
+            article = "an" if kind.__name__[0] in "AEIOU" else "a"
+            raise DomainError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+
+
 def ceil_div(p: int, q: int) -> int:
     """ceil(p / q) for integers with q > 0, exactly."""
     return -((-p) // q)

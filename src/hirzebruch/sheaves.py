@@ -36,15 +36,15 @@ backwards along a twist with the twist-line kernels of
 :mod:`hirzebruch.cohomology`, in a fixed number of integer operations:
 ``sections_twist`` for the z + 1 sections of O(c) and
 ``effective_twist`` for c - C.  The functions on (Surface,
-IdealSheafModel) are thin wrappers that call a kernel and check nothing
-themselves: `PointConfig` refuses a point count that is not a plain int
->= 0 and a locus that is not a `Locus`, and `DivisorClass` non-integer
-coordinates, when they are built.  The kernels compare a locus by
-identity against members bound once at import (`_GENERAL`, ...) and
-index no dict by one: in a CPython 3.11 timeit, reading a member through
-its class cost 120-135 ns against 14-18 ns for a plain class attribute,
-and a dict lookup keyed by one, which runs the Python-level
-`Enum.__hash__`, about 135 ns.
+IdealSheafModel) are thin wrappers that call a kernel and test only
+their arguments' types, in `_kernel_args`: `PointConfig` refuses a point
+count that is not a plain int >= 0 and a locus that is not a `Locus`,
+and `DivisorClass` non-integer coordinates, when they are built.  The
+kernels compare a locus by identity against members bound once at
+import (`_GENERAL`, ...) and index no dict by one: in a CPython 3.11
+timeit, reading a member through its class cost 120-135 ns against
+14-18 ns for a plain class attribute, and a dict lookup keyed by one,
+which runs the Python-level `Enum.__hash__`, about 135 ns.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import enum
 from typing import Optional
 
 from .cohomology import counts, effective_twist, sections, sections_twist
-from .picard import DivisorClass, DomainError, Record, Surface, require_ints
+from .picard import DivisorClass, DomainError, Record, Surface, require_ints, require_types
 
 
 class Locus(enum.Enum):
@@ -81,7 +81,7 @@ class PointConfig(Record):
         if z < 0:
             raise DomainError(f"point count must be >= 0, got {z}")
         if not isinstance(locus, Locus):
-            raise DomainError(f"point locus must be a Locus, got {locus!r}")
+            require_types(("point locus", locus, Locus))
         put_z, put_locus = self._put
         put_z(self, z)
         put_locus(self, locus)
@@ -94,9 +94,9 @@ class IdealSheafModel(Record):
 
     def __init__(self, config: PointConfig, cls: DivisorClass) -> None:
         if not isinstance(config, PointConfig):
-            raise DomainError(f"point configuration must be a PointConfig, got {config!r}")
+            require_types(("point configuration", config, PointConfig))
         if not isinstance(cls, DivisorClass):
-            raise DomainError(f"ideal sheaf class must be a DivisorClass, got {cls!r}")
+            require_types(("ideal sheaf class", cls, DivisorClass))
         put_config, put_cls = self._put
         put_config(self, config)
         put_cls(self, cls)
@@ -157,17 +157,20 @@ def ideal_counts(e: int, z: int, locus: Locus, a: int, b: int) -> tuple[int, int
     return v0, line1 + v0 - (full - z), v2
 
 
-def _kernel_args(model: IdealSheafModel) -> tuple[int, Locus, int, int]:
-    """(z, locus, a, b) of the model: the arguments of the kernels."""
-    return model.config.z, model.config.locus, model.cls.a, model.cls.b
+def _kernel_args(surface: Surface, model: IdealSheafModel) -> tuple[int, int, Locus, int, int]:
+    """(e, z, locus, a, b) of the surface and the model, the arguments of
+    the kernels, once both arguments' types are tested."""
+    if not isinstance(surface, Surface) or not isinstance(model, IdealSheafModel):
+        require_types(("surface", surface, Surface), ("model", model, IdealSheafModel))
+    return surface.e, model.config.z, model.config.locus, model.cls.a, model.cls.b
 
 
 def h0_ideal(surface: Surface, model: IdealSheafModel) -> int:
     """h0(c) - min(z, rho), rho the capacity of the module docstring."""
-    return ideal_sections(surface.e, *_kernel_args(model))
+    return ideal_sections(*_kernel_args(surface, model))
 
 
 def h1_ideal(surface: Surface, model: IdealSheafModel) -> int:
     """Forced by chi(I_Z(c)) = chi(c) - z."""
-    return ideal_counts(surface.e, *_kernel_args(model))[1]
+    return ideal_counts(*_kernel_args(surface, model))[1]
 

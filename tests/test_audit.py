@@ -2,14 +2,20 @@
 
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
 from hirzebruch import (
     CLAIMS,
+    ChernData,
+    ConstructionError,
     DivisorClass,
     DomainError,
+    Line,
+    Outcome,
     Surface,
+    Verdict,
     construct_extension,
     h1,
     line_natural_wrt_m,
@@ -206,3 +212,156 @@ def test_construction_bounds_sees_a_false_certificate(monkeypatch):
         if f.status == "discrepancy" and f.subject.endswith("certificate false")
     ]
     assert false_certificates
+
+
+def _negated(real):
+    return lambda *args: not real(*args)
+
+
+def _flipped_stability(real):
+    # a certificate that says the opposite: not certified, with a warning
+    # where the real one has none and none where it has one
+    def planted(datum, polarization):
+        report = real(datum, polarization)
+        return SimpleNamespace(
+            certified=not report.certified,
+            candidates=report.candidates,
+            warnings=() if report.warnings else ("planted warning",),
+        )
+
+    return planted
+
+
+def _sometimes_refused(real):
+    # odd u: the construction refuses with the wrong reason; even u: it
+    # accepts anything, an obstructed class included
+    def planted(surface, u, v, m, s):
+        if u % 2:
+            raise ConstructionError("hypothesis_m", "planted refusal")
+        return None
+
+    return planted
+
+
+def _off_by_one_c2(real):
+    def planted(surface, vanishing, m, c1, s):
+        chern = real(surface, vanishing, m, c1, s)
+        return ChernData(2, chern.c1, chern.c2 + 1)
+
+    return planted
+
+
+def _misplaced_failure(real):
+    # every audit fails, but at the wrong twist
+    failed = SimpleNamespace(verdict=Verdict(Outcome.FAILS, 5, 1, 1))
+    return lambda datum: failed
+
+
+# each claim with a planted fault: (names in `audit`'s namespace -> the
+# fault built from the real function, e values, texts that the claim's
+# discrepancy findings must carry, in subject or detail)
+PLANTED_FAULTS = {
+    "ample-self-twists": (
+        # the scan answers for the class fattened by two more fibers
+        {"unconditional_scan": lambda real: lambda s, model, by: real(s, model, by + DivisorClass(0, 2))},
+        [1],
+        ["expected vanishing w.r.t."],
+    ),
+    "line-twist-criterion": (
+        {"line_natural_wrt_m": _negated, "line_unconditional_wrt_m": _negated},
+        [1],
+        ["closed form says", "band form says"],
+    ),
+    "line-ample-r-criterion": (
+        {"line_natural_wrt_r": _negated},
+        [1],
+        ["closed form says"],
+    ),
+    "direct-sum-splitting": (
+        # the scan answers for the trivial line bundle, which is natural
+        {"scan_verdict": lambda real: lambda s, model, by: real(s, Line(DivisorClass(0, 0)), by)},
+        [1],
+        ["expected failure at t=0, scan verdict is HOLDS"],
+    ),
+    "rank1-points": (
+        # the scan forgets the points
+        {"scan_verdict": lambda real: lambda s, model, by: real(s, Line(model.cls), by)},
+        [1],
+        ["expected holds=False for the whole family"],
+    ),
+    "sum-criterion": (
+        {"direct_sum_natural_wrt_m": _negated},
+        [1],
+        ["closed form says"],
+    ),
+    "nonexistence-region": (
+        {
+            "c1_obstructed": lambda real: lambda s, rank, u, v: real(s, rank, u, v - 1),
+            "line_natural_wrt_m": _negated,
+            "construct_extension": _sometimes_refused,
+        },
+        [1],
+        [
+            "threshold not sharp",
+            "obstructed class is natural",
+            "unobstructed class is not natural",
+            "construction rejected (hypothesis_m)",
+            "wrong rejection hypothesis_m",
+            "construction accepted an obstructed class",
+            "threshold checks failed",
+        ],
+    ),
+    "construction-bounds": (
+        {
+            # the two ends of the range swapped, and a c2 one too high
+            "section_count_bounds": lambda real: lambda *args: real(*args)[::-1],
+            "chern_of_extension": _off_by_one_c2,
+        },
+        [1],
+        ["bounds inverted", "presentation c2 disagrees", "construction invariant failed"],
+    ),
+    "stability-exclusion": (
+        {"stability_certificate": _flipped_stability},
+        [1],
+        [
+            "R: survivors",
+            "M: unexpected warnings",
+            "hypothesis warning did not fire",
+            "stability sample failed",
+        ],
+    ),
+    "extension-natural": (
+        {"audit_extension_natural": _misplaced_failure},
+        [1, 2],
+        [
+            "expected Holds throughout",
+            "expected a forced-split failure at t=0, got Verdict(outcome=<Outcome.FAILS",
+            "the claim is not desk-checkable at this e",
+        ],
+    ),
+}
+
+
+def test_every_claim_has_a_planted_fault():
+    assert list(PLANTED_FAULTS) == ALL_CLAIMS
+
+
+@pytest.mark.parametrize("claim", ALL_CLAIMS)
+def test_a_planted_fault_is_a_discrepancy_of_its_own_claim(claim, monkeypatch):
+    # a wrong closed form, scan, bound or certificate planted where the
+    # claim looks it up shows as a discrepancy with the claim's own words
+    import hirzebruch.audit as audit
+
+    plants, e_values, texts = PLANTED_FAULTS[claim]
+    clean = {(f.subject, f.detail) for f in run_audit(e_values, [claim]) if f.status == "discrepancy"}
+    for name, fault in plants.items():
+        monkeypatch.setattr(audit, name, fault(getattr(audit, name)))
+    findings = run_audit(e_values, [claim])
+    assert {f.claim for f in findings} == {claim}
+    planted = [
+        f"{f.subject} | {f.detail}"
+        for f in findings
+        if f.status == "discrepancy" and (f.subject, f.detail) not in clean
+    ]
+    for text in texts:
+        assert any(text in line for line in planted), (text, planted)

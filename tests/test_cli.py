@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from hirzebruch import (
     CLAIMS,
+    DivisorClass,
     Surface,
     cli,
     construct_extension,
@@ -228,6 +229,31 @@ def test_oracle_exit_one_on_mismatch(capsys, monkeypatch):
     code, out, _ = run(["oracle", "--e", "1..1", "--a", "0..2", "--b", "0..2"], capsys)
     assert code == 1
     assert "1 mismatches" in out
+
+
+@pytest.mark.parametrize(
+    "name,fault,problem",
+    [
+        ("h2", lambda real, surface, c: real(surface, c) + 1, "h2 1 != oracle 0"),
+        (
+            "h1_vanishes",
+            lambda real, surface, c: not real(surface, c),
+            "vanishing criterion disagrees with h1",
+        ),
+    ],
+    ids=["h2", "h1_vanishes"],
+)
+def test_oracle_names_each_problem_it_finds(capsys, monkeypatch, name, fault, problem):
+    # the h2 and vanishing-criterion checks, as the h0 one above: one
+    # sabotaged class, exit 1 and the problem in its mismatch line
+    real = getattr(cli, name)
+    one = DivisorClass(1, 1)
+    monkeypatch.setattr(
+        cli, name, lambda surface, c: fault(real, surface, c) if c == one else real(surface, c)
+    )
+    code, out, _ = run(["oracle", "--e", "1..1", "--a", "0..2", "--b", "0..2"], capsys)
+    assert code == 1
+    assert out.splitlines() == ["checked 9 classes, 1 mismatches", f"  e=1 (1,1): {problem}"]
 
 
 # --- formats

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hirzebruch import (
+    ConsistencyError,
     DivisorClass,
     DomainError,
     Surface,
@@ -434,3 +435,16 @@ def test_public_entry_points_reject_non_integer_inputs(bad):
     for call in calls:
         with pytest.raises(DomainError):
             call()
+
+
+def test_a_riemann_roch_off_by_ten_is_a_consistency_error(monkeypatch):
+    # h1 is h0 + h2 - chi, so a chi ten too high leaves h1(1, 1) = -10 on
+    # F_1: `counts` refuses it as its two computations disagreeing
+    from hirzebruch import cohomology
+
+    real = cohomology._euler
+    monkeypatch.setattr(cohomology, "_euler", lambda e, a, b: real(e, a, b) + 10)
+    with pytest.raises(ConsistencyError, match=r"^negative h1 = -10 at e=1, c=\(1,1\)$"):
+        counts(1, 1, 1)
+    with pytest.raises(ConsistencyError):
+        h1(Surface(1), DivisorClass(1, 1))

@@ -78,6 +78,16 @@ def test_a_line_or_a_sum_refuses_a_summand_that_is_not_a_class(bad):
         DirectSum([DivisorClass(1, 1), bad])
 
 
+@pytest.mark.parametrize("scan", [scan_verdict, unconditional_scan, min_twist_with_sections])
+@pytest.mark.parametrize("model", [object(), DivisorClass(1, 1), None], ids=["object", "class", "none"])
+def test_a_scan_refuses_a_model_that_is_not_a_sheaf_model(scan, model):
+    # `_components`' refusal, the one dispatch on the model's shape
+    surface = Surface(1)
+    with pytest.raises(DomainError) as refused:
+        scan(surface, model, surface.m_class())
+    assert str(refused.value) == f"not a sheaf model: {model!r}"
+
+
 def test_a_direct_sum_holds_its_summands_as_a_tuple():
     # built from a list or from a generator, a sum is the one built from
     # the tuple of its summands: equal, hashable, with the same hash

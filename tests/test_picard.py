@@ -1,13 +1,31 @@
 """Intersection theory and positivity on the base surface."""
 
 from fractions import Fraction
+import inspect
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hirzebruch import DivisorClass, DomainError, Locus, PointConfig, Surface
+import hirzebruch
+from hirzebruch import (
+    DivisorClass,
+    DomainError,
+    IdealSheafModel,
+    Line,
+    Locus,
+    PointConfig,
+    Surface,
+    cohomology_profile,
+    direct_sum_natural_wrt_m,
+    h0,
+    h0_ideal,
+    h1_ideal,
+    line_natural_wrt_r,
+    scan_verdict,
+    triple,
+)
 from hirzebruch.picard import ceil_div
 
 ints = st.integers(min_value=-50, max_value=50)
@@ -181,3 +199,97 @@ def test_rejects_bool_e():
     # bool is an int subclass; Surface(True) must not pass as e = 1
     with pytest.raises(DomainError):
         Surface(True)
+
+
+_D = DivisorClass(1, 1)
+_M = DivisorClass(1, 1)  # M on F_1
+_IDEAL = IdealSheafModel(PointConfig(2, Locus.GENERAL), DivisorClass(2, 2))
+
+# well-typed arguments after the surface, for every public callable whose
+# first parameter is the surface
+_AFTER_SURFACE = {
+    "chi": (_D,),
+    "cohomology_profile": (_D, _M, 0, 1),
+    "h0": (_D,),
+    "h1": (_D,),
+    "h1_vanishes": (_D,),
+    "h2": (_D,),
+    "oracle_h0": (_D,),
+    "triple": (_D,),
+    "h0_ideal": (_IDEAL,),
+    "h1_ideal": (_IDEAL,),
+    "direct_sum_natural_wrt_m": ([_D, DivisorClass(0, -1)],),
+    "line_natural_wrt_m": (_D,),
+    "line_natural_wrt_r": (_D,),
+    "line_unconditional_wrt_m": (_D,),
+    "min_twist_with_sections": (Line(_D), _M),
+    "scan_verdict": (_IDEAL, _M),
+    "unconditional_scan": (Line(_D), _M),
+    "ExtensionDatum": (0, DivisorClass(1, 0), _IDEAL),
+    "chern_of_extension": (DivisorClass(1, 0), 0, DivisorClass(3, 2), 0),
+    "classify_region": (2, (0, 1), (0, 1)),
+    "construct_extension": (3, 2, 0, 3),
+    "c1_obstructed": (2, 1, 1),
+    "section_count_bounds": (3, 2, 0),
+}
+
+
+def _first_parameter(obj):
+    # None for a constant and for a callable without a signature (an enum)
+    try:
+        return next(iter(inspect.signature(obj).parameters), None)
+    except (TypeError, ValueError):
+        return None
+
+
+def test_every_public_callable_refuses_a_surface_that_is_not_one():
+    # each function of `__all__` (and the `ExtensionDatum` constructor)
+    # whose first parameter is the surface refuses None there with one
+    # DomainError line, not an AttributeError from reading `e` off it;
+    # every call is well typed apart from the surface, and answers on F_1
+    takers = sorted(
+        name for name in hirzebruch.__all__ if _first_parameter(getattr(hirzebruch, name)) == "surface"
+    )
+    assert takers == sorted(_AFTER_SURFACE)
+    assert len(takers) == 23
+    for name in takers:
+        call, rest = getattr(hirzebruch, name), _AFTER_SURFACE[name]
+        call(Surface(1), *rest)
+        with pytest.raises(DomainError) as refused:
+            call(None, *rest)
+        owner = "extension " if name == "ExtensionDatum" else ""
+        assert str(refused.value) == f"{owner}surface must be a Surface, got None", name
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: h0(Surface(1), (1, 1)), "class must be a DivisorClass, got (1, 1)"),
+        (lambda: triple(Surface(1), None), "class must be a DivisorClass, got None"),
+        (
+            lambda: cohomology_profile(Surface(1), _D, (1, 1), 0, 1),
+            "twisting class must be a DivisorClass, got (1, 1)",
+        ),
+        (lambda: h0_ideal(Surface(1), None), "model must be an IdealSheafModel, got None"),
+        (lambda: h1_ideal(Surface(1), _D), f"model must be an IdealSheafModel, got {_D!r}"),
+        (
+            lambda: scan_verdict(Surface(1), Line(_D), (1, 1)),
+            "twisting class must be a DivisorClass, got (1, 1)",
+        ),
+        (
+            lambda: line_natural_wrt_r(Surface(1), None),
+            "class must be a DivisorClass, got None",
+        ),
+        (
+            lambda: direct_sum_natural_wrt_m(Surface(1), [_D, (1, 1)]),
+            "direct sum summand must be a DivisorClass, got (1, 1)",
+        ),
+    ],
+    ids=["h0", "triple", "profile", "h0_ideal", "h1_ideal", "scan", "line-r", "sum"],
+)
+def test_an_argument_after_the_surface_is_typed_too(call, message):
+    # a class, model or twisting class of the wrong type is one DomainError
+    # line naming that argument, not an AttributeError from reading a field
+    with pytest.raises(DomainError) as refused:
+        call()
+    assert str(refused.value) == message

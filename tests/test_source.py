@@ -328,6 +328,51 @@ def test_inline_int_guards_fall_back_to_require_ints_with_the_names_they_test():
     assert found == []
 
 
+def _isinstance_tests(test):
+    """The (value, type) names of `not isinstance(x, T) or ...`, when the
+    test is made of such terms alone; otherwise None."""
+    terms = test.values if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or) else [test]
+    pairs = []
+    for term in terms:
+        if not (
+            isinstance(term, ast.UnaryOp)
+            and isinstance(term.op, ast.Not)
+            and isinstance(term.operand, ast.Call)
+            and ast.unparse(term.operand.func) == "isinstance"
+        ):
+            return None
+        pairs.append(tuple(ast.unparse(arg) for arg in term.operand.args))
+    return pairs
+
+
+def test_inline_type_guards_fall_back_to_require_types_with_the_pairs_they_test():
+    # an argument's type is tested inline and `require_types` is called
+    # only to word a refusal, with the (value, type) pairs the guard
+    # tested, in order: a pair missing there would let a bad value through
+    # with no message, and a mismatched one would word the wrong refusal
+    package = pathlib.Path(hirzebruch.__file__).parent
+    guards, found = 0, []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.If):
+                continue
+            body = [ast.unparse(statement) for statement in node.body]
+            if not any(line.startswith("require_types(") for line in body):
+                continue
+            guards += 1
+            tested = _isinstance_tests(node.test)
+            call = node.body[0].value if len(node.body) == 1 else None
+            worded = [
+                tuple(ast.unparse(field) for field in check.elts[1:])
+                for check in getattr(call, "args", [])
+                if isinstance(check, ast.Tuple)
+            ]
+            if tested is None or worded != tested or node.orelse:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node.test)} / {body}")
+    assert guards
+    assert found == []
+
+
 def test_kernels_compare_enum_members_bound_once():
     # reading a member through its enum class (`Outcome.FAILS`) runs the
     # enum's own lookup, and hashing a member for a dict key runs the
